@@ -21,7 +21,9 @@ from mpmath import mp, mpf, mpc
 
 from .exact import ConsistencyError, FormalSeries, bernoulli_polynomial
 from .periodic import TildeFunction
-from .precision import DEFAULT_CTX, Estimate, PrecisionContext, frac_to_mp
+from .precision import (DEFAULT_CTX, FIVE_HALVES, MINUS_FIVE_HALVES, SEVEN_QUARTERS,
+                        Estimate, PrecisionContext, frac_to_mp)
+from .resum import tilde_dirichlet
 
 
 class SingularProximityError(ValueError):
@@ -163,22 +165,6 @@ class BorelClosedForm:
         return 3 * mp.pi * c / (f.M ** 2 * self.series.b)
 
 
-def _tilde_dirichlet(tilde: TildeFunction, s: int, start_excluded: int = 0) -> mpc:
-    """sum_{l > start} f~(l) l^{-s} via Hurwitz zeta over residues mod M."""
-    M = tilde.M
-    total = mpf(0)
-    for r in range(1, M + 1):
-        v = tilde(r)
-        if v:
-            total += v * mp.zeta(s, mpf(r) / M)
-    total = total / mpf(M) ** s
-    for ell in range(1, start_excluded + 1):
-        v = tilde(ell)
-        if v:
-            total -= v * mpf(ell) ** (-s)
-    return total
-
-
 def borel_eval(series: FormalSeries, p, ctx: PrecisionContext = DEFAULT_CTX,
                side: str = None, guard_factor=mpf("1e-6")) -> Estimate:
     """Evaluate G(p) away from the singular set.
@@ -225,9 +211,9 @@ def borel_eval(series: FormalSeries, p, ctx: PrecisionContext = DEFAULT_CTX,
                 # on the cut: apply the requested side (limit from Im p -> +-0
                 # means Im w -> -+0)
                 ang = -mp.pi if side == "+" else mp.pi
-                wpow = mp.exp(mpf("2.5") * (mp.log(abs(w)) + 1j * ang))
+                wpow = mp.exp(FIVE_HALVES * (mp.log(abs(w)) + 1j * ang))
             else:
-                wpow = w ** mpf("2.5")
+                wpow = w ** FIVE_HALVES
             head += ell * tv / wpow
 
         # tail: (A l^2 - p/b)^{-5/2} = (A l^2)^{-5/2} (1 - p/(b A l^2))^{-5/2}
@@ -237,17 +223,23 @@ def borel_eval(series: FormalSeries, p, ctx: PrecisionContext = DEFAULT_CTX,
         # remainder after k terms is geometric with factor <= 1.75 ratio.
         tail = mpc(0)
         ratio = abs(p) / (series.b * A * (L + 1) ** 2)
-        K = A ** mpf("-2.5") * tilde.max_abs() / (3 * mpf(L + 1) ** 3)
+        K = A ** MINUS_FIVE_HALVES * tilde.max_abs() / (3 * mpf(L + 1) ** 3)
         target = ctx.tolerance() * mpf("0.01") + mpf(2) ** (-ctx.prec - 8)
         k = 0
         binom = mpf(1)  # (5/2)_k / k!
         while True:
-            srv = _tilde_dirichlet(tilde, 4 + 2 * k, L)
-            tail += binom * (p / series.b) ** k * srv * A ** (-mpf("2.5") - k)
-            next_binom = binom * (mpf("2.5") + k) / (k + 1)
+            # sum_{l > L} f~(l) l^{-s}: the full Dirichlet sum less the head
+            s = 4 + 2 * k
+            srv = tilde_dirichlet(tilde, s)
+            for ell in range(1, L + 1):
+                v = tilde(ell)
+                if v:
+                    srv -= v * mpf(ell) ** (-s)
+            tail += binom * (p / series.b) ** k * srv * A ** (MINUS_FIVE_HALVES - k)
+            next_binom = binom * (FIVE_HALVES + k) / (k + 1)
             bound = next_binom * ratio ** (k + 1) * K
-            if k >= 2 and abs(pref) * bound / (1 - mpf("1.75") * ratio) < target:
-                rem = bound / (1 - mpf("1.75") * ratio)
+            if k >= 2 and abs(pref) * bound / (1 - SEVEN_QUARTERS * ratio) < target:
+                rem = bound / (1 - SEVEN_QUARTERS * ratio)
                 break
             binom = next_binom
             k += 1

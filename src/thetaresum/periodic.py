@@ -156,9 +156,13 @@ def chi_function(p: ChiParams) -> PeriodicFunction:
 class TildeFunction:
     """The transform f~(l) = (-1)^l sin((k2-k1) l pi/M) sin((M-k1-k2) l pi/M).
 
-    Values are evaluated on demand at the current mpmath precision from exact
-    rational multiples of pi.  Only periodicity with period dividing 2M is
-    promised; the minimal period is detected and reported.
+    ``period`` is the exact minimal period, a divisor of 2M, found by gcd
+    arithmetic on the frequencies of f~.  Values are computed once per
+    residue mod 2M and per working precision (from exact rational multiples
+    of pi) and then read from that table, so f~(l) has the same bits as the
+    sine product evaluated at the current mpmath precision.  The table and
+    the derived ``max_abs`` and ``partial_sum_peak`` are cached per
+    (M, k1, k2, precision); the scale c does not enter f~.
     """
 
     base: PeriodicFunction
@@ -167,48 +171,27 @@ class TildeFunction:
     def M(self) -> int:
         return self.base.M
 
-    def _angles(self, ell: int):
-        M = self.M
-        r1 = Fraction((self.base.k2 - self.base.k1) * ell, M) % 2
-        r2 = Fraction((M - self.base.k1 - self.base.k2) * ell, M) % 2
-        return r1, r2
+    @property
+    def _key(self) -> tuple:
+        return self.base.M, self.base.k1, self.base.k2
 
     def __call__(self, ell: int) -> mpf:
-        r1, r2 = self._angles(ell)
-        sign = -1 if ell % 2 else 1
-        return sign * mp.sinpi(frac_to_mp(r1)) * mp.sinpi(frac_to_mp(r2))
+        base = self.base
+        return _tilde_table(base.M, base.k1, base.k2, mp.prec)[ell % (2 * base.M)]
 
     def is_zero(self, ell: int) -> bool:
         """Exact zero test: f~(l) = 0 iff either sine argument is an integer."""
-        M = self.M
-        d1 = M // math.gcd(M, self.base.k2 - self.base.k1)
-        d2 = M // math.gcd(M, M - self.base.k1 - self.base.k2)
+        d1, d2 = _zero_moduli(*self._key)
         return ell % d1 == 0 or ell % d2 == 0
 
     @property
     def first_support(self) -> int:
-        ell = 1
-        while self.is_zero(ell):
-            ell += 1
-            if ell > 2 * self.M:
-                raise ConfigError("f~ vanishes identically on a full period")
-        return ell
+        return _tilde_first_support(*self._key)
 
     @property
     def period(self) -> int:
-        """Minimal period dividing 2M.
-
-        Detected numerically over one full 2M window; the candidate values are
-        fixed low-degree algebraic numbers, so an 80-bit comparison is decisive.
-        """
-        with workprec(80):
-            window = [self(ell) for ell in range(4 * self.M + 1)]
-            thresh = mpf(2) ** -60
-            for d in _divisors(2 * self.M):
-                if all(abs(window[ell + d] - window[ell]) < thresh
-                       for ell in range(2 * self.M)):
-                    return d
-        return 2 * self.M
+        """Exact minimal period, a divisor of 2M."""
+        return _tilde_period(*self._key)
 
     def table(self, length: int = None) -> list:
         n = length if length is not None else self.period
@@ -217,21 +200,81 @@ class TildeFunction:
     def partial_sum_peak(self) -> mpf:
         """max_n |sum_{l<=n} f~(l)| over one period (mean zero makes the
         partial sums periodic); used in Abel-summation tail bounds."""
-        with workprec(max(mp.prec, 80)):
-            acc = mpf(0)
-            peak = mpf(0)
-            for ell in range(1, self.period + 1):
-                acc += self(ell)
-                peak = max(peak, abs(acc))
-            return peak
+        return _tilde_peak(*self._key, max(mp.prec, 80))
 
     def max_abs(self) -> mpf:
-        return max(abs(v) for v in self.table(self.period + 1))
+        return _tilde_max_abs(*self._key, mp.prec)
 
     @property
     def c(self):
         # the scale of the underlying f; f~ itself is scale-free
         return self.base.c
+
+
+def _sine_product(M: int, k1: int, k2: int, ell: int) -> mpf:
+    """f~(l) at the current precision; depends on l only through l mod 2M."""
+    r1 = Fraction((k2 - k1) * ell, M) % 2
+    r2 = Fraction((M - k1 - k2) * ell, M) % 2
+    sign = -1 if ell % 2 else 1
+    return sign * mp.sinpi(frac_to_mp(r1)) * mp.sinpi(frac_to_mp(r2))
+
+
+@lru_cache(maxsize=None)
+def _tilde_period(M: int, k1: int, k2: int) -> int:
+    """Minimal period of f~ from its expansion in characters mod 2M.
+
+    With d1 = k2-k1, d2 = M-k1-k2 and e(u) = e^{i pi u l/M},
+    f~ = (e(M+d1-d2) + e(M-d1+d2) - e(M+d1+d2) - e(M-d1-d2))/4.  Distinct
+    characters mod 2M are linearly independent, so after merging equal
+    frequencies f~ is invariant under a shift exactly when every frequency
+    with a nonzero coefficient is; e(u) has period 2M/gcd(u, 2M).
+    """
+    d1, d2 = k2 - k1, M - k1 - k2
+    coeff = {}
+    for u, w in ((M + d1 - d2, 1), (M - d1 + d2, 1), (M + d1 + d2, -1), (M - d1 - d2, -1)):
+        coeff[u % (2 * M)] = coeff.get(u % (2 * M), 0) + w
+    return math.lcm(1, *(2 * M // math.gcd(u, 2 * M) for u, w in coeff.items() if w))
+
+
+@lru_cache(maxsize=None)
+def _zero_moduli(M: int, k1: int, k2: int) -> tuple:
+    """(d1, d2): f~(l) = 0 exactly when d1 | l or d2 | l."""
+    return M // math.gcd(M, k2 - k1), M // math.gcd(M, M - k1 - k2)
+
+
+@lru_cache(maxsize=None)
+def _tilde_first_support(M: int, k1: int, k2: int) -> int:
+    d1, d2 = _zero_moduli(M, k1, k2)
+    for ell in range(1, 2 * M + 1):
+        if ell % d1 and ell % d2:
+            return ell
+    raise ConfigError("f~ vanishes identically on a full period")
+
+
+@lru_cache(maxsize=256)
+def _tilde_table(M: int, k1: int, k2: int, prec: int) -> tuple:
+    """(f~(0), ..., f~(2M-1)) at ``prec`` bits."""
+    with workprec(prec):
+        return tuple(_sine_product(M, k1, k2, ell) for ell in range(2 * M))
+
+
+@lru_cache(maxsize=256)
+def _tilde_max_abs(M: int, k1: int, k2: int, prec: int) -> mpf:
+    tab = _tilde_table(M, k1, k2, prec)
+    with workprec(prec):
+        return max(abs(v) for v in tab[:_tilde_period(M, k1, k2) + 1])
+
+
+@lru_cache(maxsize=256)
+def _tilde_peak(M: int, k1: int, k2: int, prec: int) -> mpf:
+    tab = _tilde_table(M, k1, k2, prec)
+    with workprec(prec):
+        acc = mpf(0)
+        peak = mpf(0)
+        for ell in range(1, _tilde_period(M, k1, k2) + 1):
+            acc += tab[ell % (2 * M)]
+            peak = max(peak, abs(acc))
+        return peak
 
 
 def _divisors(n: int):

@@ -20,6 +20,16 @@ DEFAULT_PREC_ENV = "THETARESUM_PREC"
 # extra bits carried by every operation on top of ctx.prec
 GUARD_BITS = 20
 
+# Constants that are exact in binary, parsed once for the hot loops.  Being
+# exact at every precision, they give the same bits as parsing in place.
+HALF = mpf("0.5")
+QUARTER = mpf("0.25")
+THREE_HALVES = mpf("1.5")
+MINUS_THREE_HALVES = mpf("-1.5")
+FIVE_HALVES = mpf("2.5")
+MINUS_FIVE_HALVES = mpf("-2.5")
+SEVEN_QUARTERS = mpf("1.75")
+
 
 def default_prec() -> int:
     """Default precision in bits; overridable via the environment."""

@@ -18,9 +18,9 @@ from mpmath import mp, mpf, mpc
 
 from .exact import bernoulli_polynomial
 from .periodic import (ChiParams, ConfigError, PeriodicFunction, TildeFunction,
-                       chi_function, pair_set, s_matrix_entry)
-from .precision import (DEFAULT_CTX, Estimate, PrecisionContext, as_fraction,
-                        frac_to_mp, richardson_limit)
+                       _divisors, chi_function, pair_set, s_matrix_entry)
+from .precision import (DEFAULT_CTX, MINUS_THREE_HALVES, Estimate, PrecisionContext,
+                        as_fraction, frac_to_mp, richardson_limit)
 
 
 class DomainError(ValueError):
@@ -79,6 +79,7 @@ def theta_upper_half(spec: ThetaSpec, x, ctx: PrecisionContext = DEFAULT_CTX) ->
         lam = 2 * mp.pi * x.imag / spec.b
         fmax = _f_max(spec.f)
         target = ctx.tolerance() * mpf("0.01") + mpf(2) ** (-ctx.prec - 10)
+        period = spec.f.period
         n = 0
         acc = mpc(0)
         two_pi_i = 2j * mp.pi
@@ -87,7 +88,7 @@ def theta_upper_half(spec: ThetaSpec, x, ctx: PrecisionContext = DEFAULT_CTX) ->
             if v:
                 acc += (n ** spec.nu) * v * mp.exp(two_pi_i * x * (n * n - spec.a) / spec.b)
             n += 1
-            if n % spec.f.period == 0:
+            if n % period == 0:
                 tail = fmax * mp.exp(2 * mp.pi * x.imag * spec.a / spec.b) \
                     * _gauss_tail(spec.nu, lam, n - 1)
                 if tail < target:
@@ -117,7 +118,8 @@ def _twist_period(f, alpha: Fraction, b: int) -> int:
     Starts from the safe period lcm(period_f, den(alpha) * b) and minimises by
     scanning divisors, comparing exact phase exponents.
     """
-    safe = _lcm(f.period, alpha.denominator * b)
+    period = f.period
+    safe = math.lcm(period, alpha.denominator * b)
     alpha0 = alpha
 
     def twist_ok(Q):
@@ -130,25 +132,11 @@ def _twist_period(f, alpha: Fraction, b: int) -> int:
         return True
 
     best = safe
-    for d in sorted(_divisor_list(safe)):
-        if d % f.period == 0 and twist_ok(d):
+    for d in _divisors(safe):
+        if d % period == 0 and twist_ok(d):
             best = d
             break
     return best
-
-
-def _divisor_list(n: int):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.extend((d, n // d))
-        d += 1
-    return sorted(set(out))
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
 
 
 def twisted_table(f, alpha: Fraction, a: int, b: int):
@@ -257,11 +245,11 @@ class VerticalTheta:
         key = mp.prec
         if key not in self._tables:
             P, h = twisted_table(self.f, self.alpha, 0, self.B)
-            self._tables[key] = (P, h, {})
+            self._tables[key] = (P, h, max(abs(v) for v in h), {})
         return self._tables[key]
 
     def _dft(self, j: int):
-        P, h, cache = self._build()
+        P, h, _, cache = self._build()
         if j not in cache:
             acc = mpc(0)
             for r in range(P):
@@ -275,10 +263,9 @@ class VerticalTheta:
         w = mpf(w)
         if w <= 0:
             raise DomainError("w must be positive")
-        P, h, _ = self._build()
+        P, h, hmax, _ = self._build()
         lam = 2 * mp.pi * w / self.B
         target = mpf(2) ** (-mp.prec - 4)
-        hmax = max(abs(v) for v in h)
         if hmax == 0:
             return mpc(0)
         if lam * P >= mp.pi:
@@ -354,7 +341,7 @@ def eichler_integral(s: int, t: int, nm: tuple, z, lower,
 
         def integrand(w):
             tau_minus_z = mpc(base_re - z.real, base_im + w - z.imag)
-            return theta_at(w) * tau_minus_z ** mpf("-1.5") * 1j
+            return theta_at(w) * tau_minus_z ** MINUS_THREE_HALVES * 1j
 
         guard = abs(mpc(base_re, base_im) - z)
         if vert is None and guard == 0:
@@ -371,7 +358,7 @@ def eichler_integral(s: int, t: int, nm: tuple, z, lower,
         # tail beyond W: |theta| <= fmax * P * e^{-rate w} / (1 - ...) roughly
         fmax = _f_max(spec.f)
         tail = fmax * spec.f.period * mp.exp(-rate * W) / rate \
-            * abs(mpc(base_re, base_im + W) - z) ** mpf("-1.5")
+            * abs(mpc(base_re, base_im + W) - z) ** MINUS_THREE_HALVES
         return Estimate(pref * val, abs(pref) * (qerr + tail))
 
 

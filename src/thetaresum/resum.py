@@ -25,8 +25,9 @@ from mpmath import mp, mpf, mpc, workprec
 
 from .exact import FormalSeries
 from .periodic import TildeFunction
-from .precision import (DEFAULT_CTX, Estimate, PrecisionContext, as_fraction,
-                        frac_to_mp, richardson_limit)
+from .precision import (DEFAULT_CTX, FIVE_HALVES, HALF, MINUS_FIVE_HALVES,
+                        MINUS_THREE_HALVES, QUARTER, THREE_HALVES, Estimate,
+                        PrecisionContext, as_fraction, frac_to_mp, richardson_limit)
 from .qseries import DomainError, ThetaSpec, VerticalTheta, theta_radial_limit
 
 
@@ -134,7 +135,7 @@ def _special_e_large(y):
     sigma = 0 if y.imag == 0 else (1 if y.imag > 0 else -1)
     acc = mpc(0)
     inv2y2 = 1 / (2 * y * y)
-    t = mpf("0.5")  # k = 1 term: 1/2
+    t = HALF  # k = 1 term: 1/2
     k = 1
     eps = mpf(2) ** (-mp.prec - 10)
     while True:
@@ -208,20 +209,21 @@ class LateralResult:
 
 
 _BETA = (Fraction(1), Fraction(5, 2), Fraction(35, 8))  # (5/2)_k / k!, k = 0..2
+_BETA2 = mpf("4.375")  # (5/2)_2/2! = 35/8
+_BETA3 = mpf("6.5625")  # (5/2)_3/3! = 105/16
 
 
 def _remainder_r3(w):
     """R3(w) = (1-w)^{-5/2} - 1 - (5/2)w - (35/8)w^2, stable for small w."""
-    if abs(w) > mpf("0.5"):
-        return (1 - w) ** mpf("-2.5") - 1 - mpf("2.5") * w - mpf("4.375") * w * w
+    if abs(w) > HALF:
+        return (1 - w) ** MINUS_FIVE_HALVES - 1 - FIVE_HALVES * w - _BETA2 * w * w
     # series sum_{k>=3} (5/2)_k/k! w^k, ratio < 3/4 on |w| <= 1/2
-    coef = mpf("6.5625")  # (5/2)_3/3! = 105/16
-    term = coef * w ** 3
+    term = _BETA3 * w ** 3
     acc = term
     k = 3
     eps = mpf(2) ** (-mp.prec - 4)
     while abs(term) > eps * (1 + abs(acc)):
-        term = term * w * (mpf("2.5") + k) / (k + 1)
+        term = term * w * (FIVE_HALVES + k) / (k + 1)
         acc += term
         k += 1
     return acc
@@ -272,7 +274,7 @@ def lateral_sum(series: FormalSeries, x, side: str,
         for j, beta in enumerate(_BETA):
             w_s = tilde_dirichlet(tilde, 4 + 2 * j)
             poly += (frac_to_mp(beta) * mpf(b) ** (-j) * mp.factorial(j)
-                     / x ** (j + 1) * m2pi2 ** (mpf("2.5") + j) * w_s)
+                     / x ** (j + 1) * m2pi2 ** (FIVE_HALVES + j) * w_s)
 
         # adaptive head length from the l^{-10} tail bound
         target = ctx.tolerance() * mpf("0.1") + mpf(2) ** (-ctx.prec)
@@ -308,7 +310,7 @@ def lateral_sum(series: FormalSeries, x, side: str,
                 # analytic bound for the cut-off piece beyond U
                 cut = 44 / Ab ** 3 * mp.exp(-sig * U) * (
                     U ** 3 / sig + 3 * U ** 2 / sig ** 2 + 6 * U / sig ** 3 + 6 / sig ** 4)
-                coeff = ell * tv * (Apref * ell * ell) ** mpf("-2.5")
+                coeff = ell * tv * (Apref * ell * ell) ** MINUS_FIVE_HALVES
                 qsum += coeff * val
                 quad_err += abs(coeff) * (qe + cut + abs(val) * mpf(2) ** (-quad_prec + 8))
 
@@ -339,7 +341,7 @@ def median_sum(series: FormalSeries, x, ctx: PrecisionContext = DEFAULT_CTX) -> 
         sq = mp.sqrt(b * x)
         rho = mp.pi * sq / M          # y_l = rho * l
         tau = (mp.pi ** 2 * b / M ** 2) * x.real   # Re y_l^2 = tau l^2
-        pref = 4 * M * c / mp.pi ** mpf("1.5")
+        pref = 4 * M * c / mp.pi ** THREE_HALVES
         einf = e_limit()
 
         cm_num = (2 * M * c / mp.pi ** 2) * tilde_dirichlet(tilde, 2)
@@ -421,17 +423,18 @@ def disc_closed_form(series: FormalSeries, x, ctx: PrecisionContext = DEFAULT_CT
         tilde = series.tilde
         M, b = f.M, series.b
         c = _scale_mpf(f.c)
-        pref = 2j * (2 * b * mp.pi * x) ** mpf("1.5") * mp.sqrt(2) * c / M ** 2
+        pref = 2j * (2 * b * mp.pi * x) ** THREE_HALVES * mp.sqrt(2) * c / M ** 2
         tau = mp.pi ** 2 * b / M ** 2 * x
         fmax = tilde.max_abs()
         target = ctx.tolerance() * mpf("0.01") + mpf(2) ** (-ctx.prec - 8)
+        period = tilde.period
         acc = mpc(0)
         ell = 1
         while True:
             tv = tilde(ell)
             if tv:
                 acc += ell * tv * mp.exp(-tau * ell * ell)
-            if ell % tilde.period == 0:
+            if ell % period == 0:
                 rest = fmax * ((ell + 1) * mp.exp(-tau.real * (ell + 1) ** 2)
                                + mp.exp(-tau.real * ell ** 2) / (2 * tau.real))
                 if abs(pref) * rest < target:
@@ -485,9 +488,10 @@ def boundary_median(series: FormalSeries, alpha,
 
         def integrand(v):
             th = vert.value(b * v)
-            return 1j * th * (inv_alpha + 1j * v) ** mpf("-1.5")
+            return 1j * th * (inv_alpha + 1j * v) ** MINUS_THREE_HALVES
 
-        small = mpf(B) / (2 * tilde.period * b)
+        period = tilde.period
+        small = mpf(B) / (2 * period * b)
         pts = [mpf(0)]
         for sc in (mpf("0.01"), mpf("0.1"), mpf(1), mpf(10)):
             if small * sc < V:
@@ -496,13 +500,13 @@ def boundary_median(series: FormalSeries, alpha,
         kval, kerr = mp.quad(integrand, sorted(set(pts)), error=True,
                              maxdegree=ctx.quad_maxdegree)
         fmax = tilde.max_abs()
-        tail = fmax * tilde.period * mp.exp(-rate * V) / rate * abs(inv_alpha) ** mpf("-1.5")
-        t1_pref = c * b * mp.expjpi(mpf("0.25")) / (M * mp.pi * mpc(0, frac_to_mp(alpha)) ** mpf("1.5"))
+        tail = fmax * period * mp.exp(-rate * V) / rate * abs(inv_alpha) ** MINUS_THREE_HALVES
+        t1_pref = c * b * mp.expjpi(QUARTER) / (M * mp.pi * mpc(0, frac_to_mp(alpha)) ** THREE_HALVES)
         term1 = t1_pref * kval
 
         spec1 = ThetaSpec(a=0, b=B, nu=1, f=tilde)
         theta1 = theta_radial_limit(spec1, Fraction(-b, 1) / alpha, ctx)
-        t2_pref = (mpf(b) / mpc(0, frac_to_mp(alpha))) ** mpf("1.5") * mp.sqrt(2) * c / M ** 2
+        t2_pref = (mpf(b) / mpc(0, frac_to_mp(alpha))) ** THREE_HALVES * mp.sqrt(2) * c / M ** 2
         term2 = t2_pref * theta1.value
 
         value = term1 + term2

@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, workprec
 
+from thetaresum import periodic
+from thetaresum.config import config_hikami, config_t3_2k
 from thetaresum.periodic import (ChiParams, ConfigError, chi_function, fold_pair,
                                  make_periodic, pair_set, pair_set_alternative,
                                  s_matrix, s_matrix_entry, support_set,
                                  tilde_transform, verify_decomposition)
 from thetaresum.precision import PrecisionContext
+from thetaresum.resum import disc_closed_form
 
 CTX = PrecisionContext(prec=80, tol=1e-12)
 
@@ -123,6 +126,99 @@ class TestTilde:
                 td = tilde_transform(f)
                 total = sum(td(ell) for ell in range(1, 2 * f.M + 1))
                 assert abs(total) < mpf(2) ** -70
+
+
+def sine_product(td, ell):
+    """f~(l) straight from its definition, at the current precision."""
+    M, k1, k2 = td.M, td.base.k1, td.base.k2
+    r1 = Fraction((k2 - k1) * ell, M) % 2
+    r2 = Fraction((M - k1 - k2) * ell, M) % 2
+    sign = -1 if ell % 2 else 1
+    return sign * mp.sinpi(mpf(r1.numerator) / r1.denominator) \
+        * mp.sinpi(mpf(r2.numerator) / r2.denominator)
+
+
+def scanned_period(td):
+    """Smallest divisor d of 2M with f~(l + d) = f~(l) on a 2M window, at 80
+    bits; the values are low-degree algebraic numbers, so 2^-60 decides."""
+    M = td.M
+    with workprec(80):
+        window = [sine_product(td, ell) for ell in range(4 * M + 1)]
+        for d in range(1, 2 * M + 1):
+            if (2 * M) % d == 0 and all(abs(window[ell + d] - window[ell]) < mpf(2) ** -60
+                                        for ell in range(2 * M)):
+                return d
+
+
+def distinct_configs(max_m):
+    seen = {}
+    for M in range(2, max_m + 1):
+        for k1 in range(M):
+            for k2 in range(M):
+                try:
+                    f = make_periodic(1, M, k1, k2)
+                except ConfigError:
+                    continue
+                seen.setdefault((f.M, f.k1, f.k2), f)
+    return list(seen.values())
+
+
+# the (s, t) pairs of the acceptance suite
+ST_LIST = [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5), (3, 8)]
+
+
+class TestTildePeriodAndTable:
+    def test_gcd_period_matches_scan_small_m(self):
+        configs = distinct_configs(24)
+        assert len(configs) == 440
+        for f in configs:
+            td = tilde_transform(f)
+            assert td.period == scanned_period(td), (f.M, f.k1, f.k2)
+
+    def test_gcd_period_matches_scan_families(self):
+        fs = [chi_function(ChiParams(s, t, n, m))
+              for s, t in ST_LIST for n in range(1, s) for m in range(1, t)]
+        fs += [config_hikami(u, ell).f for u in range(1, 7) for ell in range(u)]
+        fs += [config_t3_2k(k).f for k in range(1, 7)]
+        for f in fs:
+            td = tilde_transform(f)
+            assert td.period == scanned_period(td), (f.M, f.k1, f.k2)
+
+    @pytest.mark.parametrize("prec", [64, 80, 128, 256])
+    def test_table_bits_match_sine_product(self, prec):
+        for f in (make_periodic(1, 12, 1, 5), make_periodic(1, 40, 3, 7),
+                  config_hikami(3, 1).f, config_t3_2k(3).f):
+            td = tilde_transform(f)
+            with workprec(prec):
+                for ell in range(-2 * f.M, 6 * f.M + 1):
+                    got, ref = td(ell), sine_product(td, ell)
+                    assert got._mpf_ == ref._mpf_, (f.M, ell, prec)
+
+    def test_value_follows_precision(self):
+        td = tilde_transform(make_periodic(1, 40, 3, 7))
+        with workprec(64):
+            low = td(1)
+        with workprec(256):
+            high = td(1)
+            assert high._mpf_ == sine_product(td, 1)._mpf_
+        assert high != low
+        assert abs(high - low) < mpf(2) ** -60
+
+    def test_disc_closed_form_builds_one_table(self, monkeypatch):
+        cfg = config_t3_2k(4)
+        ser = cfg.series(8)
+        periodic._tilde_table.cache_clear()
+        periodic._tilde_max_abs.cache_clear()
+        calls = []
+        sinpi = mp.sinpi
+
+        def counting(x):
+            calls.append(x)
+            return sinpi(x)
+
+        monkeypatch.setattr(mp, "sinpi", counting)
+        disc_closed_form(ser, 1, PrecisionContext(prec=128))
+        assert 0 < len(calls) <= 4 * cfg.f.M
 
 
 class TestPairSets:
