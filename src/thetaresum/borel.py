@@ -152,19 +152,6 @@ def singularity_set(series: FormalSeries) -> SingularitySet:
     return SingularitySet(series)
 
 
-@dataclass(frozen=True)
-class BorelClosedForm:
-    """Closed-form evaluator data: prefactor 3 pi c/(M^2 b) and the term map
-    l -> l f~(l) (l^2 pi^2/M^2 - p/b)^{-5/2} under the principal branch."""
-
-    series: FormalSeries
-
-    def prefactor(self) -> mpf:
-        f = self.series.f
-        c = frac_to_mp(f.c) if f.is_exact else mpf(f.c)
-        return 3 * mp.pi * c / (f.M ** 2 * self.series.b)
-
-
 def borel_eval(series: FormalSeries, p, ctx: PrecisionContext = DEFAULT_CTX,
                side: str = None, guard_factor=mpf("1e-6")) -> Estimate:
     """Evaluate G(p) away from the singular set.

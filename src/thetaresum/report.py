@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from mpmath import mp, mpf, mpc
+from mpmath import mp, mpf, mpc, workprec
 
 SCHEMA = "thetaresum-report/1"
 
@@ -67,9 +67,13 @@ class Report:
     checks: list = field(default_factory=list)
 
     def add(self, name: str, inputs: dict, lhs, rhs, tolerance, wall_time=0.0) -> CheckRecord:
-        rec = CheckRecord(name=name, inputs=inputs, lhs=mpc(lhs), rhs=mpc(rhs),
-                          abs_error=abs(mpc(lhs) - mpc(rhs)), tolerance=mpf(tolerance),
-                          wall_time=wall_time)
+        # at the report's precision, whatever the caller's: residuals below
+        # a double's resolution must not round to 0
+        with workprec(self.prec_bits):
+            lhs, rhs = mpc(lhs), mpc(rhs)
+            rec = CheckRecord(name=name, inputs=inputs, lhs=lhs, rhs=rhs,
+                              abs_error=abs(lhs - rhs), tolerance=mpf(tolerance),
+                              wall_time=wall_time)
         self.checks.append(rec)
         return rec
 
@@ -83,12 +87,14 @@ class Report:
                 "failed": len(self.checks) - passed}
 
     def to_json(self, with_timings: bool = False) -> dict:
+        with workprec(self.prec_bits):
+            checks = [c.to_json(self.prec_bits, with_timings) for c in self.checks]
         return {
             "schema": SCHEMA,
             "config": self.config,
             "precision_bits": self.prec_bits,
             "tolerance": self.tolerance,
-            "checks": [c.to_json(self.prec_bits, with_timings) for c in self.checks],
+            "checks": checks,
             "summary": self.summary(),
             "all_passed": self.all_passed,
         }

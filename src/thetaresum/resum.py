@@ -3,7 +3,8 @@
 The lateral sums integrate e^{-px} against the closed-form Borel transform
 along rays at angle +-theta.  Each ray integral is split into the first three
 Taylor moments of (1 - p/(b A_l))^{-5/2} (evaluated exactly; their l-sums are
-Hurwitz zeta values) plus an adaptive quadrature of the remainder, whose
+Hurwitz zeta values) plus the remainder, an upper incomplete gamma value
+Gamma(-3/2, .) on the sheet the side selects minus those moments, whose
 l-tail decays like l^{-10}.  The median admits the convergent special-function
 form
 
@@ -175,7 +176,12 @@ def tilde_dirichlet_blocks(tilde: TildeFunction, s: int, target,
     """Direct period-grouped summation of sum f~(l) l^{-s} with an Abel bound.
 
     Partial sums of the mean-zero f~ are periodic, so the tail after a whole
-    number of periods is bounded by 2 max_n |F(n)| (L+1)^{-s}.
+    number of periods is bounded by 2 max_n |F(n)| (L+1)^{-s}.  The head is
+    summed per residue r mod P in fixed point: sum_{l = r mod P} floor(2^wp
+    / l^s) in exact integers, with wp = prec + bit_length(L) + 10, so the L
+    truncations cost at most L max|f~| 2^-wp.  The n residue sums are then
+    rounded, scaled by f~(r) 2^-wp and added in mpf, which costs at most
+    (n + 2) units of the sum of their sizes.
     """
     peak = tilde.partial_sum_peak()
     P = tilde.period
@@ -184,12 +190,20 @@ def tilde_dirichlet_blocks(tilde: TildeFunction, s: int, target,
     if L > ell_cap:
         raise DomainError(f"block summation needs {L} terms, beyond the cap")
     table = tilde.table(P)
+    wp = mp.prec + L.bit_length() + 10
+    one = 1 << wp
     acc = mpf(0)
-    for ell in range(1, L + 1):
-        v = table[ell % P]
+    size = mpf(0)
+    n = 0
+    for r in range(1, P + 1):
+        v = table[r % P]
         if v:
-            acc += v / mpf(ell) ** s
-    return Estimate(acc, 2 * peak / mpf(L + 1) ** s)
+            block = v * mp.ldexp(sum(one // ell ** s for ell in range(r, L + 1, P)), -wp)
+            acc += block
+            size += abs(block)
+            n += 1
+    roundoff = L * tilde.max_abs() * mp.ldexp(1, -wp) + (n + 2) * size * mp.ldexp(1, -mp.prec)
+    return Estimate(acc, 2 * peak / mpf(L + 1) ** s + roundoff)
 
 
 def _scale_mpf(c) -> mpf:
@@ -210,23 +224,43 @@ class LateralResult:
 
 _BETA = (Fraction(1), Fraction(5, 2), Fraction(35, 8))  # (5/2)_k / k!, k = 0..2
 _BETA2 = mpf("4.375")  # (5/2)_2/2! = 35/8
-_BETA3 = mpf("6.5625")  # (5/2)_3/3! = 105/16
 
 
-def _remainder_r3(w):
-    """R3(w) = (1-w)^{-5/2} - 1 - (5/2)w - (35/8)w^2, stable for small w."""
-    if abs(w) > HALF:
-        return (1 - w) ** MINUS_FIVE_HALVES - 1 - FIVE_HALVES * w - _BETA2 * w * w
-    # series sum_{k>=3} (5/2)_k/k! w^k, ratio < 3/4 on |w| <= 1/2
-    term = _BETA3 * w ** 3
-    acc = term
-    k = 3
-    eps = mpf(2) ** (-mp.prec - 4)
-    while abs(term) > eps * (1 + abs(acc)):
-        term = term * w * (FIVE_HALVES + k) / (k + 1)
-        acc += term
-        k += 1
-    return acc
+def _ray_laplace(Ab, x, sgn: int):
+    """int_0^{inf e^{i sgn theta}} e^{-px} (1 - p/Ab)^{-5/2} dp in closed form.
+
+    With z = Ab x, w = -z (principal) and epsilon in {0, 1}:
+
+        = -Ab e^{-z} w^{3/2} [Gamma(-3/2, w) - 2 epsilon Gamma(-3/2)],
+
+    epsilon = 1 exactly when arg z + sgn pi leaves (-pi, pi], i.e. for
+    sgn = +1 with arg z > 0 or sgn = -1 with arg z <= 0; Gamma(-3/2) =
+    4 sqrt(pi)/3.
+
+    Derivation: p = Ab (1 + v/z) maps the ray to a path from v = w to
+    infinity, e^{-px} dp = (Ab/z) e^{-z} e^{-v} dv and
+    (1 - p/Ab)^{-5/2} = (v/w)^{-5/2}, so the integral is
+    -Ab e^{-z} w^{3/2} Gamma(-3/2, w) once w is given the argument that
+    makes w^{5/2} v^{-5/2} the principal (1 - p/Ab)^{-5/2} all along the
+    path.  Far out, v ~ x p has arg v = arg x + sgn theta in (-pi/2, pi/2)
+    (Re(e^{i sgn theta} x) > 0), where Gamma's v^{-5/2} is principal, while
+    1 - p/Ab ~ -p/Ab has arg sgn theta - sgn pi.  So arg w = arg z + sgn pi
+    (arg z = arg x, since Ab > 0).  When this lies in (-pi, pi] it is the
+    principal sheet (epsilon = 0).  Otherwise the sheet is w e^{2 pi i k}
+    with k = sgn, and DLMF 8.2.10,
+    Gamma(a, w e^{2 pi i k}) = e^{2 pi i k a} Gamma(a, w)
+    + (1 - e^{2 pi i k a}) Gamma(a), gives for a = -3/2 (where e^{2 pi i k a}
+    = -1 for both k = +-1) Gamma(a, w) -> -Gamma(a, w) + 2 Gamma(a), while
+    w^{3/2} -> -w^{3/2}; the product is w^{3/2} [Gamma(a, w) - 2 Gamma(a)].
+    The term 2 epsilon Gamma(-3/2) Ab e^{-z} w^{3/2} is the l-th term of the
+    Stokes jump, so S+ - S- reproduces the theta series of disc_closed_form.
+    """
+    z = Ab * x
+    w = -z
+    g = mp.gammainc(MINUS_THREE_HALVES, w)
+    if (mp.arg(z) > 0) == (sgn == 1):
+        g -= 8 * mp.sqrt(mp.pi) / 3
+    return -Ab * mp.exp(-z) * w ** THREE_HALVES * g
 
 
 def lateral_sum(series: FormalSeries, x, side: str,
@@ -237,11 +271,13 @@ def lateral_sum(series: FormalSeries, x, side: str,
 
       int e^{-px} (A_l - p/b)^{-5/2} dp
         = A_l^{-5/2} [ sum_{j<3} beta_j (A_l b)^{-j} j!/x^{j+1}
-                       + int e^{-px} R3(p/(A_l b)) dp ].
+                       + int e^{-px} R3(p/(A_l b)) dp ],
 
-    The j-sums over l are Hurwitz zeta values (exact rearrangement); the R3
-    integrals are adaptive quadratures for l <= L with an explicit l^{-10}
-    tail bound, using |R3(w)| <= 44 |w|^3 on rays at angle pi/4.
+    with R3(w) = (1-w)^{-5/2} - 1 - (5/2)w - (35/8)w^2.  The j-sums over l
+    are Hurwitz zeta values (exact rearrangement).  For l <= L each R3
+    integral is the closed-form ray integral of _ray_laplace minus its three
+    moments; the l > L tail is bounded by l^{-10}, using |R3(w)| <= 44 |w|^3
+    on rays at angle pi/4.  The error is that tail bound plus roundoff.
     """
     if side not in ("plus", "minus", "+", "-"):
         raise ValueError("side must be 'plus' or 'minus'")
@@ -287,35 +323,24 @@ def lateral_sum(series: FormalSeries, x, side: str,
         budget_hit = tail_const / mpf(L) ** 9 > target
         tail_bound = tail_const / mpf(L) ** 9
 
-        # the remainder quadratures only need the tolerance, not the full
-        # context precision; run them at a tolerance-driven precision and
-        # carry the corresponding roundoff allowance in the error estimate
-        quad_prec = min(mp.prec, max(64, int(-3.33 * mp.log10(target)) + 36))
-        quad_err = mpf(0)
-        qsum = mpc(0)
-        with workprec(quad_prec):
-            U = (mp.log(10) * (-mp.log10(target) + 8)) / sig
-            for ell in range(1, L + 1):
-                tv = tilde(ell)
-                if not tv:
-                    continue
-                Ab = Apref * ell * ell * b
+        rsum = mpc(0)
+        round_err = mpf(0)
+        for ell in range(1, L + 1):
+            tv = tilde(ell)
+            if not tv:
+                continue
+            Ab = Apref * ell * ell * b
+            # subtracting the moments cancels about 3 log2|z| bits
+            wp = mp.prec + 3 * int(mp.log(abs(Ab * x) + 2, 2)) + 20
+            with workprec(wp):
+                full = _ray_laplace(Ab, x, sgn)
+                r3 = full - (1 + (FIVE_HALVES + 2 * _BETA2 / (Ab * x)) / (Ab * x)) / x
+            coeff = ell * tv * (Apref * ell * ell) ** MINUS_FIVE_HALVES
+            rsum += coeff * r3
+            round_err += abs(coeff * full) * mpf(2) ** (8 - wp)
 
-                def g(u, _Ab=Ab):
-                    p = ray * u
-                    return ray * mp.exp(-p * x) * _remainder_r3(p / _Ab)
-
-                val, qe = mp.quad(g, [0, 1 / sig, 8 / sig, U], error=True,
-                                  maxdegree=ctx.quad_maxdegree)
-                # analytic bound for the cut-off piece beyond U
-                cut = 44 / Ab ** 3 * mp.exp(-sig * U) * (
-                    U ** 3 / sig + 3 * U ** 2 / sig ** 2 + 6 * U / sig ** 3 + 6 / sig ** 4)
-                coeff = ell * tv * (Apref * ell * ell) ** MINUS_FIVE_HALVES
-                qsum += coeff * val
-                quad_err += abs(coeff) * (qe + cut + abs(val) * mpf(2) ** (-quad_prec + 8))
-
-        value = cm + pref * (poly + qsum)
-        err = abs(pref) * quad_err + tail_bound + abs(value) * mpf(2) ** (-ctx.prec)
+        value = cm + pref * (poly + rsum)
+        err = tail_bound + abs(pref) * round_err + abs(value) * mpf(2) ** (-ctx.prec)
         return LateralResult(value, err, sname, x, budget_hit)
 
 

@@ -70,7 +70,7 @@ def suite_borel(cfg: Config, ctx: PrecisionContext, report: Report, **_):
         binom = mpf(1)
         for n in range(20):
             wsum = resum_mod.tilde_dirichlet(tilde, 4 + 2 * n)
-            closed = pref * binom * b ** (-n) * A ** (-mpf("2.5") - n) * wsum
+            closed = pref * binom * mpf(b) ** (-n) * A ** (-mpf("2.5") - n) * wsum
             exact = _val(coeffs[n])
             worst = max(worst, abs(closed - exact) / abs(exact))
             binom = binom * (mpf("2.5") + n) / (n + 1)
@@ -222,7 +222,11 @@ def run_suite(name: str, cfg: Config, ctx: PrecisionContext,
     if name not in SUITES:
         raise ConfigError(f"unknown suite {name!r}; choose from {SUITES}")
     report = Report(config=cfg.describe(), prec_bits=ctx.prec, tolerance=str(ctx.tol))
-    if name == "all":
+    # the suite bodies compute outside the library calls too (cm's block
+    # sum, borel's Taylor comparison): give them the context precision
+    with ctx.working():
+        if name != "all":
+            return _SUITE_FN[name](cfg, ctx, report, alpha=alpha, extrapolate=extrapolate)
         for key in ("coeffs", "borel", "disc", "cm"):
             _SUITE_FN[key](cfg, ctx, report)
         if cfg.chi_st is not None:
@@ -234,5 +238,4 @@ def run_suite(name: str, cfg: Config, ctx: PrecisionContext,
                 suite_strange(cfg, ctx, report, alpha=alpha)
             except ConfigError:
                 pass  # no Habiro element attached to this family
-        return report
-    return _SUITE_FN[name](cfg, ctx, report, alpha=alpha, extrapolate=extrapolate)
+    return report

@@ -155,6 +155,50 @@ class TestReportSemantics:
         assert not rep.all_passed
         assert rep.summary() == {"total": 1, "passed": 0, "failed": 1}
 
+    def test_residual_below_double_resolution_fails(self):
+        """lhs, rhs and |lhs - rhs| are kept at the report's precision."""
+        from mpmath import mpf, workprec
+        from thetaresum.report import Report
+        with workprec(160):
+            lhs, rhs = mpf(1), mpf(1) + mpf("8e-31")
+        # added at the caller's (ambient) precision
+        rep = Report(config={}, prec_bits=160, tolerance="1e-40")
+        rec = rep.add("gap", {}, lhs, rhs, mpf("1e-40"))
+        assert not rep.all_passed
+        with workprec(160):
+            assert abs(rec.abs_error - mpf("8e-31")) < mpf("1e-45")
+        assert rep.to_json()["checks"][0]["abs_error"] == "8.0e-31"
+
+    def test_report_json_byte_identical_across_runs(self, tmp_path):
+        from thetaresum.config import config_hikami
+        from thetaresum.precision import PrecisionContext
+        from thetaresum.suites import run_suite
+        ctx = PrecisionContext(prec=128, tol=1e-8)
+        paths = [tmp_path / "r1.json", tmp_path / "r2.json"]
+        for p in paths:
+            run_suite("cm", config_hikami(1, 0), ctx).write_json(p)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_suites_compute_at_context_precision(self, monkeypatch):
+        from mpmath import mp
+        from thetaresum import resum
+        from thetaresum.config import config_hikami
+        from thetaresum.precision import PrecisionContext
+        from thetaresum.suites import run_suite
+        seen = []
+        for name in ("tilde_dirichlet", "tilde_dirichlet_blocks"):
+            fn = getattr(resum, name)
+
+            def recording(*args, _fn=fn, **kwargs):
+                seen.append(mp.prec)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(resum, name, recording)
+        ctx = PrecisionContext(prec=128, tol=1e-8)
+        for suite in ("cm", "borel"):
+            assert run_suite(suite, config_hikami(1, 0), ctx).all_passed
+        assert seen and min(seen) >= ctx.prec
+
     def test_env_var_sets_default_precision(self):
         proc = subprocess.run(
             [sys.executable, "-c",

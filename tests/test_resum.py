@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc, workprec
 
-from thetaresum.config import config_chi, trefoil_chi, trefoil_strange
+from oracles import lateral_sum_quadrature, tilde_dirichlet_blocks_reference
+from thetaresum.config import (config_chi, config_hikami, config_t3_2k, trefoil_chi,
+                               trefoil_strange)
+from thetaresum.periodic import ChiParams, chi_function, pair_set, tilde_transform
 from thetaresum.precision import PrecisionContext
 from thetaresum.qseries import DomainError, ThetaSpec, theta_radial_limit
-from thetaresum.resum import (boundary_median, boundary_median_extrapolated,
+from thetaresum.resum import (_ray_laplace, boundary_median, boundary_median_extrapolated,
                               boundary_point, dawson, disc_closed_form,
                               discontinuity, e_limit, lateral_sum, median_sum,
                               optimal_truncation, special_e, tilde_dirichlet,
@@ -17,6 +20,8 @@ from thetaresum.resum import (boundary_median, boundary_median_extrapolated,
 
 CTX = PrecisionContext(prec=96, tol=1e-10)
 SER = trefoil_strange().series(36)
+# the (s, t) pairs of the acceptance suite
+ST_LIST = [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5), (3, 8)]
 
 
 class TestDawson:
@@ -102,6 +107,68 @@ class TestLateral:
             lateral_sum(SER, mpf(1), "sideways", CTX)
 
 
+class TestLateralClosedForm:
+    """The closed-form ray integrals against independent quadrature."""
+
+    SERIES = {"trefoil-chi": trefoil_chi().series(12),
+              "chi-3-4": config_chi(3, 4, 1, 1).series(12)}
+
+    @pytest.mark.parametrize("x", ["0.5", "1", "2", "1+0.25j", "1+0.5j", "2-1j"])
+    @pytest.mark.parametrize("family", ["trefoil-chi", "chi-3-4"])
+    def test_agrees_with_quadrature_oracle(self, family, x):
+        ser = self.SERIES[family]
+        x = mpc(complex(x))
+        for side in ("plus", "minus"):
+            # both are estimates of the same S^side(x), so one oracle run
+            # serves every precision of the closed form
+            quad = lateral_sum_quadrature(ser, x, side, PrecisionContext(prec=96, tol=1e-6))
+            for prec in (96, 128):
+                cf = lateral_sum(ser, x, side, PrecisionContext(prec=prec, tol=1e-6))
+                with workprec(prec + 64):
+                    gap = abs(cf.value - quad.value)
+                    assert gap <= cf.error + quad.error, (prec, side, gap)
+
+    @pytest.mark.parametrize("x", ["1", "1+0.5j", "0.1+3j", "1-0.5j", "-1-2j"])
+    def test_ray_integral_sheet_rule(self, x):
+        """arg x = 0, > 0 and < 0 on both sides where the ray converges,
+        against mp.quad along the ray at 200 bits."""
+        x = mpc(complex(x))
+        sides = 0
+        for sgn in (1, -1):
+            with workprec(200):
+                ray = mp.expjpi(mpf(sgn) / 4)
+                sig = (ray * x).real
+                if sig <= 0:
+                    continue
+                sides += 1
+                Ab = mpf("7.3")
+                ref = mp.quad(lambda u: ray * mp.exp(-ray * u * x)
+                              * (1 - ray * u / Ab) ** mpf("-2.5"),
+                              [0, 1 / sig, 8 / sig, 40 / sig, 200 / sig])
+            with workprec(160):
+                got = _ray_laplace(Ab, x, sgn)
+            with workprec(200):
+                assert abs(got - ref) <= mpf("1e-45") * abs(ref), (x, sgn)
+        assert sides
+
+    def test_discontinuity_uses_no_quadrature(self, monkeypatch):
+        calls = []
+        quad = mp.quad
+
+        def counting_quad(*args, **kwargs):
+            calls.append(args)
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(mp, "quad", counting_quad)
+        ctx = PrecisionContext(prec=128, tol=1e-8)
+        d = discontinuity(trefoil_chi().series(12), mpf(1), ctx)
+        assert not calls
+        # at real x both sides truncate at the same l, and their difference
+        # is the theta series term by term
+        with ctx.working():
+            assert d.difference <= mpf(2) ** -120 * abs(d.closed_form.value)
+
+
 class TestMedian:
     def test_median_equals_average_of_laterals(self):
         with CTX.working():
@@ -180,6 +247,36 @@ class TestConstantIdentity:
                 # and the Hurwitz-zeta route agrees with the block route
                 hz = 2 * ser.f.M * c / mp.pi ** 2 * tilde_dirichlet(ser.tilde, 2)
                 assert abs(lhs - hz) < mpf("1e-20")
+
+
+class TestBlockKernel:
+    @pytest.mark.parametrize("s", [2, 4])
+    @pytest.mark.parametrize("prec", [53, 128, 256])
+    def test_matches_mpf_reference_loop(self, prec, s):
+        """Same head summed term by term at 64 more bits: the gap is within
+        the kernel's roundoff allowance (its error less the Abel tail)."""
+        target = mpf("1e-9") if s == 2 else mpf("1e-11")
+        for cfg in (trefoil_strange(), config_chi(3, 4, 1, 1)):
+            tilde = tilde_transform(cfg.f)
+            with workprec(prec):
+                est = tilde_dirichlet_blocks(tilde, s, target)
+                ref, tail = tilde_dirichlet_blocks_reference(tilde, s, target)
+                roundoff = est.error - tail
+            assert roundoff > 0
+            with workprec(prec + 64):
+                assert abs(est.value - ref) <= roundoff, (cfg.label(), prec, s)
+
+    def test_agrees_with_hurwitz_route(self):
+        fs = [chi_function(ChiParams(s, t, n, m))
+              for s, t in ST_LIST for n, m in pair_set(s, t).pairs]
+        fs += [config_hikami(u, ell).f for u in (1, 2, 3) for ell in range(u)]
+        fs += [config_t3_2k(k).f for k in (1, 2, 3)]
+        with workprec(148):
+            for f in fs:
+                tilde = tilde_transform(f)
+                est = tilde_dirichlet_blocks(tilde, 2, mpf("1e-11"))
+                gap = abs(est.value - tilde_dirichlet(tilde, 2))
+                assert gap <= est.error, (f.M, f.k1, f.k2, gap)
 
 
 class TestBoundaryMedian:
