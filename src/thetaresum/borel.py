@@ -19,10 +19,10 @@ from fractions import Fraction
 
 from mpmath import mp, mpf, mpc
 
-from .exact import ConsistencyError, FormalSeries, bernoulli_polynomial
+from .exact import ConsistencyError, FormalSeries, _pattern_bernoulli_sum, scaled
 from .periodic import TildeFunction
 from .precision import (DEFAULT_CTX, FIVE_HALVES, MINUS_FIVE_HALVES, SEVEN_QUARTERS,
-                        Estimate, PrecisionContext, frac_to_mp)
+                        Estimate, PrecisionContext, to_mpf)
 from .resum import tilde_dirichlet
 
 
@@ -55,36 +55,20 @@ def gfp_coefficients(series: FormalSeries, count: int):
     """
     f = series.f
     M = f.M
-    out = []
-    for n in range(count):
-        kernel = Fraction(0)
-        for m in range(1, M + 1):
-            s = f.sign(m)
-            if s:
-                kernel += s * bernoulli_polynomial(2 * n + 4, Fraction(m, M))
-        coeff = (Fraction(M) * (-1) ** n * kernel
-                 * Fraction(math.factorial(2 * n + 3), math.factorial(2 * n + 4))
-                 / (Fraction(math.factorial(n)) * math.factorial(n + 1))
-                 * Fraction(M * M, series.b) ** (n + 1))
-        out.append(f.c * coeff if f.is_exact else f.c * frac_to_mp(coeff))
-    return out
+    return [scaled(f, Fraction(M) * (-1) ** n * _pattern_bernoulli_sum(f, 2 * n + 4)
+                   * Fraction(math.factorial(2 * n + 3), math.factorial(2 * n + 4))
+                   / (Fraction(math.factorial(n)) * math.factorial(n + 1))
+                   * Fraction(M * M, series.b) ** (n + 1))
+            for n in range(count)]
 
 
 def hadamard_g1_coefficients(series: FormalSeries, count: int):
     """g1 Taylor data: M^3 sum_m f(m) B_{2n+4}(m/M)/(2n+4)! * (-M^2)^n."""
     f = series.f
     M = f.M
-    out = []
-    for n in range(count):
-        kernel = Fraction(0)
-        for m in range(1, M + 1):
-            s = f.sign(m)
-            if s:
-                kernel += s * bernoulli_polynomial(2 * n + 4, Fraction(m, M))
-        coeff = (Fraction(M) ** 3 * kernel / math.factorial(2 * n + 4)
-                 * Fraction(-M * M) ** n)
-        out.append(f.c * coeff if f.is_exact else f.c * frac_to_mp(coeff))
-    return out
+    return [scaled(f, Fraction(M) ** 3 * _pattern_bernoulli_sum(f, 2 * n + 4)
+                   / math.factorial(2 * n + 4) * Fraction(-M * M) ** n)
+            for n in range(count)]
 
 
 def hadamard_g2_coefficients(b: int, count: int):
@@ -184,7 +168,7 @@ def borel_eval(series: FormalSeries, p, ctx: PrecisionContext = DEFAULT_CTX,
         while base * (L + 1) ** 2 <= 2 * abs(p) or L < 2 * f.M:
             L += 1
 
-        c = frac_to_mp(f.c) if f.is_exact else mpf(f.c)
+        c = to_mpf(f.c)
         pref = 3 * mp.pi * c / (f.M ** 2 * series.b)
         A = mp.pi ** 2 / f.M ** 2
 
@@ -235,52 +219,3 @@ def borel_eval(series: FormalSeries, p, ctx: PrecisionContext = DEFAULT_CTX,
         value = pref * (head + tail)
         err = abs(pref) * rem + abs(value) * mpf(2) ** (-ctx.prec)
         return Estimate(value, err)
-
-
-def trefoil_explicit_borel(p, ctx: PrecisionContext = DEFAULT_CTX,
-                           terms: int = None) -> Estimate:
-    """The explicit trefoil transform (3 pi/(2 sqrt 2)) sum n (12|n) (n^2 pi^2/6 - p)^{-5/2}.
-
-    Independent of the general machinery: the conductor-12 character table is
-    inlined and the sum is truncated with its own zeta-accelerated tail.
-    """
-    chi12 = (0, 1, 0, 0, 0, -1, 0, -1, 0, 0, 0, 1)
-    with ctx.working(20):
-        p = mpc(p)
-        pref = 3 * mp.pi / (2 * mp.sqrt(2))
-        L = 24
-        while (mp.pi ** 2 / 6) * (L + 1) ** 2 <= 2 * abs(p):
-            L += 12
-        head = mpc(0)
-        for n in range(1, L + 1):
-            ch = chi12[n % 12]
-            if ch:
-                head += ch * n / (mpc(n * n) * mp.pi ** 2 / 6 - p) ** mpf("2.5")
-        # tail via binomial expansion in p/(n^2 pi^2/6), summed with Hurwitz zeta
-        tail = mpc(0)
-        A = mp.pi ** 2 / 6
-        ratio = abs(p) / (A * (L + 1) ** 2)
-        K = A ** mpf("-2.5") / (3 * mpf(L + 1) ** 3)
-        target = ctx.tolerance() * mpf("0.01") + mpf(2) ** (-ctx.prec - 8)
-        binom = mpf(1)
-        k = 0
-        while True:
-            zs = mpf(0)
-            s = 4 + 2 * k
-            for r in range(1, 13):
-                if chi12[r % 12]:
-                    zs += chi12[r % 12] * mp.zeta(s, mpf(r) / 12)
-            zs = zs / mpf(12) ** s
-            for n in range(1, L + 1):
-                if chi12[n % 12]:
-                    zs -= chi12[n % 12] * mpf(n) ** (-s)
-            tail += binom * p ** k * zs * A ** (-mpf("2.5") - k)
-            next_binom = binom * (mpf("2.5") + k) / (k + 1)
-            bound = next_binom * ratio ** (k + 1) * K
-            if k >= 2 and abs(pref) * bound / (1 - mpf("1.75") * ratio) < target:
-                rem = bound / (1 - mpf("1.75") * ratio)
-                break
-            binom = next_binom
-            k += 1
-        value = pref * (head + tail)
-        return Estimate(value, abs(pref) * rem + abs(value) * mpf(2) ** (-ctx.prec))

@@ -17,14 +17,14 @@ import json
 import sys
 from fractions import Fraction
 
-from mpmath import mp, mpf, mpc
+from mpmath import mp, mpc
 
 from . import borel as borel_mod
 from . import resum as resum_mod
 from .config import (Config, config_chi, config_general, config_hikami,
                      config_t3_2k)
 from .periodic import ConfigError
-from .precision import PrecisionContext, default_prec
+from .precision import PrecisionContext, default_prec, to_mpf
 from .qseries import DomainError, theta_upper_half
 from .report import number_json
 from .suites import SUITES, run_suite
@@ -182,17 +182,13 @@ def cmd_export(args) -> int:
         for n in range(args.count):
             c = series.C[n]
             with ctx.working():
-                rows.append([n, str(c), mp.nstr(mpf(c.numerator) / c.denominator
-                                                if isinstance(c, Fraction) else mpf(c),
-                                                int(ctx.prec * 0.301) + 2)])
+                rows.append([n, str(c), mp.nstr(to_mpf(c), int(ctx.prec * 0.301) + 2)])
     elif args.what == "borel-taylor":
         header = ["n", "g_n", "g_n_float"]
         g = borel_mod.borel_coefficients(series, args.count)
         for n, c in enumerate(g):
             with ctx.working():
-                rows.append([n, str(c), mp.nstr(mpf(c.numerator) / c.denominator
-                                                if isinstance(c, Fraction) else mpf(c),
-                                                int(ctx.prec * 0.301) + 2)])
+                rows.append([n, str(c), mp.nstr(to_mpf(c), int(ctx.prec * 0.301) + 2)])
     else:
         header = ["index", "ell", "position"]
         ss = borel_mod.singularity_set(series)

@@ -32,11 +32,6 @@ class Config:
     def series(self, count: int = 64) -> FormalSeries:
         return series_coefficients(self.theta_spec(), count)
 
-    @property
-    def chi_st(self):
-        """(s, t, n, m) when the configuration came from a character family."""
-        return self.chi_idx
-
     def label(self) -> str:
         inner = ",".join(f"{k}={v}" for k, v in self.params.items())
         return f"{self.family}({inner})"

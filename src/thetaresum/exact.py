@@ -20,7 +20,7 @@ from fractions import Fraction
 from mpmath import mp, mpf
 
 from .periodic import PeriodicFunction, tilde_transform
-from .precision import DEFAULT_CTX, PrecisionContext, richardson_limit
+from .precision import DEFAULT_CTX, PrecisionContext, frac_to_mp, richardson_limit, to_mpf
 
 
 class ConsistencyError(RuntimeError):
@@ -83,6 +83,11 @@ def _pattern_bernoulli_sum(f: PeriodicFunction, degree: int) -> Fraction:
     return total
 
 
+def scaled(f: PeriodicFunction, kernel: Fraction):
+    """c * kernel: an exact Fraction when f's scale c is rational, else an mpf."""
+    return f.c * kernel if f.is_exact else f.c * frac_to_mp(kernel)
+
+
 def l_value(f: PeriodicFunction, n: int):
     """L(-2n-1, f) = -(M^{2n+1}/(2n+2)) sum_m f(m) B_{2n+2}(m/M).
 
@@ -92,18 +97,12 @@ def l_value(f: PeriodicFunction, n: int):
     if n < 0:
         raise ValueError("n must be >= 0")
     M = f.M
-    kernel = -Fraction(M ** (2 * n + 1), 2 * n + 2) * _pattern_bernoulli_sum(f, 2 * n + 2)
-    if f.is_exact:
-        return f.c * kernel
-    return f.c * mpf(kernel.numerator) / kernel.denominator
+    return scaled(f, -Fraction(M ** (2 * n + 1), 2 * n + 2) * _pattern_bernoulli_sum(f, 2 * n + 2))
 
 
 def constant_cm(f: PeriodicFunction):
     """C_M = -(M/2) sum_m f(m) B_2(m/M); equals the n = 0 coefficient."""
-    kernel = -Fraction(f.M, 2) * _pattern_bernoulli_sum(f, 2)
-    if f.is_exact:
-        return f.c * kernel
-    return f.c * mpf(kernel.numerator) / kernel.denominator
+    return scaled(f, -Fraction(f.M, 2) * _pattern_bernoulli_sum(f, 2))
 
 
 @dataclass(frozen=True)
@@ -180,12 +179,7 @@ def gevrey_estimate(series: FormalSeries, count: int = None,
     with ctx.working():
         g = []
         for n in range(n_max - 1):
-            an1 = series.a(n + 1)
-            if isinstance(an1, Fraction):
-                val = mpf(an1.numerator) / an1.denominator
-            else:
-                val = mpf(an1)
-            g.append(val / mp.factorial(n))
+            g.append(to_mpf(series.a(n + 1)) / mp.factorial(n))
         # ratio g_{n+1}/g_n -> 1/radius with O(1/n) corrections
         take = min(8, n_max - 3)
         idx = list(range(n_max - 1 - take, n_max - 2))
@@ -211,8 +205,6 @@ def gevrey_estimate(series: FormalSeries, count: int = None,
         expected = (mpf(series.b) * mp.pi ** 2 * ell0 ** 2) / series.f.M ** 2
         A = mpf(0)
         for n in range(n_max):
-            an = series.a(n)
-            aval = abs(mpf(an.numerator) / an.denominator) if isinstance(an, Fraction) else abs(mpf(an))
-            A = max(A, aval / (B ** n * mp.factorial(n)))
+            A = max(A, abs(to_mpf(series.a(n))) / (B ** n * mp.factorial(n)))
         return GevreyFit(A=A, B=B, B_lsq=B_lsq, radius=radius,
                          radius_expected=expected)

@@ -141,13 +141,6 @@ def q_pochhammer(n: int, q, a_exponent: int = 1,
         return acc if ar.exact else mpc(acc)
 
 
-def q_pochhammer_value(n: int, q, a_exponent: int = 1,
-                       ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
-    with ctx.working():
-        ar = _Arith(q, ctx)
-        return ar.to_complex(q_pochhammer(n, q, a_exponent, ctx))
-
-
 class _QBinomial:
     """Gaussian binomials by the q-Pascal recurrence (division-free, so roots
     of unity never hit 0/0)."""
@@ -175,12 +168,6 @@ def q_binomial(top: int, bottom: int, q, ctx: PrecisionContext = DEFAULT_CTX):
         ar = _Arith(q, ctx)
         val = _QBinomial(ar)(top, bottom)
         return val if ar.exact else mpc(val)
-
-
-def q_binomial_value(top: int, bottom: int, q, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
-    with ctx.working():
-        ar = _Arith(q, ctx)
-        return ar.to_complex(_QBinomial(ar)(top, bottom))
 
 
 def kontsevich_zagier_eval(q: RootOfUnity, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:

@@ -66,10 +66,6 @@ class PeriodicFunction:
     def period(self) -> int:
         return self.M
 
-    def value_at(self, n: int):
-        # alias used by theta-series code paths that accept f or f~
-        return self(n)
-
     def scale(self, factor) -> "PeriodicFunction":
         """Same sign pattern with c multiplied by an exact rational factor."""
         factor = as_fraction(factor)
@@ -313,9 +309,7 @@ def pair_set(s: int, t: int) -> PairSet:
         raise ConfigError(f"s={s}, t={t} must be coprime")
     if s < 2 or t < 2:
         raise ConfigError("need s, t >= 2 for a nonempty pair set")
-    if s % 2 == 1 and t % 2 == 1:
-        pairs = [(n, m) for n in range(1, (s - 1) // 2 + 1) for m in range(1, t)]
-    elif s % 2 == 1:
+    if s % 2 == 1:
         pairs = [(n, m) for n in range(1, (s - 1) // 2 + 1) for m in range(1, t)]
     else:
         pairs = [(n, m) for n in range(1, s) for m in range(1, (t - 1) // 2 + 1)]
@@ -324,21 +318,6 @@ def pair_set(s: int, t: int) -> PairSet:
     if len(ps.pairs) != expected or len(set(ps.pairs)) != expected:
         raise AssertionError("pair set cardinality violates (s-1)(t-1)/2")
     return ps
-
-
-def pair_set_alternative(s: int, t: int) -> PairSet:
-    """For odd-odd (s,t): the D2 variant, target of the folding bijection."""
-    if s % 2 == 0 or t % 2 == 0:
-        raise ConfigError("alternative set only defined for odd-odd (s,t)")
-    pairs = [(n, m) for n in range(1, s) for m in range(1, (t - 1) // 2 + 1)]
-    return PairSet(s, t, tuple(pairs))
-
-
-def fold_pair(s: int, t: int, n: int, m: int) -> tuple:
-    """The bijection D1 -> D2: keep (n,m) in the shared corner, else reflect."""
-    if 1 <= n <= (s - 1) // 2 and 1 <= m <= (t - 1) // 2:
-        return (n, m)
-    return (s - n, t - m)
 
 
 def support_set(s: int, t: int) -> list:

@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from mpmath import mp, mpf, mpc, workprec
+from mpmath import mpf, mpc, workprec
 
 DEFAULT_PREC_ENV = "THETARESUM_PREC"
 
@@ -122,6 +122,11 @@ def frac_to_mp(x: Fraction) -> mpf:
     return mpf(x.numerator) / x.denominator
 
 
+def to_mpf(x) -> mpf:
+    """An exact Fraction, or any real number, as an mpf at the current precision."""
+    return frac_to_mp(x) if isinstance(x, Fraction) else mpf(x)
+
+
 def richardson_limit(xs, ys):
     """Neville extrapolation of samples (x_j, y_j) to x = 0.
 
@@ -144,27 +149,3 @@ def richardson_limit(xs, ys):
         prev, corner = corner, tab[0]
         err = abs(corner - prev)
     return corner, err
-
-
-def poly_fit_origin(xs, ys, ncoeff=None):
-    """Exact polynomial interpolation coefficients c0, c1, ... at x = 0.
-
-    Solves the Vandermonde system at the current mpmath precision.  Used to
-    read off the first asymptotic-series coefficients from samples of a
-    function along a geometric grid shrinking to 0.
-    """
-    n = len(xs)
-    if ncoeff is None:
-        ncoeff = n
-    if ncoeff > n:
-        raise ValueError("cannot extract more coefficients than samples")
-    A = mp.matrix(n, n)
-    rhs = mp.matrix(n, 1)
-    for i, (x, y) in enumerate(zip(xs, ys)):
-        p = mpf(1)
-        for j in range(n):
-            A[i, j] = p
-            p = p * x
-        rhs[i] = y
-    sol = mp.lu_solve(A, rhs)
-    return [sol[j] for j in range(ncoeff)]

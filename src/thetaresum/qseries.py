@@ -4,8 +4,8 @@ theta^{(nu)}_{a,b,f}(x) = sum_{n>=0} n^nu f(n) e^{2 pi i x (n^2-a)/b},  Im x > 0
 
 Radial limits at nonzero rationals alpha are computed from the twisted
 coefficient function h(n) = f(n) e^{2 pi i alpha (n^2-a)/b} (periodic, mean
-zero) through its L-values at s = 0 and s = -1; an independent oracle based
-on Richardson extrapolation along x = alpha + i eps is provided alongside.
+zero) through its L-values at s = 0 and s = -1.  The independent oracle, a
+Richardson extrapolation along x = alpha + i eps, lives with the tests.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .exact import bernoulli_polynomial
 from .periodic import (ChiParams, ConfigError, PeriodicFunction, TildeFunction,
                        _divisors, chi_function, pair_set, s_matrix_entry)
 from .precision import (DEFAULT_CTX, MINUS_THREE_HALVES, Estimate, PrecisionContext,
-                        as_fraction, frac_to_mp, richardson_limit)
+                        as_fraction, frac_to_mp, to_mpf)
 
 
 class DomainError(ValueError):
@@ -51,13 +51,6 @@ class ThetaSpec:
             raise ConfigError("f must be a periodic function or a tilde transform")
 
 
-def _fval(f, n: int):
-    v = f(n)
-    if isinstance(v, Fraction):
-        return frac_to_mp(v)
-    return v
-
-
 def _gauss_tail(nu: int, lam, n0: int):
     """Bound on sum_{n > n0} n^nu e^{-lam n^2} by comparison integrals."""
     if lam <= 0:
@@ -84,7 +77,7 @@ def theta_upper_half(spec: ThetaSpec, x, ctx: PrecisionContext = DEFAULT_CTX) ->
         acc = mpc(0)
         two_pi_i = 2j * mp.pi
         while True:
-            v = _fval(spec.f, n)
+            v = to_mpf(spec.f(n))
             if v:
                 acc += (n ** spec.nu) * v * mp.exp(two_pi_i * x * (n * n - spec.a) / spec.b)
             n += 1
@@ -98,10 +91,7 @@ def theta_upper_half(spec: ThetaSpec, x, ctx: PrecisionContext = DEFAULT_CTX) ->
 
 
 def _f_max(f) -> mpf:
-    if isinstance(f, PeriodicFunction):
-        c = abs(f.c)
-        return frac_to_mp(c) if isinstance(c, Fraction) else mpf(c)
-    return f.max_abs()
+    return abs(to_mpf(f.c)) if isinstance(f, PeriodicFunction) else f.max_abs()
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +134,7 @@ def twisted_table(f, alpha: Fraction, a: int, b: int):
     P = _twist_period(f, alpha, b)
     vals = []
     for n in range(P):
-        fv = _fval(f, n)
+        fv = to_mpf(f(n))
         if fv == 0:
             vals.append(mpc(0))
             continue
@@ -186,42 +176,6 @@ def theta_radial_limit(spec: ThetaSpec, alpha, ctx: PrecisionContext = DEFAULT_C
             val = h[0] - acc
         err = (P ** 2) * hmax * mpf(2) ** (-ctx.prec - 20)
         return Estimate(val, err)
-
-
-def radial_extrapolate(spec: ThetaSpec, alpha, ctx: PrecisionContext = DEFAULT_CTX,
-                       eps_values=None) -> Estimate:
-    """Oracle: Richardson extrapolation of theta(alpha + i eps) to eps -> 0."""
-    alpha = as_fraction(alpha)
-    if eps_values is None:
-        eps_values = [mpf(10) ** (-2 - k * mpf("0.5")) for k in range(7)]
-    with ctx.working(40):
-        xs, ys = [], []
-        for eps in eps_values:
-            xs.append(mpf(eps))
-            ys.append(_theta_on_radius(spec, alpha, mpf(eps), ctx))
-        val, err = richardson_limit(xs, ys)
-        return Estimate(val, err)
-
-
-def _theta_on_radius(spec: ThetaSpec, alpha: Fraction, eps, ctx) -> mpc:
-    """theta at x = alpha + i eps via exact rational phases (no angle loss)."""
-    lam = 2 * mp.pi * eps / spec.b
-    fmax = _f_max(spec.f)
-    target = mpf(2) ** (-ctx.prec - 10)
-    period = spec.f.period
-    acc = mpc(0)
-    n = 0
-    while True:
-        fv = _fval(spec.f, n)
-        if fv:
-            expo = _phase_exponent(alpha, n, spec.a, spec.b)
-            term = (n ** spec.nu) * fv * mp.expjpi(frac_to_mp(expo)) \
-                * mp.exp(-lam * (n * n - spec.a))
-            acc += term
-        n += 1
-        if n % period == 0:
-            if fmax * mp.exp(lam * spec.a) * _gauss_tail(spec.nu, lam, n - 1) < target:
-                return acc
 
 
 # ---------------------------------------------------------------------------

@@ -3,18 +3,19 @@
 The lateral sums integrate e^{-px} against the closed-form Borel transform
 along rays at angle +-theta.  Each ray integral is split into the first three
 Taylor moments of (1 - p/(b A_l))^{-5/2} (evaluated exactly; their l-sums are
-Hurwitz zeta values) plus the remainder, an upper incomplete gamma value
-Gamma(-3/2, .) on the sheet the side selects minus those moments, whose
-l-tail decays like l^{-10}.  The median admits the convergent special-function
-form
+Hurwitz zeta values) plus the remainder, the Laplace kernel K_eps (an upper
+incomplete gamma value Gamma(-3/2, .) on the sheet eps in {0, 1} the side
+selects) minus those moments, whose l-tail decays like l^{-10}.  The median,
+the average of the two sides, is the same kernel at eps = 1/2, which is
+entire; it gives the convergent special-function form
 
     S_med(x) = (4 M c / pi^{3/2}) sum_l (f~(l)/l^2) E((l pi/M) sqrt(b x)),
 
-with E(y) = (2 y^3 D(y) - y^2)/sqrt(pi) built on the Dawson integral D, and
-the jump S+ - S- across the positive axis is an explicit theta series.  At the
-natural-boundary points x = -1/(2 pi i alpha) the median takes the closed form
-combining a vertical theta integral with a theta radial limit; all fractional
-powers are principal.
+with E(y) = (2 + 3 K_{1/2}(y^2))/(4 sqrt(pi)) = (2 y^3 D(y) - y^2)/sqrt(pi),
+D the Dawson integral, and the jump S+ - S- across the positive axis is an
+explicit theta series.  At the natural-boundary points x = -1/(2 pi i alpha)
+the median takes the closed form combining a vertical theta integral with a
+theta radial limit; all fractional powers are principal.
 """
 
 from __future__ import annotations
@@ -28,128 +29,53 @@ from .exact import FormalSeries
 from .periodic import TildeFunction
 from .precision import (DEFAULT_CTX, FIVE_HALVES, HALF, MINUS_FIVE_HALVES,
                         MINUS_THREE_HALVES, QUARTER, THREE_HALVES, Estimate,
-                        PrecisionContext, as_fraction, frac_to_mp, richardson_limit)
-from .qseries import DomainError, ThetaSpec, VerticalTheta, theta_radial_limit
+                        PrecisionContext, as_fraction, frac_to_mp, richardson_limit, to_mpf)
+from .qseries import DomainError, ThetaSpec, VerticalTheta, _gauss_tail, theta_radial_limit
 
 
 # ---------------------------------------------------------------------------
-# Dawson integral and the E-function, valid on the whole complex plane.
+# The Laplace kernel shared by the lateral and median sums.
 
-def _dawson_maclaurin(y):
-    """D(y) = sum_k (-2)^k y^{2k+1} / (2k+1)!! with cancellation guard bits.
+def laplace_kernel(z, eps):
+    """K_eps(z) = -e^{-z} w^{3/2} [Gamma(-3/2, w) - 2 eps Gamma(-3/2)], w = -z.
 
-    Terms peak near e^{|y|^2}, so |y|^2 log2(e) guard bits keep the rounded
-    result correct at the ambient precision.
+    w and w^{3/2} are principal and Gamma(-3/2) = 4 sqrt(pi)/3.  The lateral
+    sums use eps in {0, 1}, the sheet of Gamma(-3/2, .) a side lands on (see
+    _ray_laplace); their average, eps = 1/2, is the median.  With the lower
+    gamma Gamma(a) - Gamma(a, w) = gamma(a, w) = w^a sum_k (-w)^k/(k!(a + k)),
+
+        K_{1/2}(z) = e^{-z} w^{3/2} gamma(-3/2, w)
+
+    is entire in z: w^{3/2} cancels the w^{-3/2} of the lower gamma, so the
+    branch of w drops out.
     """
-    y = mpc(y)
-    y2abs = abs(y) ** 2
-    guard = int(y2abs * 1.4427) + 15
-    with workprec(mp.prec + guard):
-        y = mpc(y)
-        term = y
-        acc = y
-        m2y2 = -2 * y * y
-        k = 0
-        floor = mpf(2) ** (-mp.prec + 5)
-        while True:
-            k += 1
-            term = term * m2y2 / (2 * k + 1)
-            acc += term
-            if abs(term) < floor and k > y2abs:
-                break
-    return +acc if isinstance(acc, mpf) else mpc(acc)
-
-
-def _dawson_asymptotic(y, eps):
-    """Exact-recessive form for large |y|:
-
-        D(y) = sigma i (sqrt(pi)/2) e^{-y^2} + sum_k (2k-1)!!/(2^{k+1} y^{2k+1})
-
-    with sigma = sign(Im y); the series error carries a 2^k sector factor, so
-    this is certified only when e^{-|y|^2/2} is below the target eps.
-    Returns (value, error_bound).
-    """
-    y = mpc(y)
-    sigma = 0 if y.imag == 0 else (1 if y.imag > 0 else -1)
-    acc = mpc(0)
-    t = 1 / (2 * y)
-    inv2y2 = 1 / (2 * y * y)
-    k = 0
-    err = abs(t)
-    while True:
-        acc += t
-        nxt = t * (2 * k + 1) * inv2y2
-        bound = abs(nxt) * mpf(2) ** (k + 1)
-        if bound < eps or abs(nxt) >= abs(t):
-            err = bound
-            break
-        t = nxt
-        k += 1
-    rec = mpc(0)
-    if sigma:
-        rec = sigma * 1j * mp.sqrt(mp.pi) / 2 * mp.exp(-y * y)
-    else:
-        err += mp.sqrt(mp.pi) / 2 * abs(mp.exp(-y * y))
-    return acc + rec, err
-
-
-def dawson(y, ctx: PrecisionContext = DEFAULT_CTX):
-    """Dawson integral D(y) = e^{-y^2} int_0^y e^{t^2} dt for complex y."""
-    with ctx.working():
-        y = mpc(y)
-        cross = mpf(2) * mp.log(2) * (mp.prec + 30)
-        if abs(y) ** 2 <= cross:
-            val = _dawson_maclaurin(y)
-        else:
-            val, _ = _dawson_asymptotic(y, mpf(2) ** (-mp.prec - 10))
-        return val if y.imag != 0 or isinstance(val, mpf) else val.real
+    w = -z
+    g = mp.gammainc(MINUS_THREE_HALVES, w)
+    if eps:
+        g -= 8 * eps * mp.sqrt(mp.pi) / 3
+    return -mp.exp(-z) * w ** THREE_HALVES * g
 
 
 def special_e(y, ctx: PrecisionContext = DEFAULT_CTX):
-    """E(y) = (2 y^3 D(y) - y^2)/sqrt(pi).
+    """E(y) = (2 y^3 D(y) - y^2)/sqrt(pi) = (2 + 3 K_{1/2}(y^2))/(4 sqrt(pi)).
 
-    Small-to-moderate |y|: evaluated from the guarded Maclaurin Dawson value
-    inside the same guarded precision (the y^2 cancellation costs the same
-    number of bits the guard provides).  Large |y|: the rearranged series
-
-        E(y) = sigma i y^3 e^{-y^2} + (1/sqrt(pi)) sum_{k>=1} (2k-1)!!/(2^k y^{2k-2})
-
-    which is cancellation-free.
+    D(y) = e^{-y^2} int_0^y e^{t^2} dt is the Dawson integral.  Reduction:
+    with w = -y^2 and w^{1/2} = iy (K_{1/2} is entire, so any consistent
+    branch will do), gamma(1/2, w) = sqrt(pi) erf(iy) = 2i e^{y^2} D(y), and
+    the recurrence gamma(a + 1, w) = a gamma(a, w) - w^a e^{-w} taken down
+    twice gives gamma(-3/2, w) = -(2/3) e^{y^2} (2i/y - 4i D(y) + i/y^3).
+    Multiplied by e^{-z} w^{3/2} = -i y^3 e^{-y^2}, this is
+    K_{1/2}(y^2) = (2/3)(4 y^3 D(y) - 2 y^2 - 1), i.e. 2 + 3 K = 4 sqrt(pi) E.
+    Near y = 0, 2 + 3 K cancels about log2(1/|y|^2) bits, which are added as
+    guard bits.  E is real on the real axis, and is returned real there.
     """
     with ctx.working():
         y = mpc(y)
         if y == 0:
             return mpc(0)
-        cross = mpf(2) * mp.log(2) * (mp.prec + 30)
-        if abs(y) ** 2 <= cross:
-            guard = int((abs(y) ** 2) * 1.4427) + 15
-            with workprec(mp.prec + guard):
-                y = mpc(y)
-                d = _dawson_maclaurin(y)
-                val = (2 * y ** 3 * d - y * y) / mp.sqrt(mp.pi)
-            return mpc(val)
-        return _special_e_large(y)
-
-
-def _special_e_large(y):
-    y = mpc(y)
-    sigma = 0 if y.imag == 0 else (1 if y.imag > 0 else -1)
-    acc = mpc(0)
-    inv2y2 = 1 / (2 * y * y)
-    t = HALF  # k = 1 term: 1/2
-    k = 1
-    eps = mpf(2) ** (-mp.prec - 10)
-    while True:
-        acc += t
-        nxt = t * (2 * k + 1) * inv2y2
-        if abs(nxt) * mpf(2) ** k < eps or abs(nxt) >= abs(t):
-            break
-        t = nxt
-        k += 1
-    val = acc / mp.sqrt(mp.pi)
-    if sigma:
-        val += sigma * 1j * y ** 3 * mp.exp(-y * y)
-    return val
+        with workprec(mp.prec + max(0, 2 - 2 * mp.mag(y))):
+            val = (2 + 3 * laplace_kernel(y * y, HALF)) / (4 * mp.sqrt(mp.pi))
+        return mpc(val) if y.imag else mpc(val.real)
 
 
 def e_limit():
@@ -206,10 +132,6 @@ def tilde_dirichlet_blocks(tilde: TildeFunction, s: int, target,
     return Estimate(acc, 2 * peak / mpf(L + 1) ** s + roundoff)
 
 
-def _scale_mpf(c) -> mpf:
-    return frac_to_mp(c) if isinstance(c, Fraction) else mpf(c)
-
-
 # ---------------------------------------------------------------------------
 # Lateral Borel sums.
 
@@ -231,7 +153,7 @@ def _ray_laplace(Ab, x, sgn: int):
 
     With z = Ab x, w = -z (principal) and epsilon in {0, 1}:
 
-        = -Ab e^{-z} w^{3/2} [Gamma(-3/2, w) - 2 epsilon Gamma(-3/2)],
+        = Ab K_epsilon(z) = -Ab e^{-z} w^{3/2} [Gamma(-3/2, w) - 2 epsilon Gamma(-3/2)],
 
     epsilon = 1 exactly when arg z + sgn pi leaves (-pi, pi], i.e. for
     sgn = +1 with arg z > 0 or sgn = -1 with arg z <= 0; Gamma(-3/2) =
@@ -256,11 +178,7 @@ def _ray_laplace(Ab, x, sgn: int):
     Stokes jump, so S+ - S- reproduces the theta series of disc_closed_form.
     """
     z = Ab * x
-    w = -z
-    g = mp.gammainc(MINUS_THREE_HALVES, w)
-    if (mp.arg(z) > 0) == (sgn == 1):
-        g -= 8 * mp.sqrt(mp.pi) / 3
-    return -Ab * mp.exp(-z) * w ** THREE_HALVES * g
+    return Ab * laplace_kernel(z, 1 if (mp.arg(z) > 0) == (sgn == 1) else 0)
 
 
 def lateral_sum(series: FormalSeries, x, side: str,
@@ -298,12 +216,12 @@ def lateral_sum(series: FormalSeries, x, side: str,
         tilde = series.tilde
         M = f.M
         b = series.b
-        c = _scale_mpf(f.c)
+        c = to_mpf(f.c)
         pref = 3 * mp.pi * c / (M ** 2 * b)
         Apref = mp.pi ** 2 / M ** 2
         m2pi2 = mpf(M * M) / mp.pi ** 2
 
-        cm = _scale_mpf(series.c_m) if isinstance(series.c_m, Fraction) else mpf(series.c_m)
+        cm = to_mpf(series.c_m)
 
         # exact moment part
         poly = mpc(0)
@@ -362,7 +280,7 @@ def median_sum(series: FormalSeries, x, ctx: PrecisionContext = DEFAULT_CTX) -> 
         f = series.f
         tilde = series.tilde
         M, b = f.M, series.b
-        c = _scale_mpf(f.c)
+        c = to_mpf(f.c)
         sq = mp.sqrt(b * x)
         rho = mp.pi * sq / M          # y_l = rho * l
         tau = (mp.pi ** 2 * b / M ** 2) * x.real   # Re y_l^2 = tau l^2
@@ -401,25 +319,6 @@ def median_sum(series: FormalSeries, x, ctx: PrecisionContext = DEFAULT_CTX) -> 
         return LateralResult(mpc(value), err, "median", x, budget_hit)
 
 
-def optimal_truncation(series: FormalSeries, x):
-    """Partial sum of sum a_n x^{-n} truncated at the smallest term.
-
-    Returns (value, first_omitted_magnitude, index); Watson's-lemma oracle.
-    """
-    x = mpc(x)
-    acc = mpc(0)
-    best = None
-    for n in range(series.count):
-        an = series.a(n)
-        av = frac_to_mp(an) if isinstance(an, Fraction) else mpf(an)
-        term = av * x ** (-n)
-        if best is not None and abs(term) > best[1]:
-            return acc, abs(term), n
-        acc += term
-        best = (acc, abs(term), n)
-    raise ValueError("series too short to reach its optimal truncation")
-
-
 # ---------------------------------------------------------------------------
 # Stokes discontinuity.
 
@@ -447,7 +346,7 @@ def disc_closed_form(series: FormalSeries, x, ctx: PrecisionContext = DEFAULT_CT
         f = series.f
         tilde = series.tilde
         M, b = f.M, series.b
-        c = _scale_mpf(f.c)
+        c = to_mpf(f.c)
         pref = 2j * (2 * b * mp.pi * x) ** THREE_HALVES * mp.sqrt(2) * c / M ** 2
         tau = mp.pi ** 2 * b / M ** 2 * x
         fmax = tilde.max_abs()
@@ -460,8 +359,7 @@ def disc_closed_form(series: FormalSeries, x, ctx: PrecisionContext = DEFAULT_CT
             if tv:
                 acc += ell * tv * mp.exp(-tau * ell * ell)
             if ell % period == 0:
-                rest = fmax * ((ell + 1) * mp.exp(-tau.real * (ell + 1) ** 2)
-                               + mp.exp(-tau.real * ell ** 2) / (2 * tau.real))
+                rest = fmax * _gauss_tail(1, tau.real, ell)
                 if abs(pref) * rest < target:
                     break
             ell += 1
@@ -502,7 +400,7 @@ def boundary_median(series: FormalSeries, alpha,
         f = series.f
         tilde = series.tilde
         M, b = f.M, series.b
-        c = _scale_mpf(f.c)
+        c = to_mpf(f.c)
         B = 4 * M * M
         vert = VerticalTheta(tilde, B, Fraction(0))
         inv_alpha = frac_to_mp(alpha) ** -1

@@ -17,7 +17,7 @@ from .config import Config
 from .exact import gevrey_estimate
 from .habiro import StrangeConfig, verify_strange
 from .periodic import ConfigError, pair_set
-from .precision import PrecisionContext, as_fraction, frac_to_mp
+from .precision import PrecisionContext, as_fraction, frac_to_mp, to_mpf
 from .qseries import ThetaSpec, eichler_integral, theta_radial_limit
 from .report import Report, timed
 
@@ -25,22 +25,16 @@ SUITES = ("coeffs", "borel", "disc", "cm", "gentor", "strange", "main2",
           "eichler", "all")
 
 
-def _val(x):
-    if isinstance(x, Fraction):
-        return frac_to_mp(x)
-    return x
-
-
 def suite_coeffs(cfg: Config, ctx: PrecisionContext, report: Report, **_):
     series = cfg.series(40)
     with timed() as t:
-        lhs, rhs = _val(series.C[0]), _val(series.c_m)
+        lhs, rhs = to_mpf(series.C[0]), to_mpf(series.c_m)
     report.add("coeffs.c0-equals-cm", {"config": cfg.label()}, lhs, rhs,
                mpf(0), t.elapsed)
     with timed() as t:
         gfp = borel_mod.gfp_coefficients(series, 8)
         direct = borel_mod.borel_coefficients(series, 8)
-        worst = max(abs(_val(u) - _val(v)) for u, v in zip(gfp, direct))
+        worst = max(abs(to_mpf(u) - to_mpf(v)) for u, v in zip(gfp, direct))
     report.add("coeffs.gfp-defn-agreement", {"config": cfg.label(), "count": 8},
                worst, mpf(0), mpf(0), t.elapsed)
     with timed() as t:
@@ -57,7 +51,7 @@ def suite_borel(cfg: Config, ctx: PrecisionContext, report: Report, **_):
     with timed() as t:
         had = borel_mod.hadamard_oracle(series, 30)
         direct = borel_mod.borel_coefficients(series, 30)
-        worst = max(abs(_val(u) - _val(v)) for u, v in zip(had, direct))
+        worst = max(abs(to_mpf(u) - to_mpf(v)) for u, v in zip(had, direct))
     report.add("borel.hadamard-product", {"config": cfg.label(), "count": 30},
                worst, mpf(0), mpf(0), t.elapsed)
     with timed() as t:
@@ -65,20 +59,20 @@ def suite_borel(cfg: Config, ctx: PrecisionContext, report: Report, **_):
         coeffs = borel_mod.borel_coefficients(series, 20)
         M, b = series.f.M, series.b
         A = mp.pi ** 2 / M ** 2
-        c = _val(series.f.c)
+        c = to_mpf(series.f.c)
         pref = 3 * mp.pi * c / (M ** 2 * b)
         binom = mpf(1)
         for n in range(20):
             wsum = resum_mod.tilde_dirichlet(tilde, 4 + 2 * n)
             closed = pref * binom * mpf(b) ** (-n) * A ** (-mpf("2.5") - n) * wsum
-            exact = _val(coeffs[n])
+            exact = to_mpf(coeffs[n])
             worst = max(worst, abs(closed - exact) / abs(exact))
             binom = binom * (mpf("2.5") + n) / (n + 1)
     report.add("borel.taylor-vs-closed-form", {"config": cfg.label(), "count": 20},
                worst, mpf(0), mpf("1e-12"), t.elapsed)
     with timed() as t:
         g0 = borel_mod.borel_eval(series, mpc(0), ctx).value
-        a1 = _val(borel_mod.borel_coefficients(series, 1)[0])
+        a1 = to_mpf(borel_mod.borel_coefficients(series, 1)[0])
     report.add("borel.eval-at-0", {"config": cfg.label()}, g0, a1,
                max(ctx.tolerance(), mpf("1e-20")), t.elapsed)
     return report
@@ -99,16 +93,16 @@ def suite_cm(cfg: Config, ctx: PrecisionContext, report: Report, **_):
     tilde = series.tilde
     with timed() as t:
         blocks = resum_mod.tilde_dirichlet_blocks(tilde, 2, mpf("1e-11"))
-        c = _val(series.f.c)
+        c = to_mpf(series.f.c)
         rhs = 2 * series.f.M * c / mp.pi ** 2 * blocks.value
-        lhs = _val(series.c_m)
+        lhs = to_mpf(series.c_m)
     report.add("cm.constant-identity", {"config": cfg.label()}, lhs, rhs,
                mpf("1e-10"), t.elapsed)
     return report
 
 
 def _require_chi(cfg: Config):
-    st = cfg.chi_st
+    st = cfg.chi_idx
     if st is None:
         raise ConfigError(f"suite needs a character family config, got {cfg.label()}")
     return st
@@ -229,9 +223,9 @@ def run_suite(name: str, cfg: Config, ctx: PrecisionContext,
             return _SUITE_FN[name](cfg, ctx, report, alpha=alpha, extrapolate=extrapolate)
         for key in ("coeffs", "borel", "disc", "cm"):
             _SUITE_FN[key](cfg, ctx, report)
-        if cfg.chi_st is not None:
+        if cfg.chi_idx is not None:
             suite_gentor(cfg, ctx, report)
-            if alpha is not None and cfg.b == 4 * cfg.chi_st[0] * cfg.chi_st[1]:
+            if alpha is not None and cfg.b == 4 * cfg.chi_idx[0] * cfg.chi_idx[1]:
                 suite_main2(cfg, ctx, report, alpha=alpha, extrapolate=extrapolate)
         if alpha is not None:
             try:

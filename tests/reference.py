@@ -1,0 +1,289 @@
+"""Independent reference computations that the library does not carry.
+
+`lateral_sum_quadrature` is the lateral Borel-Laplace sum with each l-term's
+remainder integral done by adaptive quadrature along the ray (with an
+analytic bound for the cut-off piece), the route `resum.lateral_sum` took
+before it evaluated those integrals in closed form.  Keeping it here keeps
+the Stokes-jump identity and the closed form checked against something that
+does not share the incomplete-gamma kernel.
+
+`tilde_dirichlet_blocks_reference` is the plain mpf loop over the same head
+as `resum.tilde_dirichlet_blocks`, the kernel's fixed-point sums replaced.
+
+The rest are oracles for single layers: Watson's optimal truncation of the
+formal series, Richardson extrapolation of theta along a radius, the
+explicit trefoil Borel transform, the D2 pair set and the folding bijection
+onto it, complex values of the exact q-Pochhammer and q-binomial elements,
+and polynomial fits at the origin.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from mpmath import mp, mpc, mpf, workprec
+
+from thetaresum.habiro import _Arith, _QBinomial, q_pochhammer
+from thetaresum.periodic import ConfigError, PairSet
+from thetaresum.precision import (DEFAULT_CTX, FIVE_HALVES, HALF, MINUS_FIVE_HALVES,
+                                  Estimate, PrecisionContext, as_fraction, frac_to_mp,
+                                  richardson_limit, to_mpf)
+from thetaresum.qseries import DomainError, ThetaSpec, _f_max, _gauss_tail, _phase_exponent
+from thetaresum.resum import _BETA, _BETA2, LateralResult, tilde_dirichlet
+
+_BETA3 = mpf("6.5625")  # (5/2)_3/3! = 105/16
+
+
+def remainder_r3(w):
+    """R3(w) = (1-w)^{-5/2} - 1 - (5/2)w - (35/8)w^2, stable for small w."""
+    if abs(w) > HALF:
+        return (1 - w) ** MINUS_FIVE_HALVES - 1 - FIVE_HALVES * w - _BETA2 * w * w
+    # series sum_{k>=3} (5/2)_k/k! w^k, ratio < 3/4 on |w| <= 1/2
+    term = _BETA3 * w ** 3
+    acc = term
+    k = 3
+    eps = mpf(2) ** (-mp.prec - 4)
+    while abs(term) > eps * (1 + abs(acc)):
+        term = term * w * (FIVE_HALVES + k) / (k + 1)
+        acc += term
+        k += 1
+    return acc
+
+
+def lateral_sum_quadrature(series, x, side: str, ctx: PrecisionContext) -> LateralResult:
+    """S^side(x) with the R3 ray integrals by mp.quad on [0, U] plus a bound
+    44 |w|^3 on the piece beyond U; same moments, head length and l^{-10}
+    tail bound as the library."""
+    sgn = 1 if side in ("plus", "+") else -1
+    with ctx.working(20):
+        x = mpc(x)
+        if x.real == 0:
+            raise DomainError("x must not lie on the imaginary axis")
+        theta = mp.pi * frac_to_mp(Fraction(ctx.theta))
+        ray = mp.exp(1j * sgn * theta)
+        sig = (ray * x).real
+        if sig <= 0:
+            raise DomainError("ray integral diverges")
+        f, tilde, b = series.f, series.tilde, series.b
+        M = f.M
+        c = to_mpf(f.c)
+        pref = 3 * mp.pi * c / (M ** 2 * b)
+        Apref = mp.pi ** 2 / M ** 2
+        m2pi2 = mpf(M * M) / mp.pi ** 2
+        cm = to_mpf(series.c_m)
+
+        poly = mpc(0)
+        for j, beta in enumerate(_BETA):
+            w_s = tilde_dirichlet(tilde, 4 + 2 * j)
+            poly += (frac_to_mp(beta) * mpf(b) ** (-j) * mp.factorial(j)
+                     / x ** (j + 1) * m2pi2 ** (FIVE_HALVES + j) * w_s)
+
+        target = ctx.tolerance() * mpf("0.1") + mpf(2) ** (-ctx.prec)
+        fmax = tilde.max_abs()
+        tail_const = abs(pref) * fmax * 264 / (sig ** 4 * mpf(b) ** 3) \
+            * Apref ** mpf("-5.5") / 9
+        L = max(6, tilde.first_support)
+        while tail_const / mpf(L) ** 9 > target and L < ctx.ell_cap:
+            L += 1
+        budget_hit = tail_const / mpf(L) ** 9 > target
+        tail_bound = tail_const / mpf(L) ** 9
+
+        quad_prec = min(mp.prec, max(64, int(-3.33 * mp.log10(target)) + 36))
+        quad_err = mpf(0)
+        qsum = mpc(0)
+        with workprec(quad_prec):
+            U = (mp.log(10) * (-mp.log10(target) + 8)) / sig
+            for ell in range(1, L + 1):
+                tv = tilde(ell)
+                if not tv:
+                    continue
+                Ab = Apref * ell * ell * b
+
+                def g(u, _Ab=Ab):
+                    p = ray * u
+                    return ray * mp.exp(-p * x) * remainder_r3(p / _Ab)
+
+                val, qe = mp.quad(g, [0, 1 / sig, 8 / sig, U], error=True,
+                                  maxdegree=ctx.quad_maxdegree)
+                cut = 44 / Ab ** 3 * mp.exp(-sig * U) * (
+                    U ** 3 / sig + 3 * U ** 2 / sig ** 2 + 6 * U / sig ** 3 + 6 / sig ** 4)
+                coeff = ell * tv * (Apref * ell * ell) ** MINUS_FIVE_HALVES
+                qsum += coeff * val
+                quad_err += abs(coeff) * (qe + cut + abs(val) * mpf(2) ** (-quad_prec + 8))
+
+        value = cm + pref * (poly + qsum)
+        err = abs(pref) * quad_err + tail_bound + abs(value) * mpf(2) ** (-ctx.prec)
+        return LateralResult(value, err, "plus" if sgn == 1 else "minus", x, budget_hit)
+
+
+def tilde_dirichlet_blocks_reference(tilde, s: int, target, guard: int = 64) -> tuple:
+    """(sum_{l=1}^{L} f~(l) l^{-s}, the Abel tail bound) over the head that
+    `tilde_dirichlet_blocks` picks for this target: f~ read at the ambient
+    precision, as the kernel reads it, then summed term by term in mpf at
+    ``guard`` more bits."""
+    peak = tilde.partial_sum_peak()
+    P = tilde.period
+    L = int((2 * peak / mpf(target)) ** (mpf(1) / s)) + 1
+    L = P * (L // P + 1)
+    table = tilde.table(P)
+    with workprec(mp.prec + guard):
+        acc = mpf(0)
+        for ell in range(1, L + 1):
+            v = table[ell % P]
+            if v:
+                acc += v / mpf(ell) ** s
+    return acc, 2 * peak / mpf(L + 1) ** s
+
+
+def optimal_truncation(series, x):
+    """Partial sum of sum a_n x^{-n} truncated at the smallest term.
+
+    Returns (value, first_omitted_magnitude, index); Watson's-lemma oracle.
+    """
+    x = mpc(x)
+    acc = mpc(0)
+    best = None
+    for n in range(series.count):
+        term = to_mpf(series.a(n)) * x ** (-n)
+        if best is not None and abs(term) > best[1]:
+            return acc, abs(term), n
+        acc += term
+        best = (acc, abs(term), n)
+    raise ValueError("series too short to reach its optimal truncation")
+
+
+def radial_extrapolate(spec: ThetaSpec, alpha, ctx: PrecisionContext = DEFAULT_CTX,
+                       eps_values=None) -> Estimate:
+    """Richardson extrapolation of theta(alpha + i eps) to eps -> 0."""
+    alpha = as_fraction(alpha)
+    if eps_values is None:
+        eps_values = [mpf(10) ** (-2 - k * mpf("0.5")) for k in range(7)]
+    with ctx.working(40):
+        xs, ys = [], []
+        for eps in eps_values:
+            xs.append(mpf(eps))
+            ys.append(_theta_on_radius(spec, alpha, mpf(eps), ctx))
+        val, err = richardson_limit(xs, ys)
+        return Estimate(val, err)
+
+
+def _theta_on_radius(spec: ThetaSpec, alpha: Fraction, eps, ctx) -> mpc:
+    """theta at x = alpha + i eps via exact rational phases (no angle loss)."""
+    lam = 2 * mp.pi * eps / spec.b
+    fmax = _f_max(spec.f)
+    target = mpf(2) ** (-ctx.prec - 10)
+    period = spec.f.period
+    acc = mpc(0)
+    n = 0
+    while True:
+        fv = to_mpf(spec.f(n))
+        if fv:
+            expo = _phase_exponent(alpha, n, spec.a, spec.b)
+            term = (n ** spec.nu) * fv * mp.expjpi(frac_to_mp(expo)) \
+                * mp.exp(-lam * (n * n - spec.a))
+            acc += term
+        n += 1
+        if n % period == 0:
+            if fmax * mp.exp(lam * spec.a) * _gauss_tail(spec.nu, lam, n - 1) < target:
+                return acc
+
+
+def trefoil_explicit_borel(p, ctx: PrecisionContext = DEFAULT_CTX,
+                           terms: int = None) -> Estimate:
+    """The explicit trefoil transform (3 pi/(2 sqrt 2)) sum n (12|n) (n^2 pi^2/6 - p)^{-5/2}.
+
+    Independent of the general machinery: the conductor-12 character table is
+    inlined and the sum is truncated with its own zeta-accelerated tail.
+    """
+    chi12 = (0, 1, 0, 0, 0, -1, 0, -1, 0, 0, 0, 1)
+    with ctx.working(20):
+        p = mpc(p)
+        pref = 3 * mp.pi / (2 * mp.sqrt(2))
+        L = 24
+        while (mp.pi ** 2 / 6) * (L + 1) ** 2 <= 2 * abs(p):
+            L += 12
+        head = mpc(0)
+        for n in range(1, L + 1):
+            ch = chi12[n % 12]
+            if ch:
+                head += ch * n / (mpc(n * n) * mp.pi ** 2 / 6 - p) ** mpf("2.5")
+        # tail via binomial expansion in p/(n^2 pi^2/6), summed with Hurwitz zeta
+        tail = mpc(0)
+        A = mp.pi ** 2 / 6
+        ratio = abs(p) / (A * (L + 1) ** 2)
+        K = A ** mpf("-2.5") / (3 * mpf(L + 1) ** 3)
+        target = ctx.tolerance() * mpf("0.01") + mpf(2) ** (-ctx.prec - 8)
+        binom = mpf(1)
+        k = 0
+        while True:
+            zs = mpf(0)
+            s = 4 + 2 * k
+            for r in range(1, 13):
+                if chi12[r % 12]:
+                    zs += chi12[r % 12] * mp.zeta(s, mpf(r) / 12)
+            zs = zs / mpf(12) ** s
+            for n in range(1, L + 1):
+                if chi12[n % 12]:
+                    zs -= chi12[n % 12] * mpf(n) ** (-s)
+            tail += binom * p ** k * zs * A ** (-mpf("2.5") - k)
+            next_binom = binom * (mpf("2.5") + k) / (k + 1)
+            bound = next_binom * ratio ** (k + 1) * K
+            if k >= 2 and abs(pref) * bound / (1 - mpf("1.75") * ratio) < target:
+                rem = bound / (1 - mpf("1.75") * ratio)
+                break
+            binom = next_binom
+            k += 1
+        value = pref * (head + tail)
+        return Estimate(value, abs(pref) * rem + abs(value) * mpf(2) ** (-ctx.prec))
+
+
+def pair_set_alternative(s: int, t: int) -> PairSet:
+    """For odd-odd (s,t): the D2 variant, target of the folding bijection."""
+    if s % 2 == 0 or t % 2 == 0:
+        raise ConfigError("alternative set only defined for odd-odd (s,t)")
+    pairs = [(n, m) for n in range(1, s) for m in range(1, (t - 1) // 2 + 1)]
+    return PairSet(s, t, tuple(pairs))
+
+
+def fold_pair(s: int, t: int, n: int, m: int) -> tuple:
+    """The bijection D1 -> D2: keep (n,m) in the shared corner, else reflect."""
+    if 1 <= n <= (s - 1) // 2 and 1 <= m <= (t - 1) // 2:
+        return (n, m)
+    return (s - n, t - m)
+
+
+def q_pochhammer_value(n: int, q, a_exponent: int = 1,
+                       ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
+    with ctx.working():
+        ar = _Arith(q, ctx)
+        return ar.to_complex(q_pochhammer(n, q, a_exponent, ctx))
+
+
+def q_binomial_value(top: int, bottom: int, q, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
+    with ctx.working():
+        ar = _Arith(q, ctx)
+        return ar.to_complex(_QBinomial(ar)(top, bottom))
+
+
+def poly_fit_origin(xs, ys, ncoeff=None):
+    """Exact polynomial interpolation coefficients c0, c1, ... at x = 0.
+
+    Solves the Vandermonde system at the current mpmath precision.  Used to
+    read off the first asymptotic-series coefficients from samples of a
+    function along a geometric grid shrinking to 0.
+    """
+    n = len(xs)
+    if ncoeff is None:
+        ncoeff = n
+    if ncoeff > n:
+        raise ValueError("cannot extract more coefficients than samples")
+    A = mp.matrix(n, n)
+    rhs = mp.matrix(n, 1)
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        p = mpf(1)
+        for j in range(n):
+            A[i, j] = p
+            p = p * x
+        rhs[i] = y
+    sol = mp.lu_solve(A, rhs)
+    return [sol[j] for j in range(ncoeff)]

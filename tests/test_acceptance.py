@@ -8,15 +8,15 @@ from fractions import Fraction
 
 from mpmath import mp, mpf, mpc, workprec
 
-from thetaresum.borel import borel_coefficients, borel_eval, hadamard_oracle, \
-    trefoil_explicit_borel
+from reference import poly_fit_origin, trefoil_explicit_borel
+from thetaresum.borel import borel_coefficients, borel_eval, hadamard_oracle
 from thetaresum.config import config_chi, trefoil_chi, trefoil_strange
 from thetaresum.exact import series_coefficients
 from thetaresum.habiro import (RootOfUnity, StrangeConfig, colored_jones_trefoil,
                                kontsevich_zagier_eval, verify_strange)
 from thetaresum.periodic import ChiParams, chi_function, pair_set, support_set, \
     verify_decomposition
-from thetaresum.precision import PrecisionContext, frac_to_mp, poly_fit_origin
+from thetaresum.precision import PrecisionContext, frac_to_mp
 from thetaresum.qseries import ThetaSpec, eichler_integral, theta_radial_limit, \
     verify_modular_transform
 from thetaresum.resum import (boundary_median, boundary_median_extrapolated,

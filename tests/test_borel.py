@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf, mpc, workprec
 
+from reference import trefoil_explicit_borel
 from thetaresum.borel import (BranchCutError, SingularProximityError,
                               borel_coefficients, borel_eval, gfp_coefficients,
                               hadamard_g2_coefficients, hadamard_oracle,
-                              singularity_set, trefoil_explicit_borel)
+                              singularity_set)
 from thetaresum.config import config_chi, trefoil_strange
 from thetaresum.precision import PrecisionContext
 

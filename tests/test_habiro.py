@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc, workprec
 
+from reference import q_binomial_value, q_pochhammer_value
 from thetaresum.habiro import (BudgetError, RootOfUnity, StrangeConfig,
                                colored_jones_trefoil, hikami_x,
-                               kontsevich_zagier_eval, q_binomial,
-                               q_binomial_value, q_pochhammer,
-                               q_pochhammer_value, verify_strange)
+                               kontsevich_zagier_eval, verify_strange)
 from thetaresum.precision import PrecisionContext
 
 CTX = PrecisionContext(prec=128, tol=1e-10)
@@ -199,5 +198,5 @@ class TestConfigEquivalences:
         for u in (1, 2, 3):
             for ell in range(u):
                 cfg = config_hikami(u, ell)
-                s, t, n, m = cfg.chi_st
+                s, t, n, m = cfg.chi_idx
                 assert (n, m) in pair_set(s, t).pairs

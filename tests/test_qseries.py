@@ -5,11 +5,12 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf, mpc, workprec
 
+from reference import radial_extrapolate
 from thetaresum.periodic import ChiParams, chi_function, make_periodic, pair_set, \
     s_matrix_entry, tilde_transform
 from thetaresum.precision import PrecisionContext, frac_to_mp
 from thetaresum.qseries import (DomainError, NoRadialLimitError, ThetaSpec,
-                                VerticalTheta, eichler_integral, radial_extrapolate,
+                                VerticalTheta, eichler_integral,
                                 theta_radial_limit, theta_upper_half,
                                 verify_modular_transform, twisted_table)
 

@@ -3,20 +3,19 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc, workprec
 
-from oracles import lateral_sum_quadrature, tilde_dirichlet_blocks_reference
+from reference import (lateral_sum_quadrature, optimal_truncation,
+                       tilde_dirichlet_blocks_reference)
 from thetaresum.config import (config_chi, config_hikami, config_t3_2k, trefoil_chi,
                                trefoil_strange)
 from thetaresum.periodic import ChiParams, chi_function, pair_set, tilde_transform
 from thetaresum.precision import PrecisionContext
 from thetaresum.qseries import DomainError, ThetaSpec, theta_radial_limit
 from thetaresum.resum import (_ray_laplace, boundary_median, boundary_median_extrapolated,
-                              boundary_point, dawson, disc_closed_form,
+                              boundary_point, disc_closed_form,
                               discontinuity, e_limit, lateral_sum, median_sum,
-                              optimal_truncation, special_e, tilde_dirichlet,
-                              tilde_dirichlet_blocks)
+                              special_e, tilde_dirichlet, tilde_dirichlet_blocks)
 
 CTX = PrecisionContext(prec=96, tol=1e-10)
 SER = trefoil_strange().series(36)
@@ -24,38 +23,28 @@ SER = trefoil_strange().series(36)
 ST_LIST = [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5), (3, 8)]
 
 
-class TestDawson:
-    @given(st.floats(-6, 6), st.floats(-6, 6))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_erfi_reference(self, re, im):
-        y = mpc(re, im)
-        with CTX.working():
-            ref = mp.sqrt(mp.pi) / 2 * mp.exp(-y * y) * mp.erfi(y)
-            got = dawson(y, CTX)
-            assert abs(got - ref) < mpf("1e-25") * (1 + abs(ref))
-
-    def test_regime_overlap_annulus(self):
-        """Guarded series vs. asymptotic agree where both are certified.
-
-        Relative comparison: on rays near the imaginary axis |D| grows like
-        e^{|y|^2}, so the meaningful scale is the value magnitude.
-        """
-        ctx = PrecisionContext(prec=64, tol=1e-15)
-        from thetaresum.resum import _dawson_asymptotic, _dawson_maclaurin
-        with ctx.working():
-            floor = mpf(2) ** (-mp.prec + 8)
-            for r in (mpf(10), mpf(11), mpf(12)):
-                for ang in (0, mpf(1) / 8, -mpf(1) / 8, mpf(1) / 4, -mpf(1) / 4,
-                            mpf(1) / 2, mpf("0.9")):
-                    y = r * mp.expjpi(ang)
-                    a = _dawson_maclaurin(y)
-                    b, err = _dawson_asymptotic(y, mpf(2) ** (-mp.prec - 10))
-                    scale = 1 + max(abs(a), abs(b))
-                    rel = abs(a - b) / scale
-                    assert rel < max(err * 4 / scale, floor), (r, ang)
-
-
 class TestSpecialE:
+    @pytest.mark.parametrize("prec", [64, 128, 256])
+    def test_matches_erfi_oracle(self, prec):
+        """E(y) = y^3 e^{-y^2} erfi(y) - y^2/sqrt(pi), an independent route.
+
+        Evaluated this way, E loses up to |y|^2 log2(e) bits to the product
+        e^{-y^2} erfi(y) and about 2 log2|y| more to the subtraction of
+        y^2/sqrt(pi); the oracle carries those bits on top.  On the real
+        axis E is real, and must come back exactly real.
+        """
+        ctx = PrecisionContext(prec=prec)
+        for r in ("1e-3", "0.3", "1", "3", "7", "20"):
+            for ang in (0, Fraction(1, 8), Fraction(-1, 8), Fraction(1, 4), Fraction(-1, 4),
+                        Fraction(3, 8)):
+                with ctx.working():
+                    y = mpf(r) * mp.expjpi(mpf(ang.numerator) / ang.denominator)
+                    got = special_e(y, ctx)
+                    assert ang or got.imag == 0
+                with workprec(prec + int(1.45 * abs(y) ** 2 + 2 * mp.log(abs(y) + 1, 2)) + 40):
+                    ref = y ** 3 * mp.exp(-y * y) * mp.erfi(y) - y * y / mp.sqrt(mp.pi)
+                    assert abs(got - ref) <= mpf(2) ** (-prec + 4) * abs(ref), (r, ang)
+
     def test_zero(self):
         assert special_e(0, CTX) == 0
 
