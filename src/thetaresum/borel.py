@@ -136,14 +136,17 @@ def singularity_set(series: FormalSeries) -> SingularitySet:
     return SingularitySet(series)
 
 
+GUARD_FACTOR = mpf("1e-6")  # p this close to a singularity, relative to the first, is refused
+
+
 def borel_eval(series: FormalSeries, p, ctx: PrecisionContext = DEFAULT_CTX,
-               side: str = None, guard_factor=mpf("1e-6")) -> Estimate:
+               side: str = None) -> Estimate:
     """Evaluate G(p) away from the singular set.
 
     The head of the l-sum is evaluated term by term (with the branch side
-    applied on the cut); the tail, where |p| is small against the branch
-    points, is resummed through the binomial expansion whose l-sums collapse
-    to Hurwitz zeta values.  An explicit geometric remainder is returned.
+    applied on the cut); the tail l > L, where |p| is small against the
+    branch points, is resummed through the binomial expansion whose l-sums
+    are shifted Hurwitz zeta values.  The error is a geometric remainder.
 
     side: '+' or '-' selects the limit from Im p > 0 or Im p < 0 when p lies
     exactly on the cut ray beyond the first singularity.
@@ -155,9 +158,9 @@ def borel_eval(series: FormalSeries, p, ctx: PrecisionContext = DEFAULT_CTX,
         sing = singularity_set(series)
         gap = sing.nearest_distance(p, ctx)
         first = sing.first(ctx)
-        if gap < guard_factor * first:
+        if gap < GUARD_FACTOR * first:
             raise SingularProximityError(
-                f"p={p} is within guard distance {guard_factor * first} of a singularity")
+                f"p={p} is within guard distance {GUARD_FACTOR * first} of a singularity")
         on_cut = (p.imag == 0 and p.real > first)
         if on_cut and side not in ("+", "-"):
             raise BranchCutError("p sits on the cut ray; pass side='+' or side='-'")
@@ -188,28 +191,24 @@ def borel_eval(series: FormalSeries, p, ctx: PrecisionContext = DEFAULT_CTX,
             head += ell * tv / wpow
 
         # tail: (A l^2 - p/b)^{-5/2} = (A l^2)^{-5/2} (1 - p/(b A l^2))^{-5/2}
-        # expanded binomially; each power collapses to a Dirichlet sum of f~.
-        # |term_j| <= binom_j ratio^j K with K = A^{-5/2} max|f~| / (3(L+1)^3)
-        # and ratio = |p| / (b A (L+1)^2) <= 1/2 by the choice of L, so the
-        # remainder after k terms is geometric with factor <= 1.75 ratio.
+        # expanded binomially; each power's l-sum is a Dirichlet sum of f~
+        # over l > L.  |term_j| <= binom_j ratio^j K, K = A^{-5/2} max|f~|/(3 L^3)
+        # >= A^{-5/2} max|f~| sum_{l>L} l^{-4}, ratio = |p|/(b A (L+1)^2) <= 1/2.
+        # After term k the remainder is <= bound/(1 - 1.75 ratio), bound =
+        # binom_{k+1} ratio^{k+1} K, as binom_{j+1}/binom_j = (5/2 + j)/(j + 1)
+        # <= 7/4 for every j >= 1: the stopping test is sound from k = 0.
         tail = mpc(0)
         ratio = abs(p) / (series.b * A * (L + 1) ** 2)
-        K = A ** MINUS_FIVE_HALVES * tilde.max_abs() / (3 * mpf(L + 1) ** 3)
+        K = A ** MINUS_FIVE_HALVES * tilde.max_abs() / (3 * mpf(L) ** 3)
         target = ctx.tolerance() * mpf("0.01") + mpf(2) ** (-ctx.prec - 8)
         k = 0
         binom = mpf(1)  # (5/2)_k / k!
         while True:
-            # sum_{l > L} f~(l) l^{-s}: the full Dirichlet sum less the head
-            s = 4 + 2 * k
-            srv = tilde_dirichlet(tilde, s)
-            for ell in range(1, L + 1):
-                v = tilde(ell)
-                if v:
-                    srv -= v * mpf(ell) ** (-s)
+            srv = tilde_dirichlet(tilde, 4 + 2 * k, L)  # sum_{l > L} f~(l) l^{-4-2k}
             tail += binom * (p / series.b) ** k * srv * A ** (MINUS_FIVE_HALVES - k)
             next_binom = binom * (FIVE_HALVES + k) / (k + 1)
             bound = next_binom * ratio ** (k + 1) * K
-            if k >= 2 and abs(pref) * bound / (1 - SEVEN_QUARTERS * ratio) < target:
+            if abs(pref) * bound / (1 - SEVEN_QUARTERS * ratio) < target:
                 rem = bound / (1 - SEVEN_QUARTERS * ratio)
                 break
             binom = next_binom

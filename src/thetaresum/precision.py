@@ -48,40 +48,25 @@ class PrecisionContext:
 
     prec          working precision in bits
     tol           target absolute tolerance for truncated sums/integrals
-    quad_maxdegree  degree limit handed to mpmath's adaptive quadrature
-    theta         Laplace ray angle as a fraction of pi, in (0, 1/2)
     ell_cap       hard cap on the number of ell-terms in any f-tilde sum
     """
 
     prec: int = field(default_factory=default_prec)
     tol: float = 1e-8
-    quad_maxdegree: int = 8
-    theta: Fraction = Fraction(1, 4)
     ell_cap: int = 200_000
 
     def __post_init__(self):
         if self.prec < 24:
             raise ValueError("prec must be at least 24 bits")
-        if not (0 < self.theta < Fraction(1, 2)):
-            raise ValueError("ray angle must lie strictly between 0 and pi/2")
         if self.ell_cap < 16:
             raise ValueError("ell_cap too small to be useful")
 
     def with_tol(self, tol) -> "PrecisionContext":
         return replace(self, tol=tol)
 
-    def with_prec(self, prec: int) -> "PrecisionContext":
-        return replace(self, prec=prec)
-
     def working(self, extra: int = 0):
         """mpmath context manager at prec + guard (+ extra) bits."""
         return workprec(self.prec + GUARD_BITS + extra)
-
-    @property
-    def eps(self) -> mpf:
-        """Unit roundoff at the context precision."""
-        with workprec(self.prec + GUARD_BITS):
-            return mpf(2) ** (-self.prec)
 
     def tolerance(self) -> mpf:
         with workprec(self.prec + GUARD_BITS):
@@ -100,11 +85,6 @@ class Estimate:
 
     def __iter__(self):
         return iter((self.value, self.error))
-
-    def within(self, other, slack=0) -> bool:
-        gap = abs(self.value - (other.value if isinstance(other, Estimate) else other))
-        budget = self.error + (other.error if isinstance(other, Estimate) else 0) + slack
-        return gap <= budget
 
 
 def as_fraction(x) -> Fraction:

@@ -308,7 +308,7 @@ def eichler_integral(s: int, t: int, nm: tuple, z, lower,
                 pts.append(small * sc)
         pts.append(W)
         val, qerr = mp.quad(integrand, sorted(set(pts)), error=True,
-                            maxdegree=ctx.quad_maxdegree)
+                            maxdegree=8)
         # tail beyond W: |theta| <= fmax * P * e^{-rate w} / (1 - ...) roughly
         fmax = _f_max(spec.f)
         tail = fmax * spec.f.period * mp.exp(-rate * W) / rate \

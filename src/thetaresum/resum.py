@@ -1,13 +1,13 @@
 """Lateral and median Borel-Laplace resummation, and its boundary values.
 
 The lateral sums integrate e^{-px} against the closed-form Borel transform
-along rays at angle +-theta.  Each ray integral is split into the first three
-Taylor moments of (1 - p/(b A_l))^{-5/2} (evaluated exactly; their l-sums are
-Hurwitz zeta values) plus the remainder, the Laplace kernel K_eps (an upper
-incomplete gamma value Gamma(-3/2, .) on the sheet eps in {0, 1} the side
-selects) minus those moments, whose l-tail decays like l^{-10}.  The median,
-the average of the two sides, is the same kernel at eps = 1/2, which is
-entire; it gives the convergent special-function form
+along rays at angle +-theta.  For l <= L each ray integral is the Laplace
+kernel K_eps (an upper incomplete gamma value Gamma(-3/2, .) on the sheet
+eps in {0, 1} the side selects); for l > L the first three Taylor moments
+of (1 - p/(b A_l))^{-5/2} are summed over l as shifted Hurwitz zeta values
+(tilde_dirichlet, which gives every l-tail) and the rest is bounded.  The
+median, the average of the two sides, is the same kernel at eps = 1/2,
+which is entire; it gives the convergent special-function form
 
     S_med(x) = (4 M c / pi^{3/2}) sum_l (f~(l)/l^2) E((l pi/M) sqrt(b x)),
 
@@ -86,19 +86,26 @@ def e_limit():
 # ---------------------------------------------------------------------------
 # Shared l-sum helpers.
 
-def tilde_dirichlet(tilde: TildeFunction, s: int) -> mpf:
-    """sum_{l>=1} f~(l) l^{-s} as Hurwitz zeta values over one period."""
+def tilde_dirichlet(tilde: TildeFunction, s: int, start: int = 0) -> mpf:
+    """sum_{l>start} f~(l) l^{-s} = M^{-s} sum_{r=start+1}^{start+M} f~(r) zeta(s, r/M).
+
+    Exact, since f~(l + M) = (-1)^{M+d1+d2} f~(l) = f~(l): M + d1 + d2 =
+    2M - 2k1 is even (d1 = k2 - k1, d2 = M - k1 - k2).  start = 0 gives the
+    full sum, start = L the tail past a head l <= L (DLMF 25.11).
+    """
     M = tilde.M
     total = mpf(0)
-    for r in range(1, M + 1):
+    for r in range(start + 1, start + M + 1):
         v = tilde(r)
         if v:
             total += v * mp.zeta(s, mpf(r) / M)
     return total / mpf(M) ** s
 
 
-def tilde_dirichlet_blocks(tilde: TildeFunction, s: int, target,
-                           ell_cap: int = 10_000_000) -> Estimate:
+BLOCK_ELL_CAP = 10_000_000  # most terms tilde_dirichlet_blocks will sum
+
+
+def tilde_dirichlet_blocks(tilde: TildeFunction, s: int, target) -> Estimate:
     """Direct period-grouped summation of sum f~(l) l^{-s} with an Abel bound.
 
     Partial sums of the mean-zero f~ are periodic, so the tail after a whole
@@ -113,7 +120,7 @@ def tilde_dirichlet_blocks(tilde: TildeFunction, s: int, target,
     P = tilde.period
     L = int((2 * peak / mpf(target)) ** (mpf(1) / s)) + 1
     L = P * (L // P + 1)
-    if L > ell_cap:
+    if L > BLOCK_ELL_CAP:
         raise DomainError(f"block summation needs {L} terms, beyond the cap")
     table = tilde.table(P)
     wp = mp.prec + L.bit_length() + 10
@@ -145,7 +152,7 @@ class LateralResult:
 
 
 _BETA = (Fraction(1), Fraction(5, 2), Fraction(35, 8))  # (5/2)_k / k!, k = 0..2
-_BETA2 = mpf("4.375")  # (5/2)_2/2! = 35/8
+RAY_ANGLE = Fraction(1, 4)  # theta/pi; |R3| <= 44|w|^3 and lateral_sum's 264 hold for it only
 
 
 def _ray_laplace(Ab, x, sgn: int):
@@ -191,11 +198,11 @@ def lateral_sum(series: FormalSeries, x, side: str,
         = A_l^{-5/2} [ sum_{j<3} beta_j (A_l b)^{-j} j!/x^{j+1}
                        + int e^{-px} R3(p/(A_l b)) dp ],
 
-    with R3(w) = (1-w)^{-5/2} - 1 - (5/2)w - (35/8)w^2.  The j-sums over l
-    are Hurwitz zeta values (exact rearrangement).  For l <= L each R3
-    integral is the closed-form ray integral of _ray_laplace minus its three
-    moments; the l > L tail is bounded by l^{-10}, using |R3(w)| <= 44 |w|^3
-    on rays at angle pi/4.  The error is that tail bound plus roundoff.
+    with R3(w) = (1-w)^{-5/2} - 1 - (5/2)w - (35/8)w^2.  For l <= L the ray
+    integral is taken whole, in closed form (_ray_laplace); for l > L the
+    moments are shifted Hurwitz sums (tilde_dirichlet from L) and the R3
+    part, bounded by l^{-10} via |R3(w)| <= 44 |w|^3 on rays at angle pi/4,
+    is left out.  The error is that tail bound plus roundoff.
     """
     if side not in ("plus", "minus", "+", "-"):
         raise ValueError("side must be 'plus' or 'minus'")
@@ -205,7 +212,7 @@ def lateral_sum(series: FormalSeries, x, side: str,
         x = mpc(x)
         if x.real == 0:
             raise DomainError("x must not lie on the imaginary axis")
-        theta = mp.pi * frac_to_mp(Fraction(ctx.theta))
+        theta = mp.pi * frac_to_mp(RAY_ANGLE)
         ray = mp.exp(1j * sgn * theta)
         sig = (ray * x).real
         if sig <= 0:
@@ -223,14 +230,7 @@ def lateral_sum(series: FormalSeries, x, side: str,
 
         cm = to_mpf(series.c_m)
 
-        # exact moment part
-        poly = mpc(0)
-        for j, beta in enumerate(_BETA):
-            w_s = tilde_dirichlet(tilde, 4 + 2 * j)
-            poly += (frac_to_mp(beta) * mpf(b) ** (-j) * mp.factorial(j)
-                     / x ** (j + 1) * m2pi2 ** (FIVE_HALVES + j) * w_s)
-
-        # adaptive head length from the l^{-10} tail bound
+        # head length from the l^{-10} tail bound
         target = ctx.tolerance() * mpf("0.1") + mpf(2) ** (-ctx.prec)
         fmax = tilde.max_abs()
         tail_const = abs(pref) * fmax * 264 / (sig ** 4 * mpf(b) ** 3) \
@@ -241,21 +241,25 @@ def lateral_sum(series: FormalSeries, x, side: str,
         budget_hit = tail_const / mpf(L) ** 9 > target
         tail_bound = tail_const / mpf(L) ** 9
 
+        # the three moments over l > L, as shifted Hurwitz values
+        poly = mpc(0)
+        for j, beta in enumerate(_BETA):
+            w_s = tilde_dirichlet(tilde, 4 + 2 * j, L)
+            poly += (frac_to_mp(beta) * mpf(b) ** (-j) * mp.factorial(j)
+                     / x ** (j + 1) * m2pi2 ** (FIVE_HALVES + j) * w_s)
+
+        # the head l <= L in closed form
         rsum = mpc(0)
         round_err = mpf(0)
         for ell in range(1, L + 1):
             tv = tilde(ell)
             if not tv:
                 continue
-            Ab = Apref * ell * ell * b
-            # subtracting the moments cancels about 3 log2|z| bits
-            wp = mp.prec + 3 * int(mp.log(abs(Ab * x) + 2, 2)) + 20
-            with workprec(wp):
-                full = _ray_laplace(Ab, x, sgn)
-                r3 = full - (1 + (FIVE_HALVES + 2 * _BETA2 / (Ab * x)) / (Ab * x)) / x
-            coeff = ell * tv * (Apref * ell * ell) ** MINUS_FIVE_HALVES
-            rsum += coeff * r3
-            round_err += abs(coeff * full) * mpf(2) ** (8 - wp)
+            term = ell * tv * (Apref * ell * ell) ** MINUS_FIVE_HALVES \
+                * _ray_laplace(Apref * ell * ell * b, x, sgn)
+            rsum += term
+            round_err += abs(term)
+        round_err *= mpf(2) ** (8 - mp.prec)
 
         value = cm + pref * (poly + rsum)
         err = tail_bound + abs(pref) * round_err + abs(value) * mpf(2) ** (-ctx.prec)
@@ -265,13 +269,26 @@ def lateral_sum(series: FormalSeries, x, side: str,
 # ---------------------------------------------------------------------------
 # Median resummation (convergent special-function series).
 
+# kappa in median_sum's bound; a sweep of |y| in [2, 1000], |arg y| < pi/4
+# needs 1.62, at |y| = 3.03 on the real axis (tests/test_resum.py)
+E_KAPPA = 2
+
+
 def median_sum(series: FormalSeries, x, ctx: PrecisionContext = DEFAULT_CTX) -> LateralResult:
     """S_med(x) on Re x > 0 via the E-function series.
 
     The absolutely convergent rearrangement used here subtracts the limit
     E_inf = 1/(2 sqrt(pi)) termwise; the constant part reproduces C_M through
     the l^{-2} Dirichlet sum of f~ (summed exactly by Hurwitz zeta values,
-    independently of the Bernoulli route).
+    independently of the Bernoulli route).  E is called for l <= L.  For
+    l > L, y_l = rho l, the first term of E - E_inf ~ (3/(4 y^2) + 15/(8 y^4)
+    + ...)/sqrt(pi) (DLMF 7.12) is (3/(4 sqrt(pi) rho^2)) tilde_dirichlet(f~,
+    4, L), and the rest is bounded, for |y| >= 2 (L >= 2/|rho| + 1) and
+    |arg y| < pi/4, through
+
+        |E - E_inf - 3/(4 sqrt(pi) y^2)| <= |y|^3 e^{-Re y^2} + kappa 15/(8 sqrt(pi) |y|^4),
+
+    kappa = E_KAPPA; its algebraic part falls like L^{-5}.
     """
     with ctx.working(20):
         x = mpc(x)
@@ -293,9 +310,8 @@ def median_sum(series: FormalSeries, x, ctx: PrecisionContext = DEFAULT_CTX) -> 
         target = ctx.tolerance() * mpf("0.1") + mpf(2) ** (-ctx.prec)
 
         def tail_bound(L):
-            # algebraic part: |E - E_inf - i sigma y^3 e^{-y^2}| <= 3 kappa/(4 sqrt(pi) |y|^2)
-            alg = (mpf(3) * 2 / (4 * mp.sqrt(mp.pi))) * fmax \
-                * (M ** 2 / (mp.pi ** 2 * b * abs(x))) / (3 * mpf(L) ** 3)
+            # algebraic part: sum_{l>L} fmax l^{-2} kappa 15/(8 sqrt(pi) |rho l|^4)
+            alg = E_KAPPA * 15 * fmax / (8 * mp.sqrt(mp.pi) * abs(rho) ** 4 * 5 * mpf(L) ** 5)
             # oscillatory part: sum_{l>L} fmax rho^3 l e^{-tau l^2}
             gauss = fmax * abs(rho) ** 3 * (
                 mp.exp(-tau * L * L) / (2 * tau)
@@ -307,7 +323,7 @@ def median_sum(series: FormalSeries, x, ctx: PrecisionContext = DEFAULT_CTX) -> 
             L = min(2 * L, ctx.ell_cap)
         budget_hit = tail_bound(L) > target
 
-        acc = mpc(0)
+        acc = 3 / (4 * mp.sqrt(mp.pi) * rho ** 2) * tilde_dirichlet(tilde, 4, L)
         for ell in range(1, L + 1):
             tv = tilde(ell)
             if not tv:
@@ -421,7 +437,7 @@ def boundary_median(series: FormalSeries, alpha,
                 pts.append(small * sc)
         pts.append(V)
         kval, kerr = mp.quad(integrand, sorted(set(pts)), error=True,
-                             maxdegree=ctx.quad_maxdegree)
+                             maxdegree=8)
         fmax = tilde.max_abs()
         tail = fmax * period * mp.exp(-rate * V) / rate * abs(inv_alpha) ** MINUS_THREE_HALVES
         t1_pref = c * b * mp.expjpi(QUARTER) / (M * mp.pi * mpc(0, frac_to_mp(alpha)) ** THREE_HALVES)

@@ -29,8 +29,9 @@ from thetaresum.precision import (DEFAULT_CTX, FIVE_HALVES, HALF, MINUS_FIVE_HAL
                                   Estimate, PrecisionContext, as_fraction, frac_to_mp,
                                   richardson_limit, to_mpf)
 from thetaresum.qseries import DomainError, ThetaSpec, _f_max, _gauss_tail, _phase_exponent
-from thetaresum.resum import _BETA, _BETA2, LateralResult, tilde_dirichlet
+from thetaresum.resum import _BETA, RAY_ANGLE, LateralResult, tilde_dirichlet
 
+_BETA2 = mpf("4.375")  # (5/2)_2/2! = 35/8
 _BETA3 = mpf("6.5625")  # (5/2)_3/3! = 105/16
 
 
@@ -59,7 +60,7 @@ def lateral_sum_quadrature(series, x, side: str, ctx: PrecisionContext) -> Later
         x = mpc(x)
         if x.real == 0:
             raise DomainError("x must not lie on the imaginary axis")
-        theta = mp.pi * frac_to_mp(Fraction(ctx.theta))
+        theta = mp.pi * frac_to_mp(RAY_ANGLE)
         ray = mp.exp(1j * sgn * theta)
         sig = (ray * x).real
         if sig <= 0:
@@ -104,7 +105,7 @@ def lateral_sum_quadrature(series, x, side: str, ctx: PrecisionContext) -> Later
                     return ray * mp.exp(-p * x) * remainder_r3(p / _Ab)
 
                 val, qe = mp.quad(g, [0, 1 / sig, 8 / sig, U], error=True,
-                                  maxdegree=ctx.quad_maxdegree)
+                                  maxdegree=8)
                 cut = 44 / Ab ** 3 * mp.exp(-sig * U) * (
                     U ** 3 / sig + 3 * U ** 2 / sig ** 2 + 6 * U / sig ** 3 + 6 / sig ** 4)
                 coeff = ell * tv * (Apref * ell * ell) ** MINUS_FIVE_HALVES

@@ -11,7 +11,7 @@ from thetaresum.borel import (BranchCutError, SingularProximityError,
                               borel_coefficients, borel_eval, gfp_coefficients,
                               hadamard_g2_coefficients, hadamard_oracle,
                               singularity_set)
-from thetaresum.config import config_chi, trefoil_strange
+from thetaresum.config import config_chi, trefoil_chi, trefoil_strange
 from thetaresum.precision import PrecisionContext
 
 CTX = PrecisionContext(prec=128, tol=1e-12)
@@ -164,3 +164,25 @@ class TestTaylorDiscAgreement:
                 taylor = mp.fsum(gv[n] * mpc(p) ** n for n in range(89))
                 got = borel_eval(deep, p, tight).value
                 assert abs(got - taylor) < mpf("1e-18"), p
+
+
+class TestFarTail:
+    """Far from the origin the tail l > L is a shifted Hurwitz sum; taking it
+    as the full sum less the head lost every digit (re 4.7e45 at 329 + 1.6i)."""
+
+    @pytest.mark.parametrize("p, tol", [("329+1.6j", 1e-20), ("first*(30+1j)", 1e-30),
+                                        ("-200+3j", 1e-25), ("50j", 1e-20)])
+    def test_error_bounds_gap_to_600_bits(self, p, tol):
+        ser = trefoil_chi().series(8)
+        ctx = PrecisionContext(prec=128, tol=tol)
+        hi = PrecisionContext(prec=600, tol=1e-60)
+        with workprec(620):
+            if p.startswith("first"):
+                pp = singularity_set(ser).first(hi) * mpc(30, 1)
+            else:
+                pp = mpc(complex(p))
+        got = borel_eval(ser, pp, ctx)
+        ref = borel_eval(ser, pp, hi)
+        with workprec(620):
+            assert got.error < mpf(tol)
+            assert abs(got.value - ref.value) <= got.error + ref.error, p

@@ -7,13 +7,14 @@ from mpmath import mp, mpf, mpc, workprec
 
 from reference import (lateral_sum_quadrature, optimal_truncation,
                        tilde_dirichlet_blocks_reference)
+from thetaresum import resum
 from thetaresum.config import (config_chi, config_hikami, config_t3_2k, trefoil_chi,
                                trefoil_strange)
 from thetaresum.periodic import ChiParams, chi_function, pair_set, tilde_transform
 from thetaresum.precision import PrecisionContext
 from thetaresum.qseries import DomainError, ThetaSpec, theta_radial_limit
-from thetaresum.resum import (_ray_laplace, boundary_median, boundary_median_extrapolated,
-                              boundary_point, disc_closed_form,
+from thetaresum.resum import (E_KAPPA, _ray_laplace, boundary_median,
+                              boundary_median_extrapolated, boundary_point, disc_closed_form,
                               discontinuity, e_limit, lateral_sum, median_sum,
                               special_e, tilde_dirichlet, tilde_dirichlet_blocks)
 
@@ -54,6 +55,25 @@ class TestSpecialE:
             assert abs(lim - mpf(1) / (2 * mp.sqrt(mp.pi))) < mpf(2) ** -90
             for y in (mpf(20), mpf(50)):
                 assert abs(special_e(y, CTX) - lim) < 1 / y ** 2
+
+    @pytest.mark.parametrize("prec", [64, 128])
+    def test_second_order_bound_constant(self, prec):
+        """|E - E_inf - 3/(4 sqrt(pi) y^2)| <= |y|^3 e^{-Re y^2}
+        + kappa 15/(8 sqrt(pi) |y|^4) on |y| >= 2, |arg y| < pi/4, the bound
+        median_sum's tail rests on.  The smallest kappa that holds is about
+        1.62, at |y| near 3.03 on the real axis."""
+        ctx = PrecisionContext(prec=prec)
+        worst = mpf(0)
+        with ctx.working():
+            radii = [2 * mpf(500) ** (mpf(i) / 30) for i in range(31)]
+            radii += [mpf(r) for r in ("2.5", "2.8", "3", "3.03", "3.1", "3.3", "3.6")]
+            for r in radii:
+                for k in range(-20, 21):
+                    y = r * mp.expjpi(mpf(k) / 84)
+                    d = abs(special_e(y, ctx) - e_limit() - 3 / (4 * mp.sqrt(mp.pi) * y ** 2))
+                    excess = d - abs(y) ** 3 * mp.exp(-(y * y).real)
+                    worst = max(worst, excess * 8 * mp.sqrt(mp.pi) * r ** 4 / 15)
+        assert mpf("1.6") < worst <= E_KAPPA
 
     def test_ray_pair_kernel_identity(self):
         """int_gamma e^{-px}(1-p)^{-5/2} dp = -4/3 + (8/3) sqrt(pi) E(sqrt x)."""
@@ -187,6 +207,23 @@ class TestMedian:
         with pytest.raises(DomainError):
             median_sum(SER, mpc(-1, 1), CTX)
 
+    def test_tail_moment_keeps_the_loop_short(self, monkeypatch):
+        """With the y^{-2} term of E summed over l > L, the tail falls like
+        L^{-5}: the trefoil at x = 1 and tol 1e-11 needs few E values (term
+        by term with an L^{-3} tail it took 5461)."""
+        calls = []
+        inner = resum.special_e
+
+        def counting_e(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(resum, "special_e", counting_e)
+        ctx = PrecisionContext(prec=128, tol=1e-11)
+        md = median_sum(trefoil_strange().series(12), mpf(1), ctx)
+        assert len(calls) <= 200
+        assert md.error < mpf("1e-11") and not md.budget_exhausted
+
     def test_watson_optimal_truncation(self):
         deep = trefoil_strange().series(150)  # x = 80 truncates near n = 132
         with CTX.working():
@@ -236,6 +273,53 @@ class TestConstantIdentity:
                 # and the Hurwitz-zeta route agrees with the block route
                 hz = 2 * ser.f.M * c / mp.pi ** 2 * tilde_dirichlet(ser.tilde, 2)
                 assert abs(lhs - hz) < mpf("1e-20")
+
+
+class TestShiftedDirichlet:
+    """tilde_dirichlet(f~, s, start) = sum_{l > start} f~(l) l^{-s}."""
+
+    FAMILIES = {"trefoil-chi": trefoil_chi().f, "t3-2k-3": config_t3_2k(3).f}
+
+    @pytest.mark.parametrize("s", [2, 4, 10, 40])
+    @pytest.mark.parametrize("family", ["trefoil-chi", "t3-2k-3"])
+    def test_matches_plain_partial_sum(self, family, s):
+        """Against a plain mpf sum at 64 more bits, out to N terms, with the
+        Abel bound 2 max|F| (N+1)^{-s} for the rest (F the partial sums of
+        f~; N is a whole number of periods).  The allowance for roundoff is
+        (M + s + 4) 2^{-prec} times the sum of |f~(l)| l^{-s} over l > start:
+        M + 4 roundings of the sum, and about s more from rounding r/M, which
+        zeta(s, r/M) ~ (r/M)^{-s} amplifies s-fold."""
+        tilde = tilde_transform(self.FAMILIES[family])
+        M, P = tilde.M, tilde.period
+        prec = 128
+        for start in (0, 1, M, 5 * M + 3):
+            with workprec(prec):
+                got = tilde_dirichlet(tilde, s, start)
+            with workprec(prec + 64):
+                n = start + 1
+                N = start + P
+                while 2 * tilde.partial_sum_peak() / mpf(N + 1) ** s > mpf(2) ** (-prec - 64) \
+                        and N < start + 20_000:
+                    N += P
+                ref = mp.fsum(tilde(ell) * mpf(ell) ** (-s) for ell in range(n, N + 1))
+                size = mp.fsum(abs(tilde(ell)) * mpf(ell) ** (-s) for ell in range(n, N + 1)) \
+                    + tilde.max_abs() * mpf(N) ** (1 - s) / (s - 1)
+                abel = 2 * tilde.partial_sum_peak() / mpf(N + 1) ** s
+                assert abs(got - ref) <= abel + (M + s + 4) * size * mpf(2) ** (-prec), (start, s)
+
+    @pytest.mark.parametrize("family", ["trefoil-chi", "t3-2k-3"])
+    def test_head_is_the_difference(self, family):
+        """The full sum less the sum past L is the head l <= L, to roundoff."""
+        tilde = tilde_transform(self.FAMILIES[family])
+        M = tilde.M
+        for s in (2, 4, 10, 40):
+            for start in (1, M, 5 * M + 3):
+                with workprec(128):
+                    diff = tilde_dirichlet(tilde, s) - tilde_dirichlet(tilde, s, start)
+                with workprec(192):
+                    head = mp.fsum(tilde(ell) * mpf(ell) ** (-s) for ell in range(1, start + 1))
+                    size = mp.fsum(abs(tilde(ell)) * mpf(ell) ** (-s) for ell in range(1, 3 * M))
+                    assert abs(diff - head) <= 2 * (M + s + 4) * size * mpf(2) ** -128, (s, start)
 
 
 class TestBlockKernel:
