@@ -24,6 +24,7 @@ GUARD_BITS = 20
 # exact at every precision, they give the same bits as parsing in place.
 HALF = mpf("0.5")
 QUARTER = mpf("0.25")
+MINUS_HALF = mpf("-0.5")
 THREE_HALVES = mpf("1.5")
 MINUS_THREE_HALVES = mpf("-1.5")
 FIVE_HALVES = mpf("2.5")

@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from mpmath import mp, mpf, mpc
 
-from .exact import bernoulli_polynomial
 from .periodic import (ChiParams, ConfigError, PeriodicFunction, TildeFunction,
                        _divisors, chi_function, pair_set, s_matrix_entry)
 from .precision import (DEFAULT_CTX, MINUS_THREE_HALVES, Estimate, PrecisionContext,
@@ -164,11 +163,14 @@ def theta_radial_limit(spec: ThetaSpec, alpha, ctx: PrecisionContext = DEFAULT_C
             raise NoRadialLimitError(
                 f"twisted coefficients have mean {mean}; radial limit undefined")
         acc = mpc(0)
-        deg = 2 if spec.nu == 1 else 1
         for m in range(1, P + 1):
             hv = h[m % P]
             if hv:
-                br = bernoulli_polynomial(deg, Fraction(m, P))
+                # B_2(m/P) and B_1(m/P) as exact Fractions built from integers
+                if spec.nu == 1:
+                    br = Fraction(6 * m * m - 6 * m * P + P * P, 6 * P * P)
+                else:
+                    br = Fraction(2 * m - P, 2 * P)
                 acc += hv * frac_to_mp(br)
         if spec.nu == 1:
             val = -mpf(P) / 2 * acc

@@ -14,8 +14,12 @@ which is entire; it gives the convergent special-function form
 with E(y) = (2 + 3 K_{1/2}(y^2))/(4 sqrt(pi)) = (2 y^3 D(y) - y^2)/sqrt(pi),
 D the Dawson integral, and the jump S+ - S- across the positive axis is an
 explicit theta series.  At the natural-boundary points x = -1/(2 pi i alpha)
-the median takes the closed form combining a vertical theta integral with a
-theta radial limit; all fractional powers are principal.
+the median combines a vertical theta integral with a theta radial limit.
+Each l-term of that integral is the kernel at exponent -1/2, a value
+Gamma(-1/2, -i lambda_l/alpha), taken for l <= N0; for l > N0, K Watson
+moments are shifted Hurwitz sums and the rest is bounded by Watson's lemma
+(boundary_median), so no quadrature is left.  All fractional powers are
+principal.
 """
 
 from __future__ import annotations
@@ -27,33 +31,37 @@ from mpmath import mp, mpf, mpc, workprec
 
 from .exact import FormalSeries
 from .periodic import TildeFunction
-from .precision import (DEFAULT_CTX, FIVE_HALVES, HALF, MINUS_FIVE_HALVES,
+from .precision import (DEFAULT_CTX, FIVE_HALVES, HALF, MINUS_FIVE_HALVES, MINUS_HALF,
                         MINUS_THREE_HALVES, QUARTER, THREE_HALVES, Estimate,
                         PrecisionContext, as_fraction, frac_to_mp, richardson_limit, to_mpf)
-from .qseries import DomainError, ThetaSpec, VerticalTheta, _gauss_tail, theta_radial_limit
+from .qseries import DomainError, ThetaSpec, _gauss_tail, theta_radial_limit
 
 
 # ---------------------------------------------------------------------------
-# The Laplace kernel shared by the lateral and median sums.
+# The Laplace kernel shared by the lateral, median and boundary sums.
 
-def laplace_kernel(z, eps):
-    """K_eps(z) = -e^{-z} w^{3/2} [Gamma(-3/2, w) - 2 eps Gamma(-3/2)], w = -z.
+def laplace_kernel(z, eps, s=MINUS_THREE_HALVES):
+    """K^{(s)}_eps(z) = -e^{-z} w^{-s} [Gamma(s, w) - 2 eps Gamma(s)], w = -z.
 
-    w and w^{3/2} are principal and Gamma(-3/2) = 4 sqrt(pi)/3.  The lateral
-    sums use eps in {0, 1}, the sheet of Gamma(-3/2, .) a side lands on (see
-    _ray_laplace); their average, eps = 1/2, is the median.  With the lower
-    gamma Gamma(a) - Gamma(a, w) = gamma(a, w) = w^a sum_k (-w)^k/(k!(a + k)),
+    s is -3/2 (the default) or -1/2; w and w^{-s} are principal,
+    Gamma(-3/2) = 4 sqrt(pi)/3 and Gamma(-1/2) = -2 sqrt(pi).  At s = -3/2
+    the lateral sums use eps in {0, 1}, the sheet of Gamma(-3/2, .) a side
+    lands on (see _ray_laplace); their average, eps = 1/2, is the median.
+    With the lower gamma Gamma(a) - Gamma(a, w) = gamma(a, w) =
+    w^a sum_k (-w)^k/(k!(a + k)),
 
-        K_{1/2}(z) = e^{-z} w^{3/2} gamma(-3/2, w)
+        K^{(-3/2)}_{1/2}(z) = e^{-z} w^{3/2} gamma(-3/2, w)
 
     is entire in z: w^{3/2} cancels the w^{-3/2} of the lower gamma, so the
-    branch of w drops out.
+    branch of w drops out.  boundary_median takes s = -1/2, eps = 0 on the
+    imaginary axis, where w is off the cut.
     """
     w = -z
-    g = mp.gammainc(MINUS_THREE_HALVES, w)
+    g = mp.gammainc(s, w)
     if eps:
-        g -= 8 * eps * mp.sqrt(mp.pi) / 3
-    return -mp.exp(-z) * w ** THREE_HALVES * g
+        g -= (8 * eps * mp.sqrt(mp.pi) / 3 if s == MINUS_THREE_HALVES
+              else -4 * eps * mp.sqrt(mp.pi))
+    return -mp.exp(-z) * w ** -s * g
 
 
 def special_e(y, ctx: PrecisionContext = DEFAULT_CTX):
@@ -398,16 +406,42 @@ def discontinuity(series: FormalSeries, x,
 # ---------------------------------------------------------------------------
 # Boundary median values.
 
+# boundary_median's choice of (N0, K): the cost of one Hurwitz zeta call in
+# kernel calls, and the most Watson moments it will sum
+HURWITZ_COST = 2
+BOUNDARY_K_MAX = 40
+
+
 def boundary_median(series: FormalSeries, alpha,
                     ctx: PrecisionContext = DEFAULT_CTX) -> Estimate:
     """S_med at the boundary point x = -1/(2 pi i alpha), nonzero rational alpha.
 
-        S_med = (c b e^{i pi/4} / (M pi (i alpha)^{3/2}))
-                  * int_0^{+i inf} theta0_{0,4M^2,f~}(b p) (1/alpha + p)^{-3/2} dp
+        S_med = (c b e^{i pi/4} / (M pi (i alpha)^{3/2})) sum_l f~(l) J(lambda_l)
               + (b/(i alpha))^{3/2} (sqrt2 c / M^2) theta1_{0,4M^2,f~}(-b/alpha),
 
-    all powers principal.  The integrand vanishes to all orders at p = 0
-    (handled by the Poisson-side theta evaluator) and decays exponentially.
+    all powers principal, lambda_l = pi b l^2/(2 M^2), a = 1/alpha, and
+    J(lambda) = int_0^inf i e^{-lambda v} (a + iv)^{-3/2} dv the l-term of
+    the vertical theta integral.  Closed form: t = lambda v - i lambda a
+    runs horizontally from w = -i lambda a to +inf, never meeting the cut,
+    and a + iv = i t/lambda with arg(i t/lambda) = pi/2 + arg t in (-pi, pi],
+    so (a + iv)^{-3/2} = (i/lambda)^{-3/2} t^{-3/2} on the whole path and
+
+        J(lambda) = e^{-i lambda a} (lambda/i)^{1/2} Gamma(-1/2, -i lambda a)
+                  = -a^{-1/2} K^{(-1/2)}_0(i lambda a)
+
+    (laplace_kernel; a^{-1/2} (-i lambda a)^{1/2} = (-i lambda)^{1/2} for
+    either sign of a), taken for l <= N0.  For l > N0, Watson's lemma on
+    (1 + iv/a)^{-3/2} gives
+
+        J(lambda) = i a^{-3/2} sum_{k<K} (3/2)_k (-i/a)^k lambda^{-k-1} + R_K,
+        |R_K| <= |a|^{-3/2-K} (3/2)_K lambda^{-K-1},
+
+    since |1 + u x| >= 1 for x = iv/a and 0 <= u <= 1, so the Taylor
+    remainder of (1 + x)^{-3/2} is at most |C(-3/2, K) x^K|.  The moments
+    are tilde_dirichlet(f~, 2k + 2, N0); the remainder summed over l > N0 is
+    at most fmax |a|^{-3/2-K} (3/2)_K (pi b/(2M^2))^{-K-1} N0^{-2K-1}/(2K+1).
+    N0 and K are chosen together to bring it below 2^-prec at the least
+    cost, one Hurwitz call counting HURWITZ_COST kernel calls.
     """
     alpha = as_fraction(alpha)
     if alpha == 0:
@@ -417,39 +451,62 @@ def boundary_median(series: FormalSeries, alpha,
         tilde = series.tilde
         M, b = f.M, series.b
         c = to_mpf(f.c)
-        B = 4 * M * M
-        vert = VerticalTheta(tilde, B, Fraction(0))
-        inv_alpha = frac_to_mp(alpha) ** -1
-
-        ell0 = tilde.first_support
-        rate = mp.pi * b * ell0 ** 2 / (2 * M ** 2)
-        V = (mp.log(2) * (mp.prec + 10)) / rate
-
-        def integrand(v):
-            th = vert.value(b * v)
-            return 1j * th * (inv_alpha + 1j * v) ** MINUS_THREE_HALVES
-
-        period = tilde.period
-        small = mpf(B) / (2 * period * b)
-        pts = [mpf(0)]
-        for sc in (mpf("0.01"), mpf("0.1"), mpf(1), mpf(10)):
-            if small * sc < V:
-                pts.append(small * sc)
-        pts.append(V)
-        kval, kerr = mp.quad(integrand, sorted(set(pts)), error=True,
-                             maxdegree=8)
-        fmax = tilde.max_abs()
-        tail = fmax * period * mp.exp(-rate * V) / rate * abs(inv_alpha) ** MINUS_THREE_HALVES
+        a = 1 / frac_to_mp(alpha)
+        lam1 = mp.pi * b / (2 * M ** 2)       # lambda_l = lam1 l^2
         t1_pref = c * b * mp.expjpi(QUARTER) / (M * mp.pi * mpc(0, frac_to_mp(alpha)) ** THREE_HALVES)
-        term1 = t1_pref * kval
 
-        spec1 = ThetaSpec(a=0, b=B, nu=1, f=tilde)
+        # N0 and K: the cheapest pair whose remainder is below 2^-prec
+        fmax = tilde.max_abs()
+        nnz = sum(1 for r in range(1, M + 1) if not tilde.is_zero(r))
+        target = mpf(2) ** (-ctx.prec) / abs(t1_pref)
+        best = None
+        coef = fmax * abs(a) ** MINUS_THREE_HALVES / lam1    # K = 0
+        for K in range(1, BOUNDARY_K_MAX + 1):
+            coef *= (K + HALF) / (abs(a) * lam1)
+            N0 = max(1, int(mp.ceil((coef / ((2 * K + 1) * target)) ** (mpf(1) / (2 * K + 1)))))
+            cost = N0 * nnz / M + HURWITZ_COST * K * nnz
+            if best is None or cost < best[0]:
+                best = (cost, K, N0, coef / ((2 * K + 1) * mpf(N0) ** (2 * K + 1)))
+        _, K, N0, tail = best
+
+        # the head l <= N0 in closed form
+        head = mpc(0)
+        round_err = mpf(0)
+        for ell in range(1, N0 + 1):
+            tv = tilde(ell)
+            if tv:
+                term = tv * laplace_kernel(mpc(0, lam1 * ell * ell * a), 0, MINUS_HALF)
+                head += term
+                round_err += abs(term)
+        head *= -a ** MINUS_HALF
+        round_err *= abs(a) ** MINUS_HALF * mpf(2) ** (8 - mp.prec)
+
+        # K Watson moments over l > N0.  mp.zeta(s, x) is accurate to about
+        # 2^-prec max(1, zeta) absolutely, not relatively, so moment k is
+        # off by at most scale_k 2^{8-bits}; each is summed with the bits
+        # that bring this to the level of moment 0.
+        moments = mpc(0)
+        mk = 1j * a ** MINUS_THREE_HALVES / lam1
+        for k in range(K):
+            s = 2 * k + 2
+            scale = abs(mk) * fmax * (mpf(M) ** (1 - s) + M * mpf(N0) ** (1 - s) / (s - 1))
+            if k == 0:
+                top = mp.mag(scale)
+            bits = max(53, mp.prec + mp.mag(scale) - top)
+            with workprec(bits):
+                w_s = tilde_dirichlet(tilde, s, N0)
+            moments += mk * w_s
+            round_err += scale * mpf(2) ** (8 - bits)
+            mk *= -1j * (k + THREE_HALVES) / (a * lam1)
+        term1 = t1_pref * (head + moments)
+
+        spec1 = ThetaSpec(a=0, b=4 * M * M, nu=1, f=tilde)
         theta1 = theta_radial_limit(spec1, Fraction(-b, 1) / alpha, ctx)
         t2_pref = (mpf(b) / mpc(0, frac_to_mp(alpha))) ** THREE_HALVES * mp.sqrt(2) * c / M ** 2
         term2 = t2_pref * theta1.value
 
         value = term1 + term2
-        err = abs(t1_pref) * (kerr + tail) + abs(t2_pref) * theta1.error \
+        err = abs(t1_pref) * (tail + round_err) + abs(t2_pref) * theta1.error \
             + abs(value) * mpf(2) ** (-ctx.prec)
         return Estimate(value, err)
 

@@ -7,6 +7,12 @@ before it evaluated those integrals in closed form.  Keeping it here keeps
 the Stokes-jump identity and the closed form checked against something that
 does not share the incomplete-gamma kernel.
 
+`boundary_median_quadrature` is the boundary median with the vertical
+theta integral done by adaptive quadrature over `VerticalTheta` values (its
+Poisson branch near v = 0) and an exponential bound past the cutoff, the
+route `resum.boundary_median` took before it summed the l-terms in closed
+form with Watson moments; it shares only the theta radial limit term.
+
 `tilde_dirichlet_blocks_reference` is the plain mpf loop over the same head
 as `resum.tilde_dirichlet_blocks`, the kernel's fixed-point sums replaced.
 
@@ -26,9 +32,11 @@ from mpmath import mp, mpc, mpf, workprec
 from thetaresum.habiro import _Arith, _QBinomial, q_pochhammer
 from thetaresum.periodic import ConfigError, PairSet
 from thetaresum.precision import (DEFAULT_CTX, FIVE_HALVES, HALF, MINUS_FIVE_HALVES,
-                                  Estimate, PrecisionContext, as_fraction, frac_to_mp,
-                                  richardson_limit, to_mpf)
-from thetaresum.qseries import DomainError, ThetaSpec, _f_max, _gauss_tail, _phase_exponent
+                                  MINUS_THREE_HALVES, QUARTER, THREE_HALVES, Estimate,
+                                  PrecisionContext, as_fraction, frac_to_mp, richardson_limit,
+                                  to_mpf)
+from thetaresum.qseries import (DomainError, ThetaSpec, VerticalTheta, _f_max, _gauss_tail,
+                                _phase_exponent, theta_radial_limit)
 from thetaresum.resum import _BETA, RAY_ANGLE, LateralResult, tilde_dirichlet
 
 _BETA2 = mpf("4.375")  # (5/2)_2/2! = 35/8
@@ -115,6 +123,61 @@ def lateral_sum_quadrature(series, x, side: str, ctx: PrecisionContext) -> Later
         value = cm + pref * (poly + qsum)
         err = abs(pref) * quad_err + tail_bound + abs(value) * mpf(2) ** (-ctx.prec)
         return LateralResult(value, err, "plus" if sgn == 1 else "minus", x, budget_hit)
+
+
+def boundary_median_quadrature(series, alpha, ctx: PrecisionContext = DEFAULT_CTX) -> Estimate:
+    """S_med at x = -1/(2 pi i alpha) with the vertical integral by mp.quad:
+
+        (c b e^{i pi/4} / (M pi (i alpha)^{3/2}))
+            * int_0^{+i inf} theta0_{0,4M^2,f~}(b p) (1/alpha + p)^{-3/2} dp
+        + (b/(i alpha))^{3/2} (sqrt2 c / M^2) theta1_{0,4M^2,f~}(-b/alpha).
+
+    The integrand vanishes to all orders at p = 0 (VerticalTheta's Poisson
+    side) and decays exponentially; the error is mp.quad's estimate plus a
+    bound on the piece beyond the cutoff V."""
+    alpha = as_fraction(alpha)
+    if alpha == 0:
+        raise DomainError("alpha must be a nonzero rational")
+    with ctx.working(20):
+        f = series.f
+        tilde = series.tilde
+        M, b = f.M, series.b
+        c = to_mpf(f.c)
+        B = 4 * M * M
+        vert = VerticalTheta(tilde, B, Fraction(0))
+        inv_alpha = frac_to_mp(alpha) ** -1
+
+        ell0 = tilde.first_support
+        rate = mp.pi * b * ell0 ** 2 / (2 * M ** 2)
+        V = (mp.log(2) * (mp.prec + 10)) / rate
+
+        def integrand(v):
+            th = vert.value(b * v)
+            return 1j * th * (inv_alpha + 1j * v) ** MINUS_THREE_HALVES
+
+        period = tilde.period
+        small = mpf(B) / (2 * period * b)
+        pts = [mpf(0)]
+        for sc in (mpf("0.01"), mpf("0.1"), mpf(1), mpf(10)):
+            if small * sc < V:
+                pts.append(small * sc)
+        pts.append(V)
+        kval, kerr = mp.quad(integrand, sorted(set(pts)), error=True,
+                             maxdegree=8)
+        fmax = tilde.max_abs()
+        tail = fmax * period * mp.exp(-rate * V) / rate * abs(inv_alpha) ** MINUS_THREE_HALVES
+        t1_pref = c * b * mp.expjpi(QUARTER) / (M * mp.pi * mpc(0, frac_to_mp(alpha)) ** THREE_HALVES)
+        term1 = t1_pref * kval
+
+        spec1 = ThetaSpec(a=0, b=B, nu=1, f=tilde)
+        theta1 = theta_radial_limit(spec1, Fraction(-b, 1) / alpha, ctx)
+        t2_pref = (mpf(b) / mpc(0, frac_to_mp(alpha))) ** THREE_HALVES * mp.sqrt(2) * c / M ** 2
+        term2 = t2_pref * theta1.value
+
+        value = term1 + term2
+        err = abs(t1_pref) * (kerr + tail) + abs(t2_pref) * theta1.error \
+            + abs(value) * mpf(2) ** (-ctx.prec)
+        return Estimate(value, err)
 
 
 def tilde_dirichlet_blocks_reference(tilde, s: int, target, guard: int = 64) -> tuple:

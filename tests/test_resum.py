@@ -5,17 +5,17 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf, mpc, workprec
 
-from reference import (lateral_sum_quadrature, optimal_truncation,
-                       tilde_dirichlet_blocks_reference)
+from reference import (boundary_median_quadrature, lateral_sum_quadrature,
+                       optimal_truncation, tilde_dirichlet_blocks_reference)
 from thetaresum import resum
 from thetaresum.config import (config_chi, config_hikami, config_t3_2k, trefoil_chi,
                                trefoil_strange)
 from thetaresum.periodic import ChiParams, chi_function, pair_set, tilde_transform
-from thetaresum.precision import PrecisionContext
+from thetaresum.precision import MINUS_HALF, PrecisionContext
 from thetaresum.qseries import DomainError, ThetaSpec, theta_radial_limit
 from thetaresum.resum import (E_KAPPA, _ray_laplace, boundary_median,
                               boundary_median_extrapolated, boundary_point, disc_closed_form,
-                              discontinuity, e_limit, lateral_sum, median_sum,
+                              discontinuity, e_limit, laplace_kernel, lateral_sum, median_sum,
                               special_e, tilde_dirichlet, tilde_dirichlet_blocks)
 
 CTX = PrecisionContext(prec=96, tol=1e-10)
@@ -392,10 +392,95 @@ class TestBoundaryMedian:
         with pytest.raises(DomainError):
             boundary_median(SER, Fraction(0), CTX)
 
+    @pytest.mark.parametrize("prec", [96, 128])
+    def test_agrees_with_quadrature_oracle(self, prec):
+        """Closed form against the vertical-theta quadrature, within the sum
+        of both claimed errors."""
+        ctx = PrecisionContext(prec=prec)
+        points = [(config_chi(2, 3, 1, 1), a) for a in ("1", "1/2", "-1/2", "1/3")]
+        points += [(config_chi(2, 5, 1, 1), "3/5"), (config_t3_2k(3), "1/2")]
+        for cfg, alpha in points:
+            ser = cfg.series(8)
+            bm = boundary_median(ser, Fraction(alpha), ctx)
+            quad = boundary_median_quadrature(ser, Fraction(alpha), ctx)
+            with workprec(prec + 64):
+                gap = abs(bm.value - quad.value)
+                assert gap <= bm.error + quad.error, (cfg.label(), alpha, gap)
+
+    def test_uses_no_quadrature(self, monkeypatch):
+        calls = []
+        quad = mp.quad
+
+        def counting_quad(*args, **kwargs):
+            calls.append(args)
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(mp, "quad", counting_quad)
+        boundary_median(config_t3_2k(3).series(8), Fraction(1, 2), PrecisionContext(prec=128))
+        assert not calls
+
+
+# main2 error-bar sweep: every point must hold |bm - L(-1, h)| <= bm.error +
+# rl.error, with L(-1, h) computed at 64 more bits
+SWEEP_CONFIGS = [config_chi(s, t, 1, 1) for s, t in ST_LIST[:3]]
+SWEEP_ALPHAS = ("1", "1/2", "1/3", "2/5", "-1/2")
+
+
+class TestBoundaryErrorBars:
+    @pytest.mark.parametrize("prec", [64, 96, 128, 192])
+    def test_claimed_error_bounds_gap_to_radial_limit(self, prec):
+        ctx = PrecisionContext(prec=prec)
+        points = [(cfg, a) for cfg in SWEEP_CONFIGS for a in SWEEP_ALPHAS]
+        points.append((config_t3_2k(3), "1/2"))
+        for cfg, alpha in points:
+            alpha = Fraction(alpha)
+            bm = boundary_median(cfg.series(8), alpha, ctx)
+            rl = theta_radial_limit(ThetaSpec(a=0, b=cfg.b, nu=1, f=cfg.f), alpha, ctx)
+            truth = theta_radial_limit(ThetaSpec(a=0, b=cfg.b, nu=1, f=cfg.f), alpha,
+                                       PrecisionContext(prec=prec + 64))
+            with workprec(prec + 84):
+                gap = abs(bm.value - truth.value)
+                assert gap <= bm.error + rl.error, (cfg.label(), alpha, prec, gap)
+
     def test_boundary_point_location(self):
         with CTX.working():
             x0 = boundary_point(Fraction(1, 2))
             assert abs(x0 - mpc(0, 1) / mp.pi) < mpf(2) ** -80
+
+
+def _boundary_term(a, lam):
+    """J(lam) = int_0^inf i e^{-lam v} (a + iv)^{-3/2} dv by the kernel."""
+    return -a ** MINUS_HALF * laplace_kernel(mpc(0, lam * a), 0, MINUS_HALF)
+
+
+class TestBoundaryKernel:
+    """The l-term of boundary_median: K^{(-1/2)} and its Watson expansion."""
+
+    GRID = [(a, lam) for a in ("2", "-2", "0.6", "-2.5") for lam in ("0.01", "1", "30")]
+
+    def test_kernel_matches_quadrature(self):
+        with workprec(200):
+            for a, lam in self.GRID:
+                a, lam = mpf(a), mpf(lam)
+                ref = mp.quad(lambda v: 1j * mp.exp(-lam * v) * (a + 1j * v) ** mpf("-1.5"),
+                              [0, 1 / lam, 10 / lam, 100 / lam, mp.inf])
+                got = _boundary_term(a, lam)
+                assert abs(got - ref) <= mpf("1e-55") * abs(ref), (a, lam)
+                # the closed form e^{-i lam a} (lam/i)^{1/2} Gamma(-1/2, -i lam a)
+                cf = mp.exp(-1j * lam * a) * mp.sqrt(lam / 1j) * mp.gammainc(-0.5, -1j * lam * a)
+                assert abs(got - cf) <= mpf("1e-55") * abs(ref), (a, lam)
+
+    @pytest.mark.parametrize("K", [1, 5, 20])
+    def test_watson_remainder_bound(self, K):
+        """|J - i a^{-3/2} sum_{k<K} (3/2)_k (-i/a)^k lam^{-k-1}|
+        <= |a|^{-3/2-K} (3/2)_K lam^{-K-1}."""
+        with workprec(200):
+            for a, lam in self.GRID:
+                a, lam = mpf(a), mpf(lam)
+                partial = sum(1j * a ** mpf("-1.5") * mp.rf(mpf("1.5"), k) * (-1j / a) ** k
+                              / lam ** (k + 1) for k in range(K))
+                bound = abs(a) ** (mpf("-1.5") - K) * mp.rf(mpf("1.5"), K) / lam ** (K + 1)
+                assert abs(_boundary_term(a, lam) - partial) <= bound, (a, lam, K)
 
 
 class TestBudgetFlag:
