@@ -419,6 +419,11 @@ class TestBoundaryMedian:
         boundary_median(config_t3_2k(3).series(8), Fraction(1, 2), PrecisionContext(prec=128))
         assert not calls
 
+    def test_boundary_point_location(self):
+        with CTX.working():
+            x0 = boundary_point(Fraction(1, 2))
+            assert abs(x0 - mpc(0, 1) / mp.pi) < mpf(2) ** -80
+
 
 # main2 error-bar sweep: every point must hold |bm - L(-1, h)| <= bm.error +
 # rl.error, with L(-1, h) computed at 64 more bits
@@ -441,11 +446,6 @@ class TestBoundaryErrorBars:
             with workprec(prec + 84):
                 gap = abs(bm.value - truth.value)
                 assert gap <= bm.error + rl.error, (cfg.label(), alpha, prec, gap)
-
-    def test_boundary_point_location(self):
-        with CTX.working():
-            x0 = boundary_point(Fraction(1, 2))
-            assert abs(x0 - mpc(0, 1) / mp.pi) < mpf(2) ** -80
 
 
 def _boundary_term(a, lam):
