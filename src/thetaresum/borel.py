@@ -23,7 +23,7 @@ from .exact import ConsistencyError, FormalSeries, _pattern_bernoulli_sum, scale
 from .periodic import TildeFunction
 from .precision import (DEFAULT_CTX, FIVE_HALVES, MINUS_FIVE_HALVES, SEVEN_QUARTERS,
                         Estimate, PrecisionContext, to_mpf)
-from .resum import tilde_dirichlet
+from .resum import ell_sum
 
 
 class SingularProximityError(ValueError):
@@ -146,7 +146,8 @@ def borel_eval(series: FormalSeries, p, ctx: PrecisionContext = DEFAULT_CTX,
     The head of the l-sum is evaluated term by term (with the branch side
     applied on the cut); the tail l > L, where |p| is small against the
     branch points, is resummed through the binomial expansion whose l-sums
-    are shifted Hurwitz zeta values.  The error is a geometric remainder.
+    are shifted Hurwitz zeta values (ell_sum).  The error is a geometric
+    remainder plus roundoff.
 
     side: '+' or '-' selects the limit from Im p > 0 or Im p < 0 when p lies
     exactly on the cut ray beyond the first singularity.
@@ -166,29 +167,22 @@ def borel_eval(series: FormalSeries, p, ctx: PrecisionContext = DEFAULT_CTX,
             raise BranchCutError("p sits on the cut ray; pass side='+' or side='-'")
 
         base = mpf(series.b) * mp.pi ** 2 / f.M ** 2  # positions base * l^2
-        # head must reach beyond the cut region and keep the tail ratio <= 1/2
-        L = 1
-        while base * (L + 1) ** 2 <= 2 * abs(p) or L < 2 * f.M:
-            L += 1
+        # the head reaches beyond the cut region and keeps the tail ratio
+        # <= 1/2: the least L >= 2M with base (L + 1)^2 > 2|p|
+        L = max(2 * f.M, int(mp.sqrt(2 * abs(p) / base)))
 
         c = to_mpf(f.c)
         pref = 3 * mp.pi * c / (f.M ** 2 * series.b)
         A = mp.pi ** 2 / f.M ** 2
 
-        head = mpc(0)
-        for ell in range(1, L + 1):
-            tv = tilde(ell)
-            if not tv:
-                continue
+        def term(ell):
             w = A * ell * ell - p / series.b
             if w.imag == 0 and w.real < 0:
                 # on the cut: apply the requested side (limit from Im p -> +-0
                 # means Im w -> -+0)
                 ang = -mp.pi if side == "+" else mp.pi
-                wpow = mp.exp(FIVE_HALVES * (mp.log(abs(w)) + 1j * ang))
-            else:
-                wpow = w ** FIVE_HALVES
-            head += ell * tv / wpow
+                return ell / mp.exp(FIVE_HALVES * (mp.log(abs(w)) + 1j * ang))
+            return ell / w ** FIVE_HALVES
 
         # tail: (A l^2 - p/b)^{-5/2} = (A l^2)^{-5/2} (1 - p/(b A l^2))^{-5/2}
         # expanded binomially; each power's l-sum is a Dirichlet sum of f~
@@ -196,25 +190,22 @@ def borel_eval(series: FormalSeries, p, ctx: PrecisionContext = DEFAULT_CTX,
         # >= A^{-5/2} max|f~| sum_{l>L} l^{-4}, ratio = |p|/(b A (L+1)^2) <= 1/2.
         # After term k the remainder is <= bound/(1 - 1.75 ratio), bound =
         # binom_{k+1} ratio^{k+1} K, as binom_{j+1}/binom_j = (5/2 + j)/(j + 1)
-        # <= 7/4 for every j >= 1: the stopping test is sound from k = 0.
-        tail = mpc(0)
+        # <= 7/4 for every j >= 1: the stopping test is sound from k = 0, and
+        # it needs no summed value, so the moments are listed first.
         ratio = abs(p) / (series.b * A * (L + 1) ** 2)
         K = A ** MINUS_FIVE_HALVES * tilde.max_abs() / (3 * mpf(L) ** 3)
         target = ctx.tolerance() * mpf("0.01") + mpf(2) ** (-ctx.prec - 8)
-        k = 0
+        moments = []
         binom = mpf(1)  # (5/2)_k / k!
-        while True:
-            srv = tilde_dirichlet(tilde, 4 + 2 * k, L)  # sum_{l > L} f~(l) l^{-4-2k}
-            tail += binom * (p / series.b) ** k * srv * A ** (MINUS_FIVE_HALVES - k)
-            next_binom = binom * (FIVE_HALVES + k) / (k + 1)
-            bound = next_binom * ratio ** (k + 1) * K
-            if abs(pref) * bound / (1 - SEVEN_QUARTERS * ratio) < target:
-                rem = bound / (1 - SEVEN_QUARTERS * ratio)
+        for k in range(ctx.prec + 1):
+            moments.append((4 + 2 * k, binom * (p / series.b) ** k * A ** (MINUS_FIVE_HALVES - k)))
+            binom = binom * (FIVE_HALVES + k) / (k + 1)
+            rem = binom * ratio ** (k + 1) * K / (1 - SEVEN_QUARTERS * ratio)
+            if abs(pref) * rem < target:
                 break
-            binom = next_binom
-            k += 1
-            if k > ctx.prec:
-                raise ConsistencyError("borel tail expansion failed to converge")
-        value = pref * (head + tail)
-        err = abs(pref) * rem + abs(value) * mpf(2) ** (-ctx.prec)
+        else:
+            raise ConsistencyError("borel tail expansion failed to converge")
+        est = ell_sum(tilde, L, term, moments, rem)
+        value = pref * est.value
+        err = abs(pref) * est.error + abs(value) * mpf(2) ** (-ctx.prec)
         return Estimate(value, err)

@@ -237,8 +237,7 @@ def cmd_eval(args) -> int:
     elif args.quantity == "lateral":
         if args.x is None:
             raise UsageError("eval lateral needs --x")
-        res = resum_mod.lateral_sum(series, _complex(args.x), args.side, ctx)
-        est = res
+        est = resum_mod.lateral_sum(series, _complex(args.x), args.side, ctx)
     elif args.quantity == "smed":
         if args.x is None:
             raise UsageError("eval smed needs --x with Re x > 0")

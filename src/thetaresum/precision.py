@@ -79,10 +79,15 @@ DEFAULT_CTX = PrecisionContext()
 
 @dataclass(frozen=True)
 class Estimate:
-    """A numeric value with an absolute error estimate."""
+    """A numeric value with an absolute error estimate.
+
+    budget_exhausted is set when a truncated sum stopped at ctx.ell_cap
+    before its bound met the target; the value is then a partial answer.
+    """
 
     value: mpc
     error: mpf
+    budget_exhausted: bool = False
 
     def __iter__(self):
         return iter((self.value, self.error))

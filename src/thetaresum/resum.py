@@ -5,9 +5,9 @@ along rays at angle +-theta.  For l <= L each ray integral is the Laplace
 kernel K_eps (an upper incomplete gamma value Gamma(-3/2, .) on the sheet
 eps in {0, 1} the side selects); for l > L the first three Taylor moments
 of (1 - p/(b A_l))^{-5/2} are summed over l as shifted Hurwitz zeta values
-(tilde_dirichlet, which gives every l-tail) and the rest is bounded.  The
-median, the average of the two sides, is the same kernel at eps = 1/2,
-which is entire; it gives the convergent special-function form
+and the rest is bounded.  The median, the average of the two sides, is the
+same kernel at eps = 1/2, which is entire; it gives the convergent
+special-function form
 
     S_med(x) = (4 M c / pi^{3/2}) sum_l (f~(l)/l^2) E((l pi/M) sqrt(b x)),
 
@@ -18,7 +18,12 @@ the median combines a vertical theta integral with a theta radial limit.
 Each l-term of that integral is the kernel at exponent -1/2, a value
 Gamma(-1/2, -i lambda_l/alpha), taken for l <= N0; for l > N0, K Watson
 moments are shifted Hurwitz sums and the rest is bounded by Watson's lemma
-(boundary_median), so no quadrature is left.  All fractional powers are
+(boundary_median), so no quadrature is left.
+
+These sums, and the Borel transform's, share one shape, written once as
+ell_sum: a kernel taken term by term over l <= L, its expansion in l^{-2}
+as shifted Hurwitz sums over l > L, the caller's bound on the rest, and
+the roundoff of both parts in the error.  All fractional powers are
 principal.
 """
 
@@ -110,6 +115,43 @@ def tilde_dirichlet(tilde: TildeFunction, s: int, start: int = 0) -> mpf:
     return total / mpf(M) ** s
 
 
+def ell_sum(tilde: TildeFunction, L: int, term, moments, bound) -> Estimate:
+    """sum_{l<=L} f~(l) term(l) + sum_k c_k sum_{l>L} f~(l) l^{-s_k}, with its error.
+
+    The one l-sum of the Borel, lateral, median and boundary sums: a kernel
+    taken term by term over the head l <= L (L >= 1), the first terms of its
+    expansion in l^{-2} as moments (s_k, c_k) over l > L, each a shifted
+    Hurwitz sum (tilde_dirichlet), and the caller's bound on the rest.  The
+    head's roundoff is counted as sum |f~(l) term(l)| 2^{8-prec}.
+    mp.zeta(s, x) is accurate to about 2^-prec max(1, zeta) absolutely, not
+    relatively, so moment k is off by at most scale_k 2^{8-bits}, with
+    scale_k = |c_k| fmax (M^{1-s} + M L^{1-s}/(s-1)); it is summed at the
+    bits = max(53, prec + mag(scale_k) - mag(scale_0)) that bring this to
+    the level of moment 0.  The error is bound plus both roundoffs.
+    """
+    head = mpc(0)
+    size = mpf(0)
+    for ell in range(1, L + 1):
+        tv = tilde(ell)
+        if tv:
+            t = tv * term(ell)
+            head += t
+            size += abs(t)
+    roundoff = size * mpf(2) ** (8 - mp.prec)
+    fmax, M = tilde.max_abs(), tilde.M
+    tail = mpc(0)
+    for k, (s, c) in enumerate(moments):
+        scale = abs(c) * fmax * (mpf(M) ** (1 - s) + M * mpf(L) ** (1 - s) / (s - 1))
+        if k == 0:
+            top = mp.mag(scale)
+        bits = max(53, mp.prec + mp.mag(scale) - top)
+        with workprec(bits):
+            w_s = tilde_dirichlet(tilde, s, L)
+        tail += c * w_s
+        roundoff += scale * mpf(2) ** (8 - bits)
+    return Estimate(head + tail, bound + roundoff)
+
+
 BLOCK_ELL_CAP = 10_000_000  # most terms tilde_dirichlet_blocks will sum
 
 
@@ -150,15 +192,6 @@ def tilde_dirichlet_blocks(tilde: TildeFunction, s: int, target) -> Estimate:
 # ---------------------------------------------------------------------------
 # Lateral Borel sums.
 
-@dataclass(frozen=True)
-class LateralResult:
-    value: mpc
-    error: mpf
-    side: str
-    x: mpc
-    budget_exhausted: bool = False
-
-
 _BETA = (Fraction(1), Fraction(5, 2), Fraction(35, 8))  # (5/2)_k / k!, k = 0..2
 RAY_ANGLE = Fraction(1, 4)  # theta/pi; |R3| <= 44|w|^3 and lateral_sum's 264 hold for it only
 
@@ -197,7 +230,7 @@ def _ray_laplace(Ab, x, sgn: int):
 
 
 def lateral_sum(series: FormalSeries, x, side: str,
-                ctx: PrecisionContext = DEFAULT_CTX) -> LateralResult:
+                ctx: PrecisionContext = DEFAULT_CTX) -> Estimate:
     """S^side(x): ray Laplace integral of the Borel transform at angle +-theta.
 
     Decomposition per l-term (A_l = l^2 pi^2/M^2):
@@ -208,14 +241,14 @@ def lateral_sum(series: FormalSeries, x, side: str,
 
     with R3(w) = (1-w)^{-5/2} - 1 - (5/2)w - (35/8)w^2.  For l <= L the ray
     integral is taken whole, in closed form (_ray_laplace); for l > L the
-    moments are shifted Hurwitz sums (tilde_dirichlet from L) and the R3
-    part, bounded by l^{-10} via |R3(w)| <= 44 |w|^3 on rays at angle pi/4,
-    is left out.  The error is that tail bound plus roundoff.
+    moments are shifted Hurwitz sums (ell_sum) and the R3 part, bounded by
+    l^{-10} via |R3(w)| <= 44 |w|^3 on rays at angle pi/4, is left out.  The
+    error is that tail bound plus roundoff; budget_exhausted is set when
+    ctx.ell_cap keeps the bound above the target.
     """
     if side not in ("plus", "minus", "+", "-"):
         raise ValueError("side must be 'plus' or 'minus'")
     sgn = 1 if side in ("plus", "+") else -1
-    sname = "plus" if sgn == 1 else "minus"
     with ctx.working(20):
         x = mpc(x)
         if x.real == 0:
@@ -238,40 +271,25 @@ def lateral_sum(series: FormalSeries, x, side: str,
 
         cm = to_mpf(series.c_m)
 
-        # head length from the l^{-10} tail bound
+        # the least L whose l^{-10} tail bound tail_const L^{-9} meets the target
         target = ctx.tolerance() * mpf("0.1") + mpf(2) ** (-ctx.prec)
-        fmax = tilde.max_abs()
-        tail_const = abs(pref) * fmax * 264 / (sig ** 4 * mpf(b) ** 3) \
-            * Apref ** mpf("-5.5") / 9
-        L = max(6, tilde.first_support)
-        while tail_const / mpf(L) ** 9 > target and L < ctx.ell_cap:
-            L += 1
-        budget_hit = tail_const / mpf(L) ** 9 > target
-        tail_bound = tail_const / mpf(L) ** 9
+        tail_const = tilde.max_abs() * 264 / (sig ** 4 * mpf(b) ** 3) * Apref ** mpf("-5.5") / 9
+        L = max(6, tilde.first_support,
+                int(mp.ceil((abs(pref) * tail_const / target) ** (mpf(1) / 9))))
+        L = min(L, ctx.ell_cap)
+        bound = tail_const / mpf(L) ** 9
 
-        # the three moments over l > L, as shifted Hurwitz values
-        poly = mpc(0)
-        for j, beta in enumerate(_BETA):
-            w_s = tilde_dirichlet(tilde, 4 + 2 * j, L)
-            poly += (frac_to_mp(beta) * mpf(b) ** (-j) * mp.factorial(j)
-                     / x ** (j + 1) * m2pi2 ** (FIVE_HALVES + j) * w_s)
-
-        # the head l <= L in closed form
-        rsum = mpc(0)
-        round_err = mpf(0)
-        for ell in range(1, L + 1):
-            tv = tilde(ell)
-            if not tv:
-                continue
-            term = ell * tv * (Apref * ell * ell) ** MINUS_FIVE_HALVES \
-                * _ray_laplace(Apref * ell * ell * b, x, sgn)
-            rsum += term
-            round_err += abs(term)
-        round_err *= mpf(2) ** (8 - mp.prec)
-
-        value = cm + pref * (poly + rsum)
-        err = tail_bound + abs(pref) * round_err + abs(value) * mpf(2) ** (-ctx.prec)
-        return LateralResult(value, err, sname, x, budget_hit)
+        # the head l <= L in closed form, the three moments over l > L
+        est = ell_sum(
+            tilde, L,
+            lambda ell: ell * (Apref * ell * ell) ** MINUS_FIVE_HALVES
+            * _ray_laplace(Apref * ell * ell * b, x, sgn),
+            [(4 + 2 * j, frac_to_mp(beta) * mpf(b) ** (-j) * mp.factorial(j)
+              / x ** (j + 1) * m2pi2 ** (FIVE_HALVES + j)) for j, beta in enumerate(_BETA)],
+            bound)
+        value = cm + pref * est.value
+        err = abs(pref) * est.error + abs(value) * mpf(2) ** (-ctx.prec)
+        return Estimate(value, err, abs(pref) * bound > target)
 
 
 # ---------------------------------------------------------------------------
@@ -282,17 +300,16 @@ def lateral_sum(series: FormalSeries, x, side: str,
 E_KAPPA = 2
 
 
-def median_sum(series: FormalSeries, x, ctx: PrecisionContext = DEFAULT_CTX) -> LateralResult:
+def median_sum(series: FormalSeries, x, ctx: PrecisionContext = DEFAULT_CTX) -> Estimate:
     """S_med(x) on Re x > 0 via the E-function series.
 
-    The absolutely convergent rearrangement used here subtracts the limit
-    E_inf = 1/(2 sqrt(pi)) termwise; the constant part reproduces C_M through
-    the l^{-2} Dirichlet sum of f~ (summed exactly by Hurwitz zeta values,
-    independently of the Bernoulli route).  E is called for l <= L.  For
-    l > L, y_l = rho l, the first term of E - E_inf ~ (3/(4 y^2) + 15/(8 y^4)
-    + ...)/sqrt(pi) (DLMF 7.12) is (3/(4 sqrt(pi) rho^2)) tilde_dirichlet(f~,
-    4, L), and the rest is bounded, for |y| >= 2 (L >= 2/|rho| + 1) and
-    |arg y| < pi/4, through
+    E is called for l <= L (ell_sum).  For l > L, y_l = rho l, the
+    expansion E ~ E_inf + (3/(4 y^2) + 15/(8 y^4) + ...)/sqrt(pi) (DLMF
+    7.12), E_inf = 1/(2 sqrt(pi)), gives two moments: E_inf times
+    sum_{l>L} f~(l) l^{-2} (over all l, with the prefactor, this is C_M, so
+    the constant comes from Hurwitz values, not the Bernoulli route) and
+    3/(4 sqrt(pi) rho^2) times sum_{l>L} f~(l) l^{-4}.  The rest is bounded,
+    for |y| >= 2 (L >= 2/|rho| + 1) and |arg y| < pi/4, through
 
         |E - E_inf - 3/(4 sqrt(pi) y^2)| <= |y|^3 e^{-Re y^2} + kappa 15/(8 sqrt(pi) |y|^4),
 
@@ -310,9 +327,6 @@ def median_sum(series: FormalSeries, x, ctx: PrecisionContext = DEFAULT_CTX) -> 
         rho = mp.pi * sq / M          # y_l = rho * l
         tau = (mp.pi ** 2 * b / M ** 2) * x.real   # Re y_l^2 = tau l^2
         pref = 4 * M * c / mp.pi ** THREE_HALVES
-        einf = e_limit()
-
-        cm_num = (2 * M * c / mp.pi ** 2) * tilde_dirichlet(tilde, 2)
 
         fmax = tilde.max_abs()
         target = ctx.tolerance() * mpf("0.1") + mpf(2) ** (-ctx.prec)
@@ -324,23 +338,18 @@ def median_sum(series: FormalSeries, x, ctx: PrecisionContext = DEFAULT_CTX) -> 
             gauss = fmax * abs(rho) ** 3 * (
                 mp.exp(-tau * L * L) / (2 * tau)
                 + mp.sqrt(mp.pi / tau) / 2 * mp.erfc(mp.sqrt(tau) * L))
-            return abs(pref) * (alg + gauss)
+            return alg + gauss
 
         L = max(8, int(2 / abs(rho)) + 1, tilde.first_support + 1)
-        while tail_bound(L) > target and L < ctx.ell_cap:
+        while abs(pref) * tail_bound(L) > target and L < ctx.ell_cap:
             L = min(2 * L, ctx.ell_cap)
-        budget_hit = tail_bound(L) > target
+        bound = tail_bound(L)
 
-        acc = 3 / (4 * mp.sqrt(mp.pi) * rho ** 2) * tilde_dirichlet(tilde, 4, L)
-        for ell in range(1, L + 1):
-            tv = tilde(ell)
-            if not tv:
-                continue
-            ee = special_e(rho * ell, ctx)
-            acc += tv / mpf(ell) ** 2 * (ee - einf)
-        value = cm_num + pref * acc
-        err = tail_bound(L) + abs(value) * mpf(2) ** (-ctx.prec)
-        return LateralResult(mpc(value), err, "median", x, budget_hit)
+        est = ell_sum(tilde, L, lambda ell: special_e(rho * ell, ctx) / mpf(ell) ** 2,
+                      [(2, e_limit()), (4, 3 / (4 * mp.sqrt(mp.pi) * rho ** 2))], bound)
+        value = pref * est.value
+        err = abs(pref) * est.error + abs(value) * mpf(2) ** (-ctx.prec)
+        return Estimate(value, err, abs(pref) * bound > target)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +402,7 @@ def disc_closed_form(series: FormalSeries, x, ctx: PrecisionContext = DEFAULT_CT
 
 def discontinuity(series: FormalSeries, x,
                   ctx: PrecisionContext = DEFAULT_CTX) -> DiscontinuityResult:
-    """S+ - S- by quadrature vs. the explicit theta closed form."""
+    """S+ - S- from the two closed-form lateral sums vs. the explicit theta series."""
     with ctx.working(20):
         x = mpc(x)
         plus = lateral_sum(series, x, "plus", ctx)
@@ -438,8 +447,9 @@ def boundary_median(series: FormalSeries, alpha,
 
     since |1 + u x| >= 1 for x = iv/a and 0 <= u <= 1, so the Taylor
     remainder of (1 + x)^{-3/2} is at most |C(-3/2, K) x^K|.  The moments
-    are tilde_dirichlet(f~, 2k + 2, N0); the remainder summed over l > N0 is
-    at most fmax |a|^{-3/2-K} (3/2)_K (pi b/(2M^2))^{-K-1} N0^{-2K-1}/(2K+1).
+    are sums of f~(l) l^{-2k-2} over l > N0 (ell_sum); the remainder summed
+    over l > N0 is at most
+    fmax |a|^{-3/2-K} (3/2)_K (pi b/(2M^2))^{-K-1} N0^{-2K-1}/(2K+1).
     N0 and K are chosen together to bring it below 2^-prec at the least
     cost, one Hurwitz call counting HURWITZ_COST kernel calls.
     """
@@ -469,36 +479,16 @@ def boundary_median(series: FormalSeries, alpha,
                 best = (cost, K, N0, coef / ((2 * K + 1) * mpf(N0) ** (2 * K + 1)))
         _, K, N0, tail = best
 
-        # the head l <= N0 in closed form
-        head = mpc(0)
-        round_err = mpf(0)
-        for ell in range(1, N0 + 1):
-            tv = tilde(ell)
-            if tv:
-                term = tv * laplace_kernel(mpc(0, lam1 * ell * ell * a), 0, MINUS_HALF)
-                head += term
-                round_err += abs(term)
-        head *= -a ** MINUS_HALF
-        round_err *= abs(a) ** MINUS_HALF * mpf(2) ** (8 - mp.prec)
-
-        # K Watson moments over l > N0.  mp.zeta(s, x) is accurate to about
-        # 2^-prec max(1, zeta) absolutely, not relatively, so moment k is
-        # off by at most scale_k 2^{8-bits}; each is summed with the bits
-        # that bring this to the level of moment 0.
-        moments = mpc(0)
+        # the head l <= N0 in closed form, K Watson moments over l > N0
+        moments = []
         mk = 1j * a ** MINUS_THREE_HALVES / lam1
         for k in range(K):
-            s = 2 * k + 2
-            scale = abs(mk) * fmax * (mpf(M) ** (1 - s) + M * mpf(N0) ** (1 - s) / (s - 1))
-            if k == 0:
-                top = mp.mag(scale)
-            bits = max(53, mp.prec + mp.mag(scale) - top)
-            with workprec(bits):
-                w_s = tilde_dirichlet(tilde, s, N0)
-            moments += mk * w_s
-            round_err += scale * mpf(2) ** (8 - bits)
+            moments.append((2 * k + 2, mk))
             mk *= -1j * (k + THREE_HALVES) / (a * lam1)
-        term1 = t1_pref * (head + moments)
+        root = -a ** MINUS_HALF
+        est = ell_sum(tilde, N0, lambda ell: root * laplace_kernel(
+            mpc(0, lam1 * ell * ell * a), 0, MINUS_HALF), moments, tail)
+        term1 = t1_pref * est.value
 
         spec1 = ThetaSpec(a=0, b=4 * M * M, nu=1, f=tilde)
         theta1 = theta_radial_limit(spec1, Fraction(-b, 1) / alpha, ctx)
@@ -506,7 +496,7 @@ def boundary_median(series: FormalSeries, alpha,
         term2 = t2_pref * theta1.value
 
         value = term1 + term2
-        err = abs(t1_pref) * (tail + round_err) + abs(t2_pref) * theta1.error \
+        err = abs(t1_pref) * est.error + abs(t2_pref) * theta1.error \
             + abs(value) * mpf(2) ** (-ctx.prec)
         return Estimate(value, err)
 

@@ -37,7 +37,7 @@ from thetaresum.precision import (DEFAULT_CTX, FIVE_HALVES, HALF, MINUS_FIVE_HAL
                                   to_mpf)
 from thetaresum.qseries import (DomainError, ThetaSpec, VerticalTheta, _f_max, _gauss_tail,
                                 _phase_exponent, theta_radial_limit)
-from thetaresum.resum import _BETA, RAY_ANGLE, LateralResult, tilde_dirichlet
+from thetaresum.resum import _BETA, RAY_ANGLE, tilde_dirichlet
 
 _BETA2 = mpf("4.375")  # (5/2)_2/2! = 35/8
 _BETA3 = mpf("6.5625")  # (5/2)_3/3! = 105/16
@@ -59,7 +59,7 @@ def remainder_r3(w):
     return acc
 
 
-def lateral_sum_quadrature(series, x, side: str, ctx: PrecisionContext) -> LateralResult:
+def lateral_sum_quadrature(series, x, side: str, ctx: PrecisionContext) -> Estimate:
     """S^side(x) with the R3 ray integrals by mp.quad on [0, U] plus a bound
     44 |w|^3 on the piece beyond U; same moments, head length and l^{-10}
     tail bound as the library."""
@@ -122,7 +122,7 @@ def lateral_sum_quadrature(series, x, side: str, ctx: PrecisionContext) -> Later
 
         value = cm + pref * (poly + qsum)
         err = abs(pref) * quad_err + tail_bound + abs(value) * mpf(2) ** (-ctx.prec)
-        return LateralResult(value, err, "plus" if sgn == 1 else "minus", x, budget_hit)
+        return Estimate(value, err, budget_hit)
 
 
 def boundary_median_quadrature(series, alpha, ctx: PrecisionContext = DEFAULT_CTX) -> Estimate:

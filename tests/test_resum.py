@@ -1,5 +1,6 @@
 """Lateral/median resummation, the E-function, jump formula, boundary values."""
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from mpmath import mp, mpf, mpc, workprec
 from reference import (boundary_median_quadrature, lateral_sum_quadrature,
                        optimal_truncation, tilde_dirichlet_blocks_reference)
 from thetaresum import resum
+from thetaresum.borel import borel_eval
 from thetaresum.config import (config_chi, config_hikami, config_t3_2k, trefoil_chi,
                                trefoil_strange)
 from thetaresum.periodic import ChiParams, chi_function, pair_set, tilde_transform
@@ -15,8 +17,8 @@ from thetaresum.precision import MINUS_HALF, PrecisionContext
 from thetaresum.qseries import DomainError, ThetaSpec, theta_radial_limit
 from thetaresum.resum import (E_KAPPA, _ray_laplace, boundary_median,
                               boundary_median_extrapolated, boundary_point, disc_closed_form,
-                              discontinuity, e_limit, laplace_kernel, lateral_sum, median_sum,
-                              special_e, tilde_dirichlet, tilde_dirichlet_blocks)
+                              discontinuity, e_limit, ell_sum, laplace_kernel, lateral_sum,
+                              median_sum, special_e, tilde_dirichlet, tilde_dirichlet_blocks)
 
 CTX = PrecisionContext(prec=96, tol=1e-10)
 SER = trefoil_strange().series(36)
@@ -320,6 +322,40 @@ class TestShiftedDirichlet:
                     head = mp.fsum(tilde(ell) * mpf(ell) ** (-s) for ell in range(1, start + 1))
                     size = mp.fsum(abs(tilde(ell)) * mpf(ell) ** (-s) for ell in range(1, 3 * M))
                     assert abs(diff - head) <= 2 * (M + s + 4) * size * mpf(2) ** -128, (s, start)
+                # the engine: head l^{-s} term by term, the rest as one moment
+                with workprec(128):
+                    est = ell_sum(tilde, start, lambda ell: mpf(ell) ** -s, [(s, 1)], 0)
+                with workprec(192):
+                    full = tilde_dirichlet(tilde, s)
+                    assert abs(est.value - full) <= est.error, (s, start)
+
+    @pytest.mark.parametrize("family", ["trefoil-chi", "t3-2k-3"])
+    def test_falling_moments_run_at_fewer_bits(self, family, monkeypatch):
+        """Moments c_k = 2^{-4k} (s_k = 2k + 2) past L = M + 1: moment k
+        is summed at fewer bits, by the fall of c_k L^{1-s_k}, and the error
+        still bounds the gap to the same sum at 64 more bits.  The head term
+        is 0, so the error is the moments' roundoff alone."""
+        tilde = tilde_transform(self.FAMILIES[family])
+        L = tilde.M + 1
+        moments = [(2 * k + 2, mpf(2) ** (-4 * k)) for k in range(4)]
+        bits = []
+        inner = resum.tilde_dirichlet
+
+        def recording(*args):
+            bits.append(mp.prec)
+            return inner(*args)
+
+        def run(prec):
+            with workprec(prec):
+                return ell_sum(tilde, L, lambda ell: 0, moments, 0)
+
+        monkeypatch.setattr(resum, "tilde_dirichlet", recording)
+        est = run(128)
+        assert bits[0] == 128 and all(b < a for a, b in zip(bits, bits[1:])), bits
+        assert bits[-1] <= 128 - 12, bits
+        ref = run(192)
+        with workprec(192):
+            assert abs(est.value - ref.value) <= est.error
 
 
 class TestBlockKernel:
@@ -481,6 +517,42 @@ class TestBoundaryKernel:
                               / lam ** (k + 1) for k in range(K))
                 bound = abs(a) ** (mpf("-1.5") - K) * mp.rf(mpf("1.5"), K) / lam ** (K + 1)
                 assert abs(_boundary_term(a, lam) - partial) <= bound, (a, lam, K)
+
+
+class TestSumErrorBars:
+    """|v - ref| <= v.error + ref.error for the Borel, lateral and median
+    sums at 64 and 128 bits, ref at 64 more bits.  At tol 1e-30 a 64-bit
+    run stops at its 2^-64 target and its reference near 1e-31, so the tail
+    bounds are tested along with the head and Hurwitz roundoff.  The
+    median's L^{-5} tail would need more than 10^5 E values at 1e-30, so it
+    runs at tol 1e-10 against a reference at 1e-14."""
+
+    SERIES = {"trefoil-chi": trefoil_chi().series(12), "t3-2k-3": config_t3_2k(3).series(12)}
+    TOLS = {"median": (1e-10, 1e-14)}   # (tol, reference tol); 1e-30 for the rest
+
+    def _sum(self, quantity, family, prec, tol):
+        ser = self.SERIES[family]
+        ctx = PrecisionContext(prec=prec, tol=tol)
+        if quantity == "borel":
+            return borel_eval(ser, mpc(3, 2), ctx)
+        if quantity == "median":
+            return median_sum(ser, mpc(1, "0.25"), ctx)
+        # at x = 1 the two sides take different sheets (_ray_laplace)
+        return lateral_sum(ser, mpf(1), quantity.split("-")[1], ctx)
+
+    @pytest.mark.parametrize("family", ["trefoil-chi", "t3-2k-3"])
+    @pytest.mark.parametrize("quantity", ["lateral-plus", "lateral-minus", "median", "borel"])
+    def test_error_bounds_gap_to_more_bits(self, quantity, family):
+        tol, ref_tol = self.TOLS.get(quantity, (1e-30, 1e-30))
+        # with one tol, the 128-bit run is the value at 128 bits and the
+        # reference of the 64-bit run
+        run = functools.lru_cache()(lambda prec, tol: self._sum(quantity, family, prec, tol))
+        for prec in (64, 128):
+            v = run(prec, tol)
+            ref = run(prec + 64, ref_tol)
+            with workprec(prec + 84):
+                gap = abs(v.value - ref.value)
+                assert gap <= v.error + ref.error, (prec, gap, v.error, ref.error)
 
 
 class TestBudgetFlag:
