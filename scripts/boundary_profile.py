@@ -4,7 +4,7 @@
 Samples S_med(x0 + eps) for eps on a geometric grid and prints a CSV of the
 approach against the closed boundary value, handy for convergence plots.
 
-    python scripts/boundary_profile.py --family chi --s 2 --t 3 --n 1 --m 1 --alpha 1
+    PYTHONPATH=src python scripts/boundary_profile.py --s 2 --t 3 --n 1 --m 1 --alpha 1
 """
 
 import argparse

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Export the trefoil coefficient and singularity tables used in write-ups.
 
-    python scripts/export_trefoil_tables.py [--count 16] [--outdir tables]
+    PYTHONPATH=src python scripts/export_trefoil_tables.py [--count 16] [--outdir tables]
 """
 
 import argparse

@@ -4,12 +4,13 @@
 Writes one JSON report per configuration into reports/ and prints the
 per-check lines.  Exit status is nonzero if anything failed.
 
-    python scripts/run_verification.py [--prec 128] [--outdir reports]
+    PYTHONPATH=src python scripts/run_verification.py [--prec 128] [--outdir reports]
 """
 
 import argparse
 import pathlib
 import sys
+from fractions import Fraction
 
 from thetaresum.config import config_chi, config_hikami, config_t3_2k
 from thetaresum.precision import PrecisionContext
@@ -38,7 +39,7 @@ def main() -> int:
     ok = True
     for name, cfg, alpha in CASES:
         print(f"== {name}: {cfg.label()} (alpha = {alpha})")
-        report = run_suite("all", cfg, ctx, alpha=__import__("fractions").Fraction(alpha))
+        report = run_suite("all", cfg, ctx, alpha=Fraction(alpha))
         report.print_lines()
         report.write_json(outdir / f"{name}.json")
         ok = ok and report.all_passed

@@ -4,6 +4,10 @@ family "general":  c, M, k1, k2, a, b          (the raw four-residue data)
 family "chi":      s, t, n, m [, c=1, a=0]      (b fixed to 4st)
 family "hikami":   u, l  -> chi(2, 2u+1, 1, l+1), c=-1/2, a=(2u-2l-1)^2, b=2(8u+4)
 family "t3-2k":    k     -> chi(3, 2^k, 2, 1),  c=-1/2, a=(2^{k+1}-3)^2, b=3*2^{k+2}
+
+Each Config carries the StrangeConfig arguments of its Habiro element:
+("hikami", u, l) for hikami(u, l), ("trefoil",) (Kontsevich-Zagier) for any
+other configuration with the trefoil sign pattern (M, k1, k2) = (12, 1, 5).
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ class Config:
     b: int
     params: dict = field(default_factory=dict)
     chi_idx: tuple = None  # (s, t, n, m) for character-family configurations
+    habiro: tuple = None  # StrangeConfig arguments of the attached Habiro element
 
     def theta_spec(self, nu: int = 1) -> ThetaSpec:
         return ThetaSpec(a=self.a, b=self.b, nu=nu, f=self.f)
@@ -49,13 +54,19 @@ class Config:
         }
 
 
+def _trefoil_habiro(f: PeriodicFunction):
+    """The Kontsevich-Zagier element for the trefoil sign pattern, else None."""
+    return ("trefoil",) if (f.M, f.k1, f.k2) == (12, 1, 5) else None
+
+
 def config_general(c, M: int, k1: int, k2: int, a: int, b: int) -> Config:
     c = as_fraction(c)
     f = make_periodic(c, M, k1, k2)
     if a < 0 or b <= 0:
         raise ConfigError("need a >= 0 and b > 0")
     return Config("general", f, a, b,
-                  {"c": c, "M": M, "k1": k1, "k2": k2, "a": a, "b": b})
+                  {"c": c, "M": M, "k1": k1, "k2": k2, "a": a, "b": b},
+                  habiro=_trefoil_habiro(f))
 
 
 def config_chi(s: int, t: int, n: int, m: int, c=Fraction(1), a: int = 0,
@@ -67,7 +78,7 @@ def config_chi(s: int, t: int, n: int, m: int, c=Fraction(1), a: int = 0,
     if b is None:
         b = 4 * s * t
     return Config("chi", chi, a, b, {"s": s, "t": t, "n": n, "m": m, "c": c},
-                  chi_idx=(s, t, n, m))
+                  chi_idx=(s, t, n, m), habiro=_trefoil_habiro(chi))
 
 
 def config_hikami(u: int, ell: int) -> Config:
@@ -76,7 +87,7 @@ def config_hikami(u: int, ell: int) -> Config:
     base = config_chi(2, 2 * u + 1, 1, ell + 1, c=Fraction(-1, 2),
                       a=(2 * u - 2 * ell - 1) ** 2, b=2 * (8 * u + 4))
     return Config("hikami", base.f, base.a, base.b, {"u": u, "l": ell},
-                  chi_idx=base.chi_idx)
+                  chi_idx=base.chi_idx, habiro=("hikami", u, ell))
 
 
 def config_t3_2k(k: int) -> Config:
@@ -85,7 +96,8 @@ def config_t3_2k(k: int) -> Config:
     t = 2 ** k
     base = config_chi(3, t, 2, 1, c=Fraction(-1, 2),
                       a=(2 ** (k + 1) - 3) ** 2, b=3 * 2 ** (k + 2))
-    return Config("t3-2k", base.f, base.a, base.b, {"k": k}, chi_idx=base.chi_idx)
+    return Config("t3-2k", base.f, base.a, base.b, {"k": k}, chi_idx=base.chi_idx,
+                  habiro=base.habiro)
 
 
 def trefoil_strange() -> Config:

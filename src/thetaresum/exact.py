@@ -6,8 +6,8 @@ normalised theta sum around q = 1 has coefficients
     C_n = (-1)^n L(-2n-1, f),
     L(-2n-1, f) = -(M^{2n+1} / (2n+2)) * sum_{m=1}^{M} f(m) B_{2n+2}(m/M),
 
-all computed here as exact Fractions (times the scale c).  The constant
-C_M = -(M/2) sum f(m) B_2(m/M) coincides with C_0 and is cross-checked.
+all computed here as exact Fractions.  The constant C_M = -(M/2) sum f(m)
+B_2(m/M) is C_0; suite cm checks it against the Dirichlet sum of f~.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 from mpmath import mp, mpf
 
 from .periodic import PeriodicFunction, tilde_transform
-from .precision import DEFAULT_CTX, PrecisionContext, frac_to_mp, richardson_limit, to_mpf
+from .precision import DEFAULT_CTX, PrecisionContext, richardson_limit, to_mpf
 
 
 class ConsistencyError(RuntimeError):
@@ -73,51 +73,37 @@ def bernoulli_polynomial(k: int, x) -> Fraction:
 # L-values and series coefficients.
 
 def _pattern_bernoulli_sum(f: PeriodicFunction, degree: int) -> Fraction:
-    """sum_{m=1}^{M} pattern(m) B_degree(m/M), exact (scale c factored out)."""
-    M = f.M
-    total = Fraction(0)
-    for m in range(1, M + 1):
-        s = f.sign(m)
-        if s:
-            total += s * bernoulli_polynomial(degree, Fraction(m, M))
-    return total
+    """sum_{m=1}^{M} pattern(m) B_degree(m/M) for an even degree, exact.
 
-
-def scaled(f: PeriodicFunction, kernel: Fraction):
-    """c * kernel: an exact Fraction when f's scale c is rational, else an mpf."""
-    return f.c * kernel if f.is_exact else f.c * frac_to_mp(kernel)
-
-
-def l_value(f: PeriodicFunction, n: int):
-    """L(-2n-1, f) = -(M^{2n+1}/(2n+2)) sum_m f(m) B_{2n+2}(m/M).
-
-    Exact Fraction when f carries a rational scale, otherwise an mpf multiple
-    of the exact pattern sum.
+    The pattern is +1 on k1 and M - k1, -1 on k2 and M - k2, and
+    B_k(1 - x) = B_k(x) for even k, so the sum is 2 (B_k(k1/M) - B_k(k2/M)).
     """
+    return 2 * (bernoulli_polynomial(degree, Fraction(f.k1, f.M))
+                - bernoulli_polynomial(degree, Fraction(f.k2, f.M)))
+
+
+def l_value(f: PeriodicFunction, n: int) -> Fraction:
+    """L(-2n-1, f) = -(M^{2n+1}/(2n+2)) sum_m f(m) B_{2n+2}(m/M), exact."""
     if n < 0:
         raise ValueError("n must be >= 0")
     M = f.M
-    return scaled(f, -Fraction(M ** (2 * n + 1), 2 * n + 2) * _pattern_bernoulli_sum(f, 2 * n + 2))
-
-
-def constant_cm(f: PeriodicFunction):
-    """C_M = -(M/2) sum_m f(m) B_2(m/M); equals the n = 0 coefficient."""
-    return scaled(f, -Fraction(f.M, 2) * _pattern_bernoulli_sum(f, 2))
+    return -f.c * Fraction(M ** (2 * n + 1), 2 * n + 2) * _pattern_bernoulli_sum(f, 2 * n + 2)
 
 
 @dataclass(frozen=True)
 class FormalSeries:
     """The divergent expansion sum_n (C_n / n!) (1/(b x))^n attached to f.
 
-    C are exact Fractions (scale c rational) or mpf.  a(n) = C_n/(n! b^n)
-    gives the coefficients of the 1/x power series handed to the Borel layer.
+    C are exact Fractions, and c_m = C_0 is the constant C_M.  a(n) =
+    C_n/(n! b^n) gives the coefficients of the 1/x power series handed to
+    the Borel layer.
     """
 
     f: PeriodicFunction
     b: int
     a_shift: int  # the exponent shift a of the theta series; inert here
     C: tuple
-    c_m: object
+    c_m: Fraction
 
     @property
     def count(self) -> int:
@@ -134,21 +120,14 @@ class FormalSeries:
 
 
 def series_coefficients(spec, count: int) -> FormalSeries:
-    """Exact C_0..C_{count-1} for a theta spec (needs .f, .b, .a attributes).
-
-    C_M is recomputed from the degree-2 Bernoulli sum and must equal C_0;
-    a mismatch is an internal consistency failure.
-    """
+    """Exact C_0..C_{count-1} for a theta spec (needs .f, .b, .a attributes)."""
     if count < 1:
         raise ValueError("count must be >= 1")
     f = spec.f
     if not isinstance(f, PeriodicFunction):
         raise TypeError("series coefficients require the plain periodic f")
     C = tuple((-1) ** n * l_value(f, n) for n in range(count))
-    cm = constant_cm(f)
-    if C[0] != cm:
-        raise ConsistencyError(f"C_M={cm} disagrees with C_0={C[0]}")
-    return FormalSeries(f=f, b=spec.b, a_shift=spec.a, C=C, c_m=cm)
+    return FormalSeries(f=f, b=spec.b, a_shift=spec.a, C=C, c_m=C[0])
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpf, mpc
 
-from .periodic import ChiParams, chi_function
+from .config import config_hikami
 from .precision import DEFAULT_CTX, PrecisionContext, as_fraction, frac_to_mp
 from .qseries import ThetaSpec, theta_radial_limit
 
@@ -205,14 +205,11 @@ class BudgetError(ValueError):
 
 def hikami_x(u: int, ell: int, q: RootOfUnity,
              ctx: PrecisionContext = DEFAULT_CTX,
-             budget: int = 5_000_000, reverse: bool = False) -> mpc:
+             budget: int = 5_000_000) -> mpc:
     """X_u^{(l)}(q): nested sum over 0 <= k_i <= k_{i+1} + delta_{i,l}, k_u < N.
 
         X = sum (q)_{k_u} q^{k_1^2+...+k_{u-1}^2 + k_{l+1}+...+k_{u-1}}
               prod_i binom[k_{i+1} + delta_{i,l}, k_i]_q
-
-    reverse=True enumerates the tuples in the opposite order (pure reordering
-    of a finite sum; used to cross-check floating evaluations).
     """
     if u < 1:
         raise ValueError("u must be >= 1")
@@ -232,10 +229,7 @@ def hikami_x(u: int, ell: int, q: RootOfUnity,
         # enumerate k_u, k_{u-1}, ..., k_1; delta fires at index i = l (1-based)
         def rec(i: int, upper: int, kvec):
             nonlocal acc
-            rng = range(upper + 1)
-            if reverse:
-                rng = reversed(rng)
-            for k in rng:
+            for k in range(upper + 1):
                 kv = kvec + (k,)
                 if i == 1:
                     acc = acc + _term(kv)
@@ -272,15 +266,12 @@ class StrangeConfig:
     ell: int = 0
 
     def theta_spec(self) -> ThetaSpec:
-        u, ell = self.u, self.ell
+        """The theta data of config_hikami(u, l); the trefoil is hikami(1, 0)."""
         if self.family == "trefoil":
-            u, ell = 1, 0
-        elif self.family != "hikami":
+            return config_hikami(1, 0).theta_spec()
+        if self.family != "hikami":
             raise ValueError(f"unknown strange family {self.family!r}")
-        s, t = 2, 2 * u + 1
-        chi = chi_function(ChiParams(s, t, 1, ell + 1))
-        return ThetaSpec(a=(2 * u - 2 * ell - 1) ** 2, b=2 * (8 * u + 4), nu=1,
-                         f=chi.scale(Fraction(-1, 2)))
+        return config_hikami(self.u, self.ell).theta_spec()
 
     def habiro_value(self, q: RootOfUnity, ctx: PrecisionContext) -> mpc:
         if self.family == "trefoil":

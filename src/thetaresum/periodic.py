@@ -33,19 +33,15 @@ def _min_residue(k: int, M: int) -> int:
 class PeriodicFunction:
     """Even, mean-zero, period-M function with values in {+c, -c, 0}.
 
-    ``c`` is kept as an exact Fraction whenever the input scale is rational;
-    the residue table is stored as an integer sign pattern so that all exact
-    arithmetic (Bernoulli sums, L-values) factors through ``c`` symbolically.
+    ``c`` is an exact nonzero Fraction; the residue table is stored as an
+    integer sign pattern so that all exact arithmetic (Bernoulli sums,
+    L-values) factors through ``c``.
     """
 
-    c: object  # Fraction (exact) or mpf scale
+    c: Fraction
     M: int
     k1: int
     k2: int
-
-    @property
-    def is_exact(self) -> bool:
-        return isinstance(self.c, Fraction)
 
     @property
     def pattern(self) -> tuple:
@@ -53,7 +49,7 @@ class PeriodicFunction:
 
     @property
     def values(self) -> list:
-        """Residue-indexed table over 0..M-1 (Fractions when c is exact)."""
+        """Residue-indexed table over 0..M-1, as Fractions."""
         return [self.c * s for s in self.pattern]
 
     def sign(self, n: int) -> int:
@@ -87,21 +83,18 @@ def _pattern(M: int, k1: int, k2: int) -> tuple:
 def make_periodic(c, M: int, k1: int, k2: int) -> PeriodicFunction:
     """Construct the four-residue function of (c, M, k1, k2).
 
-    k1, k2 are normalised mod M to the minimal representatives of their
-    +/- classes.  The four residue classes must be pairwise distinct; merged
-    classes (e.g. k1 = -k1 mod M, or overlap between the +c and -c classes)
-    are rejected as ambiguous configurations.
+    c must be an exact rational (int, Fraction or a string like '-1/2'); a
+    float or mpf raises TypeError.  k1, k2 are normalised mod M to the
+    minimal representatives of their +/- classes.  The four residue classes
+    must be pairwise distinct; merged classes (e.g. k1 = -k1 mod M, or
+    overlap between the +c and -c classes) are rejected as ambiguous
+    configurations.
     """
     if M < 2:
         raise ConfigError(f"period M must be >= 2, got {M}")
-    if not isinstance(c, (int, Fraction, str)):
-        cval = mpf(c)
-        if cval == 0:
-            raise ConfigError("scale c must be nonzero")
-    else:
-        cval = as_fraction(c)
-        if cval == 0:
-            raise ConfigError("scale c must be nonzero")
+    cval = as_fraction(c)
+    if cval == 0:
+        raise ConfigError("scale c must be nonzero")
     a = _min_residue(k1, M)
     b = _min_residue(k2, M)
     residues = {k1 % M, (-k1) % M, k2 % M, (-k2) % M}

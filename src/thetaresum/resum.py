@@ -39,7 +39,7 @@ from .periodic import TildeFunction
 from .precision import (DEFAULT_CTX, FIVE_HALVES, HALF, MINUS_FIVE_HALVES, MINUS_HALF,
                         MINUS_THREE_HALVES, QUARTER, THREE_HALVES, Estimate,
                         PrecisionContext, as_fraction, frac_to_mp, richardson_limit, to_mpf)
-from .qseries import DomainError, ThetaSpec, _gauss_tail, theta_radial_limit
+from .qseries import DomainError, ThetaSpec, _gauss_tail, theta_radial_limit, theta_upper_half
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +335,7 @@ def median_sum(series: FormalSeries, x, ctx: PrecisionContext = DEFAULT_CTX) -> 
             # algebraic part: sum_{l>L} fmax l^{-2} kappa 15/(8 sqrt(pi) |rho l|^4)
             alg = E_KAPPA * 15 * fmax / (8 * mp.sqrt(mp.pi) * abs(rho) ** 4 * 5 * mpf(L) ** 5)
             # oscillatory part: sum_{l>L} fmax rho^3 l e^{-tau l^2}
-            gauss = fmax * abs(rho) ** 3 * (
-                mp.exp(-tau * L * L) / (2 * tau)
-                + mp.sqrt(mp.pi / tau) / 2 * mp.erfc(mp.sqrt(tau) * L))
+            gauss = fmax * abs(rho) ** 3 * _gauss_tail(1, tau, L)
             return alg + gauss
 
         L = max(8, int(2 / abs(rho)) + 1, tilde.first_support + 1)
@@ -369,35 +367,20 @@ class DiscontinuityResult:
 def disc_closed_form(series: FormalSeries, x, ctx: PrecisionContext = DEFAULT_CTX) -> Estimate:
     """2i (2 b pi x)^{3/2} (sqrt2 c/M^2) sum_l l f~(l) e^{-l^2 pi^2 b x / M^2}.
 
-    The sum is the nu = 1 partial theta of f~ with modulus 4M^2 evaluated at
-    2 pi i b x; here it is summed directly with a Gaussian tail bound.
+    The sum is theta^{(1)}_{0,4M^2,f~}(2 pi i b x), the nu = 1 partial theta
+    of f~ with modulus 4M^2, summed by theta_upper_half with its Gaussian
+    tail bound; boundary_median takes the radial limit of the same series.
     """
     with ctx.working(20):
         x = mpc(x)
         if x.real <= 0:
             raise DomainError("closed-form jump needs Re x > 0")
-        f = series.f
-        tilde = series.tilde
-        M, b = f.M, series.b
-        c = to_mpf(f.c)
-        pref = 2j * (2 * b * mp.pi * x) ** THREE_HALVES * mp.sqrt(2) * c / M ** 2
-        tau = mp.pi ** 2 * b / M ** 2 * x
-        fmax = tilde.max_abs()
-        target = ctx.tolerance() * mpf("0.01") + mpf(2) ** (-ctx.prec - 8)
-        period = tilde.period
-        acc = mpc(0)
-        ell = 1
-        while True:
-            tv = tilde(ell)
-            if tv:
-                acc += ell * tv * mp.exp(-tau * ell * ell)
-            if ell % period == 0:
-                rest = fmax * _gauss_tail(1, tau.real, ell)
-                if abs(pref) * rest < target:
-                    break
-            ell += 1
-        value = pref * acc
-        return Estimate(value, abs(pref) * rest + abs(value) * mpf(2) ** (-ctx.prec))
+        M, b = series.f.M, series.b
+        pref = 2j * (2 * b * mp.pi * x) ** THREE_HALVES * mp.sqrt(2) * to_mpf(series.f.c) / M ** 2
+        theta = theta_upper_half(ThetaSpec(a=0, b=4 * M * M, nu=1, f=series.tilde),
+                                 2j * mp.pi * b * x, ctx)
+        value = pref * theta.value
+        return Estimate(value, abs(pref) * theta.error + abs(value) * mpf(2) ** (-ctx.prec))
 
 
 def discontinuity(series: FormalSeries, x,
@@ -407,7 +390,8 @@ def discontinuity(series: FormalSeries, x,
         x = mpc(x)
         plus = lateral_sum(series, x, "plus", ctx)
         minus = lateral_sum(series, x, "minus", ctx)
-        numeric = Estimate(plus.value - minus.value, plus.error + minus.error)
+        numeric = Estimate(plus.value - minus.value, plus.error + minus.error,
+                           plus.budget_exhausted or minus.budget_exhausted)
         closed = disc_closed_form(series, x, ctx)
         return DiscontinuityResult(numeric, closed, x)
 
@@ -515,6 +499,6 @@ def boundary_median_extrapolated(series: FormalSeries, alpha,
     with ctx.working(20):
         x0 = boundary_point(alpha)
         xs = [mpf(e) for e in eps_values]
-        ys = [median_sum(series, x0 + e, ctx).value for e in xs]
-        val, err = richardson_limit(xs, ys)
-        return Estimate(val, err)
+        ests = [median_sum(series, x0 + e, ctx) for e in xs]
+        val, err = richardson_limit(xs, [e.value for e in ests])
+        return Estimate(val, err, any(e.budget_exhausted for e in ests))

@@ -126,19 +126,10 @@ def suite_strange(cfg: Config, ctx: PrecisionContext, report: Report,
     if alpha is None:
         raise ConfigError("strange suite needs --alpha")
     alpha = as_fraction(alpha)
-    if cfg.family == "hikami":
-        sc = StrangeConfig("hikami", cfg.params["u"], cfg.params["l"])
-    elif cfg.family == "t3-2k":
-        raise ConfigError("the T(3,2^k) Habiro element has no finite formula "
-                          "here; only its theta side is configured")
-    else:
-        # the trefoil in any of its different dressings
-        if cfg.f.M == 12 and cfg.f.k1 == 1 and cfg.f.k2 == 5:
-            sc = StrangeConfig("trefoil")
-        else:
-            raise ConfigError(f"no Habiro element attached to {cfg.label()}")
+    if cfg.habiro is None:
+        raise ConfigError(f"no Habiro element attached to {cfg.label()}")
     with timed() as t:
-        rep = verify_strange(sc, alpha, ctx)
+        rep = verify_strange(StrangeConfig(*cfg.habiro), alpha, ctx)
     report.add("strange.identity",
                {"family": rep.family, "u": rep.u, "l": rep.ell, "alpha": alpha},
                rep.habiro_side, rep.theta_side, rep.tolerance, t.elapsed)

@@ -16,6 +16,10 @@ form with Watson moments; it shares only the theta radial limit term.
 `tilde_dirichlet_blocks_reference` is the plain mpf loop over the same head
 as `resum.tilde_dirichlet_blocks`, the kernel's fixed-point sums replaced.
 
+`pattern_bernoulli_sum_scan` is the Bernoulli pattern sum as a scan over all
+M residues, the route `exact._pattern_bernoulli_sum` took before it used the
+evenness of the pattern and of B_k for its two-term form.
+
 The rest are oracles for single layers: Watson's optimal truncation of the
 formal series, Richardson extrapolation of theta along a radius, the
 explicit trefoil Borel transform, the D2 pair set and the folding bijection
@@ -29,6 +33,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpc, mpf, workprec
 
+from thetaresum.exact import bernoulli_polynomial
 from thetaresum.habiro import _Arith, _QBinomial, q_pochhammer
 from thetaresum.periodic import ConfigError, PairSet
 from thetaresum.precision import (DEFAULT_CTX, FIVE_HALVES, HALF, MINUS_FIVE_HALVES,
@@ -197,6 +202,16 @@ def tilde_dirichlet_blocks_reference(tilde, s: int, target, guard: int = 64) -> 
             if v:
                 acc += v / mpf(ell) ** s
     return acc, 2 * peak / mpf(L + 1) ** s
+
+
+def pattern_bernoulli_sum_scan(f, degree: int) -> Fraction:
+    """sum_{m=1}^{M} pattern(m) B_degree(m/M), exact, one term per residue."""
+    total = Fraction(0)
+    for m in range(1, f.M + 1):
+        s = f.sign(m)
+        if s:
+            total += s * bernoulli_polynomial(degree, Fraction(m, f.M))
+    return total
 
 
 def optimal_truncation(series, x):

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc, workprec
 
-from thetaresum.config import config_chi, trefoil_strange
-from thetaresum.exact import (bernoulli_number, bernoulli_polynomial, constant_cm,
+from reference import pattern_bernoulli_sum_scan
+from thetaresum.config import config_chi, config_t3_2k, trefoil_strange
+from thetaresum.exact import (_pattern_bernoulli_sum, bernoulli_number, bernoulli_polynomial,
                               gevrey_estimate, l_value, series_coefficients)
 from thetaresum.periodic import make_periodic
 from thetaresum.precision import PrecisionContext
@@ -36,6 +37,30 @@ class TestBernoulli:
         assert bernoulli_polynomial(k, 1 - x) == (-1) ** k * bernoulli_polynomial(k, x)
 
 
+class TestPatternBernoulliSum:
+    PATTERNS = {
+        "trefoil": make_periodic(Fraction(-1, 2), 12, 1, 5),
+        "M24": make_periodic(1, 24, 1, 7),
+        "c2/3-M40": make_periodic(Fraction(2, 3), 40, 3, 11),
+        "M35": make_periodic(1, 35, 16, 9),
+        "t3-2k-5": config_t3_2k(5).f,
+    }
+
+    @pytest.mark.parametrize("name", sorted(PATTERNS))
+    def test_two_term_form_matches_residue_scan(self, name):
+        """2 (B_k(k1/M) - B_k(k2/M)) against the scan over all M residues
+        (tests/reference.py) at every even degree up to 120."""
+        f = self.PATTERNS[name]
+        for k in range(2, 121, 2):
+            assert _pattern_bernoulli_sum(f, k) == pattern_bernoulli_sum_scan(f, k), (name, k)
+
+    def test_l_value_from_residue_scan(self):
+        f = self.PATTERNS["c2/3-M40"]
+        for n in range(8):
+            scan = pattern_bernoulli_sum_scan(f, 2 * n + 2)
+            assert l_value(f, n) == -f.c * Fraction(40 ** (2 * n + 1), 2 * n + 2) * scan
+
+
 class TestLValues:
     def test_trefoil_character(self):
         chi = make_periodic(Fraction(1), 12, 1, 5)
@@ -56,11 +81,14 @@ class TestSeriesCoefficients:
         assert ser.c_m == 1
 
     def test_cm_matches_c0_everywhere(self):
+        """c_m is C_0, and both equal C_M = -(M/2) c sum_m pattern(m) B_2(m/M)
+        from the residue scan."""
         for cfg_f, b in [(make_periodic(Fraction(1), 12, 1, 5), 24),
                          (make_periodic(Fraction(1), 24, 1, 7), 48),
                          (make_periodic(Fraction(2, 3), 40, 3, 11), 80)]:
             ser = series_coefficients(ThetaSpec(a=0, b=b, nu=1, f=cfg_f), 3)
-            assert ser.C[0] == ser.c_m == constant_cm(cfg_f)
+            cm = -cfg_f.c * Fraction(cfg_f.M, 2) * pattern_bernoulli_sum_scan(cfg_f, 2)
+            assert ser.C[0] == ser.c_m == cm
 
     def test_a_accessor(self):
         ser = series_coefficients(TREFOIL_SPEC, 4)

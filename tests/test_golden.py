@@ -4,7 +4,7 @@ tests/golden/ holds the 128-bit reports of scripts/run_verification.py (its
 default precision and tolerance).  A change that moves any printed digit,
 error or check outcome fails here; regenerate the files with
 
-    python scripts/run_verification.py --outdir tests/golden
+    PYTHONPATH=src python scripts/run_verification.py --outdir tests/golden
 
 only when such a change is intended, and say which digits moved and why.
 """

@@ -140,12 +140,14 @@ class TestHikami:
     def test_u2_at_one(self):
         assert hikami_x(2, 0, RootOfUnity(0, 1), CTX) == 1
 
-    def test_loop_order_independence(self):
-        with CTX.working():
-            for (u, ell, N) in [(2, 1, 5), (3, 0, 4), (3, 2, 7)]:
-                fwd = hikami_x(u, ell, RootOfUnity(1, N), CTX)
-                rev = hikami_x(u, ell, RootOfUnity(1, N), CTX, reverse=True)
-                assert abs(fwd - rev) < mpf("1e-24")
+    def test_floating_path_meets_strange_identity(self):
+        """Orders N > 8 leave the exact ring for complex floats; there X_u^(l)
+        must still equal the theta radial limit at alpha = 1/N (the worst
+        residual at 128 bits is about 6e-41)."""
+        for (u, ell) in [(2, 0), (2, 1), (3, 0)]:
+            for N in (9, 10, 11, 12):
+                rep = verify_strange(StrangeConfig("hikami", u, ell), Fraction(1, N), CTX)
+                assert rep.residual < mpf(2) ** -120, (u, ell, N, rep.residual)
 
     def test_regression_values(self):
         """Values pinned after first computation (two loop orders agreed)."""
@@ -191,6 +193,41 @@ class TestConfigEquivalences:
         a = config_hikami(1, 0)
         b = config_t3_2k(1)
         assert (a.f, a.a, a.b) == (b.f, b.a, b.b)
+
+    def test_habiro_attachments(self):
+        """hikami(u, l) carries its own element, every other configuration of
+        the trefoil sign pattern (12, 1, 5) the Kontsevich-Zagier element,
+        and the rest none; the strange suite reads only this attachment."""
+        from thetaresum.config import (config_chi, config_general, config_hikami,
+                                       config_t3_2k, trefoil_chi)
+        from thetaresum.periodic import ConfigError
+        from thetaresum.report import Report
+        from thetaresum.suites import suite_strange
+        assert config_hikami(1, 0).habiro == ("hikami", 1, 0)
+        assert config_hikami(3, 2).habiro == ("hikami", 3, 2)
+        for cfg in (trefoil_chi(), config_chi(2, 3, 1, 2), config_chi(3, 2, 2, 1, c=5),
+                    config_general("-1/2", 12, 1, 5, 1, 24), config_t3_2k(1)):
+            assert cfg.habiro == ("trefoil",), cfg.label()
+        for cfg in (config_chi(3, 4, 1, 1), config_t3_2k(2),
+                    config_general(1, 24, 1, 7, 0, 48)):
+            assert cfg.habiro is None, cfg.label()
+            with pytest.raises(ConfigError):
+                suite_strange(cfg, CTX, Report({}, 128, "1e-10"), alpha=Fraction(1, 3))
+
+    def test_strange_theta_data(self):
+        """X_u^(l) pairs with theta^(1) of -chi_{2(2u+1)}^{(1,l+1)}/2, a =
+        (2u-2l-1)^2, b = 2(8u+4); the Kontsevich-Zagier element with u = 1."""
+        from thetaresum.periodic import ChiParams, chi_function
+        from thetaresum.qseries import ThetaSpec
+
+        def spec(u, ell):
+            chi = chi_function(ChiParams(2, 2 * u + 1, 1, ell + 1))
+            return ThetaSpec(a=(2 * u - 2 * ell - 1) ** 2, b=2 * (8 * u + 4), nu=1,
+                             f=chi.scale(Fraction(-1, 2)))
+        assert StrangeConfig("trefoil").theta_spec() == spec(1, 0)
+        for u in (1, 2, 3):
+            for ell in range(u):
+                assert StrangeConfig("hikami", u, ell).theta_spec() == spec(u, ell)
 
     def test_hikami_indices_lie_in_pair_set(self):
         from thetaresum.config import config_hikami

@@ -56,6 +56,13 @@ class TestMakePeriodic:
         with pytest.raises(ConfigError):
             make_periodic(0, 12, 1, 5)
 
+    def test_rejects_non_rational_scale(self):
+        """c must be exact: the L-values and the Borel Taylor data are Fractions."""
+        for c in (mpf("0.5"), 0.5, mpf(2)):
+            with pytest.raises(TypeError):
+                make_periodic(c, 12, 1, 5)
+        assert make_periodic("-1/2", 12, 1, 5).c == Fraction(-1, 2)
+
     @given(st.integers(4, 60), st.data())
     @settings(max_examples=120, deadline=None)
     def test_invariants_hold(self, M, data):

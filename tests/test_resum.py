@@ -564,3 +564,15 @@ class TestBudgetFlag:
         assert not roomy.budget_exhausted
         # the flagged value is still a sensible partial answer
         assert abs(res.value - roomy.value) < mpf("1e-6")
+
+    def test_combined_estimates_keep_the_flags_of_their_parts(self):
+        """discontinuity and boundary_median_extrapolated are flagged when a
+        lateral or median sum under them stopped at ctx.ell_cap, and not
+        otherwise."""
+        tiny = PrecisionContext(prec=96, tol=1e-10, ell_cap=16)
+        assert discontinuity(SER, mpf("0.25"), tiny).numeric.budget_exhausted
+        assert not discontinuity(SER, mpf("0.25"), CTX).numeric.budget_exhausted
+        assert median_sum(SER, boundary_point(1) + mpf("1e-3"), tiny).budget_exhausted
+        assert boundary_median_extrapolated(SER, 1, tiny).budget_exhausted
+        eps = [mpf(4), mpf(2), mpf(1)]
+        assert not boundary_median_extrapolated(SER, 1, CTX, eps_values=eps).budget_exhausted
