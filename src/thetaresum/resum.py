@@ -5,19 +5,19 @@ along rays at angle +-theta.  For l <= L each ray integral is the Laplace
 kernel K_eps (an upper incomplete gamma value Gamma(-3/2, .) on the sheet
 eps in {0, 1} the side selects); for l > L the first three Taylor moments
 of (1 - p/(b A_l))^{-5/2} are summed over l as shifted Hurwitz zeta values
-and the rest is bounded.  The median, the average of the two sides, is the
-same kernel at eps = 1/2, which is entire; it gives the convergent
-special-function form
+and the rest is bounded.  The jump S+ - S- across the positive axis is an
+explicit theta series (disc_closed_form).  The median, the average of the
+two sides, is the kernel at eps = 1/2; the kernel is affine in eps, so
+K_{1/2} = (K_0 + K_1)/2 per l-term, and the moments over l > L do not
+depend on the side.  Hence S_med = S- + disc/2 = S+ - disc/2, one lateral
+sum on the side whose ray converges and half the jump (median_sum).
+special_e is the same median kernel as a Dawson-integral function.
 
-    S_med(x) = (4 M c / pi^{3/2}) sum_l (f~(l)/l^2) E((l pi/M) sqrt(b x)),
-
-with E(y) = (2 + 3 K_{1/2}(y^2))/(4 sqrt(pi)) = (2 y^3 D(y) - y^2)/sqrt(pi),
-D the Dawson integral, and the jump S+ - S- across the positive axis is an
-explicit theta series.  At the natural-boundary points x = -1/(2 pi i alpha)
-the median combines a vertical theta integral with a theta radial limit.
-Each l-term of that integral is the kernel at exponent -1/2, a value
-Gamma(-1/2, -i lambda_l/alpha), taken for l <= N0; for l > N0, K Watson
-moments are shifted Hurwitz sums and the rest is bounded by Watson's lemma
+At the natural-boundary points x = -1/(2 pi i alpha) the median combines a
+vertical theta integral with a theta radial limit.  Each l-term of that
+integral is the kernel at exponent -1/2, a value Gamma(-1/2, -i
+lambda_l/alpha), taken for l <= N0; for l > N0, K Watson moments are
+shifted Hurwitz sums and the rest is bounded by Watson's lemma
 (boundary_median), so no quadrature is left.
 
 These sums, and the Borel transform's, share one shape, written once as
@@ -39,7 +39,7 @@ from .periodic import TildeFunction
 from .precision import (DEFAULT_CTX, FIVE_HALVES, HALF, MINUS_FIVE_HALVES, MINUS_HALF,
                         MINUS_THREE_HALVES, QUARTER, THREE_HALVES, Estimate,
                         PrecisionContext, as_fraction, frac_to_mp, richardson_limit, to_mpf)
-from .qseries import DomainError, ThetaSpec, _gauss_tail, theta_radial_limit, theta_upper_half
+from .qseries import DomainError, ThetaSpec, theta_radial_limit, theta_upper_half
 
 
 # ---------------------------------------------------------------------------
@@ -91,11 +91,6 @@ def special_e(y, ctx: PrecisionContext = DEFAULT_CTX):
         return mpc(val) if y.imag else mpc(val.real)
 
 
-def e_limit():
-    """lim E(y) = 1/(2 sqrt(pi)) along directions |arg y| < pi/4."""
-    return 1 / (2 * mp.sqrt(mp.pi))
-
-
 # ---------------------------------------------------------------------------
 # Shared l-sum helpers.
 
@@ -118,7 +113,7 @@ def tilde_dirichlet(tilde: TildeFunction, s: int, start: int = 0) -> mpf:
 def ell_sum(tilde: TildeFunction, L: int, term, moments, bound) -> Estimate:
     """sum_{l<=L} f~(l) term(l) + sum_k c_k sum_{l>L} f~(l) l^{-s_k}, with its error.
 
-    The one l-sum of the Borel, lateral, median and boundary sums: a kernel
+    The one l-sum of the Borel, lateral and boundary sums: a kernel
     taken term by term over the head l <= L (L >= 1), the first terms of its
     expansion in l^{-2} as moments (s_k, c_k) over l > L, each a shifted
     Hurwitz sum (tilde_dirichlet), and the caller's bound on the rest.  The
@@ -293,65 +288,7 @@ def lateral_sum(series: FormalSeries, x, side: str,
 
 
 # ---------------------------------------------------------------------------
-# Median resummation (convergent special-function series).
-
-# kappa in median_sum's bound; a sweep of |y| in [2, 1000], |arg y| < pi/4
-# needs 1.62, at |y| = 3.03 on the real axis (tests/test_resum.py)
-E_KAPPA = 2
-
-
-def median_sum(series: FormalSeries, x, ctx: PrecisionContext = DEFAULT_CTX) -> Estimate:
-    """S_med(x) on Re x > 0 via the E-function series.
-
-    E is called for l <= L (ell_sum).  For l > L, y_l = rho l, the
-    expansion E ~ E_inf + (3/(4 y^2) + 15/(8 y^4) + ...)/sqrt(pi) (DLMF
-    7.12), E_inf = 1/(2 sqrt(pi)), gives two moments: E_inf times
-    sum_{l>L} f~(l) l^{-2} (over all l, with the prefactor, this is C_M, so
-    the constant comes from Hurwitz values, not the Bernoulli route) and
-    3/(4 sqrt(pi) rho^2) times sum_{l>L} f~(l) l^{-4}.  The rest is bounded,
-    for |y| >= 2 (L >= 2/|rho| + 1) and |arg y| < pi/4, through
-
-        |E - E_inf - 3/(4 sqrt(pi) y^2)| <= |y|^3 e^{-Re y^2} + kappa 15/(8 sqrt(pi) |y|^4),
-
-    kappa = E_KAPPA; its algebraic part falls like L^{-5}.
-    """
-    with ctx.working(20):
-        x = mpc(x)
-        if x.real <= 0:
-            raise DomainError("median sum defined on Re x > 0")
-        f = series.f
-        tilde = series.tilde
-        M, b = f.M, series.b
-        c = to_mpf(f.c)
-        sq = mp.sqrt(b * x)
-        rho = mp.pi * sq / M          # y_l = rho * l
-        tau = (mp.pi ** 2 * b / M ** 2) * x.real   # Re y_l^2 = tau l^2
-        pref = 4 * M * c / mp.pi ** THREE_HALVES
-
-        fmax = tilde.max_abs()
-        target = ctx.tolerance() * mpf("0.1") + mpf(2) ** (-ctx.prec)
-
-        def tail_bound(L):
-            # algebraic part: sum_{l>L} fmax l^{-2} kappa 15/(8 sqrt(pi) |rho l|^4)
-            alg = E_KAPPA * 15 * fmax / (8 * mp.sqrt(mp.pi) * abs(rho) ** 4 * 5 * mpf(L) ** 5)
-            # oscillatory part: sum_{l>L} fmax rho^3 l e^{-tau l^2}
-            gauss = fmax * abs(rho) ** 3 * _gauss_tail(1, tau, L)
-            return alg + gauss
-
-        L = max(8, int(2 / abs(rho)) + 1, tilde.first_support + 1)
-        while abs(pref) * tail_bound(L) > target and L < ctx.ell_cap:
-            L = min(2 * L, ctx.ell_cap)
-        bound = tail_bound(L)
-
-        est = ell_sum(tilde, L, lambda ell: special_e(rho * ell, ctx) / mpf(ell) ** 2,
-                      [(2, e_limit()), (4, 3 / (4 * mp.sqrt(mp.pi) * rho ** 2))], bound)
-        value = pref * est.value
-        err = abs(pref) * est.error + abs(value) * mpf(2) ** (-ctx.prec)
-        return Estimate(value, err, abs(pref) * bound > target)
-
-
-# ---------------------------------------------------------------------------
-# Stokes discontinuity.
+# Stokes discontinuity, and the median as a lateral sum and half the jump.
 
 @dataclass(frozen=True)
 class DiscontinuityResult:
@@ -394,6 +331,37 @@ def discontinuity(series: FormalSeries, x,
                            plus.budget_exhausted or minus.budget_exhausted)
         closed = disc_closed_form(series, x, ctx)
         return DiscontinuityResult(numeric, closed, x)
+
+
+def median_sum(series: FormalSeries, x, ctx: PrecisionContext = DEFAULT_CTX) -> Estimate:
+    """S_med(x) on Re x > 0: one lateral sum and half the Stokes jump.
+
+    The median kernel is laplace_kernel at eps = 1/2, and the kernel is
+    affine in eps, so per l-term K_{1/2} = (K_0 + K_1)/2, the average of the
+    two sides' terms (_ray_laplace).  The moments over l > L expand
+    (1 - p/(b A_l))^{-5/2}, the same on both rays, so they are the median's
+    too.  Hence S_med = (S+ + S-)/2 = S- + disc/2 = S+ - disc/2, with
+    disc = S+ - S- the theta series of disc_closed_form.
+
+    Side rule: minus with + disc/2 for arg x >= 0, plus with - disc/2
+    otherwise; only the chosen side's ray converges once |arg x| > pi/4.
+    The error is the lateral error plus half the jump's, plus roundoff;
+    budget_exhausted is the lateral sum's.  On the real axis S- = conj S+
+    (Schwarz reflection), so the median is real and its real part is
+    returned.
+    """
+    with ctx.working(20):
+        x = mpc(x)
+        if x.real <= 0:
+            raise DomainError("median sum defined on Re x > 0")
+        side, sgn = ("minus", 1) if x.imag >= 0 else ("plus", -1)
+        lat = lateral_sum(series, x, side, ctx)
+        jump = disc_closed_form(series, x, ctx)
+        value = lat.value + sgn * jump.value / 2
+        if x.imag == 0:
+            value = mpc(value.real)
+        err = lat.error + jump.error / 2 + abs(value) * mpf(2) ** (-ctx.prec)
+        return Estimate(value, err, lat.budget_exhausted)
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,6 @@ SUITES = ("coeffs", "borel", "disc", "cm", "gentor", "strange", "main2",
 def suite_coeffs(cfg: Config, ctx: PrecisionContext, report: Report, **_):
     series = cfg.series(40)
     with timed() as t:
-        lhs, rhs = to_mpf(series.C[0]), to_mpf(series.c_m)
-    report.add("coeffs.c0-equals-cm", {"config": cfg.label()}, lhs, rhs,
-               mpf(0), t.elapsed)
-    with timed() as t:
         gfp = borel_mod.gfp_coefficients(series, 8)
         direct = borel_mod.borel_coefficients(series, 8)
         worst = max(abs(to_mpf(u) - to_mpf(v)) for u, v in zip(gfp, direct))

@@ -13,6 +13,13 @@ Poisson branch near v = 0) and an exponential bound past the cutoff, the
 route `resum.boundary_median` took before it summed the l-terms in closed
 form with Watson moments; it shares only the theta radial limit term.
 
+`median_sum_e_series` is the median as the convergent special-function
+series (4 M c / pi^{3/2}) sum_l (f~(l)/l^2) E((l pi/M) sqrt(b x)), with E
+the Dawson-integral form of the eps = 1/2 kernel (`resum.special_e`), two
+moments of E's expansion at infinity and a kappa bound on the rest, the
+route `resum.median_sum` took before it became one lateral sum and half
+the Stokes jump; it shares no lateral sum and no theta series with it.
+
 `tilde_dirichlet_blocks_reference` is the plain mpf loop over the same head
 as `resum.tilde_dirichlet_blocks`, the kernel's fixed-point sums replaced.
 
@@ -42,7 +49,7 @@ from thetaresum.precision import (DEFAULT_CTX, FIVE_HALVES, HALF, MINUS_FIVE_HAL
                                   to_mpf)
 from thetaresum.qseries import (DomainError, ThetaSpec, VerticalTheta, _f_max, _gauss_tail,
                                 _phase_exponent, theta_radial_limit)
-from thetaresum.resum import _BETA, RAY_ANGLE, tilde_dirichlet
+from thetaresum.resum import _BETA, RAY_ANGLE, ell_sum, special_e, tilde_dirichlet
 
 _BETA2 = mpf("4.375")  # (5/2)_2/2! = 35/8
 _BETA3 = mpf("6.5625")  # (5/2)_3/3! = 105/16
@@ -183,6 +190,62 @@ def boundary_median_quadrature(series, alpha, ctx: PrecisionContext = DEFAULT_CT
         err = abs(t1_pref) * (kerr + tail) + abs(t2_pref) * theta1.error \
             + abs(value) * mpf(2) ** (-ctx.prec)
         return Estimate(value, err)
+
+
+# kappa in median_sum_e_series's bound; a sweep of |y| in [2, 1000],
+# |arg y| < pi/4 needs 1.62, at |y| = 3.03 on the real axis (tests/test_resum.py)
+E_KAPPA = 2
+
+
+def e_limit():
+    """lim E(y) = 1/(2 sqrt(pi)) along directions |arg y| < pi/4."""
+    return 1 / (2 * mp.sqrt(mp.pi))
+
+
+def median_sum_e_series(series, x, ctx: PrecisionContext = DEFAULT_CTX) -> Estimate:
+    """S_med(x) on Re x > 0 via the E-function series.
+
+    E is called for l <= L (ell_sum).  For l > L, y_l = rho l, the
+    expansion E ~ E_inf + (3/(4 y^2) + 15/(8 y^4) + ...)/sqrt(pi) (DLMF
+    7.12), E_inf = 1/(2 sqrt(pi)), gives two moments: E_inf times
+    sum_{l>L} f~(l) l^{-2} and 3/(4 sqrt(pi) rho^2) times
+    sum_{l>L} f~(l) l^{-4}.  The rest is bounded, for |y| >= 2
+    (L >= 2/|rho| + 1) and |arg y| < pi/4, through
+
+        |E - E_inf - 3/(4 sqrt(pi) y^2)| <= |y|^3 e^{-Re y^2} + kappa 15/(8 sqrt(pi) |y|^4),
+
+    kappa = E_KAPPA; its algebraic part falls like L^{-5}, so L doubles
+    until the bound meets the target or ctx.ell_cap.
+    """
+    with ctx.working(20):
+        x = mpc(x)
+        if x.real <= 0:
+            raise DomainError("median sum defined on Re x > 0")
+        f, tilde, b = series.f, series.tilde, series.b
+        M = f.M
+        c = to_mpf(f.c)
+        rho = mp.pi * mp.sqrt(b * x) / M          # y_l = rho * l
+        tau = (mp.pi ** 2 * b / M ** 2) * x.real   # Re y_l^2 = tau l^2
+        pref = 4 * M * c / mp.pi ** THREE_HALVES
+        fmax = tilde.max_abs()
+        target = ctx.tolerance() * mpf("0.1") + mpf(2) ** (-ctx.prec)
+
+        def tail_bound(L):
+            # sum_{l>L} fmax l^{-2} kappa 15/(8 sqrt(pi) |rho l|^4), and
+            # sum_{l>L} fmax rho^3 l e^{-tau l^2}
+            alg = E_KAPPA * 15 * fmax / (8 * mp.sqrt(mp.pi) * abs(rho) ** 4 * 5 * mpf(L) ** 5)
+            return alg + fmax * abs(rho) ** 3 * _gauss_tail(1, tau, L)
+
+        L = max(8, int(2 / abs(rho)) + 1, tilde.first_support + 1)
+        while abs(pref) * tail_bound(L) > target and L < ctx.ell_cap:
+            L = min(2 * L, ctx.ell_cap)
+        bound = tail_bound(L)
+
+        est = ell_sum(tilde, L, lambda ell: special_e(rho * ell, ctx) / mpf(ell) ** 2,
+                      [(2, e_limit()), (4, 3 / (4 * mp.sqrt(mp.pi) * rho ** 2))], bound)
+        value = pref * est.value
+        err = abs(pref) * est.error + abs(value) * mpf(2) ** (-ctx.prec)
+        return Estimate(value, err, abs(pref) * bound > target)
 
 
 def tilde_dirichlet_blocks_reference(tilde, s: int, target, guard: int = 64) -> tuple:

@@ -129,6 +129,7 @@ class TestEval:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert abs(float(payload["value"]["re"]) - 1.6475734860322) < 1e-9
+        assert float(payload["value"]["im"]) == 0
 
     def test_missing_point_is_usage_error(self):
         rc = run_cli(["eval", "--quantity", "smed", "--family", "hikami",

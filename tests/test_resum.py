@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf, mpc, workprec
 
-from reference import (boundary_median_quadrature, lateral_sum_quadrature,
-                       optimal_truncation, tilde_dirichlet_blocks_reference)
+from reference import (E_KAPPA, boundary_median_quadrature, e_limit, lateral_sum_quadrature,
+                       median_sum_e_series, optimal_truncation,
+                       tilde_dirichlet_blocks_reference)
 from thetaresum import resum
 from thetaresum.borel import borel_eval
 from thetaresum.config import (config_chi, config_hikami, config_t3_2k, trefoil_chi,
@@ -15,10 +16,10 @@ from thetaresum.config import (config_chi, config_hikami, config_t3_2k, trefoil_
 from thetaresum.periodic import ChiParams, chi_function, pair_set, tilde_transform
 from thetaresum.precision import MINUS_HALF, PrecisionContext
 from thetaresum.qseries import DomainError, ThetaSpec, theta_radial_limit
-from thetaresum.resum import (E_KAPPA, _ray_laplace, boundary_median,
-                              boundary_median_extrapolated, boundary_point, disc_closed_form,
-                              discontinuity, e_limit, ell_sum, laplace_kernel, lateral_sum,
-                              median_sum, special_e, tilde_dirichlet, tilde_dirichlet_blocks)
+from thetaresum.resum import (_ray_laplace, boundary_median, boundary_median_extrapolated,
+                              boundary_point, disc_closed_form, discontinuity, ell_sum,
+                              laplace_kernel, lateral_sum, median_sum, special_e,
+                              tilde_dirichlet, tilde_dirichlet_blocks)
 
 CTX = PrecisionContext(prec=96, tol=1e-10)
 SER = trefoil_strange().series(36)
@@ -62,8 +63,8 @@ class TestSpecialE:
     def test_second_order_bound_constant(self, prec):
         """|E - E_inf - 3/(4 sqrt(pi) y^2)| <= |y|^3 e^{-Re y^2}
         + kappa 15/(8 sqrt(pi) |y|^4) on |y| >= 2, |arg y| < pi/4, the bound
-        median_sum's tail rests on.  The smallest kappa that holds is about
-        1.62, at |y| near 3.03 on the real axis."""
+        the E-series oracle's tail rests on.  The smallest kappa that holds
+        is about 1.62, at |y| near 3.03 on the real axis."""
         ctx = PrecisionContext(prec=prec)
         worst = mpf(0)
         with ctx.working():
@@ -201,30 +202,46 @@ class TestMedian:
                     sp.error + sm.error + md.error
 
     def test_real_on_real_axis(self):
-        with CTX.working():
-            md = median_sum(SER, mpf(3), CTX)
-            assert abs(md.value.imag) < md.error + mpf(2) ** -80
+        md = median_sum(SER, mpf(3), CTX)
+        assert md.value.imag == 0
 
     def test_requires_right_half_plane(self):
         with pytest.raises(DomainError):
             median_sum(SER, mpc(-1, 1), CTX)
 
-    def test_tail_moment_keeps_the_loop_short(self, monkeypatch):
-        """With the y^{-2} term of E summed over l > L, the tail falls like
-        L^{-5}: the trefoil at x = 1 and tol 1e-11 needs few E values (term
-        by term with an L^{-3} tail it took 5461)."""
-        calls = []
-        inner = resum.special_e
-
-        def counting_e(*args, **kwargs):
-            calls.append(args)
-            return inner(*args, **kwargs)
-
-        monkeypatch.setattr(resum, "special_e", counting_e)
+    def test_one_lateral_sum_and_half_the_jump(self, monkeypatch):
+        """One lateral sum, one closed-form jump and no E value; below
+        arg x = -pi/4 only the plus ray converges, and that side is used."""
+        calls = {"lateral_sum": [], "disc_closed_form": [], "special_e": []}
+        for name, seen in calls.items():
+            def counting(*args, _inner=getattr(resum, name), _seen=seen, **kwargs):
+                _seen.append(args)
+                return _inner(*args, **kwargs)
+            monkeypatch.setattr(resum, name, counting)
         ctx = PrecisionContext(prec=128, tol=1e-11)
-        md = median_sum(trefoil_strange().series(12), mpf(1), ctx)
-        assert len(calls) <= 200
+        ser = trefoil_strange().series(12)
+        md = median_sum(ser, mpf(1), ctx)
+        assert [len(seen) for seen in calls.values()] == [1, 1, 0]
         assert md.error < mpf("1e-11") and not md.budget_exhausted
+        median_sum(ser, mpc("0.2", "-1.5"), ctx)
+        assert calls["lateral_sum"][1][2] == "plus"
+
+    @pytest.mark.parametrize("prec, tol", [(64, 1e-10), (128, 1e-12)])
+    def test_agrees_with_e_series_oracle(self, prec, tol):
+        """Against the E-function series, which shares no lateral sum and no
+        theta series with it, within the sum of both claimed errors."""
+        ctx = PrecisionContext(prec=prec, tol=tol)
+        cfgs = [trefoil_strange(), trefoil_chi(), config_chi(3, 4, 1, 1), config_hikami(2, 0),
+                config_t3_2k(3)]
+        xs = [mpf(1), mpc(1, "0.5"), mpc("0.3", "0.9"), mpc("0.5", "-0.2"), mpf("0.25")]
+        for cfg in cfgs:
+            ser = cfg.series(12)
+            for x in xs:
+                md = median_sum(ser, x, ctx)
+                ref = median_sum_e_series(ser, x, ctx)
+                with workprec(prec + 64):
+                    gap = abs(md.value - ref.value)
+                    assert gap <= md.error + ref.error, (cfg.label(), x, prec, gap)
 
     def test_watson_optimal_truncation(self):
         deep = trefoil_strange().series(150)  # x = 80 truncates near n = 132
@@ -523,16 +540,13 @@ class TestSumErrorBars:
     """|v - ref| <= v.error + ref.error for the Borel, lateral and median
     sums at 64 and 128 bits, ref at 64 more bits.  At tol 1e-30 a 64-bit
     run stops at its 2^-64 target and its reference near 1e-31, so the tail
-    bounds are tested along with the head and Hurwitz roundoff.  The
-    median's L^{-5} tail would need more than 10^5 E values at 1e-30, so it
-    runs at tol 1e-10 against a reference at 1e-14."""
+    bounds are tested along with the head and Hurwitz roundoff."""
 
     SERIES = {"trefoil-chi": trefoil_chi().series(12), "t3-2k-3": config_t3_2k(3).series(12)}
-    TOLS = {"median": (1e-10, 1e-14)}   # (tol, reference tol); 1e-30 for the rest
 
-    def _sum(self, quantity, family, prec, tol):
+    def _sum(self, quantity, family, prec):
         ser = self.SERIES[family]
-        ctx = PrecisionContext(prec=prec, tol=tol)
+        ctx = PrecisionContext(prec=prec, tol=1e-30)
         if quantity == "borel":
             return borel_eval(ser, mpc(3, 2), ctx)
         if quantity == "median":
@@ -543,16 +557,19 @@ class TestSumErrorBars:
     @pytest.mark.parametrize("family", ["trefoil-chi", "t3-2k-3"])
     @pytest.mark.parametrize("quantity", ["lateral-plus", "lateral-minus", "median", "borel"])
     def test_error_bounds_gap_to_more_bits(self, quantity, family):
-        tol, ref_tol = self.TOLS.get(quantity, (1e-30, 1e-30))
-        # with one tol, the 128-bit run is the value at 128 bits and the
-        # reference of the 64-bit run
-        run = functools.lru_cache()(lambda prec, tol: self._sum(quantity, family, prec, tol))
+        # the 128-bit run is the value at 128 bits and the reference of the
+        # 64-bit run
+        run = functools.lru_cache()(lambda prec: self._sum(quantity, family, prec))
         for prec in (64, 128):
-            v = run(prec, tol)
-            ref = run(prec + 64, ref_tol)
+            v = run(prec)
+            ref = run(prec + 64)
             with workprec(prec + 84):
                 gap = abs(v.value - ref.value)
                 assert gap <= v.error + ref.error, (prec, gap, v.error, ref.error)
+
+    def test_median_meets_tol_1e30_at_256_bits(self):
+        md = median_sum(self.SERIES["trefoil-chi"], mpf(1), PrecisionContext(prec=256, tol=1e-30))
+        assert md.error <= mpf("1e-30") and not md.budget_exhausted
 
 
 class TestBudgetFlag:
