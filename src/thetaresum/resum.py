@@ -3,8 +3,8 @@
 The lateral sums integrate e^{-px} against the closed-form Borel transform
 along rays at angle +-theta.  For l <= L each ray integral is the Laplace
 kernel K_eps (an upper incomplete gamma value Gamma(-3/2, .) on the sheet
-eps in {0, 1} the side selects); for l > L the first three Taylor moments
-of (1 - p/(b A_l))^{-5/2} are summed over l as shifted Hurwitz zeta values
+eps in {0, 1} the side selects); for l > L, K Taylor moments of
+(1 - p/(b A_l))^{-5/2} are summed over l as shifted Hurwitz zeta values
 and the rest is bounded.  The jump S+ - S- across the positive axis is an
 explicit theta series (disc_closed_form).  The median, the average of the
 two sides, is the kernel at eps = 1/2; the kernel is affine in eps, so
@@ -23,7 +23,8 @@ shifted Hurwitz sums and the rest is bounded by Watson's lemma
 These sums, and the Borel transform's, share one shape, written once as
 ell_sum: a kernel taken term by term over l <= L, its expansion in l^{-2}
 as shifted Hurwitz sums over l > L, the caller's bound on the rest, and
-the roundoff of both parts in the error.  All fractional powers are
+the roundoff of both parts in the error; the lateral and boundary sums
+take (L, K) from one chooser (_truncation).  All fractional powers are
 principal.
 """
 
@@ -147,6 +148,31 @@ def ell_sum(tilde: TildeFunction, L: int, term, moments, bound) -> Estimate:
     return Estimate(head + tail, bound + roundoff)
 
 
+HURWITZ_COST = 2      # _truncation's cost of one Hurwitz zeta call, in kernel calls
+BOUNDARY_K_MAX = 40   # and the most moments it takes
+
+
+def _truncation(tilde: TildeFunction, bounds, floor: int, target, ell_cap: int):
+    """The cheapest (L, K, bound, budget_exhausted) for an ell_sum.
+
+    bounds[K-1] = (c_K, e_K): the rest after l <= L and K moments is at most
+    c_K L^{-e_K}.  Each K takes the least L >= floor meeting the target, at
+    a cost of L nnz/M kernels and K nnz Hurwitz sums (nnz = #{r <= M: f~(r)
+    != 0}); the cheapest wins, the fewer moments on a tie.  Failing that,
+    L = ell_cap with the K of least bound there.
+    """
+    M = tilde.M
+    nnz = sum(1 for r in range(1, M + 1) if not tilde.is_zero(r))
+    fits = [(L * nnz / M + HURWITZ_COST * K * nnz, K, L, c / mpf(L) ** e)
+            for K, (c, e) in enumerate(bounds, 1)
+            if (L := max(floor, int(mp.ceil((c / target) ** (mpf(1) / e))))) <= ell_cap]
+    if fits:
+        _, K, L, bound = min(fits)
+        return L, K, bound, False
+    bound, K = min((c / mpf(ell_cap) ** e, K) for K, (c, e) in enumerate(bounds, 1))
+    return ell_cap, K, bound, True
+
+
 BLOCK_ELL_CAP = 10_000_000  # most terms tilde_dirichlet_blocks will sum
 
 
@@ -187,8 +213,7 @@ def tilde_dirichlet_blocks(tilde: TildeFunction, s: int, target) -> Estimate:
 # ---------------------------------------------------------------------------
 # Lateral Borel sums.
 
-_BETA = (Fraction(1), Fraction(5, 2), Fraction(35, 8))  # (5/2)_k / k!, k = 0..2
-RAY_ANGLE = Fraction(1, 4)  # theta/pi; |R3| <= 44|w|^3 and lateral_sum's 264 hold for it only
+RAY_ANGLE = Fraction(1, 4)  # theta/pi; lateral_sum's bound needs |1 - tw| >= sin(theta)
 
 
 def _ray_laplace(Ab, x, sgn: int):
@@ -231,15 +256,17 @@ def lateral_sum(series: FormalSeries, x, side: str,
     Decomposition per l-term (A_l = l^2 pi^2/M^2):
 
       int e^{-px} (A_l - p/b)^{-5/2} dp
-        = A_l^{-5/2} [ sum_{j<3} beta_j (A_l b)^{-j} j!/x^{j+1}
-                       + int e^{-px} R3(p/(A_l b)) dp ],
+        = A_l^{-5/2} [ sum_{j<K} beta_j (A_l b)^{-j} j!/x^{j+1}
+                       + int e^{-px} R_K(p/(A_l b)) dp ],
 
-    with R3(w) = (1-w)^{-5/2} - 1 - (5/2)w - (35/8)w^2.  For l <= L the ray
-    integral is taken whole, in closed form (_ray_laplace); for l > L the
-    moments are shifted Hurwitz sums (ell_sum) and the R3 part, bounded by
-    l^{-10} via |R3(w)| <= 44 |w|^3 on rays at angle pi/4, is left out.  The
-    error is that tail bound plus roundoff; budget_exhausted is set when
-    ctx.ell_cap keeps the bound above the target.
+    with beta_j = (5/2)_j/j! and R_K(w) = (1-w)^{-5/2} - sum_{j<K} beta_j w^j.
+    For l <= L the ray integral is taken whole, in closed form
+    (_ray_laplace); for l > L the K moments are shifted Hurwitz sums
+    (ell_sum) and the rest is bounded: |1 - tw| >= 1/sqrt2 on the rays, so
+    |R_K(w)| <= beta_K 2^{(K+5/2)/2} |w|^K; the ray integral of |p|^K is
+    K!/sig^{K+1} (sig = Re e^{+-i theta} x); sum_{l>L} l^{-2K-4} <=
+    L^{-2K-3}/(2K+3).  (L, K) come from _truncation.  The error is that
+    bound plus roundoff, flagged when ctx.ell_cap keeps it above the target.
     """
     if side not in ("plus", "minus", "+", "-"):
         raise ValueError("side must be 'plus' or 'minus'")
@@ -248,43 +275,35 @@ def lateral_sum(series: FormalSeries, x, side: str,
         x = mpc(x)
         if x.real == 0:
             raise DomainError("x must not lie on the imaginary axis")
-        theta = mp.pi * frac_to_mp(RAY_ANGLE)
-        ray = mp.exp(1j * sgn * theta)
-        sig = (ray * x).real
+        sig = (mp.exp(1j * sgn * mp.pi * frac_to_mp(RAY_ANGLE)) * x).real
         if sig <= 0:
             raise DomainError(
                 f"Re(e^{{{sgn:+d}i theta}} x) = {sig} <= 0; ray integral diverges")
 
-        f = series.f
-        tilde = series.tilde
-        M = f.M
-        b = series.b
-        c = to_mpf(f.c)
-        pref = 3 * mp.pi * c / (M ** 2 * b)
+        tilde, b, M = series.tilde, series.b, series.f.M
+        pref = 3 * mp.pi * to_mpf(series.f.c) / (M ** 2 * b)
         Apref = mp.pi ** 2 / M ** 2
         m2pi2 = mpf(M * M) / mp.pi ** 2
 
-        cm = to_mpf(series.c_m)
-
-        # the least L whose l^{-10} tail bound tail_const L^{-9} meets the target
+        # beta_j, and for each K the bound c_K L^{-(2K+3)} on the rest
+        beta = [mpf(1)]
+        for j in range(BOUNDARY_K_MAX):
+            beta.append(beta[-1] * (FIVE_HALVES + j) / (j + 1))
+        bounds = [(tilde.max_abs() * beta[K] * mpf(2) ** ((K + FIVE_HALVES) / 2) * mp.factorial(K)
+                   * m2pi2 ** (K + FIVE_HALVES) / (sig ** (K + 1) * mpf(b) ** K * (2 * K + 3)),
+                   2 * K + 3) for K in range(1, BOUNDARY_K_MAX + 1)]
         target = ctx.tolerance() * mpf("0.1") + mpf(2) ** (-ctx.prec)
-        tail_const = tilde.max_abs() * 264 / (sig ** 4 * mpf(b) ** 3) * Apref ** mpf("-5.5") / 9
-        L = max(6, tilde.first_support,
-                int(mp.ceil((abs(pref) * tail_const / target) ** (mpf(1) / 9))))
-        L = min(L, ctx.ell_cap)
-        bound = tail_const / mpf(L) ** 9
+        L, K, bound, exhausted = _truncation(
+            tilde, bounds, max(6, tilde.first_support), target / abs(pref), ctx.ell_cap)
 
-        # the head l <= L in closed form, the three moments over l > L
-        est = ell_sum(
-            tilde, L,
-            lambda ell: ell * (Apref * ell * ell) ** MINUS_FIVE_HALVES
-            * _ray_laplace(Apref * ell * ell * b, x, sgn),
-            [(4 + 2 * j, frac_to_mp(beta) * mpf(b) ** (-j) * mp.factorial(j)
-              / x ** (j + 1) * m2pi2 ** (FIVE_HALVES + j)) for j, beta in enumerate(_BETA)],
-            bound)
-        value = cm + pref * est.value
+        # the head l <= L in closed form, K moments over l > L
+        moments = [(4 + 2 * j, beta[j] * mpf(b) ** (-j) * mp.factorial(j) / x ** (j + 1)
+                    * m2pi2 ** (FIVE_HALVES + j)) for j in range(K)]
+        est = ell_sum(tilde, L, lambda ell: ell * (Apref * ell * ell) ** MINUS_FIVE_HALVES
+                      * _ray_laplace(Apref * ell * ell * b, x, sgn), moments, bound)
+        value = to_mpf(series.c_m) + pref * est.value
         err = abs(pref) * est.error + abs(value) * mpf(2) ** (-ctx.prec)
-        return Estimate(value, err, abs(pref) * bound > target)
+        return Estimate(value, err, exhausted)
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +386,6 @@ def median_sum(series: FormalSeries, x, ctx: PrecisionContext = DEFAULT_CTX) -> 
 # ---------------------------------------------------------------------------
 # Boundary median values.
 
-# boundary_median's choice of (N0, K): the cost of one Hurwitz zeta call in
-# kernel calls, and the most Watson moments it will sum
-HURWITZ_COST = 2
-BOUNDARY_K_MAX = 40
-
-
 def boundary_median(series: FormalSeries, alpha,
                     ctx: PrecisionContext = DEFAULT_CTX) -> Estimate:
     """S_med at the boundary point x = -1/(2 pi i alpha), nonzero rational alpha.
@@ -400,57 +413,43 @@ def boundary_median(series: FormalSeries, alpha,
     since |1 + u x| >= 1 for x = iv/a and 0 <= u <= 1, so the Taylor
     remainder of (1 + x)^{-3/2} is at most |C(-3/2, K) x^K|.  The moments
     are sums of f~(l) l^{-2k-2} over l > N0 (ell_sum); the remainder summed
-    over l > N0 is at most
-    fmax |a|^{-3/2-K} (3/2)_K (pi b/(2M^2))^{-K-1} N0^{-2K-1}/(2K+1).
-    N0 and K are chosen together to bring it below 2^-prec at the least
-    cost, one Hurwitz call counting HURWITZ_COST kernel calls.
+    over l > N0 is at most fmax |a|^{-3/2-K} (3/2)_K (pi b/(2M^2))^{-K-1}
+    N0^{-2K-1}/(2K+1), which the (N0, K) of _truncation bring below 2^-prec.
     """
     alpha = as_fraction(alpha)
     if alpha == 0:
         raise DomainError("alpha must be a nonzero rational")
     with ctx.working(20):
-        f = series.f
-        tilde = series.tilde
-        M, b = f.M, series.b
-        c = to_mpf(f.c)
+        tilde, b, M = series.tilde, series.b, series.f.M
+        c = to_mpf(series.f.c)
         a = 1 / frac_to_mp(alpha)
         lam1 = mp.pi * b / (2 * M ** 2)       # lambda_l = lam1 l^2
         t1_pref = c * b * mp.expjpi(QUARTER) / (M * mp.pi * mpc(0, frac_to_mp(alpha)) ** THREE_HALVES)
 
         # N0 and K: the cheapest pair whose remainder is below 2^-prec
-        fmax = tilde.max_abs()
-        nnz = sum(1 for r in range(1, M + 1) if not tilde.is_zero(r))
-        target = mpf(2) ** (-ctx.prec) / abs(t1_pref)
-        best = None
-        coef = fmax * abs(a) ** MINUS_THREE_HALVES / lam1    # K = 0
+        bounds, moments = [], []
+        coef = tilde.max_abs() * abs(a) ** MINUS_THREE_HALVES / lam1    # K = 0
+        mk = 1j * a ** MINUS_THREE_HALVES / lam1
         for K in range(1, BOUNDARY_K_MAX + 1):
+            moments.append((2 * K, mk))
+            mk *= -1j * (K + HALF) / (a * lam1)
             coef *= (K + HALF) / (abs(a) * lam1)
-            N0 = max(1, int(mp.ceil((coef / ((2 * K + 1) * target)) ** (mpf(1) / (2 * K + 1)))))
-            cost = N0 * nnz / M + HURWITZ_COST * K * nnz
-            if best is None or cost < best[0]:
-                best = (cost, K, N0, coef / ((2 * K + 1) * mpf(N0) ** (2 * K + 1)))
-        _, K, N0, tail = best
+            bounds.append((coef / (2 * K + 1), 2 * K + 1))
+        N0, K, tail, exhausted = _truncation(
+            tilde, bounds, 1, mpf(2) ** (-ctx.prec) / abs(t1_pref), ctx.ell_cap)
 
         # the head l <= N0 in closed form, K Watson moments over l > N0
-        moments = []
-        mk = 1j * a ** MINUS_THREE_HALVES / lam1
-        for k in range(K):
-            moments.append((2 * k + 2, mk))
-            mk *= -1j * (k + THREE_HALVES) / (a * lam1)
         root = -a ** MINUS_HALF
         est = ell_sum(tilde, N0, lambda ell: root * laplace_kernel(
-            mpc(0, lam1 * ell * ell * a), 0, MINUS_HALF), moments, tail)
-        term1 = t1_pref * est.value
+            mpc(0, lam1 * ell * ell * a), 0, MINUS_HALF), moments[:K], tail)
 
-        spec1 = ThetaSpec(a=0, b=4 * M * M, nu=1, f=tilde)
-        theta1 = theta_radial_limit(spec1, Fraction(-b, 1) / alpha, ctx)
+        theta1 = theta_radial_limit(ThetaSpec(a=0, b=4 * M * M, nu=1, f=tilde),
+                                    Fraction(-b, 1) / alpha, ctx)
         t2_pref = (mpf(b) / mpc(0, frac_to_mp(alpha))) ** THREE_HALVES * mp.sqrt(2) * c / M ** 2
-        term2 = t2_pref * theta1.value
-
-        value = term1 + term2
+        value = t1_pref * est.value + t2_pref * theta1.value
         err = abs(t1_pref) * est.error + abs(t2_pref) * theta1.error \
             + abs(value) * mpf(2) ** (-ctx.prec)
-        return Estimate(value, err)
+        return Estimate(value, err, exhausted)
 
 
 def boundary_point(alpha) -> mpc:

@@ -49,10 +49,11 @@ from thetaresum.precision import (DEFAULT_CTX, FIVE_HALVES, HALF, MINUS_FIVE_HAL
                                   to_mpf)
 from thetaresum.qseries import (DomainError, ThetaSpec, VerticalTheta, _f_max, _gauss_tail,
                                 _phase_exponent, theta_radial_limit)
-from thetaresum.resum import _BETA, RAY_ANGLE, ell_sum, special_e, tilde_dirichlet
+from thetaresum.resum import RAY_ANGLE, ell_sum, special_e, tilde_dirichlet
 
 _BETA2 = mpf("4.375")  # (5/2)_2/2! = 35/8
 _BETA3 = mpf("6.5625")  # (5/2)_3/3! = 105/16
+_BETAS = (mpf(1), FIVE_HALVES, _BETA2)  # (5/2)_j/j!, j < 3: the oracle's three moments
 
 
 def remainder_r3(w):
@@ -73,8 +74,13 @@ def remainder_r3(w):
 
 def lateral_sum_quadrature(series, x, side: str, ctx: PrecisionContext) -> Estimate:
     """S^side(x) with the R3 ray integrals by mp.quad on [0, U] plus a bound
-    44 |w|^3 on the piece beyond U; same moments, head length and l^{-10}
-    tail bound as the library."""
+    44 |w|^3 on the piece beyond U.
+
+    Three moments, summed over all l, and a fixed l^{-10} tail: |R3(w)| <=
+    44 |w|^3 on the rays, so the R3 parts past L add at most |pref| 264
+    fmax/(9 sig^4 b^3) (pi^2/M^2)^{-11/2} L^{-9} (pref = 3 pi c/(M^2 b)),
+    and L is the least head length >= max(6, first support) that brings
+    this below the target."""
     sgn = 1 if side in ("plus", "+") else -1
     with ctx.working(20):
         x = mpc(x)
@@ -94,9 +100,9 @@ def lateral_sum_quadrature(series, x, side: str, ctx: PrecisionContext) -> Estim
         cm = to_mpf(series.c_m)
 
         poly = mpc(0)
-        for j, beta in enumerate(_BETA):
+        for j, beta in enumerate(_BETAS):
             w_s = tilde_dirichlet(tilde, 4 + 2 * j)
-            poly += (frac_to_mp(beta) * mpf(b) ** (-j) * mp.factorial(j)
+            poly += (beta * mpf(b) ** (-j) * mp.factorial(j)
                      / x ** (j + 1) * m2pi2 ** (FIVE_HALVES + j) * w_s)
 
         target = ctx.tolerance() * mpf("0.1") + mpf(2) ** (-ctx.prec)

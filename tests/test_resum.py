@@ -119,6 +119,60 @@ class TestLateral:
             lateral_sum(SER, mpf(1), "sideways", CTX)
 
 
+class TestLateralTruncation:
+    """lateral_sum's K moments: the remainder bound behind its (L, K) choice,
+    and what that choice costs at high precision."""
+
+    def test_remainder_bound_on_the_rays(self, monkeypatch):
+        """|R_K(w)| <= beta_K 2^{(K+5/2)/2} |w|^K on arg w = +-pi/4, with the
+        constant read back from the bounds lateral_sum hands its chooser."""
+        seen = []
+        choose = resum._truncation
+
+        def spy(tilde, bounds, *args):
+            seen.append(bounds)
+            return choose(tilde, bounds, *args)
+
+        monkeypatch.setattr(resum, "_truncation", spy)
+        ser, x, ctx = trefoil_chi().series(12), mpf(1), PrecisionContext(prec=96)
+        lateral_sum(ser, x, "plus", ctx)
+        with ctx.working(64):
+            M, b = ser.f.M, ser.b
+            sig = x * mp.cos(mp.pi / 4)
+            for K in range(1, 13):
+                c, e = seen[0][K - 1]
+                assert e == 2 * K + 3
+                # c_K = fmax C_K K!/(sig^{K+1} b^K) (M^2/pi^2)^{K+5/2}/(2K+3)
+                const = c * sig ** (K + 1) * mpf(b) ** K * (2 * K + 3) / (
+                    ser.tilde.max_abs() * mp.factorial(K) * (M * M / mp.pi ** 2) ** (K + 2.5))
+                beta = mp.rf(2.5, K) / mp.factorial(K)
+                assert mp.almosteq(const, beta * mpf(2) ** ((K + 2.5) / 2), 1e-25)
+                for sgn in (1, -1):
+                    for r in [mpf(1) / 2 ** k for k in range(1, 8)] + list(range(1, 51)):
+                        w = r * mp.expjpi(sgn * mpf(0.25))
+                        rest = (1 - w) ** -2.5 - sum(mp.rf(2.5, j) / mp.factorial(j) * w ** j
+                                                     for j in range(K))
+                        assert abs(rest) <= const * r ** K, (K, sgn, r)
+
+    @pytest.mark.parametrize("x,side", [("1", "plus"), ("0.1", "plus"), ("1", "minus")])
+    def test_tol_1e40_at_256_bits_in_few_kernel_calls(self, x, side, monkeypatch):
+        ser = trefoil_chi().series(12)
+        calls = []
+        kernel = resum.laplace_kernel
+
+        def counting(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(resum, "laplace_kernel", counting)
+        v = lateral_sum(ser, mpf(x), side, PrecisionContext(prec=256, tol=1e-40))
+        assert len(calls) <= 100
+        assert v.error <= mpf("1e-40") and not v.budget_exhausted
+        ref = lateral_sum(ser, mpf(x), side, PrecisionContext(prec=320, tol=1e-52))
+        with workprec(340):
+            assert abs(v.value - ref.value) <= v.error + ref.error
+
+
 class TestLateralClosedForm:
     """The closed-form ray integrals against independent quadrature."""
 
@@ -573,23 +627,26 @@ class TestSumErrorBars:
 
 
 class TestBudgetFlag:
+    """ell_cap = 16 against a 1e-11 target: at x = 0.05 the least lateral
+    bound with L = 16 is about 4e-6, near boundary_point(4) about 3e-5."""
+
     def test_ell_cap_flags_partial_result(self):
         tiny = PrecisionContext(prec=96, tol=1e-10, ell_cap=16)
-        res = lateral_sum(SER, mpf("0.25"), "plus", tiny)
+        res = lateral_sum(SER, mpf("0.05"), "plus", tiny)
         assert res.budget_exhausted
-        roomy = lateral_sum(SER, mpf("0.25"), "plus", CTX)
+        roomy = lateral_sum(SER, mpf("0.05"), "plus", CTX)
         assert not roomy.budget_exhausted
-        # the flagged value is still a sensible partial answer
-        assert abs(res.value - roomy.value) < mpf("1e-6")
+        # the flagged value is a partial answer whose error bar still holds
+        assert abs(res.value - roomy.value) <= res.error + roomy.error
 
     def test_combined_estimates_keep_the_flags_of_their_parts(self):
         """discontinuity and boundary_median_extrapolated are flagged when a
         lateral or median sum under them stopped at ctx.ell_cap, and not
         otherwise."""
         tiny = PrecisionContext(prec=96, tol=1e-10, ell_cap=16)
-        assert discontinuity(SER, mpf("0.25"), tiny).numeric.budget_exhausted
-        assert not discontinuity(SER, mpf("0.25"), CTX).numeric.budget_exhausted
-        assert median_sum(SER, boundary_point(1) + mpf("1e-3"), tiny).budget_exhausted
-        assert boundary_median_extrapolated(SER, 1, tiny).budget_exhausted
+        assert discontinuity(SER, mpf("0.05"), tiny).numeric.budget_exhausted
+        assert not discontinuity(SER, mpf("0.05"), CTX).numeric.budget_exhausted
+        assert median_sum(SER, boundary_point(4) + mpf("1e-3"), tiny).budget_exhausted
+        assert boundary_median_extrapolated(SER, 4, tiny).budget_exhausted
         eps = [mpf(4), mpf(2), mpf(1)]
         assert not boundary_median_extrapolated(SER, 1, CTX, eps_values=eps).budget_exhausted
