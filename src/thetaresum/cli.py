@@ -147,9 +147,12 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def _context(args) -> PrecisionContext:
-    prec = args.prec if args.prec is not None else default_prec()
-    tol = float(args.tol) if args.tol is not None else 1e-8
-    return PrecisionContext(prec=prec, tol=tol)
+    try:
+        prec = args.prec if args.prec is not None else default_prec()
+        tol = float(args.tol) if args.tol is not None else 1e-8
+        return PrecisionContext(prec=prec, tol=tol)
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
 
 def cmd_verify(args) -> int:

@@ -76,10 +76,16 @@ def _pattern_bernoulli_sum(f: PeriodicFunction, degree: int) -> Fraction:
     """sum_{m=1}^{M} pattern(m) B_degree(m/M) for an even degree, exact.
 
     The pattern is +1 on k1 and M - k1, -1 on k2 and M - k2, and
-    B_k(1 - x) = B_k(x) for even k, so the sum is 2 (B_k(k1/M) - B_k(k2/M)).
+    B_k(1 - x) = B_k(x) for even k, so the sum is 2 (B_k(k1/M) - B_k(k2/M))
+    = 2S/(D M^k), with D = lcm(den B_0, ..., den B_k) and the integer
+    S = sum_j C(k, j) (D B_{k-j}) M^{k-j} (k1^j - k2^j).
     """
-    return 2 * (bernoulli_polynomial(degree, Fraction(f.k1, f.M))
-                - bernoulli_polynomial(degree, Fraction(f.k2, f.M)))
+    k, M = degree, f.M
+    bs = [bernoulli_number(i) for i in range(k + 1)]
+    D = math.lcm(*(b.denominator for b in bs))
+    S = sum(math.comb(k, j) * bs[k - j].numerator * (D // bs[k - j].denominator)
+            * M ** (k - j) * (f.k1 ** j - f.k2 ** j) for j in range(k + 1))
+    return Fraction(2 * S, D * M ** k)
 
 
 def l_value(f: PeriodicFunction, n: int) -> Fraction:

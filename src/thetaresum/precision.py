@@ -9,6 +9,7 @@ truncation error, never by accumulated roundoff.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -37,10 +38,9 @@ def default_prec() -> int:
     raw = os.environ.get(DEFAULT_PREC_ENV)
     if raw is None:
         return 128
-    prec = int(raw)
-    if prec < 24:
-        raise ValueError(f"{DEFAULT_PREC_ENV} must be at least 24 bits, got {prec}")
-    return prec
+    if not raw.strip().isdigit() or int(raw) < 24:
+        raise ValueError(f"{DEFAULT_PREC_ENV} must be a whole number of bits >= 24, got {raw!r}")
+    return int(raw)
 
 
 @dataclass(frozen=True)
@@ -59,6 +59,8 @@ class PrecisionContext:
     def __post_init__(self):
         if self.prec < 24:
             raise ValueError("prec must be at least 24 bits")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if self.ell_cap < 16:
             raise ValueError("ell_cap too small to be useful")
 
@@ -74,7 +76,10 @@ class PrecisionContext:
             return mpf(self.tol)
 
 
-DEFAULT_CTX = PrecisionContext()
+try:
+    DEFAULT_CTX = PrecisionContext()
+except ValueError:  # a bad THETARESUM_PREC; default_prec() reports it when called
+    DEFAULT_CTX = PrecisionContext(prec=128)
 
 
 @dataclass(frozen=True)

@@ -136,6 +136,27 @@ class TestEval:
                       "--u", "1", "--l", "0"])
         assert rc == 2
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--tol", "abc"], "abc"),
+        (["--tol=-1e-8"], "finite and positive"),
+        (["--tol", "nan"], "finite and positive"),
+        (["--prec", "10"], "24 bits"),
+    ])
+    def test_bad_precision_or_tolerance_is_usage_error(self, flags, message, capsys):
+        rc = run_cli(["eval", "--quantity", "smed", "--family", "hikami",
+                      "--u", "1", "--l", "0", "--x", "2"] + flags)
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+    def test_bad_precision_variable_is_usage_error(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "thetaresum", "eval", "--quantity", "smed",
+             "--family", "hikami", "--u", "1", "--l", "0", "--x", "2"],
+            capture_output=True, text=True, timeout=300,
+            env=child_env(THETARESUM_PREC="abc"))
+        assert proc.returncode == 2, proc.stderr
+        assert "THETARESUM_PREC" in proc.stderr and "Traceback" not in proc.stderr
+
 
 class TestConsoleEntry:
     def test_module_invocation(self):
