@@ -426,7 +426,7 @@ def boundary_median(series: FormalSeries, alpha,
         lam1 = mp.pi * b / (2 * M ** 2)       # lambda_l = lam1 l^2
         t1_pref = c * b * mp.expjpi(QUARTER) / (M * mp.pi * mpc(0, frac_to_mp(alpha)) ** THREE_HALVES)
 
-        # N0 and K: the cheapest pair whose remainder is below 2^-prec
+        # the Watson moments, and the cheapest (N0, K) whose remainder is below 2^-prec
         bounds, moments = [], []
         coef = tilde.max_abs() * abs(a) ** MINUS_THREE_HALVES / lam1    # K = 0
         mk = 1j * a ** MINUS_THREE_HALVES / lam1
