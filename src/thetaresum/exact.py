@@ -31,6 +31,7 @@ class ConsistencyError(RuntimeError):
 # Bernoulli numbers and polynomials, exact and cached.
 
 _BERNOULLI: list = [Fraction(1)]
+_BERNOULLI_LCM: list = [1]  # _BERNOULLI_LCM[k] = lcm(den B_0, ..., den B_k)
 _BERNOULLI_LOCK = threading.Lock()
 
 
@@ -51,22 +52,33 @@ def bernoulli_number(n: int) -> Fraction:
             s = Fraction(0)
             for j in range(m):
                 s += math.comb(m + 1, j) * _BERNOULLI[j]
-            _BERNOULLI.append(-s / (m + 1))
+            b = -s / (m + 1)
+            _BERNOULLI_LCM.append(math.lcm(_BERNOULLI_LCM[-1], b.denominator))
+            _BERNOULLI.append(b)
     return _BERNOULLI[n]
 
 
 def bernoulli_polynomial(k: int, x) -> Fraction:
-    """B_k(x) for exact rational x, via the binomial sum over B_j."""
+    """B_k(x) for exact rational x, via the binomial sum over B_j.
+
+    For x = n/d, B_k(x) = S/(D d^k) with D = lcm(den B_0, ..., den B_k) and
+    the integer S = sum_j C(k, j) (D B_{k-j}) n^j d^{k-j}, summed by Horner
+    in n from j = k down.
+    """
     if k < 0:
         raise ValueError("Bernoulli degree must be >= 0")
     x = Fraction(x)
-    acc = Fraction(0)
-    xpow = Fraction(1)
-    # B_k(x) = sum_j C(k,j) B_{k-j} x^j, accumulated from j = 0 upward
-    for j in range(k + 1):
-        acc += math.comb(k, j) * bernoulli_number(k - j) * xpow
-        xpow *= x
-    return acc
+    n, d = x.numerator, x.denominator
+    bernoulli_number(k)
+    D = _BERNOULLI_LCM[k]
+    S, dpow = 0, 1
+    for j in range(k, -1, -1):
+        b = _BERNOULLI[k - j]
+        S *= n
+        if b:
+            S += math.comb(k, j) * b.numerator * (D // b.denominator) * dpow
+        dpow *= d
+    return Fraction(S, D * d ** k)
 
 
 # ---------------------------------------------------------------------------
@@ -76,16 +88,10 @@ def _pattern_bernoulli_sum(f: PeriodicFunction, degree: int) -> Fraction:
     """sum_{m=1}^{M} pattern(m) B_degree(m/M) for an even degree, exact.
 
     The pattern is +1 on k1 and M - k1, -1 on k2 and M - k2, and
-    B_k(1 - x) = B_k(x) for even k, so the sum is 2 (B_k(k1/M) - B_k(k2/M))
-    = 2S/(D M^k), with D = lcm(den B_0, ..., den B_k) and the integer
-    S = sum_j C(k, j) (D B_{k-j}) M^{k-j} (k1^j - k2^j).
+    B_k(1 - x) = B_k(x) for even k, so the sum is 2 (B_k(k1/M) - B_k(k2/M)).
     """
-    k, M = degree, f.M
-    bs = [bernoulli_number(i) for i in range(k + 1)]
-    D = math.lcm(*(b.denominator for b in bs))
-    S = sum(math.comb(k, j) * bs[k - j].numerator * (D // bs[k - j].denominator)
-            * M ** (k - j) * (f.k1 ** j - f.k2 ** j) for j in range(k + 1))
-    return Fraction(2 * S, D * M ** k)
+    return 2 * (bernoulli_polynomial(degree, Fraction(f.k1, f.M))
+                - bernoulli_polynomial(degree, Fraction(f.k2, f.M)))
 
 
 def l_value(f: PeriodicFunction, n: int) -> Fraction:

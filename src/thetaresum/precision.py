@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -78,7 +79,8 @@ class PrecisionContext:
 
 try:
     DEFAULT_CTX = PrecisionContext()
-except ValueError:  # a bad THETARESUM_PREC; default_prec() reports it when called
+except ValueError as exc:  # a bad THETARESUM_PREC: library defaults warn and use 128 bits
+    warnings.warn(f"{exc}; the library defaults use 128 bits", stacklevel=2)
     DEFAULT_CTX = PrecisionContext(prec=128)
 
 

@@ -157,6 +157,19 @@ class TestEval:
         assert proc.returncode == 2, proc.stderr
         assert "THETARESUM_PREC" in proc.stderr and "Traceback" not in proc.stderr
 
+    def test_bad_precision_variable_warns_library_users(self):
+        """Imported as a library, a bad THETARESUM_PREC is named in a warning
+        and the default context falls back to 128 bits."""
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "from thetaresum.precision import DEFAULT_CTX; print(DEFAULT_CTX.prec)"],
+            capture_output=True, text=True, timeout=300,
+            env=child_env(THETARESUM_PREC="abc"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "128"
+        assert "UserWarning" in proc.stderr and "THETARESUM_PREC" in proc.stderr
+        assert "'abc'" in proc.stderr
+
 
 class TestConsoleEntry:
     def test_module_invocation(self):

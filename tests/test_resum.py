@@ -642,7 +642,8 @@ class TestBudgetFlag:
     def test_combined_estimates_keep_the_flags_of_their_parts(self):
         """discontinuity and boundary_median_extrapolated are flagged when a
         lateral or median sum under them stopped at ctx.ell_cap, and not
-        otherwise."""
+        otherwise; so is boundary_median when its own head stopped there,
+        and its error bar still holds."""
         tiny = PrecisionContext(prec=96, tol=1e-10, ell_cap=16)
         assert discontinuity(SER, mpf("0.05"), tiny).numeric.budget_exhausted
         assert not discontinuity(SER, mpf("0.05"), CTX).numeric.budget_exhausted
@@ -650,3 +651,9 @@ class TestBudgetFlag:
         assert boundary_median_extrapolated(SER, 4, tiny).budget_exhausted
         eps = [mpf(4), mpf(2), mpf(1)]
         assert not boundary_median_extrapolated(SER, 1, CTX, eps_values=eps).budget_exhausted
+        ser = config_t3_2k(4).series(8)
+        res = boundary_median(ser, Fraction(1, 2), tiny)
+        assert res.budget_exhausted
+        roomy = boundary_median(ser, Fraction(1, 2), CTX)
+        assert not roomy.budget_exhausted
+        assert abs(res.value - roomy.value) <= res.error + roomy.error
