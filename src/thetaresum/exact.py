@@ -69,7 +69,7 @@ def bernoulli_polynomial(k: int, x) -> Fraction:
         raise ValueError("Bernoulli degree must be >= 0")
     x = Fraction(x)
     n, d = x.numerator, x.denominator
-    bernoulli_number(k)
+    bernoulli_number(k)  # fills _BERNOULLI and _BERNOULLI_LCM up to k
     D = _BERNOULLI_LCM[k]
     S, dpow = 0, 1
     for j in range(k, -1, -1):

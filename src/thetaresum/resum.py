@@ -149,10 +149,11 @@ def ell_sum(tilde: TildeFunction, L: int, term, moments, bound) -> Estimate:
 
 
 # _truncation's price of one Hurwitz zeta call, in head kernel calls, and the
-# most moments it takes.  Timed in place (mpmath 1.3.0, 128 and 256 bits), a
-# zeta costs 1.8 to 4.2 kernel calls, about 3, for the lateral and the
-# boundary kernel alike; priced at 3, the pairs chosen at 2 cost at most 15%
-# more than the best pair (t3-2k(3) at tol 1e-8; at most 4% elsewhere).
+# most moments it takes.  Timed in place (pure-Python mpmath 1.3.0, 2-vCPU
+# VM, 128 and 256 bits), a zeta costs 1.8 to 4.2 kernel calls, about 3, for
+# the lateral and the boundary kernel alike; priced at 3, the pairs chosen at
+# 2 cost at most 15% more than the best pair (t3-2k(3) at tol 1e-8; at most
+# 4% elsewhere).
 HURWITZ_COST = 2
 TRUNCATION_K_MAX = 40
 

@@ -23,9 +23,11 @@ the Stokes jump; it shares no lateral sum and no theta series with it.
 `tilde_dirichlet_blocks_reference` is the plain mpf loop over the same head
 as `resum.tilde_dirichlet_blocks`, the kernel's fixed-point sums replaced.
 
+`bernoulli_polynomial_fractions` is B_k(x) as the binomial sum in Fractions,
+the route `exact.bernoulli_polynomial` took before it summed in integers.
 `pattern_bernoulli_sum_scan` is the Bernoulli pattern sum as a scan over all
-M residues, the route `exact._pattern_bernoulli_sum` took before it used the
-evenness of the pattern and of B_k for its two-term form.
+M residues with it, the route `exact._pattern_bernoulli_sum` took before it
+used the evenness of the pattern and of B_k for its two-term form.
 
 The rest are oracles for single layers: Watson's optimal truncation of the
 formal series, Richardson extrapolation of theta along a radius, the
@@ -36,11 +38,12 @@ and polynomial fits at the origin.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from mpmath import mp, mpc, mpf, workprec
 
-from thetaresum.exact import bernoulli_polynomial
+from thetaresum.exact import bernoulli_number
 from thetaresum.habiro import _Arith, _QBinomial, q_pochhammer
 from thetaresum.periodic import ConfigError, PairSet
 from thetaresum.precision import (DEFAULT_CTX, FIVE_HALVES, HALF, MINUS_FIVE_HALVES,
@@ -273,13 +276,24 @@ def tilde_dirichlet_blocks_reference(tilde, s: int, target, guard: int = 64) -> 
     return acc, 2 * peak / mpf(L + 1) ** s
 
 
+def bernoulli_polynomial_fractions(k: int, x) -> Fraction:
+    """B_k(x) = sum_j C(k, j) B_{k-j} x^j, accumulated in Fractions."""
+    x = Fraction(x)
+    acc = Fraction(0)
+    xpow = Fraction(1)
+    for j in range(k + 1):
+        acc += math.comb(k, j) * bernoulli_number(k - j) * xpow
+        xpow *= x
+    return acc
+
+
 def pattern_bernoulli_sum_scan(f, degree: int) -> Fraction:
     """sum_{m=1}^{M} pattern(m) B_degree(m/M), exact, one term per residue."""
     total = Fraction(0)
     for m in range(1, f.M + 1):
         s = f.sign(m)
         if s:
-            total += s * bernoulli_polynomial(degree, Fraction(m, f.M))
+            total += s * bernoulli_polynomial_fractions(degree, Fraction(m, f.M))
     return total
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc, workprec
 
-from reference import pattern_bernoulli_sum_scan
+from reference import bernoulli_polynomial_fractions, pattern_bernoulli_sum_scan
 from thetaresum.config import config_chi, config_t3_2k, trefoil_strange
 from thetaresum.exact import (_pattern_bernoulli_sum, bernoulli_number, bernoulli_polynomial,
                               gevrey_estimate, l_value, series_coefficients)
@@ -35,6 +35,12 @@ class TestBernoulli:
     @settings(max_examples=150, deadline=None)
     def test_reflection(self, k, x):
         assert bernoulli_polynomial(k, 1 - x) == (-1) ** k * bernoulli_polynomial(k, x)
+
+    @given(st.integers(0, 60),
+           st.fractions(min_value=-4, max_value=4, max_denominator=200))
+    @settings(max_examples=150, deadline=None)
+    def test_integer_sum_matches_fraction_sum(self, k, x):
+        assert bernoulli_polynomial(k, x) == bernoulli_polynomial_fractions(k, x)
 
 
 class TestPatternBernoulliSum:
