@@ -6,6 +6,9 @@ Radial limits at nonzero rationals alpha are computed from the twisted
 coefficient function h(n) = f(n) e^{2 pi i alpha (n^2-a)/b} (periodic, mean
 zero) through its L-values at s = 0 and s = -1.  The independent oracle, a
 Richardson extrapolation along x = alpha + i eps, lives with the tests.
+The Eichler integrals sum the same table term by term along a vertical ray,
+each term an incomplete-gamma value; their quadrature oracle, over
+VerticalTheta, lives with the tests too.
 """
 
 from __future__ import annotations
@@ -14,12 +17,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp, mpf, mpc
+from mpmath import mp, mpf, mpc, workprec
 
 from .periodic import (ChiParams, ConfigError, PeriodicFunction, TildeFunction,
                        _divisors, chi_function, pair_set, s_matrix_entry)
-from .precision import (DEFAULT_CTX, MINUS_THREE_HALVES, Estimate, PrecisionContext,
-                        as_fraction, frac_to_mp, to_mpf)
+from .precision import (DEFAULT_CTX, HALF, MINUS_HALF, MINUS_THREE_HALVES, Estimate,
+                        PrecisionContext, as_fraction, frac_to_mp, to_mpf)
 
 
 class DomainError(ValueError):
@@ -142,6 +145,44 @@ def twisted_table(f, alpha: Fraction, a: int, b: int):
     return P, vals
 
 
+@dataclass(frozen=True)
+class PeriodicTable:
+    """A periodic sequence, real or complex, given by its values on one period.
+
+    It carries all that resum's l-sums (ell_sum, _truncation,
+    tilde_dirichlet) read from f~: the period M, the values table(l),
+    max_abs() and an exact zero test.  The Eichler integrals pass their
+    twisted tables h to those sums in this form.
+    """
+
+    values: tuple
+
+    @property
+    def M(self) -> int:
+        return len(self.values)
+
+    def __call__(self, n: int):
+        return self.values[n % len(self.values)]
+
+    def is_zero(self, n: int) -> bool:
+        return self.values[n % len(self.values)] == 0
+
+    def max_abs(self) -> mpf:
+        return max(abs(v) for v in self.values)
+
+
+def _require_mean_zero(table: PeriodicTable, prec: int) -> None:
+    """Raise unless the twisted table h has mean zero over its period.
+
+    A nonzero mean leaves theta^{(0)} ~ mean sqrt(b/(8w)) at alpha + iw: no
+    radial limit, and no Poisson bound for the Eichler integral from alpha.
+    """
+    mean = mp.fsum(table.values) / table.M
+    if abs(mean) > mpf(2) ** (-prec // 2) * max(table.max_abs(), mpf(1)):
+        raise NoRadialLimitError(
+            f"twisted coefficients have mean {mean}; radial limit undefined")
+
+
 def theta_radial_limit(spec: ThetaSpec, alpha, ctx: PrecisionContext = DEFAULT_CTX) -> Estimate:
     """Radial limit of the theta series at a nonzero rational alpha.
 
@@ -157,11 +198,8 @@ def theta_radial_limit(spec: ThetaSpec, alpha, ctx: PrecisionContext = DEFAULT_C
         raise DomainError("alpha must be nonzero")
     with ctx.working(40):
         P, h = twisted_table(spec.f, alpha, spec.a, spec.b)
-        hmax = max(abs(v) for v in h) if h else mpf(0)
-        mean = mp.fsum(h) / P
-        if abs(mean) > mpf(2) ** (-ctx.prec // 2) * max(hmax, mpf(1)):
-            raise NoRadialLimitError(
-                f"twisted coefficients have mean {mean}; radial limit undefined")
+        table = PeriodicTable(tuple(h))
+        _require_mean_zero(table, ctx.prec)
         acc = mpc(0)
         for m in range(1, P + 1):
             hv = h[m % P]
@@ -176,7 +214,7 @@ def theta_radial_limit(spec: ThetaSpec, alpha, ctx: PrecisionContext = DEFAULT_C
             val = -mpf(P) / 2 * acc
         else:
             val = h[0] - acc
-        err = (P ** 2) * hmax * mpf(2) ** (-ctx.prec - 20)
+        err = (P ** 2) * table.max_abs() * mpf(2) ** (-ctx.prec - 20)
         return Estimate(val, err)
 
 
@@ -186,9 +224,15 @@ def theta_radial_limit(spec: ThetaSpec, alpha, ctx: PrecisionContext = DEFAULT_C
 class VerticalTheta:
     """Evaluator of theta^{(0)}_{0,B,f}(alpha + i w) for fixed f, B, alpha.
 
+    Not used by the library: it is the tests' oracle for the closed-form
+    Eichler integrals and boundary medians (tests/reference.py integrates it
+    by quadrature), and the benchmark's tracer names VerticalTheta.value.
+
     Direct Gaussian summation for w large; Poisson-transformed series for w
     small, where the direct sum would need ~1/sqrt(w) terms.  Relies on f
-    even with f(0) = 0, so the one-sided sum is half the two-sided one.
+    even with f(0) = 0, so the one-sided sum is half the two-sided one, and
+    on the twisted table having mean zero, so H(0) = 0 and the Poisson sum
+    starts at j = 1.
     """
 
     def __init__(self, f, B: int, alpha=Fraction(0)):
@@ -236,10 +280,12 @@ class VerticalTheta:
                     return acc
                 n += 1
         # Poisson regime: theta = F/2 with
-        # F = (1/P) sqrt(pi/lam) sum_j H(j) e^{-pi^2 j^2/(lam P^2)}
+        # F = (1/P) sqrt(pi/lam) sum_{j != 0} H(j) e^{-pi^2 j^2/(lam P^2)};
+        # H(0) = P mean(h) is 0 exactly, and its roundoff times sqrt(pi/lam)
+        # would grow like w^{-1/2} as w -> 0
         pref = mp.sqrt(mp.pi / lam) / P
         mu = mp.pi ** 2 / (lam * P * P)
-        acc = self._dft(0) / 2
+        acc = mpc(0)
         j = 1
         while True:
             damp = mp.exp(-mu * j * j)
@@ -261,61 +307,127 @@ def eichler_integral(s: int, t: int, nm: tuple, z, lower,
                      ctx: PrecisionContext = DEFAULT_CTX) -> Estimate:
     """sqrt(st i/(8 pi^2)) int theta^{(0)}_{0,4st,chi}(tau) (tau - z)^{-3/2} dtau.
 
-    lower = "conj": integrate from conj(z) upward (z in the lower half-plane);
-    lower = rational alpha (or 0): the period-function variant from alpha.
-    The path is the vertical ray; the integrand decays exponentially at the
-    top and, for rational base points, vanishes to all orders at the bottom.
+    The path is the vertical ray up from the base point: from conj(z) for
+    lower = "conj" (Im z < 0), from a rational alpha for lower = alpha (the
+    period-function variant; Im z <= 0).  On it theta(x + iw) = sum_n h(n)
+    e^{-lambda_n w}, lambda_n = 2 pi n^2/B, B = 4st, h(n) = chi(n) e^{2 pi i
+    x n^2/B}, and tau - z = i(w + c) with Re c >= 0, so that
+    (tau - z)^{-3/2} dtau = i^{-1/2} (w + c)^{-3/2} dw and the prefactor
+    becomes sqrt(st/(8 pi^2)).  Each n-term is then the ray integral
+
+        J(lambda; w0, c) = int_{w0}^inf e^{-lambda w} (w + c)^{-3/2} dw
+                         = e^{lambda c} lambda^{1/2} Gamma(-1/2, lambda u)
+                         = -e^{-lambda w0} u^{-1/2} K^{(-1/2)}_0(-lambda u),
+
+    u = w0 + c, K = resum.laplace_kernel (by erfc at real positive lambda u):
+    t = lambda (w + c) runs horizontally from lambda u to +inf in Re t > 0,
+    so (w + c)^{-3/2} = lambda^{3/2} t^{-3/2} all along.  Three closed forms,
+    no quadrature:
+
+    - z at alpha (a z within 2^-prec max(1, |alpha|) of alpha is read as
+      alpha), or within w0 of it.  Split the ray at w0 = (pi B/(2 P^2))/
+      ((prec + 40) ln 2), P the period of h.  Below w0, Poisson summation
+      with H(0) = P mean(h) = 0 gives |theta| <= hmax sqrt(B/(2w)) sum_{j>=1}
+      e^{-c_j/w}, c_j = pi B j^2/(2 P^2); with |w + c| >= w that piece is at
+      most hmax sqrt(B/2) sum_j e^{-c_j/w0}/c_j <= hmax sqrt(B/2) q/(c_1 (1 -
+      q)), q = e^{-c_1/w0} = 2^{-prec-40}.  Above w0, the n-terms
+      h(n) J(lambda_n; w0, c) for n <= N, lambda_N w0 >= (prec + 60) ln 2.
+    - Any other z: c = i(z - alpha), and J(lambda_n; 0, c) falls like n^{-2}.
+      The head n <= N0 in closed form; for n > N0, Watson's lemma on
+      (1 + w/c)^{-3/2} gives K moments c^{-3/2} (-1)^k (3/2)_k c^{-k}
+      lambda_1^{-k-1} sum_{n>N0} h(n) n^{-2k-2} (shifted Hurwitz sums of h)
+      and a rest of at most hmax |c|^{-3/2-K} (3/2)_K lambda_1^{-K-1}
+      N0^{-2K-1}/(2K+1), since |1 + u w/c| >= 1 for Re c >= 0.  (N0, K)
+      come from resum._truncation.
+    - lower = "conj", z = x - iy: the ray from x + iy is J from w0 = y with
+      c = y, so the n-terms are chi(n) e^{2 pi i x n^2/B} J(lambda_n; y, y),
+      summed for n <= N.
+
+    On the first and last routes |J(lambda; w0, c)| <= (w0 + Re c)^{-3/2}
+    e^{-lambda w0}/lambda, so the terms past N sum to at most hmax (w0 +
+    Re c)^{-3/2} lambda_{N+1}^{-1} sum_{n>N} e^{-lambda_1 w0 n^2}.  The error
+    is the tail and Poisson bounds, the head and Hurwitz roundoff (ell_sum)
+    and |value| 2^-prec; budget_exhausted is set when ctx.ell_cap stops N or
+    N0 short.
     """
+    from . import resum  # resum imports this module
+
+    def ray(lam, w0, c):
+        u = w0 + c
+        return -mp.exp(-lam * w0) * u ** MINUS_HALF * resum.laplace_kernel(-lam * u, 0, MINUS_HALF)
+
     spec = _chi_spec0(s, t, nm)
     B = spec.b
     with ctx.working(20):
         z = mpc(z)
-        pref = mp.sqrt(mpc(0, s * t) / (8 * mp.pi ** 2))
+        pref = mp.sqrt(mpf(s * t) / 8) / mp.pi
+        lam1 = 2 * mp.pi / B
+        target = mpf(2) ** (-ctx.prec) / pref
+        moments, poisson = [], mpf(0)
         if isinstance(lower, str):
             if lower != "conj":
                 raise ConfigError("lower must be 'conj', 0, or a rational")
             if z.imag >= 0:
                 raise DomainError("the conj-based integral needs Im z < 0")
-            base_re, base_im = z.real, -z.imag
-            vert = None
+            x, w0 = z.real, -z.imag
+            c = w0
+            table = PeriodicTable(tuple(to_mpf(spec.f(n)) for n in range(spec.f.period)))
+
+            def term(n):
+                if not x:
+                    return ray(lam1 * n * n, w0, c)
+                with workprec(mp.prec + 2 * n.bit_length()):  # x n^2 exactly
+                    phase = mp.expjpi(2 * x * n * n / B)
+                return phase * ray(lam1 * n * n, w0, c)
         else:
             alpha = as_fraction(lower)
-            base_re, base_im = frac_to_mp(alpha), mpf(0)
-            vert = VerticalTheta(spec.f, B, alpha)
+            if z.imag > 0:
+                raise DomainError("a rational base point needs Im z <= 0")
+            alpha_mp = frac_to_mp(alpha)
+            c = 1j * (z - alpha_mp)
+            if abs(c) <= mpf(2) ** (-ctx.prec) * max(1, abs(alpha_mp)):
+                c = mpf(0)
+            P, h = twisted_table(spec.f, alpha, 0, B)
+            table = PeriodicTable(tuple(h))
+            c1 = mp.pi * B / (2 * P * P)
+            w0 = c1 / ((ctx.prec + 40) * mp.ln2)
+            if abs(c) > w0:
+                w0 = mpf(0)
+            else:
+                _require_mean_zero(table, ctx.prec)
+                q = mp.exp(-c1 / w0)
+                poisson = table.max_abs() * mp.sqrt(mpf(B) / 2) * q / (c1 * (1 - q))
 
-        ell0 = 1
-        while spec.f(ell0) == 0:
-            ell0 += 1
-        rate = 2 * mp.pi * ell0 ** 2 / B
-        W = (mp.log(10) * (mp.dps + 8)) / rate  # exponential tail cutoff
+            def term(n):
+                return ray(lam1 * n * n, w0, c)
 
-        def theta_at(w):
-            if vert is not None:
-                return vert.value(w)
-            est = theta_upper_half(spec, mpc(base_re, base_im + w), ctx)
-            return est.value
-
-        def integrand(w):
-            tau_minus_z = mpc(base_re - z.real, base_im + w - z.imag)
-            return theta_at(w) * tau_minus_z ** MINUS_THREE_HALVES * 1j
-
-        guard = abs(mpc(base_re, base_im) - z)
-        if vert is None and guard == 0:
-            raise DomainError("path would start at z itself")
-        pts = [mpf(0)]
-        # resolve the small-w region where Poisson evaluation takes over
-        small = mpf(B) / (2 * spec.f.period)
-        for sc in (mpf("0.01"), mpf("0.1"), mpf(1)):
-            if small * sc < W:
-                pts.append(small * sc)
-        pts.append(W)
-        val, qerr = mp.quad(integrand, sorted(set(pts)), error=True,
-                            maxdegree=8)
-        # tail beyond W: |theta| <= fmax * P * e^{-rate w} / (1 - ...) roughly
-        fmax = _f_max(spec.f)
-        tail = fmax * spec.f.period * mp.exp(-rate * W) / rate \
-            * abs(mpc(base_re, base_im + W) - z) ** MINUS_THREE_HALVES
-        return Estimate(pref * val, abs(pref) * (qerr + tail))
+        hmax = table.max_abs()
+        if w0:
+            # terms falling like e^{-lambda_n w0}: all of them up to N
+            N = min(int(mp.sqrt((ctx.prec + 60) * mp.ln2 / (lam1 * w0))) + 1, ctx.ell_cap)
+            while True:
+                tail = hmax * (w0 + mp.re(c)) ** MINUS_THREE_HALVES / (lam1 * (N + 1) ** 2) \
+                    * _gauss_tail(0, lam1 * w0, N)
+                if tail <= target or N >= ctx.ell_cap:
+                    break
+                N = min(2 * N, ctx.ell_cap)
+            exhausted = tail > target
+        else:
+            # terms falling like n^{-2}: a head and Watson moments
+            bounds = []
+            coef = hmax * abs(c) ** MINUS_THREE_HALVES / lam1    # K = 0
+            mk = c ** MINUS_THREE_HALVES / lam1
+            for K in range(1, resum.TRUNCATION_K_MAX + 1):
+                moments.append((2 * K, mk))
+                mk *= -(K + HALF) / (c * lam1)
+                coef *= (K + HALF) / (abs(c) * lam1)
+                bounds.append((coef / (2 * K + 1), 2 * K + 1))
+            N, K, tail, exhausted = resum._truncation(table, bounds, 1, target, ctx.ell_cap)
+            moments = moments[:K]
+        est = resum.ell_sum(table, N, term, moments, tail)
+        value = pref * est.value
+        err = pref * (est.error + poisson) + abs(value) * mpf(2) ** (-ctx.prec)
+        return Estimate(value, err, exhausted)
 
 
 @dataclass(frozen=True)

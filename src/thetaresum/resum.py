@@ -20,12 +20,13 @@ lambda_l/alpha), taken for l <= N0; for l > N0, K Watson moments are
 shifted Hurwitz sums and the rest is bounded by Watson's lemma
 (boundary_median), so no quadrature is left.
 
-These sums, and the Borel transform's, share one shape, written once as
-ell_sum: a kernel taken term by term over l <= L, its expansion in l^{-2}
-as shifted Hurwitz sums over l > L, the caller's bound on the rest, and
-the roundoff of both parts in the error; the lateral and boundary sums
-take (L, K) from one chooser (_truncation).  All fractional powers are
-principal.
+These sums, the Borel transform's and the Eichler integrals'
+(qseries.eichler_integral) share one shape, written once as ell_sum: a
+kernel taken term by term over l <= L, its expansion in l^{-2} as shifted
+Hurwitz sums over l > L, the caller's bound on the rest, and the roundoff
+of both parts in the error.  The table summed is f~ or a twisted table h;
+the lateral, boundary and Eichler sums take (L, K) from one chooser
+(_truncation).  All fractional powers are principal.
 """
 
 from __future__ import annotations
@@ -60,10 +61,20 @@ def laplace_kernel(z, eps, s=MINUS_THREE_HALVES):
 
     is entire in z: w^{3/2} cancels the w^{-3/2} of the lower gamma, so the
     branch of w drops out.  boundary_median takes s = -1/2, eps = 0 on the
-    imaginary axis, where w is off the cut.
+    imaginary axis, where w is off the cut, and the Eichler integrals at
+    real positive w, where Gamma(-1/2, w) = 2 w^{-1/2} e^{-w} - 2 sqrt(pi)
+    erfc(sqrt(w)) (DLMF 8.4.6 and the recurrence) is about four times
+    cheaper than mp.gammainc; its two terms cancel all but about 1/(2w) of
+    their size, so it is taken at log2(2w) + 10 more bits.
     """
     w = -z
-    g = mp.gammainc(s, w)
+    if s == MINUS_HALF and not mp.im(w) and mp.re(w) > 0:
+        w = mp.re(w)
+        with workprec(mp.prec + max(0, mp.mag(2 * w)) + 10):
+            r = mp.sqrt(w)
+            g = 2 * mp.exp(-w) / r - 2 * mp.sqrt(mp.pi) * mp.erfc(r)
+    else:
+        g = mp.gammainc(s, w)
     if eps:
         g -= (8 * eps * mp.sqrt(mp.pi) / 3 if s == MINUS_THREE_HALVES
               else -4 * eps * mp.sqrt(mp.pi))
@@ -95,46 +106,50 @@ def special_e(y, ctx: PrecisionContext = DEFAULT_CTX):
 # ---------------------------------------------------------------------------
 # Shared l-sum helpers.
 
-def tilde_dirichlet(tilde: TildeFunction, s: int, start: int = 0) -> mpf:
-    """sum_{l>start} f~(l) l^{-s} = M^{-s} sum_{r=start+1}^{start+M} f~(r) zeta(s, r/M).
+def tilde_dirichlet(table, s: int, start: int = 0) -> mpf:
+    """sum_{l>start} h(l) l^{-s} = M^{-s} sum_{r=start+1}^{start+M} h(r) zeta(s, r/M).
 
-    Exact, since f~(l + M) = (-1)^{M+d1+d2} f~(l) = f~(l): M + d1 + d2 =
-    2M - 2k1 is even (d1 = k2 - k1, d2 = M - k1 - k2).  start = 0 gives the
-    full sum, start = L the tail past a head l <= L (DLMF 25.11).
+    h is f~ or any other table of period M (qseries.PeriodicTable), real or
+    complex; exact by periodicity (DLMF 25.11).  f~ has period M: f~(l + M)
+    = (-1)^{M+d1+d2} f~(l) = f~(l), as M + d1 + d2 = 2M - 2k1 is even (d1 =
+    k2 - k1, d2 = M - k1 - k2).  start = 0 gives the full sum, start = L the
+    tail past a head l <= L.
     """
-    M = tilde.M
+    M = table.M
     total = mpf(0)
     for r in range(start + 1, start + M + 1):
-        v = tilde(r)
+        v = table(r)
         if v:
             total += v * mp.zeta(s, mpf(r) / M)
     return total / mpf(M) ** s
 
 
-def ell_sum(tilde: TildeFunction, L: int, term, moments, bound) -> Estimate:
-    """sum_{l<=L} f~(l) term(l) + sum_k c_k sum_{l>L} f~(l) l^{-s_k}, with its error.
+def ell_sum(table, L: int, term, moments, bound) -> Estimate:
+    """sum_{l<=L} h(l) term(l) + sum_k c_k sum_{l>L} h(l) l^{-s_k}, with its error.
 
-    The one l-sum of the Borel, lateral and boundary sums: a kernel
-    taken term by term over the head l <= L (L >= 1), the first terms of its
-    expansion in l^{-2} as moments (s_k, c_k) over l > L, each a shifted
-    Hurwitz sum (tilde_dirichlet), and the caller's bound on the rest.  The
-    head's roundoff is counted as sum |f~(l) term(l)| 2^{8-prec}.
+    The one l-sum of the Borel, lateral and boundary sums (h = f~) and of
+    the Eichler integrals (h a twisted table): any table with a period M,
+    values table(l), max_abs() and is_zero(l).  A kernel taken term by term
+    over the head l <= L (L >= 1), the first terms of its expansion in
+    l^{-2} as moments (s_k, c_k) over l > L, each a shifted Hurwitz sum
+    (tilde_dirichlet), and the caller's bound on the rest.  The head's
+    roundoff is counted as sum |h(l) term(l)| 2^{8-prec}.
     mp.zeta(s, x) is accurate to about 2^-prec max(1, zeta) absolutely, not
     relatively, so moment k is off by at most scale_k 2^{8-bits}, with
-    scale_k = |c_k| fmax (M^{1-s} + M L^{1-s}/(s-1)); it is summed at the
+    scale_k = |c_k| hmax (M^{1-s} + M L^{1-s}/(s-1)); it is summed at the
     bits = max(53, prec + mag(scale_k) - mag(scale_0)) that bring this to
     the level of moment 0.  The error is bound plus both roundoffs.
     """
     head = mpc(0)
     size = mpf(0)
     for ell in range(1, L + 1):
-        tv = tilde(ell)
+        tv = table(ell)
         if tv:
             t = tv * term(ell)
             head += t
             size += abs(t)
     roundoff = size * mpf(2) ** (8 - mp.prec)
-    fmax, M = tilde.max_abs(), tilde.M
+    fmax, M = table.max_abs(), table.M
     tail = mpc(0)
     for k, (s, c) in enumerate(moments):
         scale = abs(c) * fmax * (mpf(M) ** (1 - s) + M * mpf(L) ** (1 - s) / (s - 1))
@@ -142,7 +157,7 @@ def ell_sum(tilde: TildeFunction, L: int, term, moments, bound) -> Estimate:
             top = mp.mag(scale)
         bits = max(53, mp.prec + mp.mag(scale) - top)
         with workprec(bits):
-            w_s = tilde_dirichlet(tilde, s, L)
+            w_s = tilde_dirichlet(table, s, L)
         tail += c * w_s
         roundoff += scale * mpf(2) ** (8 - bits)
     return Estimate(head + tail, bound + roundoff)
@@ -158,17 +173,17 @@ HURWITZ_COST = 2
 TRUNCATION_K_MAX = 40
 
 
-def _truncation(tilde: TildeFunction, bounds, floor: int, target, ell_cap: int):
-    """The cheapest (L, K, bound, budget_exhausted) for an ell_sum.
+def _truncation(table, bounds, floor: int, target, ell_cap: int):
+    """The cheapest (L, K, bound, budget_exhausted) for an ell_sum of table h.
 
     bounds[K-1] = (c_K, e_K): the rest after l <= L and K moments is at most
     c_K L^{-e_K}.  Each K takes the least L >= floor meeting the target, at
-    a cost of L nnz/M kernels and K nnz Hurwitz sums (nnz = #{r <= M: f~(r)
+    a cost of L nnz/M kernels and K nnz Hurwitz sums (nnz = #{r <= M: h(r)
     != 0}); the cheapest wins, the fewer moments on a tie.  Failing that,
     L = ell_cap with the K of least bound there.
     """
-    M = tilde.M
-    nnz = sum(1 for r in range(1, M + 1) if not tilde.is_zero(r))
+    M = table.M
+    nnz = sum(1 for r in range(1, M + 1) if not table.is_zero(r))
     fits = [(L * nnz / M + HURWITZ_COST * K * nnz, K, L, c / mpf(L) ** e)
             for K, (c, e) in enumerate(bounds, 1)
             if (L := max(floor, int(mp.ceil((c / target) ** (mpf(1) / e))))) <= ell_cap]

@@ -170,7 +170,7 @@ def suite_eichler(cfg: Config, ctx: PrecisionContext, report: Report,
             lhs = eichler_integral(s, t_, nm, frac_to_mp(al), al, ctx)
             rl = theta_radial_limit(ThetaSpec(a=0, b=4 * s * t_, nu=1, f=chi), al, ctx)
         report.add("eichler.boundary-value", {"s": s, "t": t_, "nm": nm, "alpha": al},
-                   lhs.value, -rl.value / 2, mpf("1e-6"), t.elapsed)
+                   lhs.value, -rl.value / 2, ctx.tolerance(), t.elapsed)
     with timed() as t:
         z = mpc(0, -1)
         lhs = eichler_integral(s, t_, nm, z, "conj", ctx).value
@@ -182,7 +182,7 @@ def suite_eichler(cfg: Config, ctx: PrecisionContext, report: Report,
         lhs_total = lhs + (1 / (1j * z)) ** mpf("1.5") * acc
         rhs = eichler_integral(s, t_, nm, z, Fraction(0), ctx).value
     report.add("eichler.cocycle", {"s": s, "t": t_, "nm": nm, "z": z},
-               lhs_total, rhs, mpf("1e-6"), t.elapsed)
+               lhs_total, rhs, ctx.tolerance(), t.elapsed)
     return report
 
 

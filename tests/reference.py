@@ -13,6 +13,12 @@ Poisson branch near v = 0) and an exponential bound past the cutoff, the
 route `resum.boundary_median` took before it summed the l-terms in closed
 form with Watson moments; it shares only the theta radial limit term.
 
+`eichler_integral_quadrature` is the Eichler integral by adaptive
+quadrature along the vertical ray over `VerticalTheta` (rational base) or
+`theta_upper_half` ("conj") values, the route `qseries.eichler_integral`
+took before it summed the n-terms as incomplete-gamma values; it shares
+only the twisted table with it.
+
 `median_sum_e_series` is the median as the convergent special-function
 series (4 M c / pi^{3/2}) sum_l (f~(l)/l^2) E((l pi/M) sqrt(b x)), with E
 the Dawson-integral form of the eps = 1/2 kernel (`resum.special_e`), two
@@ -45,13 +51,13 @@ from mpmath import mp, mpc, mpf, workprec
 
 from thetaresum.exact import bernoulli_number
 from thetaresum.habiro import _Arith, _QBinomial, q_pochhammer
-from thetaresum.periodic import ConfigError, PairSet
+from thetaresum.periodic import ChiParams, ConfigError, PairSet, chi_function
 from thetaresum.precision import (DEFAULT_CTX, FIVE_HALVES, HALF, MINUS_FIVE_HALVES,
-                                  MINUS_THREE_HALVES, QUARTER, THREE_HALVES, Estimate,
+                                  MINUS_HALF, MINUS_THREE_HALVES, QUARTER, THREE_HALVES, Estimate,
                                   PrecisionContext, as_fraction, frac_to_mp, richardson_limit,
                                   to_mpf)
 from thetaresum.qseries import (DomainError, ThetaSpec, VerticalTheta, _f_max, _gauss_tail,
-                                _phase_exponent, theta_radial_limit)
+                                _phase_exponent, theta_radial_limit, theta_upper_half)
 from thetaresum.resum import RAY_ANGLE, ell_sum, special_e, tilde_dirichlet
 
 _BETA2 = mpf("4.375")  # (5/2)_2/2! = 35/8
@@ -199,6 +205,66 @@ def boundary_median_quadrature(series, alpha, ctx: PrecisionContext = DEFAULT_CT
         err = abs(t1_pref) * (kerr + tail) + abs(t2_pref) * theta1.error \
             + abs(value) * mpf(2) ** (-ctx.prec)
         return Estimate(value, err)
+
+
+def eichler_integral_quadrature(s: int, t: int, nm: tuple, z, lower,
+                                ctx: PrecisionContext = DEFAULT_CTX) -> Estimate:
+    """qseries.eichler_integral by mp.quad along the vertical ray.
+
+    theta comes from `VerticalTheta` on a rational base (Poisson branch
+    near w = 0, where the integrand vanishes to all orders) and from
+    `theta_upper_half` on the "conj" path, whose largest truncation error is
+    integrated against |tau - z|^{-3/2}.  The error is mp.quad's estimate,
+    an exponential bound on the ray past the cutoff W, and that theta error.
+    This was the library's route before it summed the n-terms in closed
+    form; it shares only the twisted table with it.
+    """
+    spec = ThetaSpec(a=0, b=4 * s * t, nu=0, f=chi_function(ChiParams(s, t, *nm)))
+    B = spec.b
+    with ctx.working(20):
+        z = mpc(z)
+        pref = mp.sqrt(mpc(0, s * t) / (8 * mp.pi ** 2))
+        if isinstance(lower, str):
+            base_re, base_im = z.real, -z.imag
+            vert = None
+        else:
+            alpha = as_fraction(lower)
+            base_re, base_im = frac_to_mp(alpha), mpf(0)
+            vert = VerticalTheta(spec.f, B, alpha)
+
+        ell0 = 1
+        while spec.f(ell0) == 0:
+            ell0 += 1
+        rate = 2 * mp.pi * ell0 ** 2 / B
+        W = (mp.log(10) * (mp.dps + 8)) / rate  # exponential tail cutoff
+        theta_err = [mpf(0)]
+
+        def theta_at(w):
+            if vert is not None:
+                return vert.value(w)
+            est = theta_upper_half(spec, mpc(base_re, base_im + w), ctx)
+            theta_err[0] = max(theta_err[0], est.error)
+            return est.value
+
+        def integrand(w):
+            tau_minus_z = mpc(base_re - z.real, base_im + w - z.imag)
+            return theta_at(w) * tau_minus_z ** MINUS_THREE_HALVES * 1j
+
+        pts = [mpf(0)]
+        # resolve the small-w region where Poisson evaluation takes over
+        small = mpf(B) / (2 * spec.f.period)
+        for sc in (mpf("0.01"), mpf("0.1"), mpf(1)):
+            if small * sc < W:
+                pts.append(small * sc)
+        pts.append(W)
+        val, qerr = mp.quad(integrand, sorted(set(pts)), error=True, maxdegree=8)
+        # tail beyond W: |theta| <= fmax P e^{-rate w}/rate, roughly
+        fmax = _f_max(spec.f)
+        tail = fmax * spec.f.period * mp.exp(-rate * W) / rate \
+            * abs(mpc(base_re, base_im + W) - z) ** MINUS_THREE_HALVES
+        # int_0^W |2y + w|^{-3/2} dw <= 2 (2y)^{-1/2} on the conj path
+        trunc = theta_err[0] * 2 * (2 * base_im) ** MINUS_HALF if vert is None else 0
+        return Estimate(pref * val, abs(pref) * (qerr + tail + trunc))
 
 
 # kappa in median_sum_e_series's bound; a sweep of |y| in [2, 1000],

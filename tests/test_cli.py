@@ -56,6 +56,15 @@ class TestVerify:
                       "--alpha", "1", "--prec", "96"])
         assert rc == 0
 
+    def test_eichler_suite_passes_at_default_precision(self, capsys, monkeypatch):
+        """Both boundary values and the cocycle at 128 bits, compared at tol 1e-8."""
+        monkeypatch.delenv("THETARESUM_PREC", raising=False)
+        rc = run_cli(["verify", "--suite", "eichler", "--family", "chi",
+                      "--s", "2", "--t", "3", "--n", "1", "--m", "1"])
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        assert "3/3 checks passed" in out
+
     def test_report_bytes_deterministic(self, tmp_path):
         args = ["verify", "--suite", "cm", "--family", "hikami", "--u", "1",
                 "--l", "0", "--prec", "96"]

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf, mpc, workprec
 
-from reference import radial_extrapolate
+from reference import eichler_integral_quadrature, radial_extrapolate
 from thetaresum.periodic import ChiParams, chi_function, make_periodic, pair_set, \
     s_matrix_entry, tilde_transform
 from thetaresum.precision import PrecisionContext, frac_to_mp
@@ -223,6 +223,74 @@ class TestEichler:
                            [0, mpf("0.25"), h])
             bridge = pref * (leg0 + horiz - lega)
             assert abs((r_0 - r_a) - bridge) < mpf("1e-10")
+
+
+class TestEichlerErrorBars:
+    """|value - truth| <= claimed error for the closed-form Eichler integrals."""
+
+    @pytest.mark.parametrize("prec", [64, 96, 128, 192])
+    @pytest.mark.parametrize("alpha", ["1", "1/2", "-1/2", "1/3", "2/5"])
+    def test_boundary_value_within_error_bars(self, alpha, prec):
+        """E(alpha; alpha) = -theta/2, theta the radial limit L(-1, h)."""
+        alpha = Fraction(alpha)
+        ctx = PrecisionContext(prec=prec)
+        with ctx.working():
+            got = eichler_integral(2, 3, (1, 1), frac_to_mp(alpha), alpha, ctx)
+            theta = theta_radial_limit(CHI_SPEC1, alpha, ctx)
+            gap = abs(got.value + theta.value / 2)
+            allowed = got.error + theta.error / 2 + mpf(2) ** (-prec) * abs(theta.value)
+            assert gap <= allowed, (gap, allowed)
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-20])
+    def test_cocycle_within_error_bars(self, tol):
+        """E(z; conj) + (1/(iz))^{3/2} sum S E'(-1/z; conj) = E(z; 0) at z = -i,
+        whatever the tolerance: no path truncates at it."""
+        ctx = PrecisionContext(prec=128, tol=tol)
+        s, t, nm = 2, 3, (1, 1)
+        with ctx.working():
+            z = mpc(0, -1)
+            ph = eichler_integral(s, t, nm, z, "conj", ctx)
+            factor = (1 / (1j * z)) ** mpf("1.5")
+            acc, acc_err = mpc(0), mpf(0)
+            for other in pair_set(s, t):
+                S = s_matrix_entry(s, t, nm, other, ctx)
+                est = eichler_integral(s, t, other, -1 / z, "conj", ctx)
+                acc += S * est.value
+                acc_err += abs(S) * est.error
+            r0 = eichler_integral(s, t, nm, z, Fraction(0), ctx)
+            residual = abs(ph.value + factor * acc - r0.value)
+            allowed = ph.error + abs(factor) * acc_err + r0.error \
+                + mpf(2) ** (-ctx.prec) * abs(r0.value)
+            assert residual <= allowed, (residual, allowed)
+
+    def test_closed_form_matches_quadrature_oracle(self):
+        """alpha = 1 at z = 1 and r(-i; 0) against mp.quad over VerticalTheta, and
+        a "conj" path off the imaginary axis against mp.quad over theta_upper_half
+        (tol 1e-30 for the oracle's theta truncation; the closed form has none)."""
+        ctx = PrecisionContext(prec=96, tol=1e-30)
+        with ctx.working():
+            for z, lower in ((mpf(1), Fraction(1)), (mpc(0, -1), Fraction(0)),
+                             (mpc("0.25", -1), "conj")):
+                got = eichler_integral(2, 3, (1, 1), z, lower, ctx)
+                quad = eichler_integral_quadrature(2, 3, (1, 1), z, lower, ctx)
+                gap = abs(got.value - quad.value)
+                assert gap <= got.error + quad.error, (lower, gap)
+
+    def test_uses_no_quadrature(self, monkeypatch):
+        def no_quad(*args, **kwargs):
+            raise AssertionError("mp.quad called")
+
+        monkeypatch.setattr(mp, "quad", no_quad)
+        ctx = PrecisionContext(prec=64)
+        eichler_integral(2, 3, (1, 1), mpf("0.5"), Fraction(1, 2), ctx)
+        eichler_integral(2, 3, (1, 1), mpc(0, -1), Fraction(0), ctx)
+        eichler_integral(2, 3, (1, 1), mpc("0.25", -1), "conj", ctx)
+
+    def test_rejects_upper_half_plane(self):
+        with pytest.raises(DomainError):
+            eichler_integral(2, 3, (1, 1), mpc(0, 1), Fraction(0), CTX)
+        with pytest.raises(DomainError):
+            eichler_integral(2, 3, (1, 1), mpc(0, 1), "conj", CTX)
 
 
 class TestVerticalThetaTwisted:
