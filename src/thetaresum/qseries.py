@@ -6,9 +6,7 @@ Radial limits at nonzero rationals alpha are computed from the twisted
 coefficient function h(n) = f(n) e^{2 pi i alpha (n^2-a)/b} (periodic, mean
 zero) through its L-values at s = 0 and s = -1.  The independent oracle, a
 Richardson extrapolation along x = alpha + i eps, lives with the tests.
-The Eichler integrals sum the same table term by term along a vertical ray,
-each term an incomplete-gamma value; their quadrature oracle, over
-VerticalTheta, lives with the tests too.
+The Eichler integrals sum the same table term by term in closed form.
 """
 
 from __future__ import annotations
@@ -145,39 +143,25 @@ def twisted_table(f, alpha: Fraction, a: int, b: int):
     return P, vals
 
 
-@dataclass(frozen=True)
-class PeriodicTable:
-    """A periodic sequence, real or complex, given by its values on one period.
+class PeriodicTable(tuple):
+    """h(0), ..., h(M-1) of a periodic h, with what resum.ell_sum reads of f~."""
 
-    It carries all that resum's l-sums (ell_sum, _truncation,
-    tilde_dirichlet) read from f~: the period M, the values table(l),
-    max_abs() and an exact zero test.  The Eichler integrals pass their
-    twisted tables h to those sums in this form.
-    """
-
-    values: tuple
-
-    @property
-    def M(self) -> int:
-        return len(self.values)
+    __slots__ = ()
+    M = property(len)
 
     def __call__(self, n: int):
-        return self.values[n % len(self.values)]
+        return self[n % len(self)]
 
     def is_zero(self, n: int) -> bool:
-        return self.values[n % len(self.values)] == 0
+        return self[n % len(self)] == 0
 
     def max_abs(self) -> mpf:
-        return max(abs(v) for v in self.values)
+        return max(abs(v) for v in self)
 
 
 def _require_mean_zero(table: PeriodicTable, prec: int) -> None:
-    """Raise unless the twisted table h has mean zero over its period.
-
-    A nonzero mean leaves theta^{(0)} ~ mean sqrt(b/(8w)) at alpha + iw: no
-    radial limit, and no Poisson bound for the Eichler integral from alpha.
-    """
-    mean = mp.fsum(table.values) / table.M
+    """Raise unless h has mean zero: else theta^{(0)} ~ mean sqrt(b/(8w)) at alpha + iw."""
+    mean = mp.fsum(table) / table.M
     if abs(mean) > mpf(2) ** (-prec // 2) * max(table.max_abs(), mpf(1)):
         raise NoRadialLimitError(
             f"twisted coefficients have mean {mean}; radial limit undefined")
@@ -198,7 +182,7 @@ def theta_radial_limit(spec: ThetaSpec, alpha, ctx: PrecisionContext = DEFAULT_C
         raise DomainError("alpha must be nonzero")
     with ctx.working(40):
         P, h = twisted_table(spec.f, alpha, spec.a, spec.b)
-        table = PeriodicTable(tuple(h))
+        table = PeriodicTable(h)
         _require_mean_zero(table, ctx.prec)
         acc = mpc(0)
         for m in range(1, P + 1):
@@ -224,9 +208,8 @@ def theta_radial_limit(spec: ThetaSpec, alpha, ctx: PrecisionContext = DEFAULT_C
 class VerticalTheta:
     """Evaluator of theta^{(0)}_{0,B,f}(alpha + i w) for fixed f, B, alpha.
 
-    Not used by the library: it is the tests' oracle for the closed-form
-    Eichler integrals and boundary medians (tests/reference.py integrates it
-    by quadrature), and the benchmark's tracer names VerticalTheta.value.
+    Not used by the library: the tests integrate it as an oracle, and the
+    benchmark's tracer names VerticalTheta.value.
 
     Direct Gaussian summation for w large; Poisson-transformed series for w
     small, where the direct sum would need ~1/sqrt(w) terms.  Relies on f
@@ -281,8 +264,7 @@ class VerticalTheta:
                 n += 1
         # Poisson regime: theta = F/2 with
         # F = (1/P) sqrt(pi/lam) sum_{j != 0} H(j) e^{-pi^2 j^2/(lam P^2)};
-        # H(0) = P mean(h) is 0 exactly, and its roundoff times sqrt(pi/lam)
-        # would grow like w^{-1/2} as w -> 0
+        # H(0) = 0, whose roundoff would grow like w^{-1/2}
         pref = mp.sqrt(mp.pi / lam) / P
         mu = mp.pi ** 2 / (lam * P * P)
         acc = mpc(0)
@@ -307,55 +289,38 @@ def eichler_integral(s: int, t: int, nm: tuple, z, lower,
                      ctx: PrecisionContext = DEFAULT_CTX) -> Estimate:
     """sqrt(st i/(8 pi^2)) int theta^{(0)}_{0,4st,chi}(tau) (tau - z)^{-3/2} dtau.
 
-    The path is the vertical ray up from the base point: from conj(z) for
-    lower = "conj" (Im z < 0), from a rational alpha for lower = alpha (the
-    period-function variant; Im z <= 0).  On it theta(x + iw) = sum_n h(n)
-    e^{-lambda_n w}, lambda_n = 2 pi n^2/B, B = 4st, h(n) = chi(n) e^{2 pi i
-    x n^2/B}, and tau - z = i(w + c) with Re c >= 0, so that
-    (tau - z)^{-3/2} dtau = i^{-1/2} (w + c)^{-3/2} dw and the prefactor
-    becomes sqrt(st/(8 pi^2)).  Each n-term is then the ray integral
+    The path is the vertical ray up from conj(z) (lower = "conj", Im z < 0)
+    or from a rational alpha (the period-function variant, Im z <= 0).  On
+    it theta(x + iw) = sum_n h(n) e^{-lambda_n w}, lambda_n = 2 pi n^2/B,
+    h(n) = chi(n) e^{2 pi i x n^2/B}, and tau - z = i(w + c), Re c >= 0, so
+    the prefactor becomes sqrt(st/(8 pi^2)) and the n-terms are
 
         J(lambda; w0, c) = int_{w0}^inf e^{-lambda w} (w + c)^{-3/2} dw
                          = e^{lambda c} lambda^{1/2} Gamma(-1/2, lambda u)
                          = -e^{-lambda w0} u^{-1/2} K^{(-1/2)}_0(-lambda u),
 
-    u = w0 + c, K = resum.laplace_kernel (by erfc at real positive lambda u):
-    t = lambda (w + c) runs horizontally from lambda u to +inf in Re t > 0,
-    so (w + c)^{-3/2} = lambda^{3/2} t^{-3/2} all along.  Three closed forms,
-    no quadrature:
+    u = w0 + c, K = resum.laplace_kernel (t = lambda(w + c) runs in Re t > 0).
+    |J| <= (w0 + Re c)^{-3/2} e^{-lambda w0}/lambda.  Three closed forms:
 
-    - z at alpha (a z within 2^-prec max(1, |alpha|) of alpha is read as
-      alpha), or within w0 of it.  Split the ray at w0 = (pi B/(2 P^2))/
-      ((prec + 40) ln 2), P the period of h.  Below w0, Poisson summation
-      with H(0) = P mean(h) = 0 gives |theta| <= hmax sqrt(B/(2w)) sum_{j>=1}
-      e^{-c_j/w}, c_j = pi B j^2/(2 P^2); with |w + c| >= w that piece is at
-      most hmax sqrt(B/2) sum_j e^{-c_j/w0}/c_j <= hmax sqrt(B/2) q/(c_1 (1 -
-      q)), q = e^{-c_1/w0} = 2^{-prec-40}.  Above w0, the n-terms
-      h(n) J(lambda_n; w0, c) for n <= N, lambda_N w0 >= (prec + 60) ln 2.
-    - Any other z: c = i(z - alpha), and J(lambda_n; 0, c) falls like n^{-2}.
-      The head n <= N0 in closed form; for n > N0, Watson's lemma on
-      (1 + w/c)^{-3/2} gives K moments c^{-3/2} (-1)^k (3/2)_k c^{-k}
-      lambda_1^{-k-1} sum_{n>N0} h(n) n^{-2k-2} (shifted Hurwitz sums of h)
-      and a rest of at most hmax |c|^{-3/2-K} (3/2)_K lambda_1^{-K-1}
-      N0^{-2K-1}/(2K+1), since |1 + u w/c| >= 1 for Re c >= 0.  (N0, K)
-      come from resum._truncation.
-    - lower = "conj", z = x - iy: the ray from x + iy is J from w0 = y with
-      c = y, so the n-terms are chi(n) e^{2 pi i x n^2/B} J(lambda_n; y, y),
-      summed for n <= N.
+    - z = alpha (within 2^-prec max(1, |alpha|)), or |c| <= w0 = c_1/((prec
+      + 40) ln 2), c_j = pi B j^2/(2 P^2), P the period of h.  Below w0,
+      Poisson summation with H(0) = P mean(h) = 0 gives |theta| <= hmax
+      sqrt(B/(2w)) sum_{j>=1} e^{-c_j/w}, and |w + c| >= w: at most hmax
+      sqrt(B/2) q/(c_1 (1 - q)), q = e^{-c_1/w0}.  Above w0, h(n) J(lambda_n;
+      w0, c) for n <= N, lambda_N w0 >= (prec + 60) ln 2.
+    - Other z, c = i(z - alpha): J(lambda_n; 0, c) falls like n^{-2}.  A head
+      n <= N0, and over n > N0 Watson's lemma on (1 + w/c)^{-3/2}: moments
+      c^{-3/2} (-1)^k (3/2)_k c^{-k} lambda_1^{-k-1} sum h(n) n^{-2k-2}, k <
+      K, and a rest <= hmax |c|^{-3/2-K} (3/2)_K lambda_1^{-K-1}
+      N0^{-2K-1}/(2K+1); (N0, K) from resum._truncation.
+    - "conj", z = x - iy: chi(n) e^{2 pi i x n^2/B} J(lambda_n; y, y), n <= N.
 
-    On the first and last routes |J(lambda; w0, c)| <= (w0 + Re c)^{-3/2}
-    e^{-lambda w0}/lambda, so the terms past N sum to at most hmax (w0 +
-    Re c)^{-3/2} lambda_{N+1}^{-1} sum_{n>N} e^{-lambda_1 w0 n^2}.  The error
-    is the tail and Poisson bounds, the head and Hurwitz roundoff (ell_sum)
-    and |value| 2^-prec; budget_exhausted is set when ctx.ell_cap stops N or
-    N0 short.
+    Past N the first and last sum to at most hmax (w0 + Re c)^{-3/2}
+    lambda_{N+1}^{-1} sum_{n>N} e^{-lambda_1 w0 n^2}.  The error adds the
+    tail and Poisson bounds, the head and Hurwitz roundoff (ell_sum) and
+    |value| 2^-prec; budget_exhausted: ctx.ell_cap stopped N or N0 short.
     """
     from . import resum  # resum imports this module
-
-    def ray(lam, w0, c):
-        u = w0 + c
-        return -mp.exp(-lam * w0) * u ** MINUS_HALF * resum.laplace_kernel(-lam * u, 0, MINUS_HALF)
-
     spec = _chi_spec0(s, t, nm)
     B = spec.b
     with ctx.working(20):
@@ -363,7 +328,7 @@ def eichler_integral(s: int, t: int, nm: tuple, z, lower,
         pref = mp.sqrt(mpf(s * t) / 8) / mp.pi
         lam1 = 2 * mp.pi / B
         target = mpf(2) ** (-ctx.prec) / pref
-        moments, poisson = [], mpf(0)
+        x, moments, poisson = mpf(0), [], mpf(0)
         if isinstance(lower, str):
             if lower != "conj":
                 raise ConfigError("lower must be 'conj', 0, or a rational")
@@ -371,14 +336,7 @@ def eichler_integral(s: int, t: int, nm: tuple, z, lower,
                 raise DomainError("the conj-based integral needs Im z < 0")
             x, w0 = z.real, -z.imag
             c = w0
-            table = PeriodicTable(tuple(to_mpf(spec.f(n)) for n in range(spec.f.period)))
-
-            def term(n):
-                if not x:
-                    return ray(lam1 * n * n, w0, c)
-                with workprec(mp.prec + 2 * n.bit_length()):  # x n^2 exactly
-                    phase = mp.expjpi(2 * x * n * n / B)
-                return phase * ray(lam1 * n * n, w0, c)
+            table = PeriodicTable(to_mpf(spec.f(n)) for n in range(spec.f.period))
         else:
             alpha = as_fraction(lower)
             if z.imag > 0:
@@ -388,7 +346,7 @@ def eichler_integral(s: int, t: int, nm: tuple, z, lower,
             if abs(c) <= mpf(2) ** (-ctx.prec) * max(1, abs(alpha_mp)):
                 c = mpf(0)
             P, h = twisted_table(spec.f, alpha, 0, B)
-            table = PeriodicTable(tuple(h))
+            table = PeriodicTable(h)
             c1 = mp.pi * B / (2 * P * P)
             w0 = c1 / ((ctx.prec + 40) * mp.ln2)
             if abs(c) > w0:
@@ -397,9 +355,16 @@ def eichler_integral(s: int, t: int, nm: tuple, z, lower,
                 _require_mean_zero(table, ctx.prec)
                 q = mp.exp(-c1 / w0)
                 poisson = table.max_abs() * mp.sqrt(mpf(B) / 2) * q / (c1 * (1 - q))
+        root = (w0 + c) ** MINUS_HALF
 
-            def term(n):
-                return ray(lam1 * n * n, w0, c)
+        def term(n):
+            lam = lam1 * n * n
+            v = -mp.exp(-lam * w0) * root * resum.laplace_kernel(-lam * (w0 + c), 0, MINUS_HALF)
+            if not x:
+                return v
+            with workprec(mp.prec + 2 * n.bit_length()):  # x n^2 exactly
+                phase = mp.expjpi(2 * x * n * n / B)
+            return phase * v
 
         hmax = table.max_abs()
         if w0:

@@ -20,13 +20,12 @@ lambda_l/alpha), taken for l <= N0; for l > N0, K Watson moments are
 shifted Hurwitz sums and the rest is bounded by Watson's lemma
 (boundary_median), so no quadrature is left.
 
-These sums, the Borel transform's and the Eichler integrals'
-(qseries.eichler_integral) share one shape, written once as ell_sum: a
-kernel taken term by term over l <= L, its expansion in l^{-2} as shifted
-Hurwitz sums over l > L, the caller's bound on the rest, and the roundoff
-of both parts in the error.  The table summed is f~ or a twisted table h;
-the lateral, boundary and Eichler sums take (L, K) from one chooser
-(_truncation).  All fractional powers are principal.
+These sums, the Borel transform's and the Eichler integrals' share one
+shape, written once as ell_sum: a kernel taken term by term over l <= L,
+its expansion in l^{-2} as shifted Hurwitz sums over l > L, the caller's
+bound on the rest, and the roundoff of both parts in the error; all but
+the Borel sum take (L, K) from one chooser (_truncation).  All fractional
+powers are principal.
 """
 
 from __future__ import annotations
@@ -61,11 +60,10 @@ def laplace_kernel(z, eps, s=MINUS_THREE_HALVES):
 
     is entire in z: w^{3/2} cancels the w^{-3/2} of the lower gamma, so the
     branch of w drops out.  boundary_median takes s = -1/2, eps = 0 on the
-    imaginary axis, where w is off the cut, and the Eichler integrals at
+    imaginary axis, where w is off the cut; the Eichler integrals take it at
     real positive w, where Gamma(-1/2, w) = 2 w^{-1/2} e^{-w} - 2 sqrt(pi)
-    erfc(sqrt(w)) (DLMF 8.4.6 and the recurrence) is about four times
-    cheaper than mp.gammainc; its two terms cancel all but about 1/(2w) of
-    their size, so it is taken at log2(2w) + 10 more bits.
+    erfc(sqrt(w)) is four times cheaper than mp.gammainc and cancels about
+    log2(2w) bits, taken as guard bits.
     """
     w = -z
     if s == MINUS_HALF and not mp.im(w) and mp.re(w) > 0:
@@ -109,11 +107,10 @@ def special_e(y, ctx: PrecisionContext = DEFAULT_CTX):
 def tilde_dirichlet(table, s: int, start: int = 0) -> mpf:
     """sum_{l>start} h(l) l^{-s} = M^{-s} sum_{r=start+1}^{start+M} h(r) zeta(s, r/M).
 
-    h is f~ or any other table of period M (qseries.PeriodicTable), real or
-    complex; exact by periodicity (DLMF 25.11).  f~ has period M: f~(l + M)
-    = (-1)^{M+d1+d2} f~(l) = f~(l), as M + d1 + d2 = 2M - 2k1 is even (d1 =
-    k2 - k1, d2 = M - k1 - k2).  start = 0 gives the full sum, start = L the
-    tail past a head l <= L.
+    Exact for h of period M: f~, since f~(l + M) = (-1)^{M+d1+d2} f~(l) =
+    f~(l) (M + d1 + d2 = 2M - 2k1 is even; d1 = k2 - k1, d2 = M - k1 - k2),
+    or a twisted table.  start = 0 gives the full sum, start = L the tail
+    past a head l <= L (DLMF 25.11).
     """
     M = table.M
     total = mpf(0)
@@ -128,10 +125,9 @@ def ell_sum(table, L: int, term, moments, bound) -> Estimate:
     """sum_{l<=L} h(l) term(l) + sum_k c_k sum_{l>L} h(l) l^{-s_k}, with its error.
 
     The one l-sum of the Borel, lateral and boundary sums (h = f~) and of
-    the Eichler integrals (h a twisted table): any table with a period M,
-    values table(l), max_abs() and is_zero(l).  A kernel taken term by term
-    over the head l <= L (L >= 1), the first terms of its expansion in
-    l^{-2} as moments (s_k, c_k) over l > L, each a shifted Hurwitz sum
+    the Eichler integrals (h a qseries.PeriodicTable): a kernel taken term
+    by term over the head l <= L (L >= 1), the first terms of its expansion
+    in l^{-2} as moments (s_k, c_k) over l > L, each a shifted Hurwitz sum
     (tilde_dirichlet), and the caller's bound on the rest.  The head's
     roundoff is counted as sum |h(l) term(l)| 2^{8-prec}.
     mp.zeta(s, x) is accurate to about 2^-prec max(1, zeta) absolutely, not
@@ -174,7 +170,7 @@ TRUNCATION_K_MAX = 40
 
 
 def _truncation(table, bounds, floor: int, target, ell_cap: int):
-    """The cheapest (L, K, bound, budget_exhausted) for an ell_sum of table h.
+    """The cheapest (L, K, bound, budget_exhausted) for an ell_sum.
 
     bounds[K-1] = (c_K, e_K): the rest after l <= L and K moments is at most
     c_K L^{-e_K}.  Each K takes the least L >= floor meeting the target, at

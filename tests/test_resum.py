@@ -577,6 +577,19 @@ class TestBoundaryKernel:
                 cf = mp.exp(-1j * lam * a) * mp.sqrt(lam / 1j) * mp.gammainc(-0.5, -1j * lam * a)
                 assert abs(got - cf) <= mpf("1e-55") * abs(ref), (a, lam)
 
+    @pytest.mark.parametrize("prec", [53, 128, 276])
+    def test_erfc_route_at_real_positive_arguments(self, prec):
+        """K^{(-1/2)}_0(-x) by erfc against -e^x x^{1/2} mp.gammainc(-1/2, x) at
+        64 more bits, within 2^{4-prec} relative, where cancellation is worst
+        (large x) and where there is none (small x)."""
+        for x in ("1e-3", "0.5", "3", "40", "300", "5000"):
+            with workprec(prec):
+                got = resum.laplace_kernel(-mpf(x), 0, MINUS_HALF)
+            with workprec(prec + 64):
+                x = mpf(x)
+                ref = -mp.exp(x) * mp.sqrt(x) * mp.gammainc(mpf(-1) / 2, x)
+                assert abs(got - ref) <= mpf(2) ** (4 - prec) * abs(ref), (x, got, ref)
+
     @pytest.mark.parametrize("K", [1, 5, 20])
     def test_watson_remainder_bound(self, K):
         """|J - i a^{-3/2} sum_{k<K} (3/2)_k (-i/a)^k lam^{-k-1}|
