@@ -159,10 +159,10 @@ class PeriodicTable(tuple):
         return max(abs(v) for v in self)
 
 
-def _require_mean_zero(table: PeriodicTable, prec: int) -> None:
+def _require_mean_zero(h, hmax, prec: int) -> None:
     """Raise unless h has mean zero: else theta^{(0)} ~ mean sqrt(b/(8w)) at alpha + iw."""
-    mean = mp.fsum(table) / table.M
-    if abs(mean) > mpf(2) ** (-prec // 2) * max(table.max_abs(), mpf(1)):
+    mean = mp.fsum(h) / len(h)
+    if abs(mean) > mpf(2) ** (-prec // 2) * max(hmax, mpf(1)):
         raise NoRadialLimitError(
             f"twisted coefficients have mean {mean}; radial limit undefined")
 
@@ -182,8 +182,8 @@ def theta_radial_limit(spec: ThetaSpec, alpha, ctx: PrecisionContext = DEFAULT_C
         raise DomainError("alpha must be nonzero")
     with ctx.working(40):
         P, h = twisted_table(spec.f, alpha, spec.a, spec.b)
-        table = PeriodicTable(h)
-        _require_mean_zero(table, ctx.prec)
+        hmax = max(abs(v) for v in h)
+        _require_mean_zero(h, hmax, ctx.prec)
         acc = mpc(0)
         for m in range(1, P + 1):
             hv = h[m % P]
@@ -198,7 +198,7 @@ def theta_radial_limit(spec: ThetaSpec, alpha, ctx: PrecisionContext = DEFAULT_C
             val = -mpf(P) / 2 * acc
         else:
             val = h[0] - acc
-        err = (P ** 2) * table.max_abs() * mpf(2) ** (-ctx.prec - 20)
+        err = (P ** 2) * hmax * mpf(2) ** (-ctx.prec - 20)
         return Estimate(val, err)
 
 
@@ -337,6 +337,7 @@ def eichler_integral(s: int, t: int, nm: tuple, z, lower,
             x, w0 = z.real, -z.imag
             c = w0
             table = PeriodicTable(to_mpf(spec.f(n)) for n in range(spec.f.period))
+            hmax = table.max_abs()
         else:
             alpha = as_fraction(lower)
             if z.imag > 0:
@@ -347,14 +348,15 @@ def eichler_integral(s: int, t: int, nm: tuple, z, lower,
                 c = mpf(0)
             P, h = twisted_table(spec.f, alpha, 0, B)
             table = PeriodicTable(h)
+            hmax = table.max_abs()
             c1 = mp.pi * B / (2 * P * P)
             w0 = c1 / ((ctx.prec + 40) * mp.ln2)
             if abs(c) > w0:
                 w0 = mpf(0)
             else:
-                _require_mean_zero(table, ctx.prec)
+                _require_mean_zero(h, hmax, ctx.prec)
                 q = mp.exp(-c1 / w0)
-                poisson = table.max_abs() * mp.sqrt(mpf(B) / 2) * q / (c1 * (1 - q))
+                poisson = hmax * mp.sqrt(mpf(B) / 2) * q / (c1 * (1 - q))
         root = (w0 + c) ** MINUS_HALF
 
         def term(n):
@@ -366,7 +368,6 @@ def eichler_integral(s: int, t: int, nm: tuple, z, lower,
                 phase = mp.expjpi(2 * x * n * n / B)
             return phase * v
 
-        hmax = table.max_abs()
         if w0:
             # terms falling like e^{-lambda_n w0}: all of them up to N
             N = min(int(mp.sqrt((ctx.prec + 60) * mp.ln2 / (lam1 * w0))) + 1, ctx.ell_cap)

@@ -216,8 +216,6 @@ def eichler_integral_quadrature(s: int, t: int, nm: tuple, z, lower,
     `theta_upper_half` on the "conj" path, whose largest truncation error is
     integrated against |tau - z|^{-3/2}.  The error is mp.quad's estimate,
     an exponential bound on the ray past the cutoff W, and that theta error.
-    This was the library's route before it summed the n-terms in closed
-    form; it shares only the twisted table with it.
     """
     spec = ThetaSpec(a=0, b=4 * s * t, nu=0, f=chi_function(ChiParams(s, t, *nm)))
     B = spec.b

@@ -242,13 +242,15 @@ class TestEichlerErrorBars:
             assert gap <= allowed, (gap, allowed)
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-20])
-    def test_cocycle_within_error_bars(self, tol):
-        """E(z; conj) + (1/(iz))^{3/2} sum S E'(-1/z; conj) = E(z; 0) at z = -i,
-        whatever the tolerance: no path truncates at it."""
+    @pytest.mark.parametrize("s, t, z", [(2, 3, "-1j"), (3, 4, "0.2-1.3j")])
+    def test_cocycle_within_error_bars(self, s, t, z, tol):
+        """E(z; conj) + (1/(iz))^{3/2} sum S E'(-1/z; conj) = E(z; 0), whatever
+        the tolerance: no path truncates at it.  Off the imaginary axis c is
+        complex and the "conj" terms carry phases."""
         ctx = PrecisionContext(prec=128, tol=tol)
-        s, t, nm = 2, 3, (1, 1)
+        nm = (1, 1)
         with ctx.working():
-            z = mpc(0, -1)
+            z = mpc(complex(z))
             ph = eichler_integral(s, t, nm, z, "conj", ctx)
             factor = (1 / (1j * z)) ** mpf("1.5")
             acc, acc_err = mpc(0), mpf(0)
