@@ -13,6 +13,8 @@ The default precision (bits) can be set through THETARESUM_PREC.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from fractions import Fraction
@@ -155,6 +157,20 @@ def _context(args) -> PrecisionContext:
         raise UsageError(str(exc))
 
 
+def _digits(ctx: PrecisionContext) -> int:
+    """Significant digits printed for ctx.prec bits."""
+    return int(ctx.prec * 0.301) + 2
+
+
+def _write(text: str, out) -> None:
+    """text to the file out (newlines untranslated, as csv needs), or to stdout."""
+    if out:
+        with open(out, "w", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_verify(args) -> int:
     if args.format == "csv":
         raise UsageError("verification reports are JSON; CSV is reserved for "
@@ -185,13 +201,13 @@ def cmd_export(args) -> int:
         for n in range(args.count):
             c = series.C[n]
             with ctx.working():
-                rows.append([n, str(c), mp.nstr(to_mpf(c), int(ctx.prec * 0.301) + 2)])
+                rows.append([n, str(c), mp.nstr(to_mpf(c), _digits(ctx))])
     elif args.what == "borel-taylor":
         header = ["n", "g_n", "g_n_float"]
         g = borel_mod.borel_coefficients(series, args.count)
         for n, c in enumerate(g):
             with ctx.working():
-                rows.append([n, str(c), mp.nstr(to_mpf(c), int(ctx.prec * 0.301) + 2)])
+                rows.append([n, str(c), mp.nstr(to_mpf(c), _digits(ctx))])
     else:
         header = ["index", "ell", "position"]
         ss = borel_mod.singularity_set(series)
@@ -199,28 +215,19 @@ def cmd_export(args) -> int:
         pos = ss.positions(args.count, ctx)
         with ctx.working():
             for i, (ell, x) in enumerate(zip(idx, pos)):
-                rows.append([i, ell, mp.nstr(x, int(ctx.prec * 0.301) + 2)])
+                rows.append([i, ell, mp.nstr(x, _digits(ctx))])
 
     if args.format == "csv":
-        import csv as _csv
-        target = open(args.out, "w", newline="") if args.out else sys.stdout
-        try:
-            w = _csv.writer(target)
-            w.writerow(header)
-            w.writerows(rows)
-        finally:
-            if args.out:
-                target.close()
+        buf = io.StringIO()
+        w = csv.writer(buf)
+        w.writerow(header)
+        w.writerows(rows)
+        _write(buf.getvalue(), args.out)
     else:
         payload = {"schema": "thetaresum-export/1", "config": cfg.describe(),
                    "what": args.what,
                    "rows": [dict(zip(header, r)) for r in rows]}
-        text = json.dumps(payload, indent=2) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
 
 
@@ -253,12 +260,7 @@ def cmd_eval(args) -> int:
         payload = {"schema": "thetaresum-eval/1", "config": cfg.describe(),
                    "quantity": args.quantity,
                    "value": number_json(est.value, ctx.prec, est.error)}
-    text = json.dumps(payload, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
 
 

@@ -17,9 +17,10 @@ from fractions import Fraction
 
 from mpmath import mp, mpf, mpc, workprec
 
+from .exact import bernoulli_polynomial
 from .periodic import (ChiParams, ConfigError, PeriodicFunction, TildeFunction,
                        _divisors, chi_function, pair_set, s_matrix_entry)
-from .precision import (DEFAULT_CTX, HALF, MINUS_HALF, MINUS_THREE_HALVES, Estimate,
+from .precision import (DEFAULT_CTX, MINUS_HALF, MINUS_THREE_HALVES, Estimate,
                         PrecisionContext, as_fraction, frac_to_mp, to_mpf)
 
 
@@ -105,42 +106,16 @@ def _phase_exponent(alpha: Fraction, n: int, a: int, b: int) -> Fraction:
 def _twist_period(f, alpha: Fraction, b: int) -> int:
     """Minimal common period of f and the quadratic twist e^{2pi i alpha n^2/b}.
 
-    Starts from the safe period lcm(period_f, den(alpha) * b) and minimises by
-    scanning divisors, comparing exact phase exponents.
+    The least multiple Q of period_f dividing the safe period lcm(period_f,
+    den(alpha) b) (which qualifies) for which the phase difference 2 alpha
+    (2nQ + Q^2)/b is an even integer for all n; it is linear in n, so n = 0
+    and n = 1 suffice.
     """
     period = f.period
-    safe = math.lcm(period, alpha.denominator * b)
-    alpha0 = alpha
-
-    def twist_ok(Q):
-        # phase difference 2 alpha (2nQ + Q^2)/b must be an even integer for
-        # all n; linear in n, so checking n = 0 and n = 1 suffices
-        for n in (0, 1):
-            d = (2 * alpha0 * (2 * n * Q + Q * Q) / b) % 2
-            if d != 0:
-                return False
-        return True
-
-    best = safe
-    for d in _divisors(safe):
-        if d % period == 0 and twist_ok(d):
-            best = d
-            break
-    return best
-
-
-def twisted_table(f, alpha: Fraction, a: int, b: int):
-    """(P, [h(0), ..., h(P-1)]) for h(n) = f(n) e^{2 pi i alpha (n^2-a)/b}."""
-    P = _twist_period(f, alpha, b)
-    vals = []
-    for n in range(P):
-        fv = to_mpf(f(n))
-        if fv == 0:
-            vals.append(mpc(0))
-            continue
-        expo = _phase_exponent(alpha, n, a, b)
-        vals.append(fv * mp.expjpi(frac_to_mp(expo)))
-    return P, vals
+    for Q in _divisors(math.lcm(period, alpha.denominator * b)):
+        if Q % period == 0 and all((2 * alpha * (2 * n * Q + Q * Q) / b) % 2 == 0
+                                   for n in (0, 1)):
+            return Q
 
 
 class PeriodicTable(tuple):
@@ -159,10 +134,19 @@ class PeriodicTable(tuple):
         return max(abs(v) for v in self)
 
 
-def _require_mean_zero(h, hmax, prec: int) -> None:
+def twisted_table(f, alpha: Fraction, a: int, b: int) -> PeriodicTable:
+    """h(0), ..., h(P-1) for h(n) = f(n) e^{2 pi i alpha (n^2-a)/b}, P = _twist_period."""
+    vals = []
+    for n in range(_twist_period(f, alpha, b)):
+        fv = to_mpf(f(n))
+        vals.append(fv * mp.expjpi(frac_to_mp(_phase_exponent(alpha, n, a, b))) if fv else mpc(0))
+    return PeriodicTable(vals)
+
+
+def _require_mean_zero(h: PeriodicTable, prec: int) -> None:
     """Raise unless h has mean zero: else theta^{(0)} ~ mean sqrt(b/(8w)) at alpha + iw."""
-    mean = mp.fsum(h) / len(h)
-    if abs(mean) > mpf(2) ** (-prec // 2) * max(hmax, mpf(1)):
+    mean = mp.fsum(h) / h.M
+    if abs(mean) > mpf(2) ** (-prec // 2) * max(h.max_abs(), mpf(1)):
         raise NoRadialLimitError(
             f"twisted coefficients have mean {mean}; radial limit undefined")
 
@@ -181,24 +165,15 @@ def theta_radial_limit(spec: ThetaSpec, alpha, ctx: PrecisionContext = DEFAULT_C
     if alpha == 0:
         raise DomainError("alpha must be nonzero")
     with ctx.working(40):
-        P, h = twisted_table(spec.f, alpha, spec.a, spec.b)
-        hmax = max(abs(v) for v in h)
-        _require_mean_zero(h, hmax, ctx.prec)
+        h = twisted_table(spec.f, alpha, spec.a, spec.b)
+        P = h.M
+        _require_mean_zero(h, ctx.prec)
         acc = mpc(0)
         for m in range(1, P + 1):
-            hv = h[m % P]
-            if hv:
-                # B_2(m/P) and B_1(m/P) as exact Fractions built from integers
-                if spec.nu == 1:
-                    br = Fraction(6 * m * m - 6 * m * P + P * P, 6 * P * P)
-                else:
-                    br = Fraction(2 * m - P, 2 * P)
-                acc += hv * frac_to_mp(br)
-        if spec.nu == 1:
-            val = -mpf(P) / 2 * acc
-        else:
-            val = h[0] - acc
-        err = (P ** 2) * hmax * mpf(2) ** (-ctx.prec - 20)
+            if h(m):
+                acc += h(m) * frac_to_mp(bernoulli_polynomial(1 + spec.nu, Fraction(m, P)))
+        val = -mpf(P) / 2 * acc if spec.nu == 1 else h[0] - acc
+        err = (P ** 2) * h.max_abs() * mpf(2) ** (-ctx.prec - 20)
         return Estimate(val, err)
 
 
@@ -227,8 +202,8 @@ class VerticalTheta:
     def _build(self):
         key = mp.prec
         if key not in self._tables:
-            P, h = twisted_table(self.f, self.alpha, 0, self.B)
-            self._tables[key] = (P, h, max(abs(v) for v in h), {})
+            h = twisted_table(self.f, self.alpha, 0, self.B)
+            self._tables[key] = (h.M, h, h.max_abs(), {})
         return self._tables[key]
 
     def _dft(self, j: int):
@@ -308,11 +283,8 @@ def eichler_integral(s: int, t: int, nm: tuple, z, lower,
       sqrt(B/(2w)) sum_{j>=1} e^{-c_j/w}, and |w + c| >= w: at most hmax
       sqrt(B/2) q/(c_1 (1 - q)), q = e^{-c_1/w0}.  Above w0, h(n) J(lambda_n;
       w0, c) for n <= N, lambda_N w0 >= (prec + 60) ln 2.
-    - Other z, c = i(z - alpha): J(lambda_n; 0, c) falls like n^{-2}.  A head
-      n <= N0, and over n > N0 Watson's lemma on (1 + w/c)^{-3/2}: moments
-      c^{-3/2} (-1)^k (3/2)_k c^{-k} lambda_1^{-k-1} sum h(n) n^{-2k-2}, k <
-      K, and a rest <= hmax |c|^{-3/2-K} (3/2)_K lambda_1^{-K-1}
-      N0^{-2K-1}/(2K+1); (N0, K) from resum._truncation.
+    - Other z, c = i(z - alpha): J(lambda_n; 0, c) falls like n^{-2};
+      resum.vertical_sum sums a head and Watson moments.
     - "conj", z = x - iy: chi(n) e^{2 pi i x n^2/B} J(lambda_n; y, y), n <= N.
 
     Past N the first and last sum to at most hmax (w0 + Re c)^{-3/2}
@@ -328,7 +300,7 @@ def eichler_integral(s: int, t: int, nm: tuple, z, lower,
         pref = mp.sqrt(mpf(s * t) / 8) / mp.pi
         lam1 = 2 * mp.pi / B
         target = mpf(2) ** (-ctx.prec) / pref
-        x, moments, poisson = mpf(0), [], mpf(0)
+        x, poisson = mpf(0), mpf(0)
         if isinstance(lower, str):
             if lower != "conj":
                 raise ConfigError("lower must be 'conj', 0, or a rational")
@@ -336,8 +308,7 @@ def eichler_integral(s: int, t: int, nm: tuple, z, lower,
                 raise DomainError("the conj-based integral needs Im z < 0")
             x, w0 = z.real, -z.imag
             c = w0
-            table = PeriodicTable(to_mpf(spec.f(n)) for n in range(spec.f.period))
-            hmax = table.max_abs()
+            table = twisted_table(spec.f, Fraction(0), 0, B)
         else:
             alpha = as_fraction(lower)
             if z.imag > 0:
@@ -346,30 +317,30 @@ def eichler_integral(s: int, t: int, nm: tuple, z, lower,
             c = 1j * (z - alpha_mp)
             if abs(c) <= mpf(2) ** (-ctx.prec) * max(1, abs(alpha_mp)):
                 c = mpf(0)
-            P, h = twisted_table(spec.f, alpha, 0, B)
-            table = PeriodicTable(h)
-            hmax = table.max_abs()
-            c1 = mp.pi * B / (2 * P * P)
+            table = twisted_table(spec.f, alpha, 0, B)
+            c1 = mp.pi * B / (2 * table.M ** 2)
             w0 = c1 / ((ctx.prec + 40) * mp.ln2)
             if abs(c) > w0:
                 w0 = mpf(0)
             else:
-                _require_mean_zero(h, hmax, ctx.prec)
+                _require_mean_zero(table, ctx.prec)
                 q = mp.exp(-c1 / w0)
-                poisson = hmax * mp.sqrt(mpf(B) / 2) * q / (c1 * (1 - q))
-        root = (w0 + c) ** MINUS_HALF
-
-        def term(n):
-            lam = lam1 * n * n
-            v = -mp.exp(-lam * w0) * root * resum.laplace_kernel(-lam * (w0 + c), 0, MINUS_HALF)
-            if not x:
-                return v
-            with workprec(mp.prec + 2 * n.bit_length()):  # x n^2 exactly
-                phase = mp.expjpi(2 * x * n * n / B)
-            return phase * v
-
+                poisson = table.max_abs() * mp.sqrt(mpf(B) / 2) * q / (c1 * (1 - q))
+        hmax = table.max_abs()
         if w0:
             # terms falling like e^{-lambda_n w0}: all of them up to N
+            root = (w0 + c) ** MINUS_HALF
+
+            def term(n):
+                lam = lam1 * n * n
+                v = -mp.exp(-lam * w0) * root * resum.laplace_kernel(
+                    -lam * (w0 + c), 0, MINUS_HALF)
+                if not x:
+                    return v
+                with workprec(mp.prec + 2 * n.bit_length()):  # x n^2 exactly
+                    phase = mp.expjpi(2 * x * n * n / B)
+                return phase * v
+
             N = min(int(mp.sqrt((ctx.prec + 60) * mp.ln2 / (lam1 * w0))) + 1, ctx.ell_cap)
             while True:
                 tail = hmax * (w0 + mp.re(c)) ** MINUS_THREE_HALVES / (lam1 * (N + 1) ** 2) \
@@ -377,23 +348,14 @@ def eichler_integral(s: int, t: int, nm: tuple, z, lower,
                 if tail <= target or N >= ctx.ell_cap:
                     break
                 N = min(2 * N, ctx.ell_cap)
-            exhausted = tail > target
+            est = resum.ell_sum(table, N, term, [], tail)
+            est = Estimate(est.value, est.error, tail > target)
         else:
             # terms falling like n^{-2}: a head and Watson moments
-            bounds = []
-            coef = hmax * abs(c) ** MINUS_THREE_HALVES / lam1    # K = 0
-            mk = c ** MINUS_THREE_HALVES / lam1
-            for K in range(1, resum.TRUNCATION_K_MAX + 1):
-                moments.append((2 * K, mk))
-                mk *= -(K + HALF) / (c * lam1)
-                coef *= (K + HALF) / (abs(c) * lam1)
-                bounds.append((coef / (2 * K + 1), 2 * K + 1))
-            N, K, tail, exhausted = resum._truncation(table, bounds, 1, target, ctx.ell_cap)
-            moments = moments[:K]
-        est = resum.ell_sum(table, N, term, moments, tail)
+            est = resum.vertical_sum(table, lam1, c, target, ctx.ell_cap)
         value = pref * est.value
         err = pref * (est.error + poisson) + abs(value) * mpf(2) ** (-ctx.prec)
-        return Estimate(value, err, exhausted)
+        return Estimate(value, err, est.budget_exhausted)
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,10 @@ sum on the side whose ray converges and half the jump (median_sum).
 special_e is the same median kernel as a Dawson-integral function.
 
 At the natural-boundary points x = -1/(2 pi i alpha) the median combines a
-vertical theta integral with a theta radial limit.  Each l-term of that
-integral is the kernel at exponent -1/2, a value Gamma(-1/2, -i
-lambda_l/alpha), taken for l <= N0; for l > N0, K Watson moments are
-shifted Hurwitz sums and the rest is bounded by Watson's lemma
-(boundary_median), so no quadrature is left.
+vertical theta integral with a theta radial limit (boundary_median).  That
+integral, like the Eichler integrals away from their base point, is
+vertical_sum: the kernel at exponent -1/2 over a head, Watson moments
+beyond it, so no quadrature is left.
 
 These sums, the Borel transform's and the Eichler integrals' share one
 shape, written once as ell_sum: a kernel taken term by term over l <= L,
@@ -38,7 +37,7 @@ from mpmath import mp, mpf, mpc, workprec
 from .exact import FormalSeries
 from .periodic import TildeFunction
 from .precision import (DEFAULT_CTX, FIVE_HALVES, HALF, MINUS_FIVE_HALVES, MINUS_HALF,
-                        MINUS_THREE_HALVES, QUARTER, THREE_HALVES, Estimate,
+                        MINUS_THREE_HALVES, THREE_HALVES, Estimate,
                         PrecisionContext, as_fraction, frac_to_mp, richardson_limit, to_mpf)
 from .qseries import DomainError, ThetaSpec, theta_radial_limit, theta_upper_half
 
@@ -403,35 +402,55 @@ def median_sum(series: FormalSeries, x, ctx: PrecisionContext = DEFAULT_CTX) -> 
 # ---------------------------------------------------------------------------
 # Boundary median values.
 
+def vertical_sum(table, lam1, c, target, ell_cap: int) -> Estimate:
+    """sum_{l>=1} h(l) J(lam1 l^2), J(lambda) = int_0^inf e^{-lambda w} (w + c)^{-3/2} dw.
+
+    The vertical-ray integral of sum h(l) e^{-lambda_l w}, for Re c >= 0,
+    c != 0: boundary_median's (h = f~) and the Eichler integrals' away
+    from their base point (h a twisted qseries.PeriodicTable).  t =
+    lambda (w + c) runs horizontally in Re t >= 0 from lambda c, off the
+    cut, so J(lambda) = e^{lambda c} lambda^{1/2} Gamma(-1/2, lambda c) =
+    -c^{-1/2} K^{(-1/2)}_0(-lambda c) (laplace_kernel), taken for l <= N0.
+    For l > N0, Watson's lemma on (1 + w/c)^{-3/2}:
+
+        J(lambda) = c^{-3/2} sum_{k<K} (-1)^k (3/2)_k c^{-k} lambda^{-k-1} + R_K,
+        |R_K| <= |c|^{-3/2-K} (3/2)_K lambda^{-K-1},
+
+    since |1 + u w/c| >= 1 for w >= 0, 0 <= u <= 1 and Re c >= 0, so the
+    Taylor remainder of (1 + x)^{-3/2} is at most |C(-3/2, K) x^K|.  The
+    moments are sums of h(l) l^{-2k-2} over l > N0 (ell_sum); the rest,
+    summed over l > N0, is at most hmax |c|^{-3/2-K} (3/2)_K lam1^{-K-1}
+    N0^{-2K-1}/(2K+1).  (N0, K) come from _truncation; budget_exhausted:
+    ell_cap kept that bound above the target.
+    """
+    bounds, moments = [], []
+    coef = table.max_abs() * abs(c) ** MINUS_THREE_HALVES / lam1    # K = 0
+    mk = c ** MINUS_THREE_HALVES / lam1
+    for K in range(1, TRUNCATION_K_MAX + 1):
+        moments.append((2 * K, mk))
+        mk *= -(K + HALF) / (c * lam1)
+        coef *= (K + HALF) / (abs(c) * lam1)
+        bounds.append((coef / (2 * K + 1), 2 * K + 1))
+    N0, K, tail, exhausted = _truncation(table, bounds, 1, target, ell_cap)
+    root = -c ** MINUS_HALF
+    est = ell_sum(table, N0, lambda ell: root * laplace_kernel(
+        -lam1 * ell * ell * c, 0, MINUS_HALF), moments[:K], tail)
+    return Estimate(est.value, est.error, exhausted)
+
+
 def boundary_median(series: FormalSeries, alpha,
                     ctx: PrecisionContext = DEFAULT_CTX) -> Estimate:
     """S_med at the boundary point x = -1/(2 pi i alpha), nonzero rational alpha.
 
-        S_med = (c b e^{i pi/4} / (M pi (i alpha)^{3/2})) sum_l f~(l) J(lambda_l)
+        S_med = (c b / (M pi (i alpha)^{3/2})) sum_l f~(l) J(lambda_l; -i/alpha)
               + (b/(i alpha))^{3/2} (sqrt2 c / M^2) theta1_{0,4M^2,f~}(-b/alpha),
 
-    all powers principal, lambda_l = pi b l^2/(2 M^2), a = 1/alpha, and
-    J(lambda) = int_0^inf i e^{-lambda v} (a + iv)^{-3/2} dv the l-term of
-    the vertical theta integral.  Closed form: t = lambda v - i lambda a
-    runs horizontally from w = -i lambda a to +inf, never meeting the cut,
-    and a + iv = i t/lambda with arg(i t/lambda) = pi/2 + arg t in (-pi, pi],
-    so (a + iv)^{-3/2} = (i/lambda)^{-3/2} t^{-3/2} on the whole path and
-
-        J(lambda) = e^{-i lambda a} (lambda/i)^{1/2} Gamma(-1/2, -i lambda a)
-                  = -a^{-1/2} K^{(-1/2)}_0(i lambda a)
-
-    (laplace_kernel; a^{-1/2} (-i lambda a)^{1/2} = (-i lambda)^{1/2} for
-    either sign of a), taken for l <= N0.  For l > N0, Watson's lemma on
-    (1 + iv/a)^{-3/2} gives
-
-        J(lambda) = i a^{-3/2} sum_{k<K} (3/2)_k (-i/a)^k lambda^{-k-1} + R_K,
-        |R_K| <= |a|^{-3/2-K} (3/2)_K lambda^{-K-1},
-
-    since |1 + u x| >= 1 for x = iv/a and 0 <= u <= 1, so the Taylor
-    remainder of (1 + x)^{-3/2} is at most |C(-3/2, K) x^K|.  The moments
-    are sums of f~(l) l^{-2k-2} over l > N0 (ell_sum); the remainder summed
-    over l > N0 is at most fmax |a|^{-3/2-K} (3/2)_K (pi b/(2M^2))^{-K-1}
-    N0^{-2K-1}/(2K+1), which the (N0, K) of _truncation bring below 2^-prec.
+    all powers principal, lambda_l = pi b l^2/(2 M^2) and J(lambda; c) the
+    l-term of vertical_sum.  The vertical theta integral's l-term is
+    int_0^inf i e^{-lambda v} (a + iv)^{-3/2} dv, a = 1/alpha, and
+    a + iv = i (v + c) with c = -ia, arg(v + c) + pi/2 in (-pi, pi], so
+    that term is i^{-1/2} J(lambda; c), and i^{-1/2} cancels the e^{i pi/4}
+    of the first prefactor.  vertical_sum brings its rest below 2^-prec.
     """
     alpha = as_fraction(alpha)
     if alpha == 0:
@@ -439,34 +458,16 @@ def boundary_median(series: FormalSeries, alpha,
     with ctx.working(20):
         tilde, b, M = series.tilde, series.b, series.f.M
         c = to_mpf(series.f.c)
-        a = 1 / frac_to_mp(alpha)
-        lam1 = mp.pi * b / (2 * M ** 2)       # lambda_l = lam1 l^2
-        t1_pref = c * b * mp.expjpi(QUARTER) / (M * mp.pi * mpc(0, frac_to_mp(alpha)) ** THREE_HALVES)
-
-        # the Watson moments, and the cheapest (N0, K) whose remainder is below 2^-prec
-        bounds, moments = [], []
-        coef = tilde.max_abs() * abs(a) ** MINUS_THREE_HALVES / lam1    # K = 0
-        mk = 1j * a ** MINUS_THREE_HALVES / lam1
-        for K in range(1, TRUNCATION_K_MAX + 1):
-            moments.append((2 * K, mk))
-            mk *= -1j * (K + HALF) / (a * lam1)
-            coef *= (K + HALF) / (abs(a) * lam1)
-            bounds.append((coef / (2 * K + 1), 2 * K + 1))
-        N0, K, tail, exhausted = _truncation(
-            tilde, bounds, 1, mpf(2) ** (-ctx.prec) / abs(t1_pref), ctx.ell_cap)
-
-        # the head l <= N0 in closed form, K Watson moments over l > N0
-        root = -a ** MINUS_HALF
-        est = ell_sum(tilde, N0, lambda ell: root * laplace_kernel(
-            mpc(0, lam1 * ell * ell * a), 0, MINUS_HALF), moments[:K], tail)
-
+        t1_pref = c * b / (M * mp.pi * mpc(0, frac_to_mp(alpha)) ** THREE_HALVES)
+        est = vertical_sum(tilde, mp.pi * b / (2 * M ** 2), mpc(0, -1 / frac_to_mp(alpha)),
+                           mpf(2) ** (-ctx.prec) / abs(t1_pref), ctx.ell_cap)
         theta1 = theta_radial_limit(ThetaSpec(a=0, b=4 * M * M, nu=1, f=tilde),
                                     Fraction(-b, 1) / alpha, ctx)
         t2_pref = (mpf(b) / mpc(0, frac_to_mp(alpha))) ** THREE_HALVES * mp.sqrt(2) * c / M ** 2
         value = t1_pref * est.value + t2_pref * theta1.value
         err = abs(t1_pref) * est.error + abs(t2_pref) * theta1.error \
             + abs(value) * mpf(2) ** (-ctx.prec)
-        return Estimate(value, err, exhausted)
+        return Estimate(value, err, est.budget_exhausted)
 
 
 def boundary_point(alpha) -> mpc:

@@ -16,8 +16,10 @@ from . import resum as resum_mod
 from .config import Config
 from .exact import gevrey_estimate
 from .habiro import StrangeConfig, verify_strange
-from .periodic import ConfigError, pair_set
-from .precision import PrecisionContext, as_fraction, frac_to_mp, to_mpf
+from .periodic import (ChiParams, ConfigError, chi_function, pair_set, s_matrix_entry,
+                       verify_decomposition)
+from .precision import (FIVE_HALVES, THREE_HALVES, PrecisionContext, as_fraction, frac_to_mp,
+                        to_mpf)
 from .qseries import ThetaSpec, eichler_integral, theta_radial_limit
 from .report import Report, timed
 
@@ -60,10 +62,10 @@ def suite_borel(cfg: Config, ctx: PrecisionContext, report: Report, **_):
         binom = mpf(1)
         for n in range(20):
             wsum = resum_mod.tilde_dirichlet(tilde, 4 + 2 * n)
-            closed = pref * binom * mpf(b) ** (-n) * A ** (-mpf("2.5") - n) * wsum
+            closed = pref * binom * mpf(b) ** (-n) * A ** (-FIVE_HALVES - n) * wsum
             exact = to_mpf(coeffs[n])
             worst = max(worst, abs(closed - exact) / abs(exact))
-            binom = binom * (mpf("2.5") + n) / (n + 1)
+            binom = binom * (FIVE_HALVES + n) / (n + 1)
     report.add("borel.taylor-vs-closed-form", {"config": cfg.label(), "count": 20},
                worst, mpf(0), mpf("1e-12"), t.elapsed)
     with timed() as t:
@@ -106,7 +108,6 @@ def _require_chi(cfg: Config):
 
 def suite_gentor(cfg: Config, ctx: PrecisionContext, report: Report, **_):
     s, t_, _, _ = _require_chi(cfg)
-    from .periodic import verify_decomposition
     for nm in pair_set(s, t_):
         with timed() as t:
             rep = verify_decomposition(s, t_, nm, ctx, tol=mpf("1e-12"))
@@ -162,7 +163,6 @@ def suite_eichler(cfg: Config, ctx: PrecisionContext, report: Report,
                   alpha=None, **_):
     s, t_, n, m = _require_chi(cfg)
     nm = (n, m)
-    from .periodic import ChiParams, chi_function
     chi = chi_function(ChiParams(s, t_, n, m))
     alphas = [Fraction(1), Fraction(1, 2)] if alpha is None else [as_fraction(alpha)]
     for al in alphas:
@@ -175,11 +175,10 @@ def suite_eichler(cfg: Config, ctx: PrecisionContext, report: Report,
         z = mpc(0, -1)
         lhs = eichler_integral(s, t_, nm, z, "conj", ctx).value
         acc = mpc(0)
-        from .periodic import s_matrix_entry
         for other in pair_set(s, t_):
             S = s_matrix_entry(s, t_, nm, other, ctx)
             acc += S * eichler_integral(s, t_, other, -1 / z, "conj", ctx).value
-        lhs_total = lhs + (1 / (1j * z)) ** mpf("1.5") * acc
+        lhs_total = lhs + (1 / (1j * z)) ** THREE_HALVES * acc
         rhs = eichler_integral(s, t_, nm, z, Fraction(0), ctx).value
     report.add("eichler.cocycle", {"s": s, "t": t_, "nm": nm, "z": z},
                lhs_total, rhs, ctx.tolerance(), t.elapsed)

@@ -190,6 +190,32 @@ class TestConsoleEntry:
         assert "checks passed" in proc.stdout
 
 
+class TestScripts:
+    """The scripts under scripts/ still run against the library."""
+
+    SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+    def _run(self, name, *args):
+        proc = subprocess.run([sys.executable, str(self.SCRIPTS / name), *args],
+                              capture_output=True, text=True, timeout=300, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_boundary_profile(self):
+        lines = self._run("boundary_profile.py", "--steps", "3", "--prec", "64").splitlines()
+        assert lines[0] == "eps,re,im,abs_gap_to_boundary"
+        assert len(lines) == 4 and all(len(row.split(",")) == 4 for row in lines[1:])
+
+    def test_export_trefoil_tables(self, tmp_path):
+        self._run("export_trefoil_tables.py", "--count", "4", "--outdir", str(tmp_path))
+        written = sorted(tmp_path.iterdir())
+        assert [p.name for p in written] == ["trefoil_borel_taylor.csv",
+                                             "trefoil_coefficients.csv",
+                                             "trefoil_singularities.csv"]
+        for p in written:
+            assert len(p.read_text().splitlines()) == 5, p.name  # header and 4 rows
+
+
 class TestReportSemantics:
     def test_failing_check_drives_nonzero_exit_logic(self):
         from mpmath import mpf

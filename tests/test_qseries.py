@@ -90,7 +90,8 @@ class TestRadialLimits:
                     assert abs(lim.value - ora.value) < mpf("1e-6"), (spec.b, alpha)
 
     def test_twist_period_exact(self):
-        P, h = twisted_table(CHI, Fraction(1, 3), 0, 24)
+        h = twisted_table(CHI, Fraction(1, 3), 0, 24)
+        P = h.M
         period = CHI.period
         with CTX.working():
             for n in range(P):
@@ -229,24 +230,32 @@ class TestEichlerErrorBars:
     """|value - truth| <= claimed error for the closed-form Eichler integrals."""
 
     @pytest.mark.parametrize("prec", [64, 96, 128, 192])
-    @pytest.mark.parametrize("alpha", ["1", "1/2", "-1/2", "1/3", "2/5"])
-    def test_boundary_value_within_error_bars(self, alpha, prec):
-        """E(alpha; alpha) = -theta/2, theta the radial limit L(-1, h)."""
+    @pytest.mark.parametrize("st, alpha", [
+        *(pytest.param((2, 3), a, id=a) for a in ("1", "1/2", "-1/2", "1/3", "2/5")),
+        *(pytest.param(st, a, id=f"chi{st[0]}{st[1]}-{a}")
+          for st in ((2, 5), (3, 4)) for a in ("1", "1/2", "-1/3", "3/7"))])
+    def test_boundary_value_within_error_bars(self, st, alpha, prec):
+        """E(alpha; alpha) = -theta/2, theta the radial limit L(-1, h), on
+        chi(2,3), chi(2,5) and chi(3,4)."""
         alpha = Fraction(alpha)
         ctx = PrecisionContext(prec=prec)
+        spec = ThetaSpec(a=0, b=4 * st[0] * st[1], nu=1, f=chi_function(ChiParams(*st, 1, 1)))
         with ctx.working():
-            got = eichler_integral(2, 3, (1, 1), frac_to_mp(alpha), alpha, ctx)
-            theta = theta_radial_limit(CHI_SPEC1, alpha, ctx)
+            got = eichler_integral(*st, (1, 1), frac_to_mp(alpha), alpha, ctx)
+            theta = theta_radial_limit(spec, alpha, ctx)
             gap = abs(got.value + theta.value / 2)
             allowed = got.error + theta.error / 2 + mpf(2) ** (-prec) * abs(theta.value)
             assert gap <= allowed, (gap, allowed)
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-20])
-    @pytest.mark.parametrize("s, t, z", [(2, 3, "-1j"), (3, 4, "0.2-1.3j")])
+    @pytest.mark.parametrize("s, t, z", [(2, 3, "-1j"), (3, 4, "0.2-1.3j"),
+                                         (2, 5, "0.3333-0.001j"), (3, 4, "1-0.0001j")])
     def test_cocycle_within_error_bars(self, s, t, z, tol):
         """E(z; conj) + (1/(iz))^{3/2} sum S E'(-1/z; conj) = E(z; 0), whatever
         the tolerance: no path truncates at it.  Off the imaginary axis c is
-        complex and the "conj" terms carry phases."""
+        complex and the "conj" terms carry phases.  Near the real axis the
+        "conj" n-sum at z grows like |Im z|^{-1/2}, and E(z; 0) and the sums
+        at -1/z go through Watson moments."""
         ctx = PrecisionContext(prec=128, tol=tol)
         nm = (1, 1)
         with ctx.working():
