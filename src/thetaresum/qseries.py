@@ -325,7 +325,7 @@ def eichler_integral(s: int, t: int, nm: tuple, z, lower,
             else:
                 _require_mean_zero(table, ctx.prec)
                 q = mp.exp(-c1 / w0)
-                poisson = table.max_abs() * mp.sqrt(mpf(B) / 2) * q / (c1 * (1 - q))
+                poisson = mp.sqrt(mpf(B) / 2) * q / (c1 * (1 - q))    # times hmax
         hmax = table.max_abs()
         if w0:
             # terms falling like e^{-lambda_n w0}: all of them up to N
@@ -354,7 +354,7 @@ def eichler_integral(s: int, t: int, nm: tuple, z, lower,
             # terms falling like n^{-2}: a head and Watson moments
             est = resum.vertical_sum(table, lam1, c, target, ctx.ell_cap)
         value = pref * est.value
-        err = pref * (est.error + poisson) + abs(value) * mpf(2) ** (-ctx.prec)
+        err = pref * (est.error + hmax * poisson) + abs(value) * mpf(2) ** (-ctx.prec)
         return Estimate(value, err, est.budget_exhausted)
 
 

@@ -254,8 +254,8 @@ class TestEichlerErrorBars:
         """E(z; conj) + (1/(iz))^{3/2} sum S E'(-1/z; conj) = E(z; 0), whatever
         the tolerance: no path truncates at it.  Off the imaginary axis c is
         complex and the "conj" terms carry phases.  Near the real axis the
-        "conj" n-sum at z grows like |Im z|^{-1/2}, and E(z; 0) and the sums
-        at -1/z go through Watson moments."""
+        "conj" n-sums grow like |Im z|^{-1/2}, and E(z; 0) takes Watson
+        moments (resum.vertical_sum)."""
         ctx = PrecisionContext(prec=128, tol=tol)
         nm = (1, 1)
         with ctx.working():
