@@ -400,7 +400,7 @@ def median_sum(series: FormalSeries, x, ctx: PrecisionContext = DEFAULT_CTX) -> 
 
 
 # ---------------------------------------------------------------------------
-# Boundary median values.
+# The vertical-ray sum, and boundary median values.
 
 def vertical_sum(table, lam1, c, target, ell_cap: int) -> Estimate:
     """sum_{l>=1} h(l) J(lam1 l^2), J(lambda) = int_0^inf e^{-lambda w} (w + c)^{-3/2} dw.
