@@ -91,8 +91,9 @@ def hadamard_oracle(series: FormalSeries, count: int):
 class SingularitySet:
     """The ray {b l^2 pi^2/M^2 : f~(l) != 0}, enumerated in increasing order.
 
-    Membership uses the support of f~: a term with f~(l) = 0 vanishes
-    identically in the closed form, so no singularity can sit there.
+    Membership uses the support of f~, the exact zeros of its table: a term
+    with f~(l) = 0 vanishes identically in the closed form, so no
+    singularity can sit there.
     """
 
     series: FormalSeries
@@ -102,10 +103,11 @@ class SingularitySet:
         return self.series.tilde
 
     def indices(self, count: int):
+        table = self.tilde.table()
         out = []
         ell = 1
         while len(out) < count:
-            if not self.tilde.is_zero(ell):
+            if not table.is_zero(ell):
                 out.append(ell)
             ell += 1
         return out
@@ -126,8 +128,9 @@ class SingularitySet:
             # singular ell nearest to sqrt(Re p / base), clamped to support
             guess = max(1, int(mp.sqrt(max(p.real, mpf(0)) / base)))
             best = mpf("inf")
+            table = self.tilde.table()
             for ell in range(max(1, guess - self.series.f.M), guess + self.series.f.M + 2):
-                if not self.tilde.is_zero(ell):
+                if not table.is_zero(ell):
                     best = min(best, abs(p - base * ell * ell))
             return best
 
@@ -155,7 +158,7 @@ def borel_eval(series: FormalSeries, p, ctx: PrecisionContext = DEFAULT_CTX,
     with ctx.working(20):
         p = mpc(p)
         f = series.f
-        tilde = series.tilde
+        tilde = series.tilde.table()
         sing = singularity_set(series)
         gap = sing.nearest_distance(p, ctx)
         first = sing.first(ctx)

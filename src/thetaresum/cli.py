@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -264,10 +265,25 @@ def cmd_eval(args) -> int:
     return 0
 
 
+# flags whose value may be negative: "--alpha -1/3" reaches argparse as
+# "--alpha=-1/3", since it reads a word like "-1/3" as an option
+SIGNED_FLAGS = ("--alpha", "--c", "--x", "--p")
+
+
+def _join_signed_values(argv) -> list:
+    out = []
+    for word in argv:
+        if out and out[-1] in SIGNED_FLAGS and re.match(r"-[0-9.]", word):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None) -> int:
     ap = make_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
         if args.command == "verify":
             return cmd_verify(args)
         if args.command == "export":

@@ -3,10 +3,11 @@ the Kontsevich-Zagier series, the trefoil colored Jones values, and the
 nested torus-knot sums X_u^(l), together with the strange-identity checks
 against theta radial limits.
 
-At a primitive N-th root with N <= 8 all arithmetic runs in the exact
-convolution ring Z[X]/(X^N - 1) (dense integer vectors), so vanishing factors
-like 1 - q^N are exact; larger N falls back to complex floats at the context
-precision.
+At a primitive N-th root zeta with N <= 8 all arithmetic runs in the exact
+convolution ring Z[X]/(X^N - 1) (dense integer vectors; X stands for zeta, so
+q^e sits at index e mod N), and vanishing factors like 1 - q^N are exact;
+larger N falls back to complex floats at the context precision.  Both read
+zeta^r from one table per root and precision.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from mpmath import mp, mpf, mpc
+from mpmath import mp, mpf, mpc, workprec
 
 from .config import config_hikami
 from .precision import DEFAULT_CTX, PrecisionContext, as_fraction, frac_to_mp
@@ -44,7 +46,14 @@ class RootOfUnity:
                    alpha.denominator)
 
     def zeta(self) -> mpc:
-        return mp.expjpi(frac_to_mp(Fraction(2 * self.j, self.N) % 2))
+        return _root_powers(self.j, self.N, mp.prec)[1 % self.N]
+
+
+@lru_cache(maxsize=256)
+def _root_powers(j: int, N: int, prec: int) -> tuple:
+    """zeta^r = e^{2 pi i r j/N} for r = 0, ..., N-1, at ``prec`` bits."""
+    with workprec(prec):
+        return tuple(mp.expjpi(frac_to_mp(Fraction(2 * r * j, N) % 2)) for r in range(N))
 
 
 class _RingScalar:
@@ -82,12 +91,9 @@ class _Arith:
         self.ctx = ctx
         if isinstance(q, RootOfUnity):
             self.root = q
+            self.N = q.N
             self.exact = q.N <= EXACT_RING_MAX_ORDER
-            if self.exact:
-                self.N = q.N
-                self._qc = None
-            else:
-                self._qc = q.zeta()
+            self._powers = _root_powers(q.j, q.N, mp.prec)
         else:
             self.root = None
             self.exact = False
@@ -105,13 +111,12 @@ class _Arith:
 
     def q_power(self, e: int):
         if self.exact:
-            r = (e * self.root.j) % self.N
             v = [0] * self.N
-            v[r] = 1
+            v[e % self.N] = 1
             return _RingScalar(v)
         if self.root is not None:
             # reduce through the root order so huge exponents stay exact
-            return mp.expjpi(frac_to_mp(Fraction(2 * e * self.root.j, self.root.N) % 2))
+            return self._powers[e % self.N]
         return self._qc ** e
 
     def to_complex(self, x) -> mpc:
@@ -120,7 +125,7 @@ class _Arith:
         acc = mpc(0)
         for r, a in enumerate(x.v):
             if a:
-                acc += a * mp.expjpi(frac_to_mp(Fraction(2 * r * self.root.j, self.N) % 2))
+                acc += a * self._powers[r]
         return acc
 
 

@@ -3,8 +3,9 @@
 The family handled here assigns +c on the residues {k1, M-k1} mod M, -c on
 {k2, M-k2}, and 0 elsewhere.  It covers the sign characters chi_{2st}^{(n,m)}
 attached to coprime (s,t) and everything the resummation pipeline consumes.
-Also houses the sine-product transform f~, the index sets D(s,t), the finite
-S-matrix, and exact verification of the combinatorial facts about them.
+Also houses PeriodicTable (how the library reads any periodic function), the
+sine-product transform f~, the index sets D(s,t), the finite S-matrix, and
+exact verification of the combinatorial facts about them.
 """
 
 from __future__ import annotations
@@ -16,11 +17,40 @@ from functools import lru_cache
 
 from mpmath import mp, mpf, workprec
 
-from .precision import DEFAULT_CTX, PrecisionContext, as_fraction, frac_to_mp
+from .precision import DEFAULT_CTX, PrecisionContext, as_fraction, frac_to_mp, to_mpf
 
 
 class ConfigError(ValueError):
     """Raised for structurally invalid periodic-function parameters."""
+
+
+class PeriodicTable(tuple):
+    """h(0), ..., h(P-1) of a periodic h at one precision; P = len(table).
+
+    The one form in which the library reads a periodic function: f
+    (PeriodicFunction.table), f~ (TildeFunction.table) and the twisted h of
+    the radial limits (qseries.twisted_table).  Zeros are exact.
+    """
+
+    __slots__ = ()
+
+    def __call__(self, n: int):
+        return self[n % len(self)]
+
+    def is_zero(self, n: int) -> bool:
+        return not self[n % len(self)]
+
+    def max_abs(self) -> mpf:
+        return max(abs(v) for v in self)
+
+    def partial_sum_peak(self) -> mpf:
+        """max_n |sum_{1<=l<=n} h(l)| over one period; mean zero makes the
+        partial sums periodic, so this bounds them all (Abel tails)."""
+        acc = peak = mpf(0)
+        for v in self[1:] + self[:1]:
+            acc += v
+            peak = max(peak, abs(acc))
+        return peak
 
 
 def _min_residue(k: int, M: int) -> int:
@@ -57,6 +87,11 @@ class PeriodicFunction:
 
     def __call__(self, n: int):
         return self.c * self.pattern[n % self.M]
+
+    def table(self) -> PeriodicTable:
+        """(f(0), ..., f(M-1)) at the current precision."""
+        c = to_mpf(self.c)
+        return PeriodicTable(c * s for s in self.pattern)
 
     @property
     def period(self) -> int:
@@ -145,13 +180,12 @@ def chi_function(p: ChiParams) -> PeriodicFunction:
 class TildeFunction:
     """The transform f~(l) = (-1)^l sin((k2-k1) l pi/M) sin((M-k1-k2) l pi/M).
 
-    ``period`` is the exact minimal period, a divisor of 2M, found by gcd
-    arithmetic on the frequencies of f~.  Values are computed once per
-    residue mod 2M and per working precision (from exact rational multiples
-    of pi) and then read from that table, so f~(l) has the same bits as the
-    sine product evaluated at the current mpmath precision.  The table and
-    the derived ``max_abs`` and ``partial_sum_peak`` are cached per
-    (M, k1, k2, precision); the scale c does not enter f~.
+    ``period`` is the exact minimal period P, a divisor of M, and f~ is
+    read over one period: ``table()`` holds f~(0), ..., f~(P-1), each the
+    sine product at the current mpmath precision (from exact rational
+    multiples of pi), cached per (M, k1, k2, precision); the scale c does
+    not enter f~.  A sine argument is an integer exactly when mp.sinpi
+    returns 0, so the zeros of f~ are exact zeros of the table.
     """
 
     base: PeriodicFunction
@@ -160,44 +194,35 @@ class TildeFunction:
     def M(self) -> int:
         return self.base.M
 
-    @property
-    def _key(self) -> tuple:
-        return self.base.M, self.base.k1, self.base.k2
-
     def __call__(self, ell: int) -> mpf:
-        base = self.base
-        return _tilde_table(base.M, base.k1, base.k2, mp.prec)[ell % (2 * base.M)]
-
-    def is_zero(self, ell: int) -> bool:
-        """Exact zero test: f~(l) = 0 iff either sine argument is an integer."""
-        d1, d2 = _zero_moduli(*self._key)
-        return ell % d1 == 0 or ell % d2 == 0
+        return self.table()(ell)
 
     @property
     def first_support(self) -> int:
-        return _tilde_first_support(*self._key)
+        """The least l >= 1 with f~(l) != 0 (f~(0) = 0)."""
+        return next(ell for ell, v in enumerate(self.table()) if v)
 
     @property
     def period(self) -> int:
-        """Exact minimal period, a divisor of 2M."""
-        return _tilde_period(*self._key)
+        """Exact minimal period, a divisor of M.
 
-    def table(self, length: int = None) -> list:
-        n = length if length is not None else self.period
-        return [self(ell) for ell in range(n)]
+        f~(l) = (cos(2 pi k2 l/M) - cos(2 pi k1 l/M))/2 (sin A sin B =
+        (cos(A-B) - cos(A+B))/2) is a sum of the characters e^{+-2 pi i k l/M},
+        k = k1, k2, whose four classes mod M are distinct (make_periodic).
+        Distinct characters are independent, so the period is the lcm of
+        theirs, M/gcd(k, M).
+        """
+        M, k1, k2 = self.base.M, self.base.k1, self.base.k2
+        return math.lcm(M // math.gcd(k1, M), M // math.gcd(k2, M))
+
+    def table(self) -> PeriodicTable:
+        base = self.base
+        return _tilde_table(base.M, base.k1, base.k2, self.period, mp.prec)
 
     def partial_sum_peak(self) -> mpf:
-        """max_n |sum_{l<=n} f~(l)| over one period (mean zero makes the
-        partial sums periodic); used in Abel-summation tail bounds."""
-        return _tilde_peak(*self._key, max(mp.prec, 80))
-
-    def max_abs(self) -> mpf:
-        return _tilde_max_abs(*self._key, mp.prec)
-
-    @property
-    def c(self):
-        # the scale of the underlying f; f~ itself is scale-free
-        return self.base.c
+        """PeriodicTable.partial_sum_peak of f~, at no fewer than 80 bits."""
+        with workprec(max(mp.prec, 80)):
+            return self.table().partial_sum_peak()
 
 
 def _sine_product(M: int, k1: int, k2: int, ell: int) -> mpf:
@@ -208,62 +233,11 @@ def _sine_product(M: int, k1: int, k2: int, ell: int) -> mpf:
     return sign * mp.sinpi(frac_to_mp(r1)) * mp.sinpi(frac_to_mp(r2))
 
 
-@lru_cache(maxsize=None)
-def _tilde_period(M: int, k1: int, k2: int) -> int:
-    """Minimal period of f~ from its expansion in characters mod 2M.
-
-    With d1 = k2-k1, d2 = M-k1-k2 and e(u) = e^{i pi u l/M},
-    f~ = (e(M+d1-d2) + e(M-d1+d2) - e(M+d1+d2) - e(M-d1-d2))/4.  Distinct
-    characters mod 2M are linearly independent, so after merging equal
-    frequencies f~ is invariant under a shift exactly when every frequency
-    with a nonzero coefficient is; e(u) has period 2M/gcd(u, 2M).
-    """
-    d1, d2 = k2 - k1, M - k1 - k2
-    coeff = {}
-    for u, w in ((M + d1 - d2, 1), (M - d1 + d2, 1), (M + d1 + d2, -1), (M - d1 - d2, -1)):
-        coeff[u % (2 * M)] = coeff.get(u % (2 * M), 0) + w
-    return math.lcm(1, *(2 * M // math.gcd(u, 2 * M) for u, w in coeff.items() if w))
-
-
-@lru_cache(maxsize=None)
-def _zero_moduli(M: int, k1: int, k2: int) -> tuple:
-    """(d1, d2): f~(l) = 0 exactly when d1 | l or d2 | l."""
-    return M // math.gcd(M, k2 - k1), M // math.gcd(M, M - k1 - k2)
-
-
-@lru_cache(maxsize=None)
-def _tilde_first_support(M: int, k1: int, k2: int) -> int:
-    d1, d2 = _zero_moduli(M, k1, k2)
-    for ell in range(1, 2 * M + 1):
-        if ell % d1 and ell % d2:
-            return ell
-    raise ConfigError("f~ vanishes identically on a full period")
-
-
 @lru_cache(maxsize=256)
-def _tilde_table(M: int, k1: int, k2: int, prec: int) -> tuple:
-    """(f~(0), ..., f~(2M-1)) at ``prec`` bits."""
+def _tilde_table(M: int, k1: int, k2: int, period: int, prec: int) -> PeriodicTable:
+    """(f~(0), ..., f~(period-1)) at ``prec`` bits."""
     with workprec(prec):
-        return tuple(_sine_product(M, k1, k2, ell) for ell in range(2 * M))
-
-
-@lru_cache(maxsize=256)
-def _tilde_max_abs(M: int, k1: int, k2: int, prec: int) -> mpf:
-    tab = _tilde_table(M, k1, k2, prec)
-    with workprec(prec):
-        return max(abs(v) for v in tab[:_tilde_period(M, k1, k2) + 1])
-
-
-@lru_cache(maxsize=256)
-def _tilde_peak(M: int, k1: int, k2: int, prec: int) -> mpf:
-    tab = _tilde_table(M, k1, k2, prec)
-    with workprec(prec):
-        acc = mpf(0)
-        peak = mpf(0)
-        for ell in range(1, _tilde_period(M, k1, k2) + 1):
-            acc += tab[ell % (2 * M)]
-            peak = max(peak, abs(acc))
-        return peak
+        return PeriodicTable(_sine_product(M, k1, k2, ell) for ell in range(period))
 
 
 def _divisors(n: int):
@@ -380,7 +354,7 @@ def verify_decomposition(s: int, t: int, nm: tuple,
     n, m = nm
     with ctx.working():
         tolv = ctx.tolerance() if tol is None else mpf(tol)
-        tilde = tilde_transform(chi_function(ChiParams(s, t, n, m)))
+        tilde = tilde_transform(chi_function(ChiParams(s, t, n, m))).table()
         chis = [chi_function(ChiParams(s, t, a, b)) for (a, b) in ps]
         row = [s_matrix_entry(s, t, nm, other, ctx) for other in ps]
         pref = -mp.sqrt(mpf(s * t) / 8)

@@ -18,10 +18,10 @@ from fractions import Fraction
 from mpmath import mp, mpf, mpc, workprec
 
 from .exact import bernoulli_polynomial
-from .periodic import (ChiParams, ConfigError, PeriodicFunction, TildeFunction,
-                       _divisors, chi_function, pair_set, s_matrix_entry)
+from .periodic import (ChiParams, ConfigError, PeriodicFunction, PeriodicTable,
+                       TildeFunction, _divisors, chi_function, pair_set, s_matrix_entry)
 from .precision import (DEFAULT_CTX, MINUS_HALF, MINUS_THREE_HALVES, Estimate,
-                        PrecisionContext, as_fraction, frac_to_mp, to_mpf)
+                        PrecisionContext, as_fraction, frac_to_mp)
 
 
 class DomainError(ValueError):
@@ -71,14 +71,14 @@ def theta_upper_half(spec: ThetaSpec, x, ctx: PrecisionContext = DEFAULT_CTX) ->
         if x.imag <= 0:
             raise DomainError(f"Im x must be positive, got {x}")
         lam = 2 * mp.pi * x.imag / spec.b
-        fmax = _f_max(spec.f)
+        h = spec.f.table()
+        fmax, period = h.max_abs(), len(h)
         target = ctx.tolerance() * mpf("0.01") + mpf(2) ** (-ctx.prec - 10)
-        period = spec.f.period
         n = 0
         acc = mpc(0)
         two_pi_i = 2j * mp.pi
         while True:
-            v = to_mpf(spec.f(n))
+            v = h[n % period]
             if v:
                 acc += (n ** spec.nu) * v * mp.exp(two_pi_i * x * (n * n - spec.a) / spec.b)
             n += 1
@@ -91,10 +91,6 @@ def theta_upper_half(spec: ThetaSpec, x, ctx: PrecisionContext = DEFAULT_CTX) ->
                 raise DomainError("theta sum did not reach tolerance; Im x too small")
 
 
-def _f_max(f) -> mpf:
-    return abs(to_mpf(f.c)) if isinstance(f, PeriodicFunction) else f.max_abs()
-
-
 # ---------------------------------------------------------------------------
 # Twisted coefficient tables and radial limits.
 
@@ -103,49 +99,33 @@ def _phase_exponent(alpha: Fraction, n: int, a: int, b: int) -> Fraction:
     return (2 * alpha * (n * n - a) / b) % 2
 
 
-def _twist_period(f, alpha: Fraction, b: int) -> int:
-    """Minimal common period of f and the quadratic twist e^{2pi i alpha n^2/b}.
+def _twist_period(period: int, alpha: Fraction, b: int) -> int:
+    """Minimal common period of a period-``period`` f and the quadratic twist
+    e^{2pi i alpha n^2/b}.
 
-    The least multiple Q of period_f dividing the safe period lcm(period_f,
+    The least multiple Q of period dividing the safe period lcm(period,
     den(alpha) b) (which qualifies) for which the phase difference 2 alpha
     (2nQ + Q^2)/b is an even integer for all n; it is linear in n, so n = 0
     and n = 1 suffice.
     """
-    period = f.period
     for Q in _divisors(math.lcm(period, alpha.denominator * b)):
         if Q % period == 0 and all((2 * alpha * (2 * n * Q + Q * Q) / b) % 2 == 0
                                    for n in (0, 1)):
             return Q
 
 
-class PeriodicTable(tuple):
-    """h(0), ..., h(M-1) of a periodic h, with what resum.ell_sum reads of f~."""
-
-    __slots__ = ()
-    M = property(len)
-
-    def __call__(self, n: int):
-        return self[n % len(self)]
-
-    def is_zero(self, n: int) -> bool:
-        return self[n % len(self)] == 0
-
-    def max_abs(self) -> mpf:
-        return max(abs(v) for v in self)
-
-
 def twisted_table(f, alpha: Fraction, a: int, b: int) -> PeriodicTable:
-    """h(0), ..., h(P-1) for h(n) = f(n) e^{2 pi i alpha (n^2-a)/b}, P = _twist_period."""
-    vals = []
-    for n in range(_twist_period(f, alpha, b)):
-        fv = to_mpf(f(n))
-        vals.append(fv * mp.expjpi(frac_to_mp(_phase_exponent(alpha, n, a, b))) if fv else mpc(0))
-    return PeriodicTable(vals)
+    """h(0), ..., h(P-1) for h(n) = f(n) e^{2 pi i alpha (n^2-a)/b}, P = _twist_period,
+    with f read from f.table()."""
+    ft = f.table()
+    return PeriodicTable(v * mp.expjpi(frac_to_mp(_phase_exponent(alpha, n, a, b)))
+                         if (v := ft(n)) else mpc(0)
+                         for n in range(_twist_period(len(ft), alpha, b)))
 
 
 def _require_mean_zero(h: PeriodicTable, prec: int) -> None:
     """Raise unless h has mean zero: else theta^{(0)} ~ mean sqrt(b/(8w)) at alpha + iw."""
-    mean = mp.fsum(h) / h.M
+    mean = mp.fsum(h) / len(h)
     if abs(mean) > mpf(2) ** (-prec // 2) * max(h.max_abs(), mpf(1)):
         raise NoRadialLimitError(
             f"twisted coefficients have mean {mean}; radial limit undefined")
@@ -166,7 +146,7 @@ def theta_radial_limit(spec: ThetaSpec, alpha, ctx: PrecisionContext = DEFAULT_C
         raise DomainError("alpha must be nonzero")
     with ctx.working(40):
         h = twisted_table(spec.f, alpha, spec.a, spec.b)
-        P = h.M
+        P = len(h)
         _require_mean_zero(h, ctx.prec)
         acc = mpc(0)
         for m in range(1, P + 1):
@@ -203,7 +183,7 @@ class VerticalTheta:
         key = mp.prec
         if key not in self._tables:
             h = twisted_table(self.f, self.alpha, 0, self.B)
-            self._tables[key] = (h.M, h, h.max_abs(), {})
+            self._tables[key] = (len(h), h, h.max_abs(), {})
         return self._tables[key]
 
     def _dft(self, j: int):
@@ -318,7 +298,7 @@ def eichler_integral(s: int, t: int, nm: tuple, z, lower,
             if abs(c) <= mpf(2) ** (-ctx.prec) * max(1, abs(alpha_mp)):
                 c = mpf(0)
             table = twisted_table(spec.f, alpha, 0, B)
-            c1 = mp.pi * B / (2 * table.M ** 2)
+            c1 = mp.pi * B / (2 * len(table) ** 2)
             w0 = c1 / ((ctx.prec + 40) * mp.ln2)
             if abs(c) > w0:
                 w0 = mpf(0)

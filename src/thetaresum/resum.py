@@ -35,7 +35,6 @@ from fractions import Fraction
 from mpmath import mp, mpf, mpc, workprec
 
 from .exact import FormalSeries
-from .periodic import TildeFunction
 from .precision import (DEFAULT_CTX, FIVE_HALVES, HALF, MINUS_FIVE_HALVES, MINUS_HALF,
                         MINUS_THREE_HALVES, THREE_HALVES, Estimate,
                         PrecisionContext, as_fraction, frac_to_mp, richardson_limit, to_mpf)
@@ -104,34 +103,34 @@ def special_e(y, ctx: PrecisionContext = DEFAULT_CTX):
 # Shared l-sum helpers.
 
 def tilde_dirichlet(table, s: int, start: int = 0) -> mpf:
-    """sum_{l>start} h(l) l^{-s} = M^{-s} sum_{r=start+1}^{start+M} h(r) zeta(s, r/M).
+    """sum_{l>start} h(l) l^{-s} = P^{-s} sum_{r=start+1}^{start+P} h(r) zeta(s, r/P).
 
-    Exact for h of period M: f~, since f~(l + M) = (-1)^{M+d1+d2} f~(l) =
-    f~(l) (M + d1 + d2 = 2M - 2k1 is even; d1 = k2 - k1, d2 = M - k1 - k2),
-    or a twisted table.  start = 0 gives the full sum, start = L the tail
-    past a head l <= L (DLMF 25.11).
+    Exact for any PeriodicTable h, P = len(h): f~ over its minimal period
+    (a divisor of M), or a twisted table.  start = 0 gives the full sum,
+    start = L the tail past a head l <= L (DLMF 25.11).
     """
-    M = table.M
+    P = len(table)
     total = mpf(0)
-    for r in range(start + 1, start + M + 1):
+    for r in range(start + 1, start + P + 1):
         v = table(r)
         if v:
-            total += v * mp.zeta(s, mpf(r) / M)
-    return total / mpf(M) ** s
+            total += v * mp.zeta(s, mpf(r) / P)
+    return total / mpf(P) ** s
 
 
 def ell_sum(table, L: int, term, moments, bound) -> Estimate:
     """sum_{l<=L} h(l) term(l) + sum_k c_k sum_{l>L} h(l) l^{-s_k}, with its error.
 
-    The one l-sum of the Borel, lateral and boundary sums (h = f~) and of
-    the Eichler integrals (h a qseries.PeriodicTable): a kernel taken term
-    by term over the head l <= L (L >= 1), the first terms of its expansion
-    in l^{-2} as moments (s_k, c_k) over l > L, each a shifted Hurwitz sum
+    The one l-sum of the Borel, lateral and boundary sums (h = f~, read
+    over one period) and of the Eichler integrals (h a twisted table), h a
+    periodic.PeriodicTable of period P: a kernel taken term by term over
+    the head l <= L (L >= 1), the first terms of its expansion in l^{-2} as
+    moments (s_k, c_k) over l > L, each a shifted Hurwitz sum
     (tilde_dirichlet), and the caller's bound on the rest.  The head's
     roundoff is counted as sum |h(l) term(l)| 2^{8-prec}.
     mp.zeta(s, x) is accurate to about 2^-prec max(1, zeta) absolutely, not
     relatively, so moment k is off by at most scale_k 2^{8-bits}, with
-    scale_k = |c_k| hmax (M^{1-s} + M L^{1-s}/(s-1)); it is summed at the
+    scale_k = |c_k| hmax (P^{1-s} + P L^{1-s}/(s-1)); it is summed at the
     bits = max(53, prec + mag(scale_k) - mag(scale_0)) that bring this to
     the level of moment 0.  The error is bound plus both roundoffs.
     """
@@ -144,10 +143,10 @@ def ell_sum(table, L: int, term, moments, bound) -> Estimate:
             head += t
             size += abs(t)
     roundoff = size * mpf(2) ** (8 - mp.prec)
-    fmax, M = table.max_abs(), table.M
+    fmax, P = table.max_abs(), len(table)
     tail = mpc(0)
     for k, (s, c) in enumerate(moments):
-        scale = abs(c) * fmax * (mpf(M) ** (1 - s) + M * mpf(L) ** (1 - s) / (s - 1))
+        scale = abs(c) * fmax * (mpf(P) ** (1 - s) + P * mpf(L) ** (1 - s) / (s - 1))
         if k == 0:
             top = mp.mag(scale)
         bits = max(53, mp.prec + mp.mag(scale) - top)
@@ -173,13 +172,13 @@ def _truncation(table, bounds, floor: int, target, ell_cap: int):
 
     bounds[K-1] = (c_K, e_K): the rest after l <= L and K moments is at most
     c_K L^{-e_K}.  Each K takes the least L >= floor meeting the target, at
-    a cost of L nnz/M kernels and K nnz Hurwitz sums (nnz = #{r <= M: h(r)
-    != 0}); the cheapest wins, the fewer moments on a tie.  Failing that,
-    L = ell_cap with the K of least bound there.
+    a cost of L nnz/P kernels and K nnz Hurwitz sums (nnz = #{r < P: h(r)
+    != 0}, P = len(table)); the cheapest wins, the fewer moments on a tie.
+    Failing that, L = ell_cap with the K of least bound there.
     """
-    M = table.M
-    nnz = sum(1 for r in range(1, M + 1) if not table.is_zero(r))
-    fits = [(L * nnz / M + HURWITZ_COST * K * nnz, K, L, c / mpf(L) ** e)
+    P = len(table)
+    nnz = sum(1 for v in table if v)
+    fits = [(L * nnz / P + HURWITZ_COST * K * nnz, K, L, c / mpf(L) ** e)
             for K, (c, e) in enumerate(bounds, 1)
             if (L := max(floor, int(mp.ceil((c / target) ** (mpf(1) / e))))) <= ell_cap]
     if fits:
@@ -192,37 +191,37 @@ def _truncation(table, bounds, floor: int, target, ell_cap: int):
 BLOCK_ELL_CAP = 10_000_000  # most terms tilde_dirichlet_blocks will sum
 
 
-def tilde_dirichlet_blocks(tilde: TildeFunction, s: int, target) -> Estimate:
-    """Direct period-grouped summation of sum f~(l) l^{-s} with an Abel bound.
+def tilde_dirichlet_blocks(table, s: int, target) -> Estimate:
+    """Direct period-grouped summation of sum h(l) l^{-s} with an Abel bound.
 
-    Partial sums of the mean-zero f~ are periodic, so the tail after a whole
-    number of periods is bounded by 2 max_n |F(n)| (L+1)^{-s}.  The head is
+    h is a mean-zero PeriodicTable (f~ in the constant identity), so its
+    partial sums are periodic and the tail after a whole number of periods
+    is bounded by 2 max_n |F(n)| (L+1)^{-s} (partial_sum_peak).  The head is
     summed per residue r mod P in fixed point: sum_{l = r mod P} floor(2^wp
     / l^s) in exact integers, with wp = prec + bit_length(L) + 10, so the L
-    truncations cost at most L max|f~| 2^-wp.  The n residue sums are then
-    rounded, scaled by f~(r) 2^-wp and added in mpf, which costs at most
+    truncations cost at most L max|h| 2^-wp.  The n residue sums are then
+    rounded, scaled by h(r) 2^-wp and added in mpf, which costs at most
     (n + 2) units of the sum of their sizes.
     """
-    peak = tilde.partial_sum_peak()
-    P = tilde.period
+    peak = table.partial_sum_peak()
+    P = len(table)
     L = int((2 * peak / mpf(target)) ** (mpf(1) / s)) + 1
     L = P * (L // P + 1)
     if L > BLOCK_ELL_CAP:
         raise DomainError(f"block summation needs {L} terms, beyond the cap")
-    table = tilde.table(P)
     wp = mp.prec + L.bit_length() + 10
     one = 1 << wp
     acc = mpf(0)
     size = mpf(0)
     n = 0
     for r in range(1, P + 1):
-        v = table[r % P]
+        v = table(r)
         if v:
             block = v * mp.ldexp(sum(one // ell ** s for ell in range(r, L + 1, P)), -wp)
             acc += block
             size += abs(block)
             n += 1
-    roundoff = L * tilde.max_abs() * mp.ldexp(1, -wp) + (n + 2) * size * mp.ldexp(1, -mp.prec)
+    roundoff = L * table.max_abs() * mp.ldexp(1, -wp) + (n + 2) * size * mp.ldexp(1, -mp.prec)
     return Estimate(acc, 2 * peak / mpf(L + 1) ** s + roundoff)
 
 
@@ -296,7 +295,7 @@ def lateral_sum(series: FormalSeries, x, side: str,
             raise DomainError(
                 f"Re(e^{{{sgn:+d}i theta}} x) = {sig} <= 0; ray integral diverges")
 
-        tilde, b, M = series.tilde, series.b, series.f.M
+        tilde, b, M = series.tilde.table(), series.b, series.f.M
         pref = 3 * mp.pi * to_mpf(series.f.c) / (M ** 2 * b)
         Apref = mp.pi ** 2 / M ** 2
         m2pi2 = mpf(M * M) / mp.pi ** 2
@@ -310,7 +309,7 @@ def lateral_sum(series: FormalSeries, x, side: str,
                    2 * K + 3) for K in range(1, TRUNCATION_K_MAX + 1)]
         target = ctx.tolerance() * mpf("0.1") + mpf(2) ** (-ctx.prec)
         L, K, bound, exhausted = _truncation(
-            tilde, bounds, max(6, tilde.first_support), target / abs(pref), ctx.ell_cap)
+            tilde, bounds, max(6, series.tilde.first_support), target / abs(pref), ctx.ell_cap)
 
         # the head l <= L in closed form, K moments over l > L
         moments = [(4 + 2 * j, beta[j] * mpf(b) ** (-j) * mp.factorial(j) / x ** (j + 1)
@@ -407,7 +406,7 @@ def vertical_sum(table, lam1, c, target, ell_cap: int) -> Estimate:
 
     The vertical-ray integral of sum h(l) e^{-lambda_l w}, for Re c >= 0,
     c != 0: boundary_median's (h = f~) and the Eichler integrals' away
-    from their base point (h a twisted qseries.PeriodicTable).  t =
+    from their base point (h a twisted table).  t =
     lambda (w + c) runs horizontally in Re t >= 0 from lambda c, off the
     cut, so J(lambda) = e^{lambda c} lambda^{1/2} Gamma(-1/2, lambda c) =
     -c^{-1/2} K^{(-1/2)}_0(-lambda c) (laplace_kernel), taken for l <= N0.
@@ -459,7 +458,7 @@ def boundary_median(series: FormalSeries, alpha,
         tilde, b, M = series.tilde, series.b, series.f.M
         c = to_mpf(series.f.c)
         t1_pref = c * b / (M * mp.pi * mpc(0, frac_to_mp(alpha)) ** THREE_HALVES)
-        est = vertical_sum(tilde, mp.pi * b / (2 * M ** 2), mpc(0, -1 / frac_to_mp(alpha)),
+        est = vertical_sum(tilde.table(), mp.pi * b / (2 * M ** 2), mpc(0, -1 / frac_to_mp(alpha)),
                            mpf(2) ** (-ctx.prec) / abs(t1_pref), ctx.ell_cap)
         theta1 = theta_radial_limit(ThetaSpec(a=0, b=4 * M * M, nu=1, f=tilde),
                                     Fraction(-b, 1) / alpha, ctx)

@@ -45,7 +45,7 @@ def suite_coeffs(cfg: Config, ctx: PrecisionContext, report: Report, **_):
 
 def suite_borel(cfg: Config, ctx: PrecisionContext, report: Report, **_):
     series = cfg.series(40)
-    tilde = series.tilde
+    tilde = series.tilde.table()
     with timed() as t:
         had = borel_mod.hadamard_oracle(series, 30)
         direct = borel_mod.borel_coefficients(series, 30)
@@ -88,9 +88,8 @@ def suite_disc(cfg: Config, ctx: PrecisionContext, report: Report, **_):
 
 def suite_cm(cfg: Config, ctx: PrecisionContext, report: Report, **_):
     series = cfg.series(4)
-    tilde = series.tilde
     with timed() as t:
-        blocks = resum_mod.tilde_dirichlet_blocks(tilde, 2, mpf("1e-11"))
+        blocks = resum_mod.tilde_dirichlet_blocks(series.tilde.table(), 2, mpf("1e-11"))
         c = to_mpf(series.f.c)
         rhs = 2 * series.f.M * c / mp.pi ** 2 * blocks.value
         lhs = to_mpf(series.c_m)

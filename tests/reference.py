@@ -56,7 +56,7 @@ from thetaresum.precision import (DEFAULT_CTX, FIVE_HALVES, HALF, MINUS_FIVE_HAL
                                   MINUS_HALF, MINUS_THREE_HALVES, QUARTER, THREE_HALVES, Estimate,
                                   PrecisionContext, as_fraction, frac_to_mp, richardson_limit,
                                   to_mpf)
-from thetaresum.qseries import (DomainError, ThetaSpec, VerticalTheta, _f_max, _gauss_tail,
+from thetaresum.qseries import (DomainError, ThetaSpec, VerticalTheta, _gauss_tail,
                                 _phase_exponent, theta_radial_limit, theta_upper_half)
 from thetaresum.resum import RAY_ANGLE, ell_sum, special_e, tilde_dirichlet
 
@@ -110,12 +110,12 @@ def lateral_sum_quadrature(series, x, side: str, ctx: PrecisionContext) -> Estim
 
         poly = mpc(0)
         for j, beta in enumerate(_BETAS):
-            w_s = tilde_dirichlet(tilde, 4 + 2 * j)
+            w_s = tilde_dirichlet(tilde.table(), 4 + 2 * j)
             poly += (beta * mpf(b) ** (-j) * mp.factorial(j)
                      / x ** (j + 1) * m2pi2 ** (FIVE_HALVES + j) * w_s)
 
         target = ctx.tolerance() * mpf("0.1") + mpf(2) ** (-ctx.prec)
-        fmax = tilde.max_abs()
+        fmax = tilde.table().max_abs()
         tail_const = abs(pref) * fmax * 264 / (sig ** 4 * mpf(b) ** 3) \
             * Apref ** mpf("-5.5") / 9
         L = max(6, tilde.first_support)
@@ -191,7 +191,7 @@ def boundary_median_quadrature(series, alpha, ctx: PrecisionContext = DEFAULT_CT
         pts.append(V)
         kval, kerr = mp.quad(integrand, sorted(set(pts)), error=True,
                              maxdegree=8)
-        fmax = tilde.max_abs()
+        fmax = tilde.table().max_abs()
         tail = fmax * period * mp.exp(-rate * V) / rate * abs(inv_alpha) ** MINUS_THREE_HALVES
         t1_pref = c * b * mp.expjpi(QUARTER) / (M * mp.pi * mpc(0, frac_to_mp(alpha)) ** THREE_HALVES)
         term1 = t1_pref * kval
@@ -257,7 +257,7 @@ def eichler_integral_quadrature(s: int, t: int, nm: tuple, z, lower,
         pts.append(W)
         val, qerr = mp.quad(integrand, sorted(set(pts)), error=True, maxdegree=8)
         # tail beyond W: |theta| <= fmax P e^{-rate w}/rate, roughly
-        fmax = _f_max(spec.f)
+        fmax = spec.f.table().max_abs()
         tail = fmax * spec.f.period * mp.exp(-rate * W) / rate \
             * abs(mpc(base_re, base_im + W) - z) ** MINUS_THREE_HALVES
         # int_0^W |2y + w|^{-3/2} dw <= 2 (2y)^{-1/2} on the conj path
@@ -300,7 +300,7 @@ def median_sum_e_series(series, x, ctx: PrecisionContext = DEFAULT_CTX) -> Estim
         rho = mp.pi * mp.sqrt(b * x) / M          # y_l = rho * l
         tau = (mp.pi ** 2 * b / M ** 2) * x.real   # Re y_l^2 = tau l^2
         pref = 4 * M * c / mp.pi ** THREE_HALVES
-        fmax = tilde.max_abs()
+        fmax = tilde.table().max_abs()
         target = ctx.tolerance() * mpf("0.1") + mpf(2) ** (-ctx.prec)
 
         def tail_bound(L):
@@ -314,23 +314,22 @@ def median_sum_e_series(series, x, ctx: PrecisionContext = DEFAULT_CTX) -> Estim
             L = min(2 * L, ctx.ell_cap)
         bound = tail_bound(L)
 
-        est = ell_sum(tilde, L, lambda ell: special_e(rho * ell, ctx) / mpf(ell) ** 2,
+        est = ell_sum(tilde.table(), L, lambda ell: special_e(rho * ell, ctx) / mpf(ell) ** 2,
                       [(2, e_limit()), (4, 3 / (4 * mp.sqrt(mp.pi) * rho ** 2))], bound)
         value = pref * est.value
         err = abs(pref) * est.error + abs(value) * mpf(2) ** (-ctx.prec)
         return Estimate(value, err, abs(pref) * bound > target)
 
 
-def tilde_dirichlet_blocks_reference(tilde, s: int, target, guard: int = 64) -> tuple:
+def tilde_dirichlet_blocks_reference(table, s: int, target, guard: int = 64) -> tuple:
     """(sum_{l=1}^{L} f~(l) l^{-s}, the Abel tail bound) over the head that
     `tilde_dirichlet_blocks` picks for this target: f~ read at the ambient
     precision, as the kernel reads it, then summed term by term in mpf at
     ``guard`` more bits."""
-    peak = tilde.partial_sum_peak()
-    P = tilde.period
+    peak = table.partial_sum_peak()
+    P = len(table)
     L = int((2 * peak / mpf(target)) ** (mpf(1) / s)) + 1
     L = P * (L // P + 1)
-    table = tilde.table(P)
     with workprec(mp.prec + guard):
         acc = mpf(0)
         for ell in range(1, L + 1):
@@ -396,7 +395,7 @@ def radial_extrapolate(spec: ThetaSpec, alpha, ctx: PrecisionContext = DEFAULT_C
 def _theta_on_radius(spec: ThetaSpec, alpha: Fraction, eps, ctx) -> mpc:
     """theta at x = alpha + i eps via exact rational phases (no angle loss)."""
     lam = 2 * mp.pi * eps / spec.b
-    fmax = _f_max(spec.f)
+    fmax = spec.f.table().max_abs()
     target = mpf(2) ** (-ctx.prec - 10)
     period = spec.f.period
     acc = mpc(0)

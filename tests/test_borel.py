@@ -68,7 +68,7 @@ class TestSingularities:
         ss = singularity_set(SER)
         td = ss.tilde
         for ell in (2, 3, 4, 6, 9, 12):
-            assert td.is_zero(ell)
+            assert td.table().is_zero(ell)
 
     def test_chi34_first(self):
         ser = config_chi(3, 4, 1, 1).series(4)

@@ -1,5 +1,7 @@
 """CLI surface: suites, exports, eval, exit codes, deterministic reports."""
 
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -216,6 +218,25 @@ class TestScripts:
             assert len(p.read_text().splitlines()) == 5, p.name  # header and 4 rows
 
 
+class TestBenchmarkTracer:
+    def test_every_target_resolves(self):
+        """Each (module, attribute path) the benchmark's span tracer wraps
+        exists where its install() looks: a class attribute in the class's
+        own namespace, anything else by getattr."""
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        assert tracing.TARGETS
+        for _, modname, attrs in tracing.TARGETS:
+            owner = importlib.import_module(modname)
+            *parents, attr = attrs.split(".")
+            for name in parents:
+                owner = getattr(owner, name)
+            found = vars(owner).get(attr) if isinstance(owner, type) else getattr(owner, attr)
+            assert callable(getattr(found, "fget", found)), (modname, attrs)
+
+
 class TestReportSemantics:
     def test_failing_check_drives_nonzero_exit_logic(self):
         from mpmath import mpf
@@ -293,6 +314,33 @@ class TestEvalTheta:
         with pytest.raises(SystemExit):
             run_cli(["verify", "--suite", "bogus", "--family", "chi",
                      "--s", "2", "--t", "3", "--n", "1", "--m", "1"])
+
+
+class TestSignedValues:
+    """A negative value may follow its flag as a separate word."""
+
+    @pytest.mark.parametrize("flag,value,rest", [
+        ("--alpha", "-1/3", ["--quantity", "boundary", "--family", "chi", "--s", "2",
+                             "--t", "3", "--n", "1", "--m", "1"]),
+        ("--c", "-1/2", ["--quantity", "theta", "--family", "general", "--M", "12",
+                         "--k1", "1", "--k2", "5", "--a", "1", "--b", "24", "--x", "1j"]),
+        ("--x", "-0.5+1j", ["--quantity", "theta", "--family", "hikami", "--u", "1",
+                            "--l", "0"]),
+        ("--p", "-1+0.5j", ["--quantity", "borel", "--family", "hikami", "--u", "1",
+                            "--l", "0"]),
+    ])
+    def test_separate_word_matches_equals_form(self, flag, value, rest, capsys):
+        outs = []
+        for words in ([flag, value], [f"{flag}={value}"]):
+            assert run_cli(["eval"] + rest + words + ["--prec", "64"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+    def test_strange_at_negative_alpha(self, capsys):
+        rc = run_cli(["verify", "--suite", "strange", "--family", "hikami",
+                      "--u", "1", "--l", "0", "--alpha", "-1/3"])
+        assert rc == 0
+        assert "[pass] strange.identity" in capsys.readouterr().out
 
 
 class TestReportFormatPolicy:

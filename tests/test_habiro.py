@@ -1,5 +1,6 @@
 """Root-of-unity evaluations and strange-identity checks."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -178,6 +179,26 @@ class TestStrange:
             rep = verify_strange(StrangeConfig("hikami", u, ell), alpha,
                                  CTX, tol=mpf("1e-8"))
             assert rep.passed, (u, ell, alpha, rep.residual)
+
+    def test_every_exact_ring_root(self):
+        """The exact ring at every primitive N-th root e^{2 pi i j/N}, N <= 8,
+        j in (-N, N) coprime to N: 42 roots for each of the trefoil,
+        hikami(2,1) and hikami(3,0), against the theta radial limit at j/N."""
+        from thetaresum.qseries import theta_radial_limit
+        checks = 0
+        for cfg in (StrangeConfig("trefoil"), StrangeConfig("hikami", 2, 1),
+                    StrangeConfig("hikami", 3, 0)):
+            spec = cfg.theta_spec()
+            for N in range(2, 9):
+                for j in range(1 - N, N):
+                    if math.gcd(j, N) != 1:
+                        continue
+                    lhs = cfg.habiro_value(RootOfUnity(j, N), CTX)
+                    rhs = theta_radial_limit(spec, Fraction(j, N), CTX).value
+                    with CTX.working():
+                        assert abs(lhs - rhs) < mpf("1e-30"), (cfg, j, N)
+                    checks += 1
+        assert checks == 126
 
     def test_hikami_u1_is_trefoil(self):
         a = verify_strange(StrangeConfig("hikami", 1, 0), Fraction(1, 3), CTX)

@@ -115,14 +115,14 @@ class TestTilde:
             # support: odd l not divisible by 3
             for ell in range(1, 25):
                 vanishes = (ell % 2 == 0) or (ell % 3 == 0)
-                assert td.is_zero(ell) == vanishes
+                assert td.table().is_zero(ell) == vanishes
                 assert (abs(td(ell)) < mpf(2) ** -70) == vanishes
 
     def test_period_divides_2m(self):
         for f in (make_periodic(1, 12, 1, 5), make_periodic(1, 24, 1, 7),
                   make_periodic(1, 10, 1, 3)):
             td = tilde_transform(f)
-            assert (2 * f.M) % td.period == 0
+            assert f.M % td.period == 0
             with workprec(80):
                 for ell in range(0, 4 * f.M):
                     assert abs(td(ell + td.period) - td(ell)) < mpf(2) ** -70
@@ -182,6 +182,22 @@ class TestTildePeriodAndTable:
             td = tilde_transform(f)
             assert td.period == scanned_period(td), (f.M, f.k1, f.k2)
 
+    def test_table_is_one_period_small_m(self):
+        """On every family with M <= 24 the table covers the minimal period,
+        which divides M; its exact zeros are the l with (k2-k1) l/M or
+        (M-k1-k2) l/M an integer; first_support is its first nonzero entry."""
+        for f in distinct_configs(24):
+            td = tilde_transform(f)
+            M, k1, k2 = f.M, f.k1, f.k2
+            with workprec(80):
+                table = td.table()
+                first = td.first_support
+            assert len(table) == td.period and M % td.period == 0, (M, k1, k2)
+            for ell in range(-M, 2 * M):
+                vanishes = ((k2 - k1) * ell) % M == 0 or ((M - k1 - k2) * ell) % M == 0
+                assert table.is_zero(ell) == vanishes, (M, k1, k2, ell)
+            assert first >= 1 and table[first] and not any(table[1:first]), (M, k1, k2)
+
     def test_gcd_period_matches_scan_families(self):
         fs = [chi_function(ChiParams(s, t, n, m))
               for s, t in ST_LIST for n in range(1, s) for m in range(1, t)]
@@ -215,7 +231,6 @@ class TestTildePeriodAndTable:
         cfg = config_t3_2k(4)
         ser = cfg.series(8)
         periodic._tilde_table.cache_clear()
-        periodic._tilde_max_abs.cache_clear()
         calls = []
         sinpi = mp.sinpi
 

@@ -6,7 +6,7 @@ import pytest
 from mpmath import mp, mpf, mpc, workprec
 
 from reference import eichler_integral_quadrature, radial_extrapolate
-from thetaresum.periodic import ChiParams, chi_function, make_periodic, pair_set, \
+from thetaresum.periodic import ChiParams, PeriodicTable, chi_function, make_periodic, pair_set, \
     s_matrix_entry, tilde_transform
 from thetaresum.precision import PrecisionContext, frac_to_mp
 from thetaresum.qseries import (DomainError, NoRadialLimitError, ThetaSpec,
@@ -91,7 +91,7 @@ class TestRadialLimits:
 
     def test_twist_period_exact(self):
         h = twisted_table(CHI, Fraction(1, 3), 0, 24)
-        P = h.M
+        P = len(h)
         period = CHI.period
         with CTX.working():
             for n in range(P):
@@ -113,6 +113,9 @@ class TestRadialLimits:
 
             def __call__(self, n):
                 return Fraction(1)
+
+            def table(self):
+                return PeriodicTable([mpf(1)])
 
         from types import SimpleNamespace
         bogus = SimpleNamespace(a=0, b=1, nu=0, f=ConstantOne())

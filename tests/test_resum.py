@@ -144,7 +144,8 @@ class TestLateralTruncation:
                 assert e == 2 * K + 3
                 # c_K = fmax C_K K!/(sig^{K+1} b^K) (M^2/pi^2)^{K+5/2}/(2K+3)
                 const = c * sig ** (K + 1) * mpf(b) ** K * (2 * K + 3) / (
-                    ser.tilde.max_abs() * mp.factorial(K) * (M * M / mp.pi ** 2) ** (K + 2.5))
+                    ser.tilde.table().max_abs() * mp.factorial(K)
+                    * (M * M / mp.pi ** 2) ** (K + 2.5))
                 beta = mp.rf(2.5, K) / mp.factorial(K)
                 assert mp.almosteq(const, beta * mpf(2) ** ((K + 2.5) / 2), 1e-25)
                 for sgn in (1, -1):
@@ -338,13 +339,13 @@ class TestConstantIdentity:
         for cfg in (trefoil_strange(), config_chi(3, 4, 1, 1)):
             ser = cfg.series(4)
             with CTX.working():
-                blocks = tilde_dirichlet_blocks(ser.tilde, 2, mpf("1e-11"))
+                blocks = tilde_dirichlet_blocks(ser.tilde.table(), 2, mpf("1e-11"))
                 c = mpf(ser.f.c.numerator) / ser.f.c.denominator
                 rhs = 2 * ser.f.M * c / mp.pi ** 2 * blocks.value
                 lhs = mpf(ser.c_m.numerator) / ser.c_m.denominator
                 assert abs(lhs - rhs) < mpf("1e-10")
                 # and the Hurwitz-zeta route agrees with the block route
-                hz = 2 * ser.f.M * c / mp.pi ** 2 * tilde_dirichlet(ser.tilde, 2)
+                hz = 2 * ser.f.M * c / mp.pi ** 2 * tilde_dirichlet(ser.tilde.table(), 2)
                 assert abs(lhs - hz) < mpf("1e-20")
 
 
@@ -367,7 +368,7 @@ class TestShiftedDirichlet:
         prec = 128
         for start in (0, 1, M, 5 * M + 3):
             with workprec(prec):
-                got = tilde_dirichlet(tilde, s, start)
+                got = tilde_dirichlet(tilde.table(), s, start)
             with workprec(prec + 64):
                 n = start + 1
                 N = start + P
@@ -376,7 +377,7 @@ class TestShiftedDirichlet:
                     N += P
                 ref = mp.fsum(tilde(ell) * mpf(ell) ** (-s) for ell in range(n, N + 1))
                 size = mp.fsum(abs(tilde(ell)) * mpf(ell) ** (-s) for ell in range(n, N + 1)) \
-                    + tilde.max_abs() * mpf(N) ** (1 - s) / (s - 1)
+                    + tilde.table().max_abs() * mpf(N) ** (1 - s) / (s - 1)
                 abel = 2 * tilde.partial_sum_peak() / mpf(N + 1) ** s
                 assert abs(got - ref) <= abel + (M + s + 4) * size * mpf(2) ** (-prec), (start, s)
 
@@ -388,16 +389,17 @@ class TestShiftedDirichlet:
         for s in (2, 4, 10, 40):
             for start in (1, M, 5 * M + 3):
                 with workprec(128):
-                    diff = tilde_dirichlet(tilde, s) - tilde_dirichlet(tilde, s, start)
+                    h = tilde.table()
+                    diff = tilde_dirichlet(h, s) - tilde_dirichlet(h, s, start)
                 with workprec(192):
                     head = mp.fsum(tilde(ell) * mpf(ell) ** (-s) for ell in range(1, start + 1))
                     size = mp.fsum(abs(tilde(ell)) * mpf(ell) ** (-s) for ell in range(1, 3 * M))
                     assert abs(diff - head) <= 2 * (M + s + 4) * size * mpf(2) ** -128, (s, start)
                 # the engine: head l^{-s} term by term, the rest as one moment
                 with workprec(128):
-                    est = ell_sum(tilde, start, lambda ell: mpf(ell) ** -s, [(s, 1)], 0)
+                    est = ell_sum(tilde.table(), start, lambda ell: mpf(ell) ** -s, [(s, 1)], 0)
                 with workprec(192):
-                    full = tilde_dirichlet(tilde, s)
+                    full = tilde_dirichlet(tilde.table(), s)
                     assert abs(est.value - full) <= est.error, (s, start)
 
     @pytest.mark.parametrize("family", ["trefoil-chi", "t3-2k-3"])
@@ -418,7 +420,7 @@ class TestShiftedDirichlet:
 
         def run(prec):
             with workprec(prec):
-                return ell_sum(tilde, L, lambda ell: 0, moments, 0)
+                return ell_sum(tilde.table(), L, lambda ell: 0, moments, 0)
 
         monkeypatch.setattr(resum, "tilde_dirichlet", recording)
         est = run(128)
@@ -439,8 +441,8 @@ class TestBlockKernel:
         for cfg in (trefoil_strange(), config_chi(3, 4, 1, 1)):
             tilde = tilde_transform(cfg.f)
             with workprec(prec):
-                est = tilde_dirichlet_blocks(tilde, s, target)
-                ref, tail = tilde_dirichlet_blocks_reference(tilde, s, target)
+                est = tilde_dirichlet_blocks(tilde.table(), s, target)
+                ref, tail = tilde_dirichlet_blocks_reference(tilde.table(), s, target)
                 roundoff = est.error - tail
             assert roundoff > 0
             with workprec(prec + 64):
@@ -454,8 +456,8 @@ class TestBlockKernel:
         with workprec(148):
             for f in fs:
                 tilde = tilde_transform(f)
-                est = tilde_dirichlet_blocks(tilde, 2, mpf("1e-11"))
-                gap = abs(est.value - tilde_dirichlet(tilde, 2))
+                est = tilde_dirichlet_blocks(tilde.table(), 2, mpf("1e-11"))
+                gap = abs(est.value - tilde_dirichlet(tilde.table(), 2))
                 assert gap <= est.error, (f.M, f.k1, f.k2, gap)
 
 
