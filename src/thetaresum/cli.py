@@ -26,6 +26,7 @@ from . import borel as borel_mod
 from . import resum as resum_mod
 from .config import (Config, config_chi, config_general, config_hikami,
                      config_t3_2k)
+from .habiro import BudgetError
 from .periodic import ConfigError
 from .precision import PrecisionContext, default_prec, to_mpf
 from .qseries import DomainError, theta_upper_half
@@ -292,7 +293,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (ConfigError, DomainError) as exc:
+    except (ConfigError, DomainError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

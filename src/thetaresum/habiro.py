@@ -3,11 +3,13 @@ the Kontsevich-Zagier series, the trefoil colored Jones values, and the
 nested torus-knot sums X_u^(l), together with the strange-identity checks
 against theta radial limits.
 
-At a primitive N-th root zeta with N <= 8 all arithmetic runs in the exact
-convolution ring Z[X]/(X^N - 1) (dense integer vectors; X stands for zeta, so
-q^e sits at index e mod N), and vanishing factors like 1 - q^N are exact;
-larger N falls back to complex floats at the context precision.  Both read
-zeta^r from one table per root and precision.
+At a primitive N-th root zeta every value is an element of Z[zeta], and all
+arithmetic runs in the exact convolution ring Z[X]/(X^N - 1) (integer
+vectors; X stands for zeta, so q^e sits at index e mod N).  Vanishing
+factors like 1 - q^N are exact, and the result is rounded to a complex
+number once, from one table of zeta^r per root and precision.  A generic
+complex q, which `q_pochhammer` and `q_binomial` also accept, runs in
+complex floats at the context precision.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from mpmath import mp, mpf, mpc, workprec
 from .config import config_hikami
 from .precision import DEFAULT_CTX, PrecisionContext, as_fraction, frac_to_mp
 from .qseries import ThetaSpec, theta_radial_limit
-
-EXACT_RING_MAX_ORDER = 8
 
 
 @dataclass(frozen=True)
@@ -61,66 +61,58 @@ class _RingScalar:
 
     __slots__ = ("v",)
 
-    def __init__(self, v):
-        self.v = tuple(v)
+    def __init__(self, v: list):
+        self.v = v
 
     def __add__(self, o):
-        return _RingScalar(a + b for a, b in zip(self.v, o.v))
+        return _RingScalar([a + b for a, b in zip(self.v, o.v)])
 
     def __sub__(self, o):
-        return _RingScalar(a - b for a, b in zip(self.v, o.v))
+        return _RingScalar([a - b for a, b in zip(self.v, o.v)])
 
     def __mul__(self, o):
-        n = len(self.v)
-        out = [0] * n
-        for i, a in enumerate(self.v):
-            if a:
-                for k, b in enumerate(o.v):
-                    if b:
-                        out[(i + k) % n] += a * b
-        return _RingScalar(out)
-
-    def is_zero(self):
-        return not any(self.v)
+        # one rotated copy of the denser factor per nonzero term of the
+        # sparser one, so a monomial or 1 - q^k times anything costs O(N)
+        a, b = self.v, o.v
+        if a.count(0) < b.count(0):
+            a, b = b, a
+        n = len(a)
+        out = None
+        for i, c in [(i, c) for i, c in enumerate(a) if c]:
+            rot = b[n - i:] + b[:n - i]  # rot[(k + i) % n] = b[k]
+            if c != 1:
+                rot = [c * y for y in rot]
+            out = rot if out is None else [x + y for x, y in zip(out, rot)]
+        return _RingScalar(out if out is not None else [0] * n)
 
 
 class _Arith:
-    """Uniform exact-ring / floating arithmetic for root-of-unity evaluation."""
+    """Exact ring arithmetic at a RootOfUnity, complex floats at any other q."""
 
-    def __init__(self, q, ctx: PrecisionContext):
-        self.ctx = ctx
+    def __init__(self, q):
         if isinstance(q, RootOfUnity):
-            self.root = q
             self.N = q.N
-            self.exact = q.N <= EXACT_RING_MAX_ORDER
             self._powers = _root_powers(q.j, q.N, mp.prec)
         else:
-            self.root = None
-            self.exact = False
+            self.N = None
             self._qc = mpc(q)
 
     def one(self):
-        if self.exact:
-            return _RingScalar([1] + [0] * (self.N - 1))
-        return mpc(1)
+        return self.q_power(0)
 
     def zero(self):
-        if self.exact:
-            return _RingScalar([0] * self.N)
-        return mpc(0)
+        return mpc(0) if self.N is None else _RingScalar([0] * self.N)
 
     def q_power(self, e: int):
-        if self.exact:
-            v = [0] * self.N
-            v[e % self.N] = 1
-            return _RingScalar(v)
-        if self.root is not None:
-            # reduce through the root order so huge exponents stay exact
-            return self._powers[e % self.N]
-        return self._qc ** e
+        if self.N is None:
+            return self._qc ** e
+        v = [0] * self.N
+        v[e % self.N] = 1
+        return _RingScalar(v)
 
     def to_complex(self, x) -> mpc:
-        if not self.exact:
+        """Round once: sum a_r zeta^r in ascending r."""
+        if self.N is None:
             return mpc(x)
         acc = mpc(0)
         for r, a in enumerate(x.v):
@@ -128,51 +120,47 @@ class _Arith:
                 acc += a * self._powers[r]
         return acc
 
+    def binomial_transform(self, t: list) -> list:
+        """[sum_k [n, k]_q t[k] for n < len(t)], by q-Pascal on the sequence:
+        sum_k [n, k] t[k] = sum_k [n-1, k] (t[k+1] + q^k t[k]).  Division-free,
+        so roots of unity never hit 0/0."""
+        out = []
+        while t:
+            out.append(t[0])
+            t = [t[k + 1] + self.q_power(k) * t[k] for k in range(len(t) - 1)]
+        return out
+
+    def pochhammer_sum(self, s: list):
+        """sum_{m < len(s)} (q)_m s[m] = s[0] + (1-q)(s[1] + (1-q^2)(...))."""
+        acc = s[-1]
+        for m in range(len(s) - 1, 0, -1):
+            acc = s[m - 1] + (self.one() - self.q_power(m)) * acc
+        return acc
+
 
 def q_pochhammer(n: int, q, a_exponent: int = 1,
-                 ctx: PrecisionContext = DEFAULT_CTX):
+                 ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
     """(q^{a_exponent}; q)_n = prod_{k=1}^{n} (1 - q^{a_exponent + k - 1}).
 
-    Returns an exact ring element for small-order roots, else a complex value.
-    (q; q)_n vanishes exactly for n >= N at a primitive N-th root.
+    At a RootOfUnity the product is exact and rounded once, so (q; q)_n is
+    exactly 0 for n >= N; at any other q it is a complex float product.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     with ctx.working():
-        ar = _Arith(q, ctx)
+        ar = _Arith(q)
         acc = ar.one()
         for k in range(1, n + 1):
             acc = acc * (ar.one() - ar.q_power(a_exponent + k - 1))
-        return acc if ar.exact else mpc(acc)
+        return ar.to_complex(acc)
 
 
-class _QBinomial:
-    """Gaussian binomials by the q-Pascal recurrence (division-free, so roots
-    of unity never hit 0/0)."""
-
-    def __init__(self, ar: _Arith):
-        self.ar = ar
-        self.memo = {}
-
-    def __call__(self, top: int, bottom: int):
-        if bottom < 0 or bottom > top:
-            return self.ar.zero()
-        if bottom == 0 or bottom == top:
-            return self.ar.one()
-        key = (top, bottom)
-        got = self.memo.get(key)
-        if got is None:
-            # [top, bottom] = [top-1, bottom-1] + q^bottom [top-1, bottom]
-            got = self(top - 1, bottom - 1) + self.ar.q_power(bottom) * self(top - 1, bottom)
-            self.memo[key] = got
-        return got
-
-
-def q_binomial(top: int, bottom: int, q, ctx: PrecisionContext = DEFAULT_CTX):
+def q_binomial(top: int, bottom: int, q, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
+    """Gaussian binomial [top, bottom]_q; exact at a RootOfUnity, like `q_pochhammer`."""
     with ctx.working():
-        ar = _Arith(q, ctx)
-        val = _QBinomial(ar)(top, bottom)
-        return val if ar.exact else mpc(val)
+        ar = _Arith(q)
+        unit = [ar.one() if k == bottom else ar.zero() for k in range(top + 1)]
+        return ar.to_complex(ar.binomial_transform(unit)[top] if top >= 0 else ar.zero())
 
 
 def kontsevich_zagier_eval(q: RootOfUnity, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
@@ -180,13 +168,8 @@ def kontsevich_zagier_eval(q: RootOfUnity, ctx: PrecisionContext = DEFAULT_CTX) 
     if not isinstance(q, RootOfUnity):
         raise TypeError("the series only converges at roots of unity")
     with ctx.working():
-        ar = _Arith(q, ctx)
-        acc = ar.zero()
-        term = ar.one()
-        for n in range(q.N):
-            acc = acc + term
-            term = term * (ar.one() - ar.q_power(n + 1))  # -> (q)_{n+1}
-        return ar.to_complex(acc)
+        ar = _Arith(q)
+        return ar.to_complex(ar.pochhammer_sum([ar.one()] * q.N))
 
 
 def colored_jones_trefoil(N: int, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
@@ -194,14 +177,13 @@ def colored_jones_trefoil(N: int, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
     if N < 2:
         raise ValueError("N must be >= 2")
     with ctx.working():
-        q = RootOfUnity(1, N)
-        ar = _Arith(q, ctx)
+        ar = _Arith(RootOfUnity(1, N))
         acc = ar.zero()
+        poch = ar.one()  # (q^{1-N}; q)_n
         for n in range(N):
-            term = ar.q_power(1 - N) * ar.q_power(-n * N) \
-                * q_pochhammer(n, q, a_exponent=1 - N, ctx=ctx)
-            acc = acc + term
-        return ar.to_complex(acc)
+            acc = acc + ar.q_power(-n * N) * poch
+            poch = poch * (ar.one() - ar.q_power(1 - N + n))
+        return ar.to_complex(ar.q_power(1 - N) * acc)
 
 
 class BudgetError(ValueError):
@@ -215,6 +197,11 @@ def hikami_x(u: int, ell: int, q: RootOfUnity,
 
         X = sum (q)_{k_u} q^{k_1^2+...+k_{u-1}^2 + k_{l+1}+...+k_{u-1}}
               prod_i binom[k_{i+1} + delta_{i,l}, k_i]_q
+
+    summed level by level in the exact ring: S_0 = 1,
+    S_i[m] = sum_{k <= m+d} [m+d, k]_q q^{k^2 + [i>l] k} S_{i-1}[k] with
+    d = [i = l], and X = sum_{m<N} (q)_m S_{u-1}[m].  The budget bounds the
+    size u*N^u of the nested sum.
     """
     if u < 1:
         raise ValueError("u must be >= 1")
@@ -226,37 +213,12 @@ def hikami_x(u: int, ell: int, q: RootOfUnity,
     if u * N ** u > budget:
         raise BudgetError(f"estimated cost u*N^u = {u * N ** u} exceeds budget {budget}")
     with ctx.working():
-        ar = _Arith(q, ctx)
-        qbin = _QBinomial(ar)
-        poch = [q_pochhammer(n, q, 1, ctx) for n in range(N)]
-
-        acc = ar.zero()
-        # enumerate k_u, k_{u-1}, ..., k_1; delta fires at index i = l (1-based)
-        def rec(i: int, upper: int, kvec):
-            nonlocal acc
-            for k in range(upper + 1):
-                kv = kvec + (k,)
-                if i == 1:
-                    acc = acc + _term(kv)
-                else:
-                    rec(i - 1, k + (1 if (i - 1) == ell else 0), kv)
-
-        def _term(kv):
-            # kv holds (k_u, k_{u-1}, ..., k_1)
-            ks = kv[::-1]  # (k_1, ..., k_u)
-            expo = sum(ks[i] * ks[i] for i in range(u - 1)) \
-                + sum(ks[i] for i in range(ell, u - 1))
-            term = poch[ks[u - 1]] * ar.q_power(expo)
-            for i in range(u - 1):
-                term = term * qbin(ks[i + 1] + (1 if (i + 1) == ell else 0), ks[i])
-            return term
-
-        if u == 1:
-            for k in range(N):
-                acc = acc + poch[k]
-        else:
-            rec(u, N - 1, ())
-        return ar.to_complex(acc)
+        ar = _Arith(q)
+        s = [ar.one()] * (N + 1)  # S_0; the one shift d = 1 eats an entry
+        for i in range(1, u):
+            t = [ar.q_power(k * k + (k if i > ell else 0)) * x for k, x in enumerate(s)]
+            s = ar.binomial_transform(t)[int(i == ell):]
+        return ar.to_complex(ar.pochhammer_sum(s[:N]))
 
 
 # ---------------------------------------------------------------------------

@@ -321,12 +321,6 @@ def s_matrix_entry(s: int, t: int, nm: tuple, nm2: tuple,
                 * mp.sinpi(frac_to_mp(a1)) * mp.sinpi(frac_to_mp(a2)))
 
 
-def s_matrix(s: int, t: int, ctx: PrecisionContext = DEFAULT_CTX):
-    """Full matrix over D(s,t) x D(s,t), in pair_set order."""
-    ps = pair_set(s, t)
-    return [[s_matrix_entry(s, t, a, b, ctx) for b in ps] for a in ps]
-
-
 @dataclass(frozen=True)
 class DecompositionReport:
     s: int

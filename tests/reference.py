@@ -38,8 +38,12 @@ used the evenness of the pattern and of B_k for its two-term form.
 The rest are oracles for single layers: Watson's optimal truncation of the
 formal series, Richardson extrapolation of theta along a radius, the
 explicit trefoil Borel transform, the D2 pair set and the folding bijection
-onto it, complex values of the exact q-Pochhammer and q-binomial elements,
-and polynomial fits at the origin.
+onto it, the full S-matrix, and polynomial fits at the origin.
+
+`hikami_x_enumeration` is X_u^(l) as the nested sum over k-vectors in
+complex floats, the route `habiro.hikami_x` took before it summed level by
+level in the exact ring; it shares no ring arithmetic and no root table
+with it.
 """
 
 from __future__ import annotations
@@ -50,8 +54,8 @@ from fractions import Fraction
 from mpmath import mp, mpc, mpf, workprec
 
 from thetaresum.exact import bernoulli_number
-from thetaresum.habiro import _Arith, _QBinomial, q_pochhammer
-from thetaresum.periodic import ChiParams, ConfigError, PairSet, chi_function
+from thetaresum.periodic import (ChiParams, ConfigError, PairSet, chi_function, pair_set,
+                                 s_matrix_entry)
 from thetaresum.precision import (DEFAULT_CTX, FIVE_HALVES, HALF, MINUS_FIVE_HALVES,
                                   MINUS_HALF, MINUS_THREE_HALVES, QUARTER, THREE_HALVES, Estimate,
                                   PrecisionContext, as_fraction, frac_to_mp, richardson_limit,
@@ -477,17 +481,58 @@ def fold_pair(s: int, t: int, n: int, m: int) -> tuple:
     return (s - n, t - m)
 
 
-def q_pochhammer_value(n: int, q, a_exponent: int = 1,
-                       ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
-    with ctx.working():
-        ar = _Arith(q, ctx)
-        return ar.to_complex(q_pochhammer(n, q, a_exponent, ctx))
+def s_matrix(s: int, t: int, ctx: PrecisionContext = DEFAULT_CTX):
+    """Full S-matrix over D(s,t) x D(s,t), in pair_set order."""
+    ps = pair_set(s, t)
+    return [[s_matrix_entry(s, t, a, b, ctx) for b in ps] for a in ps]
 
 
-def q_binomial_value(top: int, bottom: int, q, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
+def hikami_x_enumeration(u: int, ell: int, j: int, N: int,
+                         ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
+    """X_u^(l) at q = e^{2 pi i j/N} as the nested sum over k-vectors
+    0 <= k_i <= k_{i+1} + delta_{i,l}, k_u < N, in complex floats:
+
+        X = sum (q)_{k_u} q^{k_1^2+...+k_{u-1}^2 + k_{l+1}+...+k_{u-1}}
+              prod_i binom[k_{i+1} + delta_{i,l}, k_i]_q
+
+    with its own table of e^{2 pi i j r/N}, memoised q-Pascal binomials and
+    running q-Pochhammer products: the route `habiro.hikami_x` took before
+    it summed level by level in the exact ring.
+    """
     with ctx.working():
-        ar = _Arith(q, ctx)
-        return ar.to_complex(_QBinomial(ar)(top, bottom))
+        zeta = [mp.expjpi(mpf(2 * j * r % (2 * N)) / N) for r in range(N)]
+        poch = [mpc(1)]
+        for n in range(1, N):
+            poch.append(poch[-1] * (1 - zeta[n % N]))
+        binom = {}
+
+        def qbin(top, bottom):
+            if bottom < 0 or bottom > top:
+                return mpc(0)
+            if bottom in (0, top):
+                return mpc(1)
+            if (top, bottom) not in binom:
+                binom[top, bottom] = (qbin(top - 1, bottom - 1)
+                                      + zeta[bottom % N] * qbin(top - 1, bottom))
+            return binom[top, bottom]
+
+        def vectors(i, upper):
+            # (k_1, ..., k_i) with k_i <= upper and the constraints below it
+            for k in range(upper + 1):
+                if i == 1:
+                    yield (k,)
+                else:
+                    for rest in vectors(i - 1, k + (1 if i - 1 == ell else 0)):
+                        yield rest + (k,)
+
+        acc = mpc(0)
+        for ks in vectors(u, N - 1):
+            expo = sum(k * k for k in ks[:-1]) + sum(ks[ell:u - 1])
+            term = poch[ks[-1]] * zeta[expo % N]
+            for i in range(u - 1):
+                term *= qbin(ks[i + 1] + (1 if i + 1 == ell else 0), ks[i])
+            acc += term
+        return acc
 
 
 def poly_fit_origin(xs, ys, ncoeff=None):

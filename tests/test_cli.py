@@ -48,6 +48,14 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "coprime" in err
 
+    def test_over_budget_strange_check_is_usage_error(self, capsys):
+        rc = run_cli(["verify", "--suite", "strange", "--family", "hikami",
+                      "--u", "3", "--l", "0", "--alpha", "1/200"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "error: estimated cost u*N^u = 24000000 exceeds budget" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+
     def test_missing_family_params(self):
         rc = run_cli(["verify", "--suite", "coeffs", "--family", "chi"])
         assert rc == 2

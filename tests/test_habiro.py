@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc, workprec
 
-from reference import q_binomial_value, q_pochhammer_value
+from reference import hikami_x_enumeration
 from thetaresum.habiro import (BudgetError, RootOfUnity, StrangeConfig,
                                colored_jones_trefoil, hikami_x,
-                               kontsevich_zagier_eval, verify_strange)
+                               kontsevich_zagier_eval, q_binomial, q_pochhammer,
+                               verify_strange)
 from thetaresum.precision import PrecisionContext
 
 CTX = PrecisionContext(prec=128, tol=1e-10)
@@ -36,24 +37,21 @@ class TestRootOfUnity:
 
 class TestPochhammer:
     def test_empty_product(self):
-        assert q_pochhammer_value(0, RootOfUnity(1, 5)) == 1
+        assert q_pochhammer(0, RootOfUnity(1, 5)) == 1
 
     def test_at_minus_one(self):
-        assert q_pochhammer_value(1, RootOfUnity(1, 2)) == 2
-        assert q_pochhammer_value(2, RootOfUnity(1, 2)) == 0
+        assert q_pochhammer(1, RootOfUnity(1, 2)) == 2
+        assert q_pochhammer(2, RootOfUnity(1, 2)) == 0
 
     def test_vanishes_at_order(self):
-        for N in (3, 5, 8, 11):
-            v = q_pochhammer_value(N, RootOfUnity(1, N), ctx=CTX)
-            if N <= 8:
-                assert v == 0  # exact ring
-            else:
-                assert abs(v) < mpf(2) ** -100
+        for N in (3, 5, 8, 11, 16):
+            v = q_pochhammer(N, RootOfUnity(1, N), ctx=CTX)
+            assert v == 0  # exact ring at every order
 
     def test_generic_complex_argument(self):
         with CTX.working():
             q = mpc("0.3", "0.4")
-            v = q_pochhammer_value(3, q)
+            v = q_pochhammer(3, q)
             ref = (1 - q) * (1 - q ** 2) * (1 - q ** 3)
             assert abs(v - ref) < mpf(2) ** -100
 
@@ -62,27 +60,27 @@ class TestPochhammer:
         for N in (3, 5, 8):
             q = RootOfUnity(1, N)
             with CTX.working():
-                full = mp.fsum(q_pochhammer_value(n, q, ctx=CTX) for n in range(N))
-                longer = mp.fsum(q_pochhammer_value(n, q, ctx=CTX) for n in range(2 * N + 1))
+                full = mp.fsum(q_pochhammer(n, q, ctx=CTX) for n in range(N))
+                longer = mp.fsum(q_pochhammer(n, q, ctx=CTX) for n in range(2 * N + 1))
                 assert full == longer
 
 
 class TestQBinomial:
     def test_edge_cases(self):
         q = RootOfUnity(1, 5)
-        assert q_binomial_value(4, 0, q) == 1
-        assert q_binomial_value(4, 4, q) == 1
-        assert q_binomial_value(3, 5, q) == 0
+        assert q_binomial(4, 0, q) == 1
+        assert q_binomial(4, 4, q) == 1
+        assert q_binomial(3, 5, q) == 0
 
     def test_two_choose_one(self):
         with CTX.working():
             q = RootOfUnity(1, 7)
             ref = 1 + q.zeta()
-            assert abs(q_binomial_value(2, 1, q, CTX) - ref) < mpf(2) ** -100
+            assert abs(q_binomial(2, 1, q, CTX) - ref) < mpf(2) ** -100
 
     def test_four_choose_two_at_i(self):
         # (1+q^2)(1+q+q^2) at q = i is 0
-        assert q_binomial_value(4, 2, RootOfUnity(1, 4)) == 0
+        assert q_binomial(4, 2, RootOfUnity(1, 4)) == 0
 
     @given(st.integers(2, 9), st.integers(0, 8), st.integers(0, 8))
     @settings(max_examples=60, deadline=None)
@@ -90,7 +88,7 @@ class TestQBinomial:
         # at a generic point the product formula is safe; cross-check recurrence
         with CTX.working():
             q = mpf("0.37")
-            rec = q_binomial_value(top, bottom, q)
+            rec = q_binomial(top, bottom, q)
             if bottom > top:
                 assert rec == 0
                 return
@@ -141,10 +139,10 @@ class TestHikami:
     def test_u2_at_one(self):
         assert hikami_x(2, 0, RootOfUnity(0, 1), CTX) == 1
 
-    def test_floating_path_meets_strange_identity(self):
-        """Orders N > 8 leave the exact ring for complex floats; there X_u^(l)
-        must still equal the theta radial limit at alpha = 1/N (the worst
-        residual at 128 bits is about 6e-41)."""
+    def test_orders_above_eight_meet_strange_identity(self):
+        """At orders N = 9..12, where X_u^(l) was once summed in complex
+        floats, the exact-ring value equals the theta radial limit at
+        alpha = 1/N."""
         for (u, ell) in [(2, 0), (2, 1), (3, 0)]:
             for N in (9, 10, 11, 12):
                 rep = verify_strange(StrangeConfig("hikami", u, ell), Fraction(1, N), CTX)
@@ -160,6 +158,23 @@ class TestHikami:
             v2 = hikami_x(2, 0, RootOfUnity(1, 3), CTX)
             ref2 = mpc("8.5", "-4.33012701892219323381861585376468091735701313")
             assert abs(v2 - ref2) < mpf("1e-34")
+
+    def test_matches_k_vector_enumeration(self):
+        """Level tables against the nested k-vector sum in complex floats:
+        u <= 4, every l, N <= 10, j in {1, -1} and one more unit mod N."""
+        checks = 0
+        for N in range(1, 11):
+            others = [j for j in range(2, N - 1) if math.gcd(j, N) == 1]
+            for j in sorted({1 % N, -1 % N, *others[:1]}):
+                for u in range(1, 5):
+                    for ell in range(u):
+                        got = hikami_x(u, ell, RootOfUnity(j, N), CTX)
+                        ref = hikami_x_enumeration(u, ell, j, N, CTX)
+                        with CTX.working():
+                            assert abs(got - ref) <= mpf(2) ** -100 * max(1, abs(ref)), \
+                                (u, ell, j, N)
+                        checks += 1
+        assert checks == 230
 
     def test_budget_guard(self):
         with pytest.raises(BudgetError):
@@ -181,15 +196,15 @@ class TestStrange:
             assert rep.passed, (u, ell, alpha, rep.residual)
 
     def test_every_exact_ring_root(self):
-        """The exact ring at every primitive N-th root e^{2 pi i j/N}, N <= 8,
-        j in (-N, N) coprime to N: 42 roots for each of the trefoil,
+        """The exact ring at every primitive N-th root e^{2 pi i j/N}, N <= 12,
+        j in (-N, N) coprime to N: 90 roots for each of the trefoil,
         hikami(2,1) and hikami(3,0), against the theta radial limit at j/N."""
         from thetaresum.qseries import theta_radial_limit
         checks = 0
         for cfg in (StrangeConfig("trefoil"), StrangeConfig("hikami", 2, 1),
                     StrangeConfig("hikami", 3, 0)):
             spec = cfg.theta_spec()
-            for N in range(2, 9):
+            for N in range(2, 13):
                 for j in range(1 - N, N):
                     if math.gcd(j, N) != 1:
                         continue
@@ -198,7 +213,7 @@ class TestStrange:
                     with CTX.working():
                         assert abs(lhs - rhs) < mpf("1e-30"), (cfg, j, N)
                     checks += 1
-        assert checks == 126
+        assert checks == 270
 
     def test_hikami_u1_is_trefoil(self):
         a = verify_strange(StrangeConfig("hikami", 1, 0), Fraction(1, 3), CTX)

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, workprec
 
-from reference import fold_pair, pair_set_alternative
+from reference import fold_pair, pair_set_alternative, s_matrix
 from thetaresum import periodic
 from thetaresum.config import config_hikami, config_t3_2k
 from thetaresum.periodic import (ChiParams, ConfigError, chi_function, make_periodic,
-                                 pair_set, s_matrix, s_matrix_entry, support_set,
+                                 pair_set, s_matrix_entry, support_set,
                                  tilde_transform, verify_decomposition)
 from thetaresum.precision import PrecisionContext
 from thetaresum.resum import disc_closed_form
