@@ -19,11 +19,11 @@ from fractions import Fraction
 
 from mpmath import mp, mpf, mpc
 
-from .exact import ConsistencyError, FormalSeries, _pattern_bernoulli_sum
+from .exact import FormalSeries, _pattern_bernoulli_sum
 from .periodic import TildeFunction
 from .precision import (DEFAULT_CTX, FIVE_HALVES, MINUS_FIVE_HALVES, SEVEN_QUARTERS,
                         Estimate, PrecisionContext, to_mpf)
-from .resum import ell_sum
+from .resum import TRUNCATION_K_MAX, _truncation, ell_sum
 
 
 class SingularProximityError(ValueError):
@@ -148,9 +148,10 @@ def borel_eval(series: FormalSeries, p, ctx: PrecisionContext = DEFAULT_CTX,
 
     The head of the l-sum is evaluated term by term (with the branch side
     applied on the cut); the tail l > L, where |p| is small against the
-    branch points, is resummed through the binomial expansion whose l-sums
-    are shifted Hurwitz zeta values (ell_sum).  The error is a geometric
-    remainder plus roundoff.
+    branch points, is resummed through K terms of the binomial expansion,
+    whose l-sums are shifted Hurwitz zeta values (ell_sum).  (L, K) come
+    from resum._truncation; the error is its bound on the rest plus
+    roundoff, flagged when ctx.ell_cap keeps that bound above the target.
 
     side: '+' or '-' selects the limit from Im p > 0 or Im p < 0 when p lies
     exactly on the cut ray beyond the first singularity.
@@ -169,13 +170,7 @@ def borel_eval(series: FormalSeries, p, ctx: PrecisionContext = DEFAULT_CTX,
         if on_cut and side not in ("+", "-"):
             raise BranchCutError("p sits on the cut ray; pass side='+' or side='-'")
 
-        base = mpf(series.b) * mp.pi ** 2 / f.M ** 2  # positions base * l^2
-        # the head reaches beyond the cut region and keeps the tail ratio
-        # <= 1/2: the least L >= 2M with base (L + 1)^2 > 2|p|
-        L = max(2 * f.M, int(mp.sqrt(2 * abs(p) / base)))
-
-        c = to_mpf(f.c)
-        pref = 3 * mp.pi * c / (f.M ** 2 * series.b)
+        pref = 3 * mp.pi * to_mpf(f.c) / (f.M ** 2 * series.b)
         A = mp.pi ** 2 / f.M ** 2
 
         def term(ell):
@@ -187,28 +182,25 @@ def borel_eval(series: FormalSeries, p, ctx: PrecisionContext = DEFAULT_CTX,
                 return ell / mp.exp(FIVE_HALVES * (mp.log(abs(w)) + 1j * ang))
             return ell / w ** FIVE_HALVES
 
-        # tail: (A l^2 - p/b)^{-5/2} = (A l^2)^{-5/2} (1 - p/(b A l^2))^{-5/2}
-        # expanded binomially; each power's l-sum is a Dirichlet sum of f~
-        # over l > L.  |term_j| <= binom_j ratio^j K, K = A^{-5/2} max|f~|/(3 L^3)
-        # >= A^{-5/2} max|f~| sum_{l>L} l^{-4}, ratio = |p|/(b A (L+1)^2) <= 1/2.
-        # After term k the remainder is <= bound/(1 - 1.75 ratio), bound =
-        # binom_{k+1} ratio^{k+1} K, as binom_{j+1}/binom_j = (5/2 + j)/(j + 1)
-        # <= 7/4 for every j >= 1: the stopping test is sound from k = 0, and
-        # it needs no summed value, so the moments are listed first.
-        ratio = abs(p) / (series.b * A * (L + 1) ** 2)
-        K = A ** MINUS_FIVE_HALVES * tilde.max_abs() / (3 * mpf(L) ** 3)
+        # The head l <= L, L >= L0 (the least L >= 2M with b A (L + 1)^2 > 2|p|),
+        # passes the cut region and keeps r = rho/(L + 1)^2 <= r0 < 1/2, rho =
+        # |p|/(b A).  Term k of the tail's binomial expansion is at most binom_k
+        # r^k A^{-5/2} max|f~|/(3 L^3), binom_k = (5/2)_k/k!, and binom_{k+1} <=
+        # 7/4 binom_k for k >= 1, so past K terms the rest is at most c_K
+        # L^{-2K-3}, c_K = binom_K rho^K A^{-5/2} max|f~|/(3 (1 - 7 r0/4)).
+        rho = abs(p) / (series.b * A)
+        L0 = max(2 * f.M, int(mp.sqrt(2 * rho)))
+        c0 = A ** MINUS_FIVE_HALVES * tilde.max_abs() \
+            / (3 * (1 - SEVEN_QUARTERS * rho / (L0 + 1) ** 2))
+        binom = [mpf(1)]
+        for k in range(TRUNCATION_K_MAX):
+            binom.append(binom[-1] * (FIVE_HALVES + k) / (k + 1))
+        bounds = [(binom[K] * rho ** K * c0, 2 * K + 3) for K in range(1, TRUNCATION_K_MAX + 1)]
         target = ctx.tolerance() * mpf("0.01") + mpf(2) ** (-ctx.prec - 8)
-        moments = []
-        binom = mpf(1)  # (5/2)_k / k!
-        for k in range(ctx.prec + 1):
-            moments.append((4 + 2 * k, binom * (p / series.b) ** k * A ** (MINUS_FIVE_HALVES - k)))
-            binom = binom * (FIVE_HALVES + k) / (k + 1)
-            rem = binom * ratio ** (k + 1) * K / (1 - SEVEN_QUARTERS * ratio)
-            if abs(pref) * rem < target:
-                break
-        else:
-            raise ConsistencyError("borel tail expansion failed to converge")
-        est = ell_sum(tilde, L, term, moments, rem)
+        L, K, bound, exhausted = _truncation(tilde, bounds, L0, target / abs(pref), ctx.ell_cap)
+        moments = [(4 + 2 * k, binom[k] * (p / series.b) ** k * A ** (MINUS_FIVE_HALVES - k))
+                   for k in range(K)]
+        est = ell_sum(tilde, L, term, moments, bound)
         value = pref * est.value
         err = abs(pref) * est.error + abs(value) * mpf(2) ** (-ctx.prec)
-        return Estimate(value, err)
+        return Estimate(value, err, exhausted)

@@ -113,7 +113,6 @@ class FormalSeries:
 
     f: PeriodicFunction
     b: int
-    a_shift: int  # the exponent shift a of the theta series; inert here
     C: tuple
     c_m: Fraction
 
@@ -132,14 +131,14 @@ class FormalSeries:
 
 
 def series_coefficients(spec, count: int) -> FormalSeries:
-    """Exact C_0..C_{count-1} for a theta spec (needs .f, .b, .a attributes)."""
+    """Exact C_0..C_{count-1} for a theta spec (needs .f and .b attributes)."""
     if count < 1:
         raise ValueError("count must be >= 1")
     f = spec.f
     if not isinstance(f, PeriodicFunction):
         raise TypeError("series coefficients require the plain periodic f")
     C = tuple((-1) ** n * l_value(f, n) for n in range(count))
-    return FormalSeries(f=f, b=spec.b, a_shift=spec.a, C=C, c_m=C[0])
+    return FormalSeries(f=f, b=spec.b, C=C, c_m=C[0])
 
 
 # ---------------------------------------------------------------------------

@@ -192,7 +192,7 @@ class BudgetError(ValueError):
 
 def hikami_x(u: int, ell: int, q: RootOfUnity,
              ctx: PrecisionContext = DEFAULT_CTX,
-             budget: int = 5_000_000) -> mpc:
+             budget: int = 10_000_000) -> mpc:
     """X_u^{(l)}(q): nested sum over 0 <= k_i <= k_{i+1} + delta_{i,l}, k_u < N.
 
         X = sum (q)_{k_u} q^{k_1^2+...+k_{u-1}^2 + k_{l+1}+...+k_{u-1}}
@@ -201,7 +201,7 @@ def hikami_x(u: int, ell: int, q: RootOfUnity,
     summed level by level in the exact ring: S_0 = 1,
     S_i[m] = sum_{k <= m+d} [m+d, k]_q q^{k^2 + [i>l] k} S_{i-1}[k] with
     d = [i = l], and X = sum_{m<N} (q)_m S_{u-1}[m].  The budget bounds the
-    size u*N^u of the nested sum.
+    cost (u - 1) N^3 + N^2 of the levels and the sum (default: about 1 s).
     """
     if u < 1:
         raise ValueError("u must be >= 1")
@@ -210,8 +210,9 @@ def hikami_x(u: int, ell: int, q: RootOfUnity,
     if not isinstance(q, RootOfUnity):
         raise TypeError("X_u^(l) is evaluated at roots of unity only")
     N = q.N
-    if u * N ** u > budget:
-        raise BudgetError(f"estimated cost u*N^u = {u * N ** u} exceeds budget {budget}")
+    cost = (u - 1) * N ** 3 + N ** 2
+    if cost > budget:
+        raise BudgetError(f"estimated cost (u-1)*N^3 + N^2 = {cost} exceeds budget {budget}")
     with ctx.working():
         ar = _Arith(q)
         s = [ar.one()] * (N + 1)  # S_0; the one shift d = 1 eats an entry

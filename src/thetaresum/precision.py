@@ -50,7 +50,7 @@ class PrecisionContext:
 
     prec          working precision in bits
     tol           target absolute tolerance for truncated sums/integrals
-    ell_cap       hard cap on the number of ell-terms in any f-tilde sum
+    ell_cap       cap on the head of every truncated l- or n-sum (ell_sum)
     """
 
     prec: int = field(default_factory=default_prec)

@@ -20,7 +20,7 @@ from mpmath import mp, mpf, mpc, workprec
 from .exact import bernoulli_polynomial
 from .periodic import (ChiParams, ConfigError, PeriodicFunction, PeriodicTable,
                        TildeFunction, _divisors, chi_function, pair_set, s_matrix_entry)
-from .precision import (DEFAULT_CTX, MINUS_HALF, MINUS_THREE_HALVES, Estimate,
+from .precision import (DEFAULT_CTX, GUARD_BITS, MINUS_HALF, MINUS_THREE_HALVES, Estimate,
                         PrecisionContext, as_fraction, frac_to_mp)
 
 
@@ -64,31 +64,45 @@ def _gauss_tail(nu: int, lam, n0: int):
     return (n0 + 1) * e0 + mp.exp(-lam * n0 ** 2) / (2 * lam)
 
 
+def _gauss_cutoff(bound, target, cap: int):
+    """(N, bound(N)), N the least in [1, cap] with bound(N) <= target, else cap;
+    bound is nonincreasing (a _gauss_tail multiple): doubling, then bisection."""
+    lo, hi = 0, 1
+    while (b := bound(hi)) > target and hi < cap:
+        lo, hi = hi, min(2 * hi, cap)
+    while b <= target and hi - lo > 1:  # bound(lo) > target, or lo = 0
+        mid = (lo + hi) // 2
+        if (bm := bound(mid)) > target:
+            lo = mid
+        else:
+            hi, b = mid, bm
+    return hi, b
+
+
 def theta_upper_half(spec: ThetaSpec, x, ctx: PrecisionContext = DEFAULT_CTX) -> Estimate:
-    """Truncated theta sum with a Gaussian tail bound; requires Im x > 0."""
+    """Truncated theta sum with a Gaussian tail bound; requires Im x > 0.
+
+    f(0) = 0, so resum.ell_sum takes n = 1..N, N from _gauss_cutoff at
+    2^-(prec + GUARD_BITS); budget_exhausted: ctx.ell_cap stopped N short."""
+    from . import resum  # resum imports this module
     with ctx.working():
         x = mpc(x)
         if x.imag <= 0:
             raise DomainError(f"Im x must be positive, got {x}")
         lam = 2 * mp.pi * x.imag / spec.b
         h = spec.f.table()
-        fmax, period = h.max_abs(), len(h)
-        target = ctx.tolerance() * mpf("0.01") + mpf(2) ** (-ctx.prec - 10)
-        n = 0
-        acc = mpc(0)
-        two_pi_i = 2j * mp.pi
-        while True:
-            v = h[n % period]
-            if v:
-                acc += (n ** spec.nu) * v * mp.exp(two_pi_i * x * (n * n - spec.a) / spec.b)
-            n += 1
-            if n % period == 0:
-                tail = fmax * mp.exp(2 * mp.pi * x.imag * spec.a / spec.b) \
-                    * _gauss_tail(spec.nu, lam, n - 1)
-                if tail < target:
-                    return Estimate(acc, tail + abs(acc) * mpf(2) ** (-ctx.prec))
-            if n > 10_000_000:
-                raise DomainError("theta sum did not reach tolerance; Im x too small")
+        scale = h.max_abs() * mp.exp(2 * mp.pi * x.imag * spec.a / spec.b)
+        target = mpf(2) ** (-ctx.prec - GUARD_BITS)
+        N, tail = _gauss_cutoff(lambda n: scale * _gauss_tail(spec.nu, lam, n),
+                                target, ctx.ell_cap)
+
+        def term(n):
+            with workprec(mp.prec + 2 * n.bit_length()):  # x (n^2 - a) exactly
+                return (n ** spec.nu) * mp.exp(2j * mp.pi * (x * (n * n - spec.a)) / spec.b)
+
+        est = resum.ell_sum(h, N, term, [], tail)
+        return Estimate(est.value, est.error + abs(est.value) * mpf(2) ** (-ctx.prec),
+                        tail > target)
 
 
 # ---------------------------------------------------------------------------
@@ -206,31 +220,18 @@ class VerticalTheta:
         target = mpf(2) ** (-mp.prec - 4)
         if hmax == 0:
             return mpc(0)
+        cap = (mp.prec + 4) * P  # both decay rates exceed pi/P, so N^2 < cap
         if lam * P >= mp.pi:
             # direct sum
-            acc = mpc(0)
-            n = 1
-            while True:
-                hv = h[n % P]
-                if hv:
-                    acc += hv * mp.exp(-lam * n * n)
-                if n % P == 0 and hmax * _gauss_tail(0, lam, n) < target:
-                    return acc
-                n += 1
+            N, _ = _gauss_cutoff(lambda n: hmax * _gauss_tail(0, lam, n), target, cap)
+            return sum((h(n) * mp.exp(-lam * n * n) for n in range(1, N + 1) if h(n)), mpc(0))
         # Poisson regime: theta = F/2 with
         # F = (1/P) sqrt(pi/lam) sum_{j != 0} H(j) e^{-pi^2 j^2/(lam P^2)};
-        # H(0) = 0, whose roundoff would grow like w^{-1/2}
+        # H(0) = 0, whose roundoff would grow like w^{-1/2}; |H(j)| <= P hmax
         pref = mp.sqrt(mp.pi / lam) / P
         mu = mp.pi ** 2 / (lam * P * P)
-        acc = mpc(0)
-        j = 1
-        while True:
-            damp = mp.exp(-mu * j * j)
-            if pref * P * hmax * damp < target and j > 2:
-                break
-            acc += self._dft(j) * damp
-            j += 1
-        return pref * acc
+        J, _ = _gauss_cutoff(lambda j: pref * P * hmax * _gauss_tail(0, mu, j), target, cap)
+        return pref * sum((self._dft(j) * mp.exp(-mu * j * j) for j in range(1, J + 1)), mpc(0))
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +263,8 @@ def eichler_integral(s: int, t: int, nm: tuple, z, lower,
       Poisson summation with H(0) = P mean(h) = 0 gives |theta| <= hmax
       sqrt(B/(2w)) sum_{j>=1} e^{-c_j/w}, and |w + c| >= w: at most hmax
       sqrt(B/2) q/(c_1 (1 - q)), q = e^{-c_1/w0}.  Above w0, h(n) J(lambda_n;
-      w0, c) for n <= N, lambda_N w0 >= (prec + 60) ln 2.
+      w0, c) for n <= N, N the least whose tail (below) is at most
+      2^-prec/pref (_gauss_cutoff).
     - Other z, c = i(z - alpha): J(lambda_n; 0, c) falls like n^{-2};
       resum.vertical_sum sums a head and Watson moments.
     - "conj", z = x - iy: chi(n) e^{2 pi i x n^2/B} J(lambda_n; y, y), n <= N.
@@ -321,13 +323,9 @@ def eichler_integral(s: int, t: int, nm: tuple, z, lower,
                     phase = mp.expjpi(2 * x * n * n / B)
                 return phase * v
 
-            N = min(int(mp.sqrt((ctx.prec + 60) * mp.ln2 / (lam1 * w0))) + 1, ctx.ell_cap)
-            while True:
-                tail = hmax * (w0 + mp.re(c)) ** MINUS_THREE_HALVES / (lam1 * (N + 1) ** 2) \
-                    * _gauss_tail(0, lam1 * w0, N)
-                if tail <= target or N >= ctx.ell_cap:
-                    break
-                N = min(2 * N, ctx.ell_cap)
+            scale = hmax * (w0 + mp.re(c)) ** MINUS_THREE_HALVES / lam1
+            N, tail = _gauss_cutoff(lambda n: scale / (n + 1) ** 2 * _gauss_tail(0, lam1 * w0, n),
+                                    target, ctx.ell_cap)
             est = resum.ell_sum(table, N, term, [], tail)
             est = Estimate(est.value, est.error, tail > target)
         else:

@@ -22,9 +22,9 @@ beyond it, so no quadrature is left.
 These sums, the Borel transform's and the Eichler integrals' share one
 shape, written once as ell_sum: a kernel taken term by term over l <= L,
 its expansion in l^{-2} as shifted Hurwitz sums over l > L, the caller's
-bound on the rest, and the roundoff of both parts in the error; all but
-the Borel sum take (L, K) from one chooser (_truncation).  All fractional
-powers are principal.
+bound on the rest, and the roundoff of both parts in the error.  They take
+(L, K) from one chooser (_truncation), and the Gaussian-tailed theta heads
+take N from qseries._gauss_cutoff.  All fractional powers are principal.
 """
 
 from __future__ import annotations
@@ -174,18 +174,20 @@ def _truncation(table, bounds, floor: int, target, ell_cap: int):
     c_K L^{-e_K}.  Each K takes the least L >= floor meeting the target, at
     a cost of L nnz/P kernels and K nnz Hurwitz sums (nnz = #{r < P: h(r)
     != 0}, P = len(table)); the cheapest wins, the fewer moments on a tie.
-    Failing that, L = ell_cap with the K of least bound there.
+    Failing that, L = cap with the K of least bound there, cap = max(floor,
+    ell_cap): the bounds need L >= floor, so no cap cuts the head below it.
     """
     P = len(table)
     nnz = sum(1 for v in table if v)
+    cap = max(floor, ell_cap)
     fits = [(L * nnz / P + HURWITZ_COST * K * nnz, K, L, c / mpf(L) ** e)
             for K, (c, e) in enumerate(bounds, 1)
-            if (L := max(floor, int(mp.ceil((c / target) ** (mpf(1) / e))))) <= ell_cap]
+            if (L := max(floor, int(mp.ceil((c / target) ** (mpf(1) / e))))) <= cap]
     if fits:
         _, K, L, bound = min(fits)
         return L, K, bound, False
-    bound, K = min((c / mpf(ell_cap) ** e, K) for K, (c, e) in enumerate(bounds, 1))
-    return ell_cap, K, bound, True
+    bound, K = min((c / mpf(cap) ** e, K) for K, (c, e) in enumerate(bounds, 1))
+    return cap, K, bound, True
 
 
 BLOCK_ELL_CAP = 10_000_000  # most terms tilde_dirichlet_blocks will sum
@@ -341,6 +343,7 @@ def disc_closed_form(series: FormalSeries, x, ctx: PrecisionContext = DEFAULT_CT
     The sum is theta^{(1)}_{0,4M^2,f~}(2 pi i b x), the nu = 1 partial theta
     of f~ with modulus 4M^2, summed by theta_upper_half with its Gaussian
     tail bound; boundary_median takes the radial limit of the same series.
+    budget_exhausted is theta_upper_half's.
     """
     with ctx.working(20):
         x = mpc(x)
@@ -351,7 +354,8 @@ def disc_closed_form(series: FormalSeries, x, ctx: PrecisionContext = DEFAULT_CT
         theta = theta_upper_half(ThetaSpec(a=0, b=4 * M * M, nu=1, f=series.tilde),
                                  2j * mp.pi * b * x, ctx)
         value = pref * theta.value
-        return Estimate(value, abs(pref) * theta.error + abs(value) * mpf(2) ** (-ctx.prec))
+        return Estimate(value, abs(pref) * theta.error + abs(value) * mpf(2) ** (-ctx.prec),
+                        theta.budget_exhausted)
 
 
 def discontinuity(series: FormalSeries, x,
@@ -380,9 +384,8 @@ def median_sum(series: FormalSeries, x, ctx: PrecisionContext = DEFAULT_CTX) -> 
     Side rule: minus with + disc/2 for arg x >= 0, plus with - disc/2
     otherwise; only the chosen side's ray converges once |arg x| > pi/4.
     The error is the lateral error plus half the jump's, plus roundoff;
-    budget_exhausted is the lateral sum's.  On the real axis S- = conj S+
-    (Schwarz reflection), so the median is real and its real part is
-    returned.
+    budget_exhausted is either's.  On the real axis S- = conj S+ (Schwarz
+    reflection), so the median is real and its real part is returned.
     """
     with ctx.working(20):
         x = mpc(x)
@@ -395,7 +398,7 @@ def median_sum(series: FormalSeries, x, ctx: PrecisionContext = DEFAULT_CTX) -> 
         if x.imag == 0:
             value = mpc(value.real)
         err = lat.error + jump.error / 2 + abs(value) * mpf(2) ** (-ctx.prec)
-        return Estimate(value, err, lat.budget_exhausted)
+        return Estimate(value, err, lat.budget_exhausted or jump.budget_exhausted)
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,10 @@ formal series, Richardson extrapolation of theta along a radius, the
 explicit trefoil Borel transform, the D2 pair set and the folding bijection
 onto it, the full S-matrix, and polynomial fits at the origin.
 
+`even_bernoulli_sum` is the inner sum of the even-Bernoulli generating
+identity, sum_m f(m) B_{2n+2}(m/M) by `mp.bernpoly`, cached per degree so
+the two tests of that identity on one pattern share their Bernoulli values.
+
 `hikami_x_enumeration` is X_u^(l) as the nested sum over k-vectors in
 complex floats, the route `habiro.hikami_x` took before it summed level by
 level in the exact ring; it shares no ring arithmetic and no root table
@@ -48,6 +52,7 @@ with it.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -557,3 +562,20 @@ def poly_fit_origin(xs, ys, ncoeff=None):
         rhs[i] = y
     sol = mp.lu_solve(A, rhs)
     return [sol[j] for j in range(ncoeff)]
+
+
+@functools.lru_cache(maxsize=None)
+def _even_bernoulli_sum(f, n: int, prec: int) -> mpf:
+    with workprec(prec):
+        return mp.fsum(frac_to_mp(f(m)) * mp.bernpoly(2 * n + 2, mpf(m) / f.M)
+                       for m in range(1, f.M + 1) if f(m))
+
+
+def even_bernoulli_sum(f, n: int) -> mpf:
+    """sum_{m=1}^{M} f(m) B_{2n+2}(m/M) at the current precision.
+
+    The residues where f vanishes are skipped, and values are cached per
+    (f, n, precision): they are the generating identity's inner sums, which
+    dominate its cost.
+    """
+    return _even_bernoulli_sum(f, n, mp.prec)

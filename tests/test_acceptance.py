@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpf, mpc, workprec
 
-from reference import poly_fit_origin, trefoil_explicit_borel
+from reference import even_bernoulli_sum, poly_fit_origin, trefoil_explicit_borel
 from thetaresum.borel import borel_coefficients, borel_eval, hadamard_oracle
 from thetaresum.config import config_chi, trefoil_chi, trefoil_strange
 from thetaresum.exact import series_coefficients
@@ -251,15 +251,6 @@ def test_criterion_15_generating_identity():
     f = trefoil_strange().f
     M = f.M
     with workprec(300):
-        inner_cache = {}
-
-        def inner_sum(n):
-            if n not in inner_cache:
-                inner_cache[n] = mp.fsum(
-                    frac_to_mp(f(m)) * mp.bernpoly(2 * n + 2, mpf(m) / M)
-                    for m in range(1, M + 1))
-            return inner_cache[n]
-
         rng = 20240817
         worst = mpf(0)
         for _ in range(20):
@@ -272,7 +263,8 @@ def test_criterion_15_generating_identity():
             n = 0
             ratio = abs(y) * M / (2 * mp.pi)
             while True:
-                lhs += inner_sum(n) * (1j * M * y) ** (2 * n + 2) / mp.factorial(2 * n + 2)
+                lhs += even_bernoulli_sum(f, n) * (1j * M * y) ** (2 * n + 2) \
+                    / mp.factorial(2 * n + 2)
                 n += 1
                 if 4 * mp.zeta(2 * n + 2) * ratio ** (2 * n + 2) < mpf(2) ** -280:
                     break

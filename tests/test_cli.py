@@ -53,7 +53,7 @@ class TestVerify:
                       "--u", "3", "--l", "0", "--alpha", "1/200"])
         assert rc == 2
         captured = capsys.readouterr()
-        assert "error: estimated cost u*N^u = 24000000 exceeds budget" in captured.err
+        assert "error: estimated cost (u-1)*N^3 + N^2 = 16040000 exceeds budget" in captured.err
         assert "Traceback" not in captured.err + captured.out
 
     def test_missing_family_params(self):

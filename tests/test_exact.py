@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc, workprec
 
-from reference import bernoulli_polynomial_fractions, pattern_bernoulli_sum_scan
+from reference import (bernoulli_polynomial_fractions, even_bernoulli_sum,
+                       pattern_bernoulli_sum_scan)
 from thetaresum.config import config_chi, config_t3_2k, trefoil_strange
 from thetaresum.exact import (_pattern_bernoulli_sum, bernoulli_number, bernoulli_polynomial,
                               gevrey_estimate, l_value, series_coefficients)
@@ -147,21 +148,12 @@ class TestGeneratingIdentity:
         (1/(M y)) sum_m f(m) sum_n B_{2n+2}(m/M)(iMy)^{2n+2}/(2n+2)!
             = -2c sin((k2-k1)y/2) sin((M-k1-k2)y/2) / sin(My/2)
         for |y| < 2 pi / M; 20 pseudo-random complex y at 256 bits.  The inner
-        Bernoulli sums are cached per degree; |B_{2n}(x)| <= |B_{2n}| on [0,1]
-        gives the geometric truncation bound with ratio (M|y|/2pi)^2.
+        Bernoulli sums are cached per degree (reference.even_bernoulli_sum);
+        |B_{2n}(x)| <= |B_{2n}| on [0,1] gives the geometric truncation bound
+        with ratio (M|y|/2pi)^2.
         """
         f = TREFOIL_F
         M = f.M
-        inner_cache = {}
-
-        def inner_sum(n):
-            got = inner_cache.get(n)
-            if got is None:
-                got = mp.fsum(frac_val(f(m)) * mp.bernpoly(2 * n + 2, mpf(m) / M)
-                              for m in range(1, M + 1))
-                inner_cache[n] = got
-            return got
-
         with workprec(300):
             rng_state = 987654321
             worst = mpf(0)
@@ -175,7 +167,7 @@ class TestGeneratingIdentity:
                 n = 0
                 ratio = abs(y) * M / (2 * mp.pi)
                 while True:
-                    lhs += inner_sum(n) * (1j * M * y) ** (2 * n + 2) \
+                    lhs += even_bernoulli_sum(f, n) * (1j * M * y) ** (2 * n + 2) \
                         / mp.factorial(2 * n + 2)
                     n += 1
                     if 4 * mp.zeta(2 * n + 2) * ratio ** (2 * n + 2) < mpf(2) ** -280:

@@ -177,8 +177,20 @@ class TestHikami:
         assert checks == 230
 
     def test_budget_guard(self):
+        """The guard compares (u - 1) N^3 + N^2 with the budget: 1088 at (3, 8)."""
         with pytest.raises(BudgetError):
             hikami_x(3, 0, RootOfUnity(1, 8), CTX, budget=10)
+        with pytest.raises(BudgetError, match=r"\(u-1\)\*N\^3 \+ N\^2 = 1088 exceeds budget 1087"):
+            hikami_x(3, 0, RootOfUnity(1, 8), CTX, budget=1087)
+        q = RootOfUnity(1, 8)
+        assert hikami_x(3, 0, q, CTX, budget=1088) == hikami_x(3, 0, q, CTX)
+
+    def test_default_budget_admits_high_u_at_small_order(self):
+        """(u, N) = (5, 25) costs 4 * 25^3 + 25^2 = 63125 units, milliseconds of
+        level tables; u * N^u = 48828125 would have refused it.  Its value
+        meets the strange identity at alpha = 1/25."""
+        rep = verify_strange(StrangeConfig("hikami", 5, 0), Fraction(1, 25), CTX)
+        assert rep.passed, rep.residual
 
 
 class TestStrange:

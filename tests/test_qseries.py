@@ -6,6 +6,7 @@ import pytest
 from mpmath import mp, mpf, mpc, workprec
 
 from reference import eichler_integral_quadrature, radial_extrapolate
+from thetaresum.config import config_chi, trefoil_chi, trefoil_strange
 from thetaresum.periodic import ChiParams, PeriodicTable, chi_function, make_periodic, pair_set, \
     s_matrix_entry, tilde_transform
 from thetaresum.precision import PrecisionContext, frac_to_mp
@@ -49,6 +50,26 @@ class TestUpperHalf:
     def test_requires_upper_half_plane(self):
         with pytest.raises(DomainError):
             theta_upper_half(TREFOIL_SPEC, mpc(1, 0), CTX)
+
+    @pytest.mark.parametrize("family", ["chi(2,3)", "trefoil-strange", "chi(3,4)"])
+    @pytest.mark.parametrize("nu", [0, 1])
+    def test_error_bars_hold_toward_the_real_axis(self, family, nu):
+        """|value - 300-bit value| <= error at x = 0.3 + i y, y = 1e-1, 1e-3,
+        1e-5, at 64 and 128 bits.  Near the axis the sum runs to 10^4 terms
+        whose phases reach 2^23 radians, so they must be taken to full
+        precision for the error bar to hold."""
+        cfg = {"chi(2,3)": trefoil_chi(), "trefoil-strange": trefoil_strange(),
+               "chi(3,4)": config_chi(3, 4, 1, 1)}[family]
+        spec = cfg.theta_spec(nu)
+        for y in ("1e-1", "1e-3", "1e-5"):
+            with workprec(320):
+                x = mpc("0.3", y)
+            ref = theta_upper_half(spec, x, PrecisionContext(prec=300))
+            for prec in (64, 128):
+                got = theta_upper_half(spec, x, PrecisionContext(prec=prec))
+                with workprec(320):
+                    assert abs(got.value - ref.value) <= got.error, (y, prec)
+                assert not got.budget_exhausted
 
 
 class TestRadialLimits:

@@ -15,7 +15,7 @@ from thetaresum.config import (config_chi, config_hikami, config_t3_2k, trefoil_
                                trefoil_strange)
 from thetaresum.periodic import ChiParams, chi_function, pair_set, tilde_transform
 from thetaresum.precision import MINUS_HALF, PrecisionContext
-from thetaresum.qseries import DomainError, ThetaSpec, theta_radial_limit
+from thetaresum.qseries import DomainError, ThetaSpec, theta_radial_limit, theta_upper_half
 from thetaresum.resum import (_ray_laplace, boundary_median, boundary_median_extrapolated,
                               boundary_point, disc_closed_form, discontinuity, ell_sum,
                               laplace_kernel, lateral_sum, median_sum, special_e,
@@ -672,3 +672,26 @@ class TestBudgetFlag:
         roomy = boundary_median(ser, Fraction(1, 2), CTX)
         assert not roomy.budget_exhausted
         assert abs(res.value - roomy.value) <= res.error + roomy.error
+
+    def test_gaussian_and_borel_sums_stop_at_the_cap(self):
+        """theta_upper_half, disc_closed_form (through it), median_sum and
+        borel_eval stop at ctx.ell_cap and flag it, with error bars that hold.
+        The theta sum at 0.3 + 0.01i needs about 180 terms.  At 0.1 + 0.1i
+        the lateral sum fits in 16 terms and the jump's theta sum does not,
+        so median_sum's flag is the jump's.  borel_eval at 329 + 1.6i and tol
+        1e-30 needs a head past its floor 2M = 24, which a lower cap keeps."""
+        tiny = PrecisionContext(prec=96, tol=1e-10, ell_cap=16)
+        spec = trefoil_chi().theta_spec(1)
+        x, xm = mpc("0.3", "0.01"), mpc("0.1", "0.1")
+        deep = PrecisionContext(prec=128, tol=1e-30)
+        assert not lateral_sum(SER, xm, "minus", tiny).budget_exhausted
+        cases = [(lambda ctx: theta_upper_half(spec, x, ctx), tiny, CTX),
+                 (lambda ctx: disc_closed_form(SER, xm, ctx), tiny, CTX),
+                 (lambda ctx: median_sum(SER, xm, ctx), tiny, CTX),
+                 (lambda ctx: borel_eval(SER, mpc("329", "1.6"), ctx),
+                  PrecisionContext(prec=128, tol=1e-30, ell_cap=16), deep)]
+        for run, capped, roomy in cases:
+            res, ref = run(capped), run(roomy)
+            assert res.budget_exhausted and not ref.budget_exhausted
+            with workprec(160):
+                assert abs(res.value - ref.value) <= res.error + ref.error
