@@ -20,7 +20,7 @@ import re
 import sys
 from fractions import Fraction
 
-from mpmath import mp, mpc
+from mpmath import mp, mpc, mpf, workprec
 
 from . import borel as borel_mod
 from . import resum as resum_mod
@@ -47,11 +47,20 @@ def _fraction(text: str) -> Fraction:
         raise UsageError(f"expected a rational like 3 or -1/2, got {text!r}: {exc}")
 
 
-def _complex(text: str) -> mpc:
-    try:
-        return mpc(complex(text.replace(" ", "")))
-    except ValueError as exc:
-        raise UsageError(f"expected a complex literal like 1+0.5j, got {text!r}: {exc}")
+_DECIMAL = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+# a real part, ended by a sign if an imaginary part follows, and an imaginary
+# part whose coefficient may be left out, as in "j" or "-j"
+_COMPLEX = re.compile(rf"([+-]?{_DECIMAL}(?=[+-]|$))?(?:([+-]?(?:{_DECIMAL})?)[jJ])?")
+
+
+def _complex(text: str, ctx: PrecisionContext) -> mpc:
+    """A complex literal like 1+0.5j, each decimal part read at ctx.prec bits."""
+    match = _COMPLEX.fullmatch(text.replace(" ", ""))
+    if not match or match.groups() == (None, None):
+        raise UsageError(f"expected a complex literal like 1+0.5j, got {text!r}")
+    real, imag = match.groups()
+    with workprec(ctx.prec):
+        return mpc(mpf(real or 0), mpf(imag + "1" if imag in ("", "+", "-") else imag or 0))
 
 
 def build_config(args) -> Config:
@@ -123,8 +132,6 @@ def make_parser() -> argparse.ArgumentParser:
     v.add_argument("--suite", required=True, choices=list(SUITES))
     _add_family_flags(v)
     v.add_argument("--alpha", type=str, default=None, help="rational j/N")
-    v.add_argument("--extrapolate", action="store_true",
-                   help="also run the interior Richardson oracle (main2)")
     v.add_argument("--timings", action="store_true",
                    help="include wall times in the written report "
                         "(breaks byte determinism)")
@@ -181,8 +188,7 @@ def cmd_verify(args) -> int:
     ctx = _context(args)
     alpha = _fraction(args.alpha) if args.alpha is not None else None
     try:
-        report = run_suite(args.suite, cfg, ctx, alpha=alpha,
-                           extrapolate=args.extrapolate)
+        report = run_suite(args.suite, cfg, ctx, alpha=alpha)
     except ConfigError as exc:
         raise UsageError(str(exc))
     report.print_lines()
@@ -240,20 +246,20 @@ def cmd_eval(args) -> int:
     if args.quantity == "theta":
         if args.x is None:
             raise UsageError("eval theta needs --x with Im x > 0")
-        est = theta_upper_half(cfg.theta_spec(nu=args.nu), _complex(args.x), ctx)
+        est = theta_upper_half(cfg.theta_spec(nu=args.nu), _complex(args.x, ctx), ctx)
     elif args.quantity == "borel":
         if args.p is None:
             raise UsageError("eval borel needs --p")
-        est = borel_mod.borel_eval(series, _complex(args.p), ctx,
+        est = borel_mod.borel_eval(series, _complex(args.p, ctx), ctx,
                                    side="+" if args.side == "plus" else "-")
     elif args.quantity == "lateral":
         if args.x is None:
             raise UsageError("eval lateral needs --x")
-        est = resum_mod.lateral_sum(series, _complex(args.x), args.side, ctx)
+        est = resum_mod.lateral_sum(series, _complex(args.x, ctx), args.side, ctx)
     elif args.quantity == "smed":
         if args.x is None:
             raise UsageError("eval smed needs --x with Re x > 0")
-        est = resum_mod.median_sum(series, _complex(args.x), ctx)
+        est = resum_mod.median_sum(series, _complex(args.x, ctx), ctx)
     else:
         if args.alpha is None:
             raise UsageError("eval boundary needs --alpha")

@@ -1,15 +1,14 @@
-"""Finite evaluations at roots of unity: q-Pochhammer, Gaussian binomials,
-the Kontsevich-Zagier series, the trefoil colored Jones values, and the
-nested torus-knot sums X_u^(l), together with the strange-identity checks
-against theta radial limits.
+"""Finite evaluations at roots of unity: q-Pochhammer, Gaussian binomials and
+the nested torus-knot sums X_u^(l), with the Kontsevich-Zagier series as
+X_1^(0), together with the strange-identity checks against theta radial
+limits.
 
 At a primitive N-th root zeta every value is an element of Z[zeta], and all
 arithmetic runs in the exact convolution ring Z[X]/(X^N - 1) (integer
 vectors; X stands for zeta, so q^e sits at index e mod N).  Vanishing
 factors like 1 - q^N are exact, and the result is rounded to a complex
-number once, from one table of zeta^r per root and precision.  A generic
-complex q, which `q_pochhammer` and `q_binomial` also accept, runs in
-complex floats at the context precision.
+number once, from one table of zeta^r per root and precision.  Every
+function here takes q as a RootOfUnity and raises TypeError for any other q.
 """
 
 from __future__ import annotations
@@ -87,37 +86,31 @@ class _RingScalar:
 
 
 class _Arith:
-    """Exact ring arithmetic at a RootOfUnity, complex floats at any other q."""
+    """Exact arithmetic in Z[X]/(X^N - 1) at a RootOfUnity."""
 
     def __init__(self, q):
-        if isinstance(q, RootOfUnity):
-            self.N = q.N
-            self._powers = _root_powers(q.j, q.N, mp.prec)
-        else:
-            self.N = None
-            self._qc = mpc(q)
+        if not isinstance(q, RootOfUnity):
+            raise TypeError(f"q must be a RootOfUnity, got {q!r}")
+        self.q, self.N = q, q.N
 
     def one(self):
         return self.q_power(0)
 
     def zero(self):
-        return mpc(0) if self.N is None else _RingScalar([0] * self.N)
+        return _RingScalar([0] * self.N)
 
     def q_power(self, e: int):
-        if self.N is None:
-            return self._qc ** e
         v = [0] * self.N
         v[e % self.N] = 1
         return _RingScalar(v)
 
     def to_complex(self, x) -> mpc:
-        """Round once: sum a_r zeta^r in ascending r."""
-        if self.N is None:
-            return mpc(x)
+        """Round once: sum a_r zeta^r in ascending r, at the current precision."""
+        powers = _root_powers(self.q.j, self.N, mp.prec)
         acc = mpc(0)
         for r, a in enumerate(x.v):
             if a:
-                acc += a * self._powers[r]
+                acc += a * powers[r]
         return acc
 
     def binomial_transform(self, t: list) -> list:
@@ -138,25 +131,18 @@ class _Arith:
         return acc
 
 
-def q_pochhammer(n: int, q, a_exponent: int = 1,
-                 ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
-    """(q^{a_exponent}; q)_n = prod_{k=1}^{n} (1 - q^{a_exponent + k - 1}).
-
-    At a RootOfUnity the product is exact and rounded once, so (q; q)_n is
-    exactly 0 for n >= N; at any other q it is a complex float product.
-    """
+def q_pochhammer(n: int, q: RootOfUnity, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
+    """(q; q)_n = prod_{k=1}^{n} (1 - q^k), exact and rounded once, so it is
+    exactly 0 for n >= N."""
     if n < 0:
         raise ValueError("n must be >= 0")
     with ctx.working():
         ar = _Arith(q)
-        acc = ar.one()
-        for k in range(1, n + 1):
-            acc = acc * (ar.one() - ar.q_power(a_exponent + k - 1))
-        return ar.to_complex(acc)
+        return ar.to_complex(ar.pochhammer_sum([ar.zero()] * n + [ar.one()]))
 
 
-def q_binomial(top: int, bottom: int, q, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
-    """Gaussian binomial [top, bottom]_q; exact at a RootOfUnity, like `q_pochhammer`."""
+def q_binomial(top: int, bottom: int, q: RootOfUnity, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
+    """Gaussian binomial [top, bottom]_q, exact and rounded once."""
     with ctx.working():
         ar = _Arith(q)
         unit = [ar.one() if k == bottom else ar.zero() for k in range(top + 1)]
@@ -164,35 +150,20 @@ def q_binomial(top: int, bottom: int, q, ctx: PrecisionContext = DEFAULT_CTX) ->
 
 
 def kontsevich_zagier_eval(q: RootOfUnity, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
-    """Phi(q) = sum_{n>=0} (q;q)_n; terminates at n = N - 1 at an N-th root."""
-    if not isinstance(q, RootOfUnity):
-        raise TypeError("the series only converges at roots of unity")
-    with ctx.working():
-        ar = _Arith(q)
-        return ar.to_complex(ar.pochhammer_sum([ar.one()] * q.N))
-
-
-def colored_jones_trefoil(N: int, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
-    """J_N at q = zeta_N from the explicit sum q^{1-N} sum q^{-nN} (q^{1-N};q)_n."""
-    if N < 2:
-        raise ValueError("N must be >= 2")
-    with ctx.working():
-        ar = _Arith(RootOfUnity(1, N))
-        acc = ar.zero()
-        poch = ar.one()  # (q^{1-N}; q)_n
-        for n in range(N):
-            acc = acc + ar.q_power(-n * N) * poch
-            poch = poch * (ar.one() - ar.q_power(1 - N + n))
-        return ar.to_complex(ar.q_power(1 - N) * acc)
+    """Phi(q) = sum_{n>=0} (q;q)_n, which terminates at n = N - 1; it is X_1^(0)."""
+    return hikami_x(1, 0, q, ctx)
 
 
 class BudgetError(ValueError):
     """Nested-sum size estimate exceeded the evaluation budget."""
 
 
+# bound on hikami_x's cost estimate (u - 1) N^3 + N^2: about 1 s
+HIKAMI_BUDGET = 10_000_000
+
+
 def hikami_x(u: int, ell: int, q: RootOfUnity,
-             ctx: PrecisionContext = DEFAULT_CTX,
-             budget: int = 10_000_000) -> mpc:
+             ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
     """X_u^{(l)}(q): nested sum over 0 <= k_i <= k_{i+1} + delta_{i,l}, k_u < N.
 
         X = sum (q)_{k_u} q^{k_1^2+...+k_{u-1}^2 + k_{l+1}+...+k_{u-1}}
@@ -200,21 +171,17 @@ def hikami_x(u: int, ell: int, q: RootOfUnity,
 
     summed level by level in the exact ring: S_0 = 1,
     S_i[m] = sum_{k <= m+d} [m+d, k]_q q^{k^2 + [i>l] k} S_{i-1}[k] with
-    d = [i = l], and X = sum_{m<N} (q)_m S_{u-1}[m].  The budget bounds the
-    cost (u - 1) N^3 + N^2 of the levels and the sum (default: about 1 s).
+    d = [i = l], and X = sum_{m<N} (q)_m S_{u-1}[m].  HIKAMI_BUDGET bounds
+    the cost (u - 1) N^3 + N^2 of the levels and the sum.
     """
-    if u < 1:
-        raise ValueError("u must be >= 1")
-    if not (0 <= ell <= u - 1):
-        raise ValueError("need 0 <= l <= u-1")
-    if not isinstance(q, RootOfUnity):
-        raise TypeError("X_u^(l) is evaluated at roots of unity only")
+    if u < 1 or not 0 <= ell <= u - 1:
+        raise ValueError("need u >= 1 and 0 <= l <= u-1")
+    ar = _Arith(q)
     N = q.N
     cost = (u - 1) * N ** 3 + N ** 2
-    if cost > budget:
-        raise BudgetError(f"estimated cost (u-1)*N^3 + N^2 = {cost} exceeds budget {budget}")
+    if cost > HIKAMI_BUDGET:
+        raise BudgetError(f"estimated cost (u-1)*N^3 + N^2 = {cost} exceeds budget {HIKAMI_BUDGET}")
     with ctx.working():
-        ar = _Arith(q)
         s = [ar.one()] * (N + 1)  # S_0; the one shift d = 1 eats an entry
         for i in range(1, u):
             t = [ar.q_power(k * k + (k if i > ell else 0)) * x for k, x in enumerate(s)]
@@ -227,23 +194,22 @@ def hikami_x(u: int, ell: int, q: RootOfUnity,
 
 @dataclass(frozen=True)
 class StrangeConfig:
-    """A Habiro element paired with its partial theta data."""
+    """The Habiro element X_u^(l) paired with the theta data of
+    config_hikami(u, l).  The family is a label: the trefoil, whose element
+    is the Kontsevich-Zagier series, is X_1^(0)."""
 
     family: str            # "trefoil" or "hikami"
     u: int = 1
     ell: int = 0
 
+    def __post_init__(self):
+        if self.family != "hikami" and (self.family, self.u, self.ell) != ("trefoil", 1, 0):
+            raise ValueError(f"unknown strange family in {self!r}")
+
     def theta_spec(self) -> ThetaSpec:
-        """The theta data of config_hikami(u, l); the trefoil is hikami(1, 0)."""
-        if self.family == "trefoil":
-            return config_hikami(1, 0).theta_spec()
-        if self.family != "hikami":
-            raise ValueError(f"unknown strange family {self.family!r}")
         return config_hikami(self.u, self.ell).theta_spec()
 
     def habiro_value(self, q: RootOfUnity, ctx: PrecisionContext) -> mpc:
-        if self.family == "trefoil":
-            return kontsevich_zagier_eval(q, ctx)
         return hikami_x(self.u, self.ell, q, ctx)
 
 
@@ -264,15 +230,12 @@ class StrangeReport:
 
 
 def verify_strange(config: StrangeConfig, alpha,
-                   ctx: PrecisionContext = DEFAULT_CTX, tol=None) -> StrangeReport:
+                   ctx: PrecisionContext = DEFAULT_CTX) -> StrangeReport:
     """Compare the finite Habiro evaluation at e^{2 pi i alpha} with the
-    radial limit of its partial theta series at alpha."""
+    radial limit of its partial theta series at alpha, to ctx.tolerance()."""
     alpha = as_fraction(alpha)
     with ctx.working():
-        tolv = ctx.tolerance() if tol is None else mpf(tol)
-        q = RootOfUnity.from_fraction(alpha)
-        lhs = config.habiro_value(q, ctx)
-        spec = config.theta_spec()
-        rhs = theta_radial_limit(spec, alpha, ctx).value
+        lhs = config.habiro_value(RootOfUnity.from_fraction(alpha), ctx)
+        rhs = theta_radial_limit(config.theta_spec(), alpha, ctx).value
         return StrangeReport(config.family, config.u, config.ell, alpha,
-                             lhs, rhs, abs(lhs - rhs), tolv)
+                             lhs, rhs, abs(lhs - rhs), ctx.tolerance())

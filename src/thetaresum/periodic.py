@@ -5,7 +5,7 @@ The family handled here assigns +c on the residues {k1, M-k1} mod M, -c on
 attached to coprime (s,t) and everything the resummation pipeline consumes.
 Also houses PeriodicTable (how the library reads any periodic function), the
 sine-product transform f~, the index sets D(s,t), the finite S-matrix, and
-exact verification of the combinatorial facts about them.
+the check that f~ of a character decomposes over the characters of D(s,t).
 """
 
 from __future__ import annotations
@@ -287,27 +287,6 @@ def pair_set(s: int, t: int) -> PairSet:
     return ps
 
 
-def support_set(s: int, t: int) -> list:
-    """The integers {+-(nt +- ms) : (n,m) in D(s,t)}; distinct by construction.
-
-    A duplicate would contradict the distinctness lemma, so it is reported as
-    an internal consistency failure rather than a user error.
-    """
-    ps = pair_set(s, t)
-    out = []
-    for (n, m) in ps:
-        base = (n * t - m * s, n * t + m * s)
-        for v in base:
-            out.append(v)
-            out.append(-v)
-    if len(set(out)) != 2 * (s - 1) * (t - 1):
-        raise AssertionError(
-            f"support set of ({s},{t}) has duplicates; expected "
-            f"{2 * (s - 1) * (t - 1)} distinct integers, got {len(set(out))}"
-        )
-    return sorted(out)
-
-
 def s_matrix_entry(s: int, t: int, nm: tuple, nm2: tuple,
                    ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
     """sqrt(8/st) (-1)^{nm'+mn'+1} sin(nn't pi/s) sin(mm's pi/t)."""
@@ -337,17 +316,17 @@ class DecompositionReport:
 
 
 def verify_decomposition(s: int, t: int, nm: tuple,
-                         ctx: PrecisionContext = DEFAULT_CTX,
-                         tol=None) -> DecompositionReport:
+                         ctx: PrecisionContext = DEFAULT_CTX) -> DecompositionReport:
     """Check chi~^{(n,m)}(k) = -sqrt(st/8) sum_{(n',m')} S chi^{(n',m')}(k)
-    over every residue k mod 2st, plus the vanishing on multiples of s or t.
+    to 1e-12 over every residue k mod 2st, plus the vanishing on multiples of
+    s or t.
     """
     ps = pair_set(s, t)
     if tuple(nm) not in ps.pairs:
         raise ConfigError(f"{nm} is not in D({s},{t})")
     n, m = nm
     with ctx.working():
-        tolv = ctx.tolerance() if tol is None else mpf(tol)
+        tolv = mpf("1e-12")
         tilde = tilde_transform(chi_function(ChiParams(s, t, n, m))).table()
         chis = [chi_function(ChiParams(s, t, a, b)) for (a, b) in ps]
         row = [s_matrix_entry(s, t, nm, other, ctx) for other in ps]

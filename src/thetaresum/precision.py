@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath import mpf, mpc, workprec
@@ -64,9 +64,6 @@ class PrecisionContext:
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if self.ell_cap < 16:
             raise ValueError("ell_cap too small to be useful")
-
-    def with_tol(self, tol) -> "PrecisionContext":
-        return replace(self, tol=tol)
 
     def working(self, extra: int = 0):
         """mpmath context manager at prec + guard (+ extra) bits."""

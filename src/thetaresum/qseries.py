@@ -19,7 +19,7 @@ from mpmath import mp, mpf, mpc, workprec
 
 from .exact import bernoulli_polynomial
 from .periodic import (ChiParams, ConfigError, PeriodicFunction, PeriodicTable,
-                       TildeFunction, _divisors, chi_function, pair_set, s_matrix_entry)
+                       TildeFunction, _divisors, chi_function)
 from .precision import (DEFAULT_CTX, GUARD_BITS, MINUS_HALF, MINUS_THREE_HALVES, Estimate,
                         PrecisionContext, as_fraction, frac_to_mp)
 
@@ -334,45 +334,3 @@ def eichler_integral(s: int, t: int, nm: tuple, z, lower,
         value = pref * est.value
         err = pref * (est.error + hmax * poisson) + abs(value) * mpf(2) ** (-ctx.prec)
         return Estimate(value, err, est.budget_exhausted)
-
-
-@dataclass(frozen=True)
-class TransformReport:
-    s: int
-    t: int
-    nm: tuple
-    z: mpc
-    lhs: mpc
-    rhs: mpc
-    residual: mpf
-    tolerance: mpf
-
-    @property
-    def passed(self) -> bool:
-        return self.residual <= self.tolerance
-
-
-def verify_modular_transform(s: int, t: int, nm: tuple, z,
-                             ctx: PrecisionContext = DEFAULT_CTX,
-                             tol=None) -> TransformReport:
-    """Check theta^{(0)}_{chi(n,m)}(z) = sqrt(i/z) sum S theta^{(0)}_{chi'}(-1/z).
-
-    The left-hand index is read as (n,m); both sides are evaluated by the
-    truncated upper-half-plane sums at the context precision.
-    """
-    ps = pair_set(s, t)
-    if tuple(nm) not in ps.pairs:
-        raise ConfigError(f"{nm} not in D({s},{t})")
-    with ctx.working():
-        z = mpc(z)
-        if z.imag <= 0:
-            raise DomainError("need Im z > 0")
-        tolv = ctx.tolerance() if tol is None else mpf(tol)
-        lhs = theta_upper_half(_chi_spec0(s, t, nm), z, ctx).value
-        w = -1 / z
-        acc = mpc(0)
-        for other in ps:
-            S = s_matrix_entry(s, t, tuple(nm), other, ctx)
-            acc += S * theta_upper_half(_chi_spec0(s, t, other), w, ctx).value
-        rhs = mp.sqrt(1j / z) * acc
-        return TransformReport(s, t, tuple(nm), z, lhs, rhs, abs(lhs - rhs), tolv)

@@ -37,7 +37,7 @@ from mpmath import mp, mpf, mpc, workprec
 from .exact import FormalSeries
 from .precision import (DEFAULT_CTX, FIVE_HALVES, HALF, MINUS_FIVE_HALVES, MINUS_HALF,
                         MINUS_THREE_HALVES, THREE_HALVES, Estimate,
-                        PrecisionContext, as_fraction, frac_to_mp, richardson_limit, to_mpf)
+                        PrecisionContext, as_fraction, frac_to_mp, to_mpf)
 from .qseries import DomainError, ThetaSpec, theta_radial_limit, theta_upper_half
 
 
@@ -476,16 +476,3 @@ def boundary_point(alpha) -> mpc:
     """The boundary point x = -1/(2 pi i alpha) = i/(2 pi alpha)."""
     alpha = as_fraction(alpha)
     return mpc(0, 1) / (2 * mp.pi * frac_to_mp(alpha))
-
-
-def boundary_median_extrapolated(series: FormalSeries, alpha,
-                                 ctx: PrecisionContext = DEFAULT_CTX,
-                                 eps_values=(mpf("1e-2"), mpf("1e-3"), mpf("1e-4"))) -> Estimate:
-    """Interior oracle: Richardson of median_sum at x = boundary + eps."""
-    alpha = as_fraction(alpha)
-    with ctx.working(20):
-        x0 = boundary_point(alpha)
-        xs = [mpf(e) for e in eps_values]
-        ests = [median_sum(series, x0 + e, ctx) for e in xs]
-        val, err = richardson_limit(xs, [e.value for e in ests])
-        return Estimate(val, err, any(e.budget_exhausted for e in ests))

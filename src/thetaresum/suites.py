@@ -109,7 +109,7 @@ def suite_gentor(cfg: Config, ctx: PrecisionContext, report: Report, **_):
     s, t_, _, _ = _require_chi(cfg)
     for nm in pair_set(s, t_):
         with timed() as t:
-            rep = verify_decomposition(s, t_, nm, ctx, tol=mpf("1e-12"))
+            rep = verify_decomposition(s, t_, nm, ctx)
         report.add("gentor.keyform", {"s": s, "t": t_, "nm": nm},
                    rep.max_residual, mpf(0), rep.tolerance, t.elapsed)
         report.add("gentor.support-vanishing", {"s": s, "t": t_, "nm": nm},
@@ -133,7 +133,7 @@ def suite_strange(cfg: Config, ctx: PrecisionContext, report: Report,
 
 
 def suite_main2(cfg: Config, ctx: PrecisionContext, report: Report,
-                alpha=None, extrapolate: bool = False, **_):
+                alpha=None, **_):
     st = _require_chi(cfg)
     s, t_ = st[0], st[1]
     if cfg.b != 4 * s * t_:
@@ -147,14 +147,6 @@ def suite_main2(cfg: Config, ctx: PrecisionContext, report: Report,
         rl = theta_radial_limit(ThetaSpec(a=0, b=cfg.b, nu=1, f=cfg.f), alpha, ctx)
     report.add("main2.boundary-median", {"config": cfg.label(), "alpha": alpha},
                bm.value, rl.value, max(ctx.tolerance(), mpf("1e-6")), t.elapsed)
-    if extrapolate:
-        with timed() as t:
-            eps = [mpf("1e-3") * mpf(2) ** (-k) for k in range(5)]
-            ex = resum_mod.boundary_median_extrapolated(
-                series, alpha, ctx.with_tol(1e-7), eps_values=eps)
-        report.add("main2.interior-extrapolation",
-                   {"config": cfg.label(), "alpha": alpha},
-                   bm.value, ex.value, mpf("1e-4"), t.elapsed)
     return report
 
 
@@ -196,8 +188,7 @@ _SUITE_FN = {
 }
 
 
-def run_suite(name: str, cfg: Config, ctx: PrecisionContext,
-              alpha=None, extrapolate: bool = False) -> Report:
+def run_suite(name: str, cfg: Config, ctx: PrecisionContext, alpha=None) -> Report:
     if name not in SUITES:
         raise ConfigError(f"unknown suite {name!r}; choose from {SUITES}")
     report = Report(config=cfg.describe(), prec_bits=ctx.prec, tolerance=str(ctx.tol))
@@ -205,13 +196,13 @@ def run_suite(name: str, cfg: Config, ctx: PrecisionContext,
     # sum, borel's Taylor comparison): give them the context precision
     with ctx.working():
         if name != "all":
-            return _SUITE_FN[name](cfg, ctx, report, alpha=alpha, extrapolate=extrapolate)
+            return _SUITE_FN[name](cfg, ctx, report, alpha=alpha)
         for key in ("coeffs", "borel", "disc", "cm"):
             _SUITE_FN[key](cfg, ctx, report)
         if cfg.chi_idx is not None:
             suite_gentor(cfg, ctx, report)
             if alpha is not None and cfg.b == 4 * cfg.chi_idx[0] * cfg.chi_idx[1]:
-                suite_main2(cfg, ctx, report, alpha=alpha, extrapolate=extrapolate)
+                suite_main2(cfg, ctx, report, alpha=alpha)
         if alpha is not None:
             try:
                 suite_strange(cfg, ctx, report, alpha=alpha)

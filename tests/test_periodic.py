@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, workprec
 
-from reference import fold_pair, pair_set_alternative, s_matrix
+from reference import fold_pair, pair_set_alternative, s_matrix, support_set
 from thetaresum import periodic
 from thetaresum.config import config_hikami, config_t3_2k
 from thetaresum.periodic import (ChiParams, ConfigError, chi_function, make_periodic,
-                                 pair_set, s_matrix_entry, support_set,
-                                 tilde_transform, verify_decomposition)
+                                 pair_set, s_matrix_entry, tilde_transform,
+                                 verify_decomposition)
 from thetaresum.precision import PrecisionContext
 from thetaresum.resum import disc_closed_form
 
@@ -291,7 +291,7 @@ class TestSMatrix:
 
 class TestDecomposition:
     def test_trefoil_all_residues(self):
-        rep = verify_decomposition(2, 3, (1, 1), CTX, tol=mpf("1e-12"))
+        rep = verify_decomposition(2, 3, (1, 1), CTX)
         assert rep.passed
         # spot value at k=1: both sides -sqrt(3)/2
         with workprec(80):
@@ -300,7 +300,7 @@ class TestDecomposition:
 
     def test_3_4_pairs(self):
         for nm in pair_set(3, 4):
-            assert verify_decomposition(3, 4, nm, CTX, tol=mpf("1e-12")).passed
+            assert verify_decomposition(3, 4, nm, CTX).passed
 
     def test_invariant_small_products(self):
         # all (s,t) with s*t <= 40 at 64-bit precision
@@ -309,7 +309,7 @@ class TestDecomposition:
             if s * t > 40:
                 continue
             for nm in pair_set(s, t):
-                rep = verify_decomposition(s, t, nm, ctx64, tol=mpf("1e-12"))
+                rep = verify_decomposition(s, t, nm, ctx64)
                 assert rep.passed, (s, t, nm, rep.max_residual)
 
     def test_rejects_outside_pairs(self):

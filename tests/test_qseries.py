@@ -5,15 +5,14 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf, mpc, workprec
 
-from reference import eichler_integral_quadrature, radial_extrapolate
+from reference import eichler_integral_quadrature, radial_extrapolate, verify_modular_transform
 from thetaresum.config import config_chi, trefoil_chi, trefoil_strange
 from thetaresum.periodic import ChiParams, PeriodicTable, chi_function, make_periodic, pair_set, \
     s_matrix_entry, tilde_transform
 from thetaresum.precision import PrecisionContext, frac_to_mp
 from thetaresum.qseries import (DomainError, NoRadialLimitError, ThetaSpec,
                                 VerticalTheta, eichler_integral,
-                                theta_radial_limit, theta_upper_half,
-                                verify_modular_transform, twisted_table)
+                                theta_radial_limit, theta_upper_half, twisted_table)
 
 CTX = PrecisionContext(prec=128, tol=1e-10)
 TREFOIL_F = make_periodic(Fraction(-1, 2), 12, 1, 5)

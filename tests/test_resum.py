@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf, mpc, workprec
 
-from reference import (E_KAPPA, boundary_median_quadrature, e_limit, lateral_sum_quadrature,
-                       median_sum_e_series, optimal_truncation,
-                       tilde_dirichlet_blocks_reference)
+from reference import (E_KAPPA, boundary_median_extrapolated, boundary_median_quadrature,
+                       e_limit, lateral_sum_quadrature, median_sum_e_series,
+                       optimal_truncation, tilde_dirichlet_blocks_reference)
 from thetaresum import resum
 from thetaresum.borel import borel_eval
 from thetaresum.config import (config_chi, config_hikami, config_t3_2k, trefoil_chi,
@@ -16,8 +16,8 @@ from thetaresum.config import (config_chi, config_hikami, config_t3_2k, trefoil_
 from thetaresum.periodic import ChiParams, chi_function, pair_set, tilde_transform
 from thetaresum.precision import MINUS_HALF, PrecisionContext
 from thetaresum.qseries import DomainError, ThetaSpec, theta_radial_limit, theta_upper_half
-from thetaresum.resum import (_ray_laplace, boundary_median, boundary_median_extrapolated,
-                              boundary_point, disc_closed_form, discontinuity, ell_sum,
+from thetaresum.resum import (_ray_laplace, boundary_median, boundary_point,
+                              disc_closed_form, discontinuity, ell_sum,
                               laplace_kernel, lateral_sum, median_sum, special_e,
                               tilde_dirichlet, tilde_dirichlet_blocks)
 
