@@ -151,7 +151,7 @@ def borel_eval(series: FormalSeries, p, ctx: PrecisionContext = DEFAULT_CTX,
     branch points, is resummed through K terms of the binomial expansion,
     whose l-sums are shifted Hurwitz zeta values (ell_sum).  (L, K) come
     from resum._truncation; the error is its bound on the rest plus
-    roundoff, flagged when ctx.ell_cap keeps that bound above the target.
+    roundoff.
 
     side: '+' or '-' selects the limit from Im p > 0 or Im p < 0 when p lies
     exactly on the cut ray beyond the first singularity.
@@ -197,10 +197,7 @@ def borel_eval(series: FormalSeries, p, ctx: PrecisionContext = DEFAULT_CTX,
             binom.append(binom[-1] * (FIVE_HALVES + k) / (k + 1))
         bounds = [(binom[K] * rho ** K * c0, 2 * K + 3) for K in range(1, TRUNCATION_K_MAX + 1)]
         target = ctx.tolerance() * mpf("0.01") + mpf(2) ** (-ctx.prec - 8)
-        L, K, bound, exhausted = _truncation(tilde, bounds, L0, target / abs(pref), ctx.ell_cap)
+        cut, K = _truncation(tilde, bounds, L0, target / abs(pref), ctx.ell_cap)
         moments = [(4 + 2 * k, binom[k] * (p / series.b) ** k * A ** (MINUS_FIVE_HALVES - k))
                    for k in range(K)]
-        est = ell_sum(tilde, L, term, moments, bound)
-        value = pref * est.value
-        err = abs(pref) * est.error + abs(value) * mpf(2) ** (-ctx.prec)
-        return Estimate(value, err, exhausted)
+        return (ell_sum(tilde, cut, term, moments) * pref).rounded(ctx.prec)

@@ -87,14 +87,29 @@ class Estimate:
 
     budget_exhausted is set when a truncated sum stopped at ctx.ell_cap
     before its bound met the target; the value is then a partial answer.
+    Arithmetic carries both, at the current mpmath precision: a sum of
+    estimates adds their errors and ORs their flags, a product with a
+    number c scales the error by |c|, and adding an exact number shifts the
+    value alone (a difference is a + b * -1).
     """
 
     value: mpc
     error: mpf
     budget_exhausted: bool = False
 
-    def __iter__(self):
-        return iter((self.value, self.error))
+    def __add__(self, other):
+        if isinstance(other, Estimate):
+            return Estimate(self.value + other.value, self.error + other.error,
+                            self.budget_exhausted or other.budget_exhausted)
+        return Estimate(self.value + other, self.error, self.budget_exhausted)
+
+    def __mul__(self, c):
+        return Estimate(self.value * c, self.error * abs(c), self.budget_exhausted)
+
+    def rounded(self, prec: int):
+        """The same estimate with |value| 2^-prec of roundoff added to its error."""
+        return Estimate(self.value, self.error + abs(self.value) * mpf(2) ** (-prec),
+                        self.budget_exhausted)
 
 
 def as_fraction(x) -> Fraction:

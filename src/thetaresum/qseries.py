@@ -65,8 +65,9 @@ def _gauss_tail(nu: int, lam, n0: int):
 
 
 def _gauss_cutoff(bound, target, cap: int):
-    """(N, bound(N)), N the least in [1, cap] with bound(N) <= target, else cap;
-    bound is nonincreasing (a _gauss_tail multiple): doubling, then bisection."""
+    """The cut (N, bound(N), bound(N) > target) for resum.ell_sum, N the least in
+    [1, cap] with bound(N) <= target, else cap; bound is nonincreasing (a
+    _gauss_tail multiple): doubling, then bisection."""
     lo, hi = 0, 1
     while (b := bound(hi)) > target and hi < cap:
         lo, hi = hi, min(2 * hi, cap)
@@ -76,14 +77,14 @@ def _gauss_cutoff(bound, target, cap: int):
             lo = mid
         else:
             hi, b = mid, bm
-    return hi, b
+    return hi, b, b > target
 
 
 def theta_upper_half(spec: ThetaSpec, x, ctx: PrecisionContext = DEFAULT_CTX) -> Estimate:
     """Truncated theta sum with a Gaussian tail bound; requires Im x > 0.
 
     f(0) = 0, so resum.ell_sum takes n = 1..N, N from _gauss_cutoff at
-    2^-(prec + GUARD_BITS); budget_exhausted: ctx.ell_cap stopped N short."""
+    2^-(prec + GUARD_BITS)."""
     from . import resum  # resum imports this module
     with ctx.working():
         x = mpc(x)
@@ -92,17 +93,14 @@ def theta_upper_half(spec: ThetaSpec, x, ctx: PrecisionContext = DEFAULT_CTX) ->
         lam = 2 * mp.pi * x.imag / spec.b
         h = spec.f.table()
         scale = h.max_abs() * mp.exp(2 * mp.pi * x.imag * spec.a / spec.b)
-        target = mpf(2) ** (-ctx.prec - GUARD_BITS)
-        N, tail = _gauss_cutoff(lambda n: scale * _gauss_tail(spec.nu, lam, n),
-                                target, ctx.ell_cap)
+        cut = _gauss_cutoff(lambda n: scale * _gauss_tail(spec.nu, lam, n),
+                            mpf(2) ** (-ctx.prec - GUARD_BITS), ctx.ell_cap)
 
         def term(n):
             with workprec(mp.prec + 2 * n.bit_length()):  # x (n^2 - a) exactly
                 return (n ** spec.nu) * mp.exp(2j * mp.pi * (x * (n * n - spec.a)) / spec.b)
 
-        est = resum.ell_sum(h, N, term, [], tail)
-        return Estimate(est.value, est.error + abs(est.value) * mpf(2) ** (-ctx.prec),
-                        tail > target)
+        return resum.ell_sum(h, cut, term, []).rounded(ctx.prec)
 
 
 # ---------------------------------------------------------------------------
@@ -223,14 +221,14 @@ class VerticalTheta:
         cap = (mp.prec + 4) * P  # both decay rates exceed pi/P, so N^2 < cap
         if lam * P >= mp.pi:
             # direct sum
-            N, _ = _gauss_cutoff(lambda n: hmax * _gauss_tail(0, lam, n), target, cap)
+            N = _gauss_cutoff(lambda n: hmax * _gauss_tail(0, lam, n), target, cap)[0]
             return sum((h(n) * mp.exp(-lam * n * n) for n in range(1, N + 1) if h(n)), mpc(0))
         # Poisson regime: theta = F/2 with
         # F = (1/P) sqrt(pi/lam) sum_{j != 0} H(j) e^{-pi^2 j^2/(lam P^2)};
         # H(0) = 0, whose roundoff would grow like w^{-1/2}; |H(j)| <= P hmax
         pref = mp.sqrt(mp.pi / lam) / P
         mu = mp.pi ** 2 / (lam * P * P)
-        J, _ = _gauss_cutoff(lambda j: pref * P * hmax * _gauss_tail(0, mu, j), target, cap)
+        J = _gauss_cutoff(lambda j: pref * P * hmax * _gauss_tail(0, mu, j), target, cap)[0]
         return pref * sum((self._dft(j) * mp.exp(-mu * j * j) for j in range(1, J + 1)), mpc(0))
 
 
@@ -272,7 +270,7 @@ def eichler_integral(s: int, t: int, nm: tuple, z, lower,
     Past N the first and last sum to at most hmax (w0 + Re c)^{-3/2}
     lambda_{N+1}^{-1} sum_{n>N} e^{-lambda_1 w0 n^2}.  The error adds the
     tail and Poisson bounds, the head and Hurwitz roundoff (ell_sum) and
-    |value| 2^-prec; budget_exhausted: ctx.ell_cap stopped N or N0 short.
+    |value| 2^-prec.
     """
     from . import resum  # resum imports this module
     spec = _chi_spec0(s, t, nm)
@@ -324,13 +322,10 @@ def eichler_integral(s: int, t: int, nm: tuple, z, lower,
                 return phase * v
 
             scale = hmax * (w0 + mp.re(c)) ** MINUS_THREE_HALVES / lam1
-            N, tail = _gauss_cutoff(lambda n: scale / (n + 1) ** 2 * _gauss_tail(0, lam1 * w0, n),
-                                    target, ctx.ell_cap)
-            est = resum.ell_sum(table, N, term, [], tail)
-            est = Estimate(est.value, est.error, tail > target)
+            cut = _gauss_cutoff(lambda n: scale / (n + 1) ** 2 * _gauss_tail(0, lam1 * w0, n),
+                                target, ctx.ell_cap)
+            est = resum.ell_sum(table, cut, term, []) + Estimate(mpf(0), hmax * poisson)
         else:
             # terms falling like n^{-2}: a head and Watson moments
             est = resum.vertical_sum(table, lam1, c, target, ctx.ell_cap)
-        value = pref * est.value
-        err = pref * (est.error + hmax * poisson) + abs(value) * mpf(2) ** (-ctx.prec)
-        return Estimate(value, err, est.budget_exhausted)
+        return (est * pref).rounded(ctx.prec)

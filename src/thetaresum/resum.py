@@ -22,14 +22,17 @@ beyond it, so no quadrature is left.
 These sums, the Borel transform's and the Eichler integrals' share one
 shape, written once as ell_sum: a kernel taken term by term over l <= L,
 its expansion in l^{-2} as shifted Hurwitz sums over l > L, the caller's
-bound on the rest, and the roundoff of both parts in the error.  They take
-(L, K) from one chooser (_truncation), and the Gaussian-tailed theta heads
-take N from qseries._gauss_cutoff.  All fractional powers are principal.
+bound on the rest, and the roundoff of both parts in the error.  Its cut
+(L, bound, budget flag) comes from one chooser (_truncation, which also
+picks K), or from qseries._gauss_cutoff for the Gaussian-tailed theta
+heads, and ell_sum returns its sum already flagged; each public sum then
+combines such estimates by Estimate arithmetic.  All fractional powers
+are principal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from mpmath import mp, mpf, mpc, workprec
@@ -118,7 +121,7 @@ def tilde_dirichlet(table, s: int, start: int = 0) -> mpf:
     return total / mpf(P) ** s
 
 
-def ell_sum(table, L: int, term, moments, bound) -> Estimate:
+def ell_sum(table, cut, term, moments) -> Estimate:
     """sum_{l<=L} h(l) term(l) + sum_k c_k sum_{l>L} h(l) l^{-s_k}, with its error.
 
     The one l-sum of the Borel, lateral and boundary sums (h = f~, read
@@ -126,14 +129,17 @@ def ell_sum(table, L: int, term, moments, bound) -> Estimate:
     periodic.PeriodicTable of period P: a kernel taken term by term over
     the head l <= L (L >= 1), the first terms of its expansion in l^{-2} as
     moments (s_k, c_k) over l > L, each a shifted Hurwitz sum
-    (tilde_dirichlet), and the caller's bound on the rest.  The head's
-    roundoff is counted as sum |h(l) term(l)| 2^{8-prec}.
+    (tilde_dirichlet).  cut = (L, bound, exhausted), as _truncation or
+    qseries._gauss_cutoff return it: bound is the caller's bound on the
+    rest, and exhausted becomes the budget flag.  The head's roundoff is
+    counted as sum |h(l) term(l)| 2^{8-prec}.
     mp.zeta(s, x) is accurate to about 2^-prec max(1, zeta) absolutely, not
     relatively, so moment k is off by at most scale_k 2^{8-bits}, with
     scale_k = |c_k| hmax (P^{1-s} + P L^{1-s}/(s-1)); it is summed at the
     bits = max(53, prec + mag(scale_k) - mag(scale_0)) that bring this to
     the level of moment 0.  The error is bound plus both roundoffs.
     """
+    L, bound, exhausted = cut
     head = mpc(0)
     size = mpf(0)
     for ell in range(1, L + 1):
@@ -154,7 +160,7 @@ def ell_sum(table, L: int, term, moments, bound) -> Estimate:
             w_s = tilde_dirichlet(table, s, L)
         tail += c * w_s
         roundoff += scale * mpf(2) ** (8 - bits)
-    return Estimate(head + tail, bound + roundoff)
+    return Estimate(head + tail, bound + roundoff, exhausted)
 
 
 # _truncation's price of one Hurwitz zeta call, in head kernel calls, and the
@@ -168,7 +174,7 @@ TRUNCATION_K_MAX = 40
 
 
 def _truncation(table, bounds, floor: int, target, ell_cap: int):
-    """The cheapest (L, K, bound, budget_exhausted) for an ell_sum.
+    """The cheapest cut (L, bound, budget_exhausted) for an ell_sum, and its K.
 
     bounds[K-1] = (c_K, e_K): the rest after l <= L and K moments is at most
     c_K L^{-e_K}.  Each K takes the least L >= floor meeting the target, at
@@ -185,9 +191,9 @@ def _truncation(table, bounds, floor: int, target, ell_cap: int):
             if (L := max(floor, int(mp.ceil((c / target) ** (mpf(1) / e))))) <= cap]
     if fits:
         _, K, L, bound = min(fits)
-        return L, K, bound, False
+        return (L, bound, False), K
     bound, K = min((c / mpf(cap) ** e, K) for K, (c, e) in enumerate(bounds, 1))
-    return cap, K, bound, True
+    return (cap, bound, True), K
 
 
 BLOCK_ELL_CAP = 10_000_000  # most terms tilde_dirichlet_blocks will sum
@@ -283,11 +289,11 @@ def lateral_sum(series: FormalSeries, x, side: str,
     |R_K(w)| <= beta_K 2^{(K+5/2)/2} |w|^K; the ray integral of |p|^K is
     K!/sig^{K+1} (sig = Re e^{+-i theta} x); sum_{l>L} l^{-2K-4} <=
     L^{-2K-3}/(2K+3).  (L, K) come from _truncation.  The error is that
-    bound plus roundoff, flagged when ctx.ell_cap keeps it above the target.
+    bound plus roundoff.
     """
-    if side not in ("plus", "minus", "+", "-"):
+    if side not in ("plus", "minus"):
         raise ValueError("side must be 'plus' or 'minus'")
-    sgn = 1 if side in ("plus", "+") else -1
+    sgn = 1 if side == "plus" else -1
     with ctx.working(20):
         x = mpc(x)
         if x.real == 0:
@@ -310,17 +316,15 @@ def lateral_sum(series: FormalSeries, x, side: str,
                    * m2pi2 ** (K + FIVE_HALVES) / (sig ** (K + 1) * mpf(b) ** K * (2 * K + 3)),
                    2 * K + 3) for K in range(1, TRUNCATION_K_MAX + 1)]
         target = ctx.tolerance() * mpf("0.1") + mpf(2) ** (-ctx.prec)
-        L, K, bound, exhausted = _truncation(
+        cut, K = _truncation(
             tilde, bounds, max(6, series.tilde.first_support), target / abs(pref), ctx.ell_cap)
 
         # the head l <= L in closed form, K moments over l > L
         moments = [(4 + 2 * j, beta[j] * mpf(b) ** (-j) * mp.factorial(j) / x ** (j + 1)
                     * m2pi2 ** (FIVE_HALVES + j)) for j in range(K)]
-        est = ell_sum(tilde, L, lambda ell: ell * (Apref * ell * ell) ** MINUS_FIVE_HALVES
-                      * _ray_laplace(Apref * ell * ell * b, x, sgn), moments, bound)
-        value = to_mpf(series.c_m) + pref * est.value
-        err = abs(pref) * est.error + abs(value) * mpf(2) ** (-ctx.prec)
-        return Estimate(value, err, exhausted)
+        est = ell_sum(tilde, cut, lambda ell: ell * (Apref * ell * ell) ** MINUS_FIVE_HALVES
+                      * _ray_laplace(Apref * ell * ell * b, x, sgn), moments)
+        return (est * pref + to_mpf(series.c_m)).rounded(ctx.prec)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +347,6 @@ def disc_closed_form(series: FormalSeries, x, ctx: PrecisionContext = DEFAULT_CT
     The sum is theta^{(1)}_{0,4M^2,f~}(2 pi i b x), the nu = 1 partial theta
     of f~ with modulus 4M^2, summed by theta_upper_half with its Gaussian
     tail bound; boundary_median takes the radial limit of the same series.
-    budget_exhausted is theta_upper_half's.
     """
     with ctx.working(20):
         x = mpc(x)
@@ -353,9 +356,7 @@ def disc_closed_form(series: FormalSeries, x, ctx: PrecisionContext = DEFAULT_CT
         pref = 2j * (2 * b * mp.pi * x) ** THREE_HALVES * mp.sqrt(2) * to_mpf(series.f.c) / M ** 2
         theta = theta_upper_half(ThetaSpec(a=0, b=4 * M * M, nu=1, f=series.tilde),
                                  2j * mp.pi * b * x, ctx)
-        value = pref * theta.value
-        return Estimate(value, abs(pref) * theta.error + abs(value) * mpf(2) ** (-ctx.prec),
-                        theta.budget_exhausted)
+        return (theta * pref).rounded(ctx.prec)
 
 
 def discontinuity(series: FormalSeries, x,
@@ -365,10 +366,7 @@ def discontinuity(series: FormalSeries, x,
         x = mpc(x)
         plus = lateral_sum(series, x, "plus", ctx)
         minus = lateral_sum(series, x, "minus", ctx)
-        numeric = Estimate(plus.value - minus.value, plus.error + minus.error,
-                           plus.budget_exhausted or minus.budget_exhausted)
-        closed = disc_closed_form(series, x, ctx)
-        return DiscontinuityResult(numeric, closed, x)
+        return DiscontinuityResult(plus + minus * -1, disc_closed_form(series, x, ctx), x)
 
 
 def median_sum(series: FormalSeries, x, ctx: PrecisionContext = DEFAULT_CTX) -> Estimate:
@@ -383,9 +381,8 @@ def median_sum(series: FormalSeries, x, ctx: PrecisionContext = DEFAULT_CTX) -> 
 
     Side rule: minus with + disc/2 for arg x >= 0, plus with - disc/2
     otherwise; only the chosen side's ray converges once |arg x| > pi/4.
-    The error is the lateral error plus half the jump's, plus roundoff;
-    budget_exhausted is either's.  On the real axis S- = conj S+ (Schwarz
-    reflection), so the median is real and its real part is returned.
+    On the real axis S- = conj S+ (Schwarz reflection), so the median is
+    real and its real part is returned.
     """
     with ctx.working(20):
         x = mpc(x)
@@ -394,11 +391,10 @@ def median_sum(series: FormalSeries, x, ctx: PrecisionContext = DEFAULT_CTX) -> 
         side, sgn = ("minus", 1) if x.imag >= 0 else ("plus", -1)
         lat = lateral_sum(series, x, side, ctx)
         jump = disc_closed_form(series, x, ctx)
-        value = lat.value + sgn * jump.value / 2
+        est = lat + jump * (sgn * HALF)
         if x.imag == 0:
-            value = mpc(value.real)
-        err = lat.error + jump.error / 2 + abs(value) * mpf(2) ** (-ctx.prec)
-        return Estimate(value, err, lat.budget_exhausted or jump.budget_exhausted)
+            est = replace(est, value=mpc(est.value.real))
+        return est.rounded(ctx.prec)
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +418,7 @@ def vertical_sum(table, lam1, c, target, ell_cap: int) -> Estimate:
     Taylor remainder of (1 + x)^{-3/2} is at most |C(-3/2, K) x^K|.  The
     moments are sums of h(l) l^{-2k-2} over l > N0 (ell_sum); the rest,
     summed over l > N0, is at most hmax |c|^{-3/2-K} (3/2)_K lam1^{-K-1}
-    N0^{-2K-1}/(2K+1).  (N0, K) come from _truncation; budget_exhausted:
-    ell_cap kept that bound above the target.
+    N0^{-2K-1}/(2K+1).  (N0, K) come from _truncation.
     """
     bounds, moments = [], []
     coef = table.max_abs() * abs(c) ** MINUS_THREE_HALVES / lam1    # K = 0
@@ -433,11 +428,10 @@ def vertical_sum(table, lam1, c, target, ell_cap: int) -> Estimate:
         mk *= -(K + HALF) / (c * lam1)
         coef *= (K + HALF) / (abs(c) * lam1)
         bounds.append((coef / (2 * K + 1), 2 * K + 1))
-    N0, K, tail, exhausted = _truncation(table, bounds, 1, target, ell_cap)
+    cut, K = _truncation(table, bounds, 1, target, ell_cap)
     root = -c ** MINUS_HALF
-    est = ell_sum(table, N0, lambda ell: root * laplace_kernel(
-        -lam1 * ell * ell * c, 0, MINUS_HALF), moments[:K], tail)
-    return Estimate(est.value, est.error, exhausted)
+    return ell_sum(table, cut, lambda ell: root * laplace_kernel(
+        -lam1 * ell * ell * c, 0, MINUS_HALF), moments[:K])
 
 
 def boundary_median(series: FormalSeries, alpha,
@@ -466,10 +460,7 @@ def boundary_median(series: FormalSeries, alpha,
         theta1 = theta_radial_limit(ThetaSpec(a=0, b=4 * M * M, nu=1, f=tilde),
                                     Fraction(-b, 1) / alpha, ctx)
         t2_pref = (mpf(b) / mpc(0, frac_to_mp(alpha))) ** THREE_HALVES * mp.sqrt(2) * c / M ** 2
-        value = t1_pref * est.value + t2_pref * theta1.value
-        err = abs(t1_pref) * est.error + abs(t2_pref) * theta1.error \
-            + abs(value) * mpf(2) ** (-ctx.prec)
-        return Estimate(value, err, est.budget_exhausted)
+        return (est * t1_pref + theta1 * t2_pref).rounded(ctx.prec)
 
 
 def boundary_point(alpha) -> mpc:

@@ -336,8 +336,9 @@ def median_sum_e_series(series, x, ctx: PrecisionContext = DEFAULT_CTX) -> Estim
             L = min(2 * L, ctx.ell_cap)
         bound = tail_bound(L)
 
-        est = ell_sum(tilde.table(), L, lambda ell: special_e(rho * ell, ctx) / mpf(ell) ** 2,
-                      [(2, e_limit()), (4, 3 / (4 * mp.sqrt(mp.pi) * rho ** 2))], bound)
+        est = ell_sum(tilde.table(), (L, bound, False),
+                      lambda ell: special_e(rho * ell, ctx) / mpf(ell) ** 2,
+                      [(2, e_limit()), (4, 3 / (4 * mp.sqrt(mp.pi) * rho ** 2))])
         value = pref * est.value
         err = abs(pref) * est.error + abs(value) * mpf(2) ** (-ctx.prec)
         return Estimate(value, err, abs(pref) * bound > target)

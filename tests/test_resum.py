@@ -14,8 +14,9 @@ from thetaresum.borel import borel_eval
 from thetaresum.config import (config_chi, config_hikami, config_t3_2k, trefoil_chi,
                                trefoil_strange)
 from thetaresum.periodic import ChiParams, chi_function, pair_set, tilde_transform
-from thetaresum.precision import MINUS_HALF, PrecisionContext
-from thetaresum.qseries import DomainError, ThetaSpec, theta_radial_limit, theta_upper_half
+from thetaresum.precision import MINUS_HALF, Estimate, PrecisionContext
+from thetaresum.qseries import (DomainError, ThetaSpec, eichler_integral, theta_radial_limit,
+                                theta_upper_half)
 from thetaresum.resum import (_ray_laplace, boundary_median, boundary_point,
                               disc_closed_form, discontinuity, ell_sum,
                               laplace_kernel, lateral_sum, median_sum, special_e,
@@ -117,6 +118,8 @@ class TestLateral:
             lateral_sum(SER, mpc("0.1", -5), "minus", CTX)  # ray-direction violation
         with pytest.raises(ValueError):
             lateral_sum(SER, mpf(1), "sideways", CTX)
+        with pytest.raises(ValueError):
+            lateral_sum(SER, mpf(1), "+", CTX)
 
 
 class TestLateralTruncation:
@@ -397,7 +400,7 @@ class TestShiftedDirichlet:
                     assert abs(diff - head) <= 2 * (M + s + 4) * size * mpf(2) ** -128, (s, start)
                 # the engine: head l^{-s} term by term, the rest as one moment
                 with workprec(128):
-                    est = ell_sum(tilde.table(), start, lambda ell: mpf(ell) ** -s, [(s, 1)], 0)
+                    est = ell_sum(tilde.table(), (start, 0, False), lambda ell: mpf(ell) ** -s, [(s, 1)])
                 with workprec(192):
                     full = tilde_dirichlet(tilde.table(), s)
                     assert abs(est.value - full) <= est.error, (s, start)
@@ -420,7 +423,7 @@ class TestShiftedDirichlet:
 
         def run(prec):
             with workprec(prec):
-                return ell_sum(tilde.table(), L, lambda ell: 0, moments, 0)
+                return ell_sum(tilde.table(), (L, 0, False), lambda ell: 0, moments)
 
         monkeypatch.setattr(resum, "tilde_dirichlet", recording)
         est = run(128)
@@ -641,6 +644,32 @@ class TestSumErrorBars:
         assert md.error <= mpf("1e-30") and not md.budget_exhausted
 
 
+class TestEstimateArithmetic:
+    """The one error rule of every composite sum: sums add errors, a factor
+    c scales the error by |c|, rounding adds |value| 2^-prec, and a budget
+    flag on either operand survives every operation."""
+
+    def test_errors_propagate_and_flags_survive(self):
+        with workprec(64):
+            plain = Estimate(mpc(1, 2), mpf("0.25"))
+            flagged = Estimate(mpc(3, -1), mpf("0.5"), True)
+            c = mpc(3, 4)  # |c| = 5
+            for a, b in ((plain, flagged), (flagged, plain)):
+                total, diff = a + b, a + b * -1
+                assert total.value == a.value + b.value and diff.value == a.value - b.value
+                assert total.error == diff.error == mpf("0.75")
+                assert total.budget_exhausted and diff.budget_exhausted
+            assert not (plain + plain).budget_exhausted
+            for est in (plain, flagged):
+                scaled, shifted, rounded = est * c, est + mpf(7), est.rounded(40)
+                assert scaled.value == est.value * c and scaled.error == 5 * est.error
+                assert shifted.value == est.value + 7 and shifted.error == est.error
+                assert rounded.value == est.value
+                assert rounded.error == est.error + abs(est.value) * mpf(2) ** -40
+                for out in (scaled, shifted, rounded):
+                    assert out.budget_exhausted == est.budget_exhausted
+
+
 class TestBudgetFlag:
     """ell_cap = 16 against a 1e-11 target: at x = 0.05 the least lateral
     bound with L = 16 is about 4e-6, near boundary_point(4) about 3e-5."""
@@ -674,12 +703,15 @@ class TestBudgetFlag:
         assert abs(res.value - roomy.value) <= res.error + roomy.error
 
     def test_gaussian_and_borel_sums_stop_at_the_cap(self):
-        """theta_upper_half, disc_closed_form (through it), median_sum and
-        borel_eval stop at ctx.ell_cap and flag it, with error bars that hold.
-        The theta sum at 0.3 + 0.01i needs about 180 terms.  At 0.1 + 0.1i
-        the lateral sum fits in 16 terms and the jump's theta sum does not,
-        so median_sum's flag is the jump's.  borel_eval at 329 + 1.6i and tol
-        1e-30 needs a head past its floor 2M = 24, which a lower cap keeps."""
+        """theta_upper_half, disc_closed_form (through it), median_sum,
+        borel_eval and eichler_integral stop at ctx.ell_cap and flag it, with
+        error bars that hold.  The theta sum at 0.3 + 0.01i needs about 180
+        terms.  At 0.1 + 0.1i the lateral sum fits in 16 terms and the jump's
+        theta sum does not, so median_sum's flag is the jump's.  borel_eval
+        at 329 + 1.6i and tol 1e-30 needs a head past its floor 2M = 24,
+        which a lower cap keeps.  The Eichler integral of chi(2,3) stops
+        short both in its Gaussian head (z = alpha = 1/2) and in its
+        vertical sum (z = 0.2 - 0.3i, alpha = 1/3)."""
         tiny = PrecisionContext(prec=96, tol=1e-10, ell_cap=16)
         spec = trefoil_chi().theta_spec(1)
         x, xm = mpc("0.3", "0.01"), mpc("0.1", "0.1")
@@ -689,7 +721,11 @@ class TestBudgetFlag:
                  (lambda ctx: disc_closed_form(SER, xm, ctx), tiny, CTX),
                  (lambda ctx: median_sum(SER, xm, ctx), tiny, CTX),
                  (lambda ctx: borel_eval(SER, mpc("329", "1.6"), ctx),
-                  PrecisionContext(prec=128, tol=1e-30, ell_cap=16), deep)]
+                  PrecisionContext(prec=128, tol=1e-30, ell_cap=16), deep),
+                 (lambda ctx: eichler_integral(2, 3, (1, 1), mpf("0.5"), Fraction(1, 2), ctx),
+                  tiny, CTX),
+                 (lambda ctx: eichler_integral(2, 3, (1, 1), mpc("0.2", "-0.3"), Fraction(1, 3),
+                                               ctx), tiny, CTX)]
         for run, capped, roomy in cases:
             res, ref = run(capped), run(roomy)
             assert res.budget_exhausted and not ref.budget_exhausted
