@@ -13,10 +13,9 @@ from .periodic import (ChiParams, PeriodicFunction, TildeFunction, chi_function,
 from .exact import FormalSeries, bernoulli_polynomial, l_value, series_coefficients
 from .qseries import ThetaSpec, eichler_integral, theta_radial_limit, theta_upper_half
 from .borel import borel_coefficients, borel_eval, hadamard_oracle, singularity_set
-from .resum import (boundary_median, discontinuity, lateral_sum, median_sum,
-                    special_e)
-from .habiro import (RootOfUnity, StrangeConfig, hikami_x, kontsevich_zagier_eval,
-                     q_binomial, q_pochhammer, verify_strange)
+from .resum import boundary_median, discontinuity, lateral_sum, median_sum
+from .habiro import (RootOfUnity, StrangeConfig, hikami_x, q_binomial, q_pochhammer,
+                     verify_strange)
 from .config import (Config, config_chi, config_general, config_hikami,
                      config_t3_2k, trefoil_chi, trefoil_strange)
 
@@ -30,9 +29,9 @@ __all__ = [
     "FormalSeries", "bernoulli_polynomial", "l_value", "series_coefficients",
     "ThetaSpec", "eichler_integral", "theta_radial_limit", "theta_upper_half",
     "borel_coefficients", "borel_eval", "hadamard_oracle", "singularity_set",
-    "boundary_median", "discontinuity", "lateral_sum", "median_sum", "special_e",
-    "RootOfUnity", "StrangeConfig", "hikami_x", "kontsevich_zagier_eval",
-    "q_binomial", "q_pochhammer", "verify_strange",
+    "boundary_median", "discontinuity", "lateral_sum", "median_sum",
+    "RootOfUnity", "StrangeConfig", "hikami_x", "q_binomial", "q_pochhammer",
+    "verify_strange",
     "Config", "config_chi", "config_general", "config_hikami", "config_t3_2k",
     "trefoil_chi", "trefoil_strange",
 ]

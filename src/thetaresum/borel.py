@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpf, mpc
 
-from .exact import FormalSeries, _pattern_bernoulli_sum
+from .exact import FormalSeries, bernoulli_sum
 from .periodic import TildeFunction
 from .precision import (DEFAULT_CTX, FIVE_HALVES, MINUS_FIVE_HALVES, SEVEN_QUARTERS,
                         Estimate, PrecisionContext, to_mpf)
@@ -55,7 +55,7 @@ def gfp_coefficients(series: FormalSeries, count: int):
     """
     f = series.f
     M = f.M
-    return [f.c * M * (-1) ** n * _pattern_bernoulli_sum(f, 2 * n + 4)
+    return [f.c * M * (-1) ** n * bernoulli_sum(f.pattern, 2 * n + 4)
             * Fraction(math.factorial(2 * n + 3), math.factorial(2 * n + 4))
             / (Fraction(math.factorial(n)) * math.factorial(n + 1))
             * Fraction(M * M, series.b) ** (n + 1)
@@ -66,7 +66,7 @@ def hadamard_g1_coefficients(series: FormalSeries, count: int):
     """g1 Taylor data: M^3 sum_m f(m) B_{2n+4}(m/M)/(2n+4)! * (-M^2)^n."""
     f = series.f
     M = f.M
-    return [f.c * M ** 3 * _pattern_bernoulli_sum(f, 2 * n + 4)
+    return [f.c * M ** 3 * bernoulli_sum(f.pattern, 2 * n + 4)
             / math.factorial(2 * n + 4) * Fraction(-M * M) ** n
             for n in range(count)]
 

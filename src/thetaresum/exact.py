@@ -1,12 +1,14 @@
 """Exact rational layer: Bernoulli polynomials, L-values, series coefficients.
 
-For an even mean-zero period-M function f the asymptotic expansion of the
-normalised theta sum around q = 1 has coefficients
+L(-m, h) = -(P^m/(m+1)) sum_{r=1}^{P} h(r) B_{m+1}(r/P) of any even periodic
+table h is written once (l_value).  For an even mean-zero period-M function
+f the asymptotic expansion of the normalised theta sum around q = 1 has
+coefficients
 
-    C_n = (-1)^n L(-2n-1, f),
-    L(-2n-1, f) = -(M^{2n+1} / (2n+2)) * sum_{m=1}^{M} f(m) B_{2n+2}(m/M),
+    C_n = (-1)^n L(-2n-1, f) = (-1)^n c L(-2n-1, pattern of f),
 
-all computed here as exact Fractions.  The constant C_M = -(M/2) sum f(m)
+all computed here as exact Fractions; the theta radial limits are L(-1, h)
+and h(0) + L(0, h) of a twisted table.  The constant C_M = -(M/2) sum f(m)
 B_2(m/M) is C_0; suite cm checks it against the Dirichlet sum of f~.
 """
 
@@ -84,22 +86,33 @@ def bernoulli_polynomial(k: int, x) -> Fraction:
 # ---------------------------------------------------------------------------
 # L-values and series coefficients.
 
-def _pattern_bernoulli_sum(f: PeriodicFunction, degree: int) -> Fraction:
-    """sum_{m=1}^{M} pattern(m) B_degree(m/M) for an even degree, exact.
+def bernoulli_sum(h, k: int):
+    """sum_{r=1}^{P} h(r) B_k(r/P) over one period h[0], ..., h[P-1] of an even h.
 
-    The pattern is +1 on k1 and M - k1, -1 on k2 and M - k2, and
-    B_k(1 - x) = B_k(x) for even k, so the sum is 2 (B_k(k1/M) - B_k(k2/M)).
+    Every table the library passes is even, h(P - r) = h(r): the sign pattern
+    of f (its classes +-k1, +-k2), f~, and the twisted h of the radial limits
+    (f times a phase in n^2).  With B_k(1 - x) = (-1)^k B_k(x) the terms r and
+    P - r pair up, and B_k(1/2) = 0 for odd k, so the sum is h(0) B_k(1) plus,
+    for even k only, 2 sum_{0<r<P/2} h(r) B_k(r/P) + h(P/2) B_k(1/2) (P even).
+    The term h(0) B_k(1) is skipped when h(0) = 0.  Exact values (int or
+    Fraction) give an exact sum; mpf or mpc values a sum at the current
+    precision, each B_k(r/P) rounded once by mpmath.
     """
-    return 2 * (bernoulli_polynomial(degree, Fraction(f.k1, f.M))
-                - bernoulli_polynomial(degree, Fraction(f.k2, f.M)))
+    P = len(h)
+    total = h[0] * bernoulli_polynomial(k, 1) if h[0] else 0
+    if k % 2 == 0:
+        for r in range(1, P // 2 + 1):
+            if h[r]:
+                total += (1 if 2 * r == P else 2) * h[r] * bernoulli_polynomial(k, Fraction(r, P))
+    return total
 
 
-def l_value(f: PeriodicFunction, n: int) -> Fraction:
-    """L(-2n-1, f) = -(M^{2n+1}/(2n+2)) sum_m f(m) B_{2n+2}(m/M), exact."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    M = f.M
-    return -f.c * Fraction(M ** (2 * n + 1), 2 * n + 2) * _pattern_bernoulli_sum(f, 2 * n + 2)
+def l_value(h, m: int):
+    """L(-m, h) = -(P^m/(m+1)) sum_{r=1}^{P} h(r) B_{m+1}(r/P) for an even
+    period-P table h (bernoulli_sum): exact for exact values."""
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    return -Fraction(len(h) ** m, m + 1) * bernoulli_sum(h, m + 1)
 
 
 @dataclass(frozen=True)
@@ -137,7 +150,7 @@ def series_coefficients(spec, count: int) -> FormalSeries:
     f = spec.f
     if not isinstance(f, PeriodicFunction):
         raise TypeError("series coefficients require the plain periodic f")
-    C = tuple((-1) ** n * l_value(f, n) for n in range(count))
+    C = tuple((-1) ** n * f.c * l_value(f.pattern, 2 * n + 1) for n in range(count))
     return FormalSeries(f=f, b=spec.b, C=C, c_m=C[0])
 
 

@@ -4,11 +4,13 @@ X_1^(0), together with the strange-identity checks against theta radial
 limits.
 
 At a primitive N-th root zeta every value is an element of Z[zeta], and all
-arithmetic runs in the exact convolution ring Z[X]/(X^N - 1) (integer
-vectors; X stands for zeta, so q^e sits at index e mod N).  Vanishing
-factors like 1 - q^N are exact, and the result is rounded to a complex
-number once, from one table of zeta^r per root and precision.  Every
-function here takes q as a RootOfUnity and raises TypeError for any other q.
+arithmetic runs in the exact ring Z[X]/(X^N - 1) (integer lists; X stands
+for zeta, so q^e sits at index e mod N).  The sums only ever multiply by
+q^e or by 1 - q^m, so the ring is index shifts (_shift) and element-wise
+addition and subtraction.  Vanishing factors like 1 - q^N are exact, and
+the result is rounded to a complex number once, from one table of zeta^r
+per root and precision.  Every function here takes q as a RootOfUnity and
+raises TypeError for any other q.
 """
 
 from __future__ import annotations
@@ -55,80 +57,55 @@ def _root_powers(j: int, N: int, prec: int) -> tuple:
         return tuple(mp.expjpi(frac_to_mp(Fraction(2 * r * j, N) % 2)) for r in range(N))
 
 
-class _RingScalar:
-    """Element of Z[X]/(X^N - 1); X represents the chosen primitive root."""
-
-    __slots__ = ("v",)
-
-    def __init__(self, v: list):
-        self.v = v
-
-    def __add__(self, o):
-        return _RingScalar([a + b for a, b in zip(self.v, o.v)])
-
-    def __sub__(self, o):
-        return _RingScalar([a - b for a, b in zip(self.v, o.v)])
-
-    def __mul__(self, o):
-        # one rotated copy of the denser factor per nonzero term of the
-        # sparser one, so a monomial or 1 - q^k times anything costs O(N)
-        a, b = self.v, o.v
-        if a.count(0) < b.count(0):
-            a, b = b, a
-        n = len(a)
-        out = None
-        for i, c in [(i, c) for i, c in enumerate(a) if c]:
-            rot = b[n - i:] + b[:n - i]  # rot[(k + i) % n] = b[k]
-            if c != 1:
-                rot = [c * y for y in rot]
-            out = rot if out is None else [x + y for x, y in zip(out, rot)]
-        return _RingScalar(out if out is not None else [0] * n)
+def _ring_one(q) -> list:
+    """1 in Z[X]/(X^N - 1) at q; raises TypeError unless q is a RootOfUnity."""
+    if not isinstance(q, RootOfUnity):
+        raise TypeError(f"q must be a RootOfUnity, got {q!r}")
+    return [1] + [0] * (q.N - 1)
 
 
-class _Arith:
-    """Exact arithmetic in Z[X]/(X^N - 1) at a RootOfUnity."""
+def _shift(v: list, e: int) -> list:
+    """q^e v: the entry at index k moves to (k + e) mod N."""
+    n = len(v)
+    e %= n
+    return v[n - e:] + v[:n - e]
 
-    def __init__(self, q):
-        if not isinstance(q, RootOfUnity):
-            raise TypeError(f"q must be a RootOfUnity, got {q!r}")
-        self.q, self.N = q, q.N
 
-    def one(self):
-        return self.q_power(0)
+def _add(a: list, b: list) -> list:
+    return [x + y for x, y in zip(a, b)]
 
-    def zero(self):
-        return _RingScalar([0] * self.N)
 
-    def q_power(self, e: int):
-        v = [0] * self.N
-        v[e % self.N] = 1
-        return _RingScalar(v)
+def _sub(a: list, b: list) -> list:
+    return [x - y for x, y in zip(a, b)]
 
-    def to_complex(self, x) -> mpc:
-        """Round once: sum a_r zeta^r in ascending r, at the current precision."""
-        powers = _root_powers(self.q.j, self.N, mp.prec)
-        acc = mpc(0)
-        for r, a in enumerate(x.v):
-            if a:
-                acc += a * powers[r]
-        return acc
 
-    def binomial_transform(self, t: list) -> list:
-        """[sum_k [n, k]_q t[k] for n < len(t)], by q-Pascal on the sequence:
-        sum_k [n, k] t[k] = sum_k [n-1, k] (t[k+1] + q^k t[k]).  Division-free,
-        so roots of unity never hit 0/0."""
-        out = []
-        while t:
-            out.append(t[0])
-            t = [t[k + 1] + self.q_power(k) * t[k] for k in range(len(t) - 1)]
-        return out
+def _to_complex(v: list, q: RootOfUnity) -> mpc:
+    """Round once: sum a_r zeta^r in ascending r, at the current precision."""
+    powers = _root_powers(q.j, q.N, mp.prec)
+    acc = mpc(0)
+    for r, a in enumerate(v):
+        if a:
+            acc += a * powers[r]
+    return acc
 
-    def pochhammer_sum(self, s: list):
-        """sum_{m < len(s)} (q)_m s[m] = s[0] + (1-q)(s[1] + (1-q^2)(...))."""
-        acc = s[-1]
-        for m in range(len(s) - 1, 0, -1):
-            acc = s[m - 1] + (self.one() - self.q_power(m)) * acc
-        return acc
+
+def _binomial_transform(t: list) -> list:
+    """[sum_k [n, k]_q t[k] for n < len(t)], by q-Pascal on the sequence:
+    sum_k [n, k] t[k] = sum_k [n-1, k] (t[k+1] + q^k t[k]).  Division-free,
+    so roots of unity never hit 0/0."""
+    out = []
+    while t:
+        out.append(t[0])
+        t = [_add(t[k + 1], _shift(t[k], k)) for k in range(len(t) - 1)]
+    return out
+
+
+def _pochhammer_sum(s: list) -> list:
+    """sum_{m < len(s)} (q)_m s[m] = s[0] + (1-q)(s[1] + (1-q^2)(...))."""
+    acc = s[-1]
+    for m in range(len(s) - 1, 0, -1):
+        acc = _add(s[m - 1], _sub(acc, _shift(acc, m)))
+    return acc
 
 
 def q_pochhammer(n: int, q: RootOfUnity, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
@@ -136,17 +113,19 @@ def q_pochhammer(n: int, q: RootOfUnity, ctx: PrecisionContext = DEFAULT_CTX) ->
     exactly 0 for n >= N."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    one = _ring_one(q)
     with ctx.working():
-        ar = _Arith(q)
-        return ar.to_complex(ar.pochhammer_sum([ar.zero()] * n + [ar.one()]))
+        return _to_complex(_pochhammer_sum([[0] * q.N] * n + [one]), q)
 
 
 def q_binomial(top: int, bottom: int, q: RootOfUnity, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
     """Gaussian binomial [top, bottom]_q, exact and rounded once."""
+    one = _ring_one(q)
+    if top < 0:
+        return mpc(0)
     with ctx.working():
-        ar = _Arith(q)
-        unit = [ar.one() if k == bottom else ar.zero() for k in range(top + 1)]
-        return ar.to_complex(ar.binomial_transform(unit)[top] if top >= 0 else ar.zero())
+        unit = [one if k == bottom else [0] * q.N for k in range(top + 1)]
+        return _to_complex(_binomial_transform(unit)[top], q)
 
 
 def kontsevich_zagier_eval(q: RootOfUnity, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
@@ -176,17 +155,17 @@ def hikami_x(u: int, ell: int, q: RootOfUnity,
     """
     if u < 1 or not 0 <= ell <= u - 1:
         raise ValueError("need u >= 1 and 0 <= l <= u-1")
-    ar = _Arith(q)
+    one = _ring_one(q)
     N = q.N
     cost = (u - 1) * N ** 3 + N ** 2
     if cost > HIKAMI_BUDGET:
         raise BudgetError(f"estimated cost (u-1)*N^3 + N^2 = {cost} exceeds budget {HIKAMI_BUDGET}")
     with ctx.working():
-        s = [ar.one()] * (N + 1)  # S_0; the one shift d = 1 eats an entry
+        s = [one] * (N + 1)  # S_0; the one shift d = 1 eats an entry
         for i in range(1, u):
-            t = [ar.q_power(k * k + (k if i > ell else 0)) * x for k, x in enumerate(s)]
-            s = ar.binomial_transform(t)[int(i == ell):]
-        return ar.to_complex(ar.pochhammer_sum(s[:N]))
+            t = [_shift(x, k * k + (k if i > ell else 0)) for k, x in enumerate(s)]
+            s = _binomial_transform(t)[int(i == ell):]
+        return _to_complex(_pochhammer_sum(s[:N]), q)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ GUARD_BITS = 20
 # Constants that are exact in binary, parsed once for the hot loops.  Being
 # exact at every precision, they give the same bits as parsing in place.
 HALF = mpf("0.5")
-QUARTER = mpf("0.25")
 MINUS_HALF = mpf("-0.5")
 THREE_HALVES = mpf("1.5")
 MINUS_THREE_HALVES = mpf("-1.5")

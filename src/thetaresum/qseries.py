@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpf, mpc, workprec
 
-from .exact import bernoulli_polynomial
+from .exact import l_value
 from .periodic import (ChiParams, ConfigError, PeriodicFunction, PeriodicTable,
                        TildeFunction, _divisors, chi_function)
 from .precision import (DEFAULT_CTX, GUARD_BITS, MINUS_HALF, MINUS_THREE_HALVES, Estimate,
@@ -149,23 +149,19 @@ def theta_radial_limit(spec: ThetaSpec, alpha, ctx: PrecisionContext = DEFAULT_C
     nu = 1:  L(-1, h) = -(P/2) sum_{m=1}^{P} h(m) B_2(m/P)
     nu = 0:  h(0) + L(0, h),  L(0, h) = -sum_{m=1}^{P} h(m) B_1(m/P)
 
-    with B_1(1) = +1/2 at the endpoint m = P (validated against zeta(0) and
-    the alternating series, and against the extrapolation oracle).  The mean
-    of h over a period must vanish or no finite limit exists.
+    both by exact.l_value, with B_1(1) = +1/2 at the endpoint m = P
+    (validated against zeta(0) and the alternating series, and against the
+    extrapolation oracle).  h is even, so L(0, h) = -h(0)/2.  The mean of h
+    over a period must vanish or no finite limit exists.
     """
     alpha = as_fraction(alpha)
     if alpha == 0:
         raise DomainError("alpha must be nonzero")
     with ctx.working(40):
         h = twisted_table(spec.f, alpha, spec.a, spec.b)
-        P = len(h)
         _require_mean_zero(h, ctx.prec)
-        acc = mpc(0)
-        for m in range(1, P + 1):
-            if h(m):
-                acc += h(m) * frac_to_mp(bernoulli_polynomial(1 + spec.nu, Fraction(m, P)))
-        val = -mpf(P) / 2 * acc if spec.nu == 1 else h[0] - acc
-        err = (P ** 2) * h.max_abs() * mpf(2) ** (-ctx.prec - 20)
+        val = l_value(h, 1) if spec.nu == 1 else h[0] + l_value(h, 0)
+        err = (len(h) ** 2) * h.max_abs() * mpf(2) ** (-ctx.prec - 20)
         return Estimate(val, err)
 
 

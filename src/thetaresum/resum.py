@@ -202,6 +202,10 @@ BLOCK_ELL_CAP = 10_000_000  # most terms tilde_dirichlet_blocks will sum
 def tilde_dirichlet_blocks(table, s: int, target) -> Estimate:
     """Direct period-grouped summation of sum h(l) l^{-s} with an Abel bound.
 
+    Not used by the library, which sums h(l) l^{-s} exactly as Hurwitz zeta
+    values (tilde_dirichlet): the tests compare it with that sum and with a
+    plain loop, and the benchmark's tracer names it.
+
     h is a mean-zero PeriodicTable (f~ in the constant identity), so its
     partial sums are periodic and the tail after a whole number of periods
     is bounded by 2 max_n |F(n)| (L+1)^{-s} (partial_sum_peak).  The head is

@@ -89,9 +89,9 @@ def suite_disc(cfg: Config, ctx: PrecisionContext, report: Report, **_):
 def suite_cm(cfg: Config, ctx: PrecisionContext, report: Report, **_):
     series = cfg.series(4)
     with timed() as t:
-        blocks = resum_mod.tilde_dirichlet_blocks(series.tilde.table(), 2, mpf("1e-11"))
+        dirichlet = resum_mod.tilde_dirichlet(series.tilde.table(), 2)
         c = to_mpf(series.f.c)
-        rhs = 2 * series.f.M * c / mp.pi ** 2 * blocks.value
+        rhs = 2 * series.f.M * c / mp.pi ** 2 * dirichlet
         lhs = to_mpf(series.c_m)
     report.add("cm.constant-identity", {"config": cfg.label()}, lhs, rhs,
                mpf("1e-10"), t.elapsed)
@@ -192,7 +192,7 @@ def run_suite(name: str, cfg: Config, ctx: PrecisionContext, alpha=None) -> Repo
     if name not in SUITES:
         raise ConfigError(f"unknown suite {name!r}; choose from {SUITES}")
     report = Report(config=cfg.describe(), prec_bits=ctx.prec, tolerance=str(ctx.tol))
-    # the suite bodies compute outside the library calls too (cm's block
+    # the suite bodies compute outside the library calls too (cm's Dirichlet
     # sum, borel's Taylor comparison): give them the context precision
     with ctx.working():
         if name != "all":

@@ -32,8 +32,8 @@ as `resum.tilde_dirichlet_blocks`, the kernel's fixed-point sums replaced.
 `bernoulli_polynomial_fractions` is B_k(x) as the binomial sum in Fractions,
 the route `exact.bernoulli_polynomial` took before it summed in integers.
 `pattern_bernoulli_sum_scan` is the Bernoulli pattern sum as a scan over all
-M residues with it, the route `exact._pattern_bernoulli_sum` took before it
-used the evenness of the pattern and of B_k for its two-term form.
+M residues with it, without the pairing of r with M - r that
+`exact.bernoulli_sum` takes from the evenness of the table and of B_k.
 
 The rest are oracles for single layers: Watson's optimal truncation of the
 formal series, Richardson extrapolation of theta along a radius, the
@@ -74,7 +74,7 @@ from thetaresum.exact import bernoulli_number
 from thetaresum.periodic import (ChiParams, ConfigError, PairSet, chi_function, pair_set,
                                  s_matrix_entry)
 from thetaresum.precision import (DEFAULT_CTX, FIVE_HALVES, HALF, MINUS_FIVE_HALVES,
-                                  MINUS_HALF, MINUS_THREE_HALVES, QUARTER, THREE_HALVES, Estimate,
+                                  MINUS_HALF, MINUS_THREE_HALVES, THREE_HALVES, Estimate,
                                   PrecisionContext, as_fraction, frac_to_mp, richardson_limit,
                                   to_mpf)
 from thetaresum.qseries import (DomainError, ThetaSpec, VerticalTheta, _gauss_tail,
@@ -82,6 +82,7 @@ from thetaresum.qseries import (DomainError, ThetaSpec, VerticalTheta, _gauss_ta
 from thetaresum.resum import (RAY_ANGLE, boundary_point, ell_sum, median_sum, special_e,
                               tilde_dirichlet)
 
+QUARTER = mpf("0.25")
 _BETA2 = mpf("4.375")  # (5/2)_2/2! = 35/8
 _BETA3 = mpf("6.5625")  # (5/2)_3/3! = 105/16
 _BETAS = (mpf(1), FIVE_HALVES, _BETA2)  # (5/2)_j/j!, j < 3: the oracle's three moments

@@ -9,11 +9,11 @@ from mpmath import mp, mpf, mpc, workprec
 from reference import (bernoulli_polynomial_fractions, even_bernoulli_sum,
                        pattern_bernoulli_sum_scan)
 from thetaresum.config import config_chi, config_t3_2k, trefoil_strange
-from thetaresum.exact import (_pattern_bernoulli_sum, bernoulli_number, bernoulli_polynomial,
+from thetaresum.exact import (bernoulli_number, bernoulli_polynomial, bernoulli_sum,
                               gevrey_estimate, l_value, series_coefficients)
-from thetaresum.periodic import make_periodic
-from thetaresum.precision import PrecisionContext
-from thetaresum.qseries import ThetaSpec
+from thetaresum.periodic import PeriodicTable, make_periodic
+from thetaresum.precision import PrecisionContext, frac_to_mp
+from thetaresum.qseries import ThetaSpec, twisted_table
 
 TREFOIL_F = make_periodic(Fraction(-1, 2), 12, 1, 5)
 TREFOIL_SPEC = ThetaSpec(a=1, b=24, nu=1, f=TREFOIL_F)
@@ -55,30 +55,49 @@ class TestPatternBernoulliSum:
 
     @pytest.mark.parametrize("name", sorted(PATTERNS))
     def test_two_term_form_matches_residue_scan(self, name):
-        """2 (B_k(k1/M) - B_k(k2/M)) against the scan over all M residues
-        (tests/reference.py) at every even degree up to 120."""
+        """The paired sum over the sign pattern, which comes to 2 (B_k(k1/M) -
+        B_k(k2/M)), against the scan over all M residues (tests/reference.py)
+        at every even degree up to 120."""
         f = self.PATTERNS[name]
         for k in range(2, 121, 2):
-            assert _pattern_bernoulli_sum(f, k) == pattern_bernoulli_sum_scan(f, k), (name, k)
+            assert bernoulli_sum(f.pattern, k) == pattern_bernoulli_sum_scan(f, k), (name, k)
 
     def test_l_value_from_residue_scan(self):
         f = self.PATTERNS["c2/3-M40"]
         for n in range(8):
             scan = pattern_bernoulli_sum_scan(f, 2 * n + 2)
-            assert l_value(f, n) == -f.c * Fraction(40 ** (2 * n + 1), 2 * n + 2) * scan
+            assert l_value(f.values, 2 * n + 1) == -f.c * Fraction(40 ** (2 * n + 1), 2 * n + 2) * scan
+
+    @pytest.mark.parametrize("cfg", [trefoil_strange(), config_chi(2, 3, 1, 1), config_t3_2k(2)],
+                             ids=["trefoil", "chi(2,3)", "t3-2k(2)"])
+    def test_paired_sum_matches_ordered_sum_on_twisted_tables(self, cfg):
+        """bernoulli_sum pairs r with P - r and drops odd k down to h(0) B_k(1);
+        on twisted tables (h(0) = 0) and on the same tables plus 1 (h(0) =
+        1), for k = 1..4, it equals the ordered sum over r = 1..P."""
+        with workprec(128):
+            for alpha in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(3, 7)):
+                h = twisted_table(cfg.f, alpha, cfg.a, cfg.b)
+                for table in (h, PeriodicTable(v + 1 for v in h)):
+                    P = len(table)
+                    bound = P * table.max_abs() * mpf(2) ** (8 - mp.prec)
+                    for k in range(1, 5):
+                        plain = mpc(0)
+                        for r in range(1, P + 1):
+                            plain += table(r) * frac_to_mp(bernoulli_polynomial(k, Fraction(r, P)))
+                        assert abs(bernoulli_sum(table, k) - plain) <= bound, (alpha, P, k)
 
 
 class TestLValues:
     def test_trefoil_character(self):
         chi = make_periodic(Fraction(1), 12, 1, 5)
-        assert l_value(chi, 0) == -2
-        assert l_value(chi, 1) == 46
+        assert l_value(chi.values, 1) == -2
+        assert l_value(chi.values, 3) == 46
 
     def test_linearity_in_scale(self):
         chi = make_periodic(Fraction(1), 12, 1, 5)
         neg = make_periodic(Fraction(-1), 12, 1, 5)
         for n in range(5):
-            assert l_value(neg, n) == -l_value(chi, n)
+            assert l_value(neg.values, 2 * n + 1) == -l_value(chi.values, 2 * n + 1)
 
 
 class TestSeriesCoefficients:
@@ -106,7 +125,7 @@ class TestSeriesCoefficients:
     def test_cnf_equals_signed_lvalue(self):
         ser = series_coefficients(TREFOIL_SPEC, 31)
         for n in range(31):
-            assert ser.C[n] == (-1) ** n * l_value(TREFOIL_F, n)
+            assert ser.C[n] == (-1) ** n * l_value(TREFOIL_F.values, 2 * n + 1)
 
     def test_count_validation(self):
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ import pathlib
 from fractions import Fraction
 
 import pytest
+from mpmath import mpf
 
 from thetaresum.precision import PrecisionContext
 from thetaresum.suites import run_suite
@@ -39,3 +40,12 @@ def test_report_is_byte_identical(name, cfg, alpha, tmp_path):
     out = tmp_path / f"{name}.json"
     report.write_json(out)
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name,cfg,alpha", CASES, ids=[name for name, _, _ in CASES])
+def test_cm_identity_holds_at_context_precision(name, cfg, alpha):
+    """C_M against the Hurwitz sum of f~ at the context's precision: at 256
+    bits the residual falls below 2^-200 (a fixed 1e-11 target left 1e-16)."""
+    record = run_suite("cm", cfg, PrecisionContext(prec=256, tol=1e-8)).checks[0]
+    assert record.name == "cm.constant-identity"
+    assert record.abs_error < mpf(2) ** -200
