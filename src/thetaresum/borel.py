@@ -149,8 +149,8 @@ def borel_eval(series: FormalSeries, p, ctx: PrecisionContext = DEFAULT_CTX,
     The head of the l-sum is evaluated term by term (with the branch side
     applied on the cut); the tail l > L, where |p| is small against the
     branch points, is resummed through K terms of the binomial expansion,
-    whose l-sums are shifted Hurwitz zeta values (ell_sum).  (L, K) come
-    from resum._truncation; the error is its bound on the rest plus
+    whose l-sums are Dirichlet sums of f~ in closed form (ell_sum).  (L, K)
+    come from resum._truncation; the error is its bound on the rest plus
     roundoff.
 
     side: '+' or '-' selects the limit from Im p > 0 or Im p < 0 when p lies

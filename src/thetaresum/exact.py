@@ -14,6 +14,7 @@ B_2(m/M) is C_0; suite cm checks it against the Dirichlet sum of f~.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -60,12 +61,14 @@ def bernoulli_number(n: int) -> Fraction:
     return _BERNOULLI[n]
 
 
+@functools.lru_cache(maxsize=None)
 def bernoulli_polynomial(k: int, x) -> Fraction:
-    """B_k(x) for exact rational x, via the binomial sum over B_j.
+    """B_k(x) for exact rational x, via the binomial sum over B_j, cached.
 
     For x = n/d, B_k(x) = S/(D d^k) with D = lcm(den B_0, ..., den B_k) and
     the integer S = sum_j C(k, j) (D B_{k-j}) n^j d^{k-j}, summed by Horner
-    in n from j = k down.
+    in n from j = k down.  The series of one pattern read the same B_k(r/P)
+    at every count and every suite, so each value is summed once.
     """
     if k < 0:
         raise ValueError("Bernoulli degree must be >= 0")

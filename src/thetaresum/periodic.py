@@ -235,9 +235,15 @@ def _sine_product(M: int, k1: int, k2: int, ell: int) -> mpf:
 
 @lru_cache(maxsize=256)
 def _tilde_table(M: int, k1: int, k2: int, period: int, prec: int) -> PeriodicTable:
-    """(f~(0), ..., f~(period-1)) at ``prec`` bits."""
+    """(f~(0), ..., f~(period-1)) at ``prec`` bits, exactly even.
+
+    f~ is even and of period ``period``, so f~(period - l) = f~(l): the sine
+    products are taken for l <= period/2 and mirrored, which makes the table
+    even bit for bit (resum.tilde_dirichlet pairs r with period - r).
+    """
     with workprec(prec):
-        return PeriodicTable(_sine_product(M, k1, k2, ell) for ell in range(period))
+        half = [_sine_product(M, k1, k2, ell) for ell in range(period // 2 + 1)]
+    return PeriodicTable(half[min(ell, period - ell)] for ell in range(period))
 
 
 def _divisors(n: int):

@@ -265,7 +265,7 @@ def eichler_integral(s: int, t: int, nm: tuple, z, lower,
 
     Past N the first and last sum to at most hmax (w0 + Re c)^{-3/2}
     lambda_{N+1}^{-1} sum_{n>N} e^{-lambda_1 w0 n^2}.  The error adds the
-    tail and Poisson bounds, the head and Hurwitz roundoff (ell_sum) and
+    tail and Poisson bounds, the head and moment roundoff (ell_sum) and
     |value| 2^-prec.
     """
     from . import resum  # resum imports this module

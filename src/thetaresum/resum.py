@@ -4,14 +4,15 @@ The lateral sums integrate e^{-px} against the closed-form Borel transform
 along rays at angle +-theta.  For l <= L each ray integral is the Laplace
 kernel K_eps (an upper incomplete gamma value Gamma(-3/2, .) on the sheet
 eps in {0, 1} the side selects); for l > L, K Taylor moments of
-(1 - p/(b A_l))^{-5/2} are summed over l as shifted Hurwitz zeta values
-and the rest is bounded.  The jump S+ - S- across the positive axis is an
-explicit theta series (disc_closed_form).  The median, the average of the
-two sides, is the kernel at eps = 1/2; the kernel is affine in eps, so
-K_{1/2} = (K_0 + K_1)/2 per l-term, and the moments over l > L do not
-depend on the side.  Hence S_med = S- + disc/2 = S+ - disc/2, one lateral
-sum on the side whose ray converges and half the jump (median_sum).
-special_e is the same median kernel as a Dawson-integral function.
+(1 - p/(b A_l))^{-5/2} are summed over l as Dirichlet sums of f~ in
+closed form and the rest is bounded.  The jump S+ - S- across the positive
+axis is an explicit theta series (disc_closed_form).  The median, the
+average of the two sides, is the kernel at eps = 1/2; the kernel is affine
+in eps, so K_{1/2} = (K_0 + K_1)/2 per l-term, and the moments over l > L
+do not depend on the side.  Hence S_med = S- + disc/2 = S+ - disc/2, one
+lateral sum on the side whose ray converges and half the jump
+(median_sum).  special_e is the same median kernel as a Dawson-integral
+function.
 
 At the natural-boundary points x = -1/(2 pi i alpha) the median combines a
 vertical theta integral with a theta radial limit (boundary_median).  That
@@ -21,23 +22,29 @@ beyond it, so no quadrature is left.
 
 These sums, the Borel transform's and the Eichler integrals' share one
 shape, written once as ell_sum: a kernel taken term by term over l <= L,
-its expansion in l^{-2} as shifted Hurwitz sums over l > L, the caller's
-bound on the rest, and the roundoff of both parts in the error.  Its cut
-(L, bound, budget flag) comes from one chooser (_truncation, which also
-picks K), or from qseries._gauss_cutoff for the Gaussian-tailed theta
-heads, and ell_sum returns its sum already flagged; each public sum then
-combines such estimates by Estimate arithmetic.  All fractional powers
-are principal.
+its expansion in l^{-2} as moments sum_{l>L} h(l) l^{-s} over l > L, the
+caller's bound on the rest, and the roundoff of both parts in the error.
+A moment (tilde_dirichlet) is the full sum over l >= 1, pi^s times a
+finite sum of cotangents at r/P for even s and an even table h of period
+P, less the head l <= L, taken with the guard bits that subtraction
+cancels; each moment's error is a bound computed from its terms' count
+and sizes.  Its cut (L, bound, budget flag) comes from one chooser
+(_truncation, which also picks K), or from qseries._gauss_cutoff for the
+Gaussian-tailed theta heads, and ell_sum returns its sum already flagged;
+each public sum then combines such estimates by Estimate arithmetic.  All
+fractional powers are principal.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
 from mpmath import mp, mpf, mpc, workprec
 
-from .exact import FormalSeries
+from .exact import FormalSeries, bernoulli_number
 from .precision import (DEFAULT_CTX, FIVE_HALVES, HALF, MINUS_FIVE_HALVES, MINUS_HALF,
                         MINUS_THREE_HALVES, THREE_HALVES, Estimate,
                         PrecisionContext, as_fraction, frac_to_mp, to_mpf)
@@ -105,20 +112,105 @@ def special_e(y, ctx: PrecisionContext = DEFAULT_CTX):
 # ---------------------------------------------------------------------------
 # Shared l-sum helpers.
 
-def tilde_dirichlet(table, s: int, start: int = 0) -> mpf:
-    """sum_{l>start} h(l) l^{-s} = P^{-s} sum_{r=start+1}^{start+P} h(r) zeta(s, r/P).
+@lru_cache(maxsize=None)
+def _cot_derivative(m: int) -> tuple:
+    """Integer coefficients of D_m in u, d^m/dy^m cot y = D_m(cot y):
+    D_0 = u, D_{m+1} = -(1 + u^2) D_m'."""
+    if m == 0:
+        return (0, 1)
+    dp = [k * a for k, a in enumerate(_cot_derivative(m - 1))][1:] + [0, 0]
+    return tuple(-dp[k] - (dp[k - 2] if k >= 2 else 0) for k in range(len(dp)))
 
-    Exact for any PeriodicTable h, P = len(h): f~ over its minimal period
-    (a divisor of M), or a twisted table.  start = 0 gives the full sum,
-    start = L the tail past a head l <= L (DLMF 25.11).
+
+_COT_MOMENTS: dict = {}
+COT_MOMENTS_CACHED = 32  # (table, precision) pairs whose mu_j are kept
+
+
+def _cot_moments(table, wp: int, count: int) -> list:
+    """mu_j = sum_{0<r<=P/2} w_r h(r) cot^{2j}(pi r/P), j < count, at wp bits.
+
+    w_r = 1, or 1/2 at r = P/2.  Kept per (table, wp) and extended on
+    demand, so every moment of one sum reads the same mu_j, and the values
+    do not depend on which moments were asked for first.  Raises ValueError
+    unless h(P - r) = h(r) bit for bit.
     """
+    key = (id(table), wp)
+    entry = _COT_MOMENTS.get(key)
+    if entry is None or entry[0] is not table:
+        P = len(table)
+        if any(table[r] != table[P - r] for r in range(1, P)):
+            raise ValueError("tilde_dirichlet needs an exactly even table, h(P - r) = h(r)")
+        with workprec(wp):
+            rs = [r for r in range(1, P // 2 + 1) if table[r]]
+            cot2 = [mp.cot(mp.pi * r / P) ** 2 if 2 * r < P else mpf(0) for r in rs]
+            power = [table[r] if 2 * r < P else table[r] / 2 for r in rs]
+        entry = _COT_MOMENTS[key] = (table, cot2, power, [])
+        if len(_COT_MOMENTS) > COT_MOMENTS_CACHED:
+            del _COT_MOMENTS[next(iter(_COT_MOMENTS))]
+    _, cot2, power, mu = entry
+    with workprec(wp):
+        while len(mu) < count:
+            if mu:
+                power[:] = [p * c for p, c in zip(power, cot2)]
+            mu.append(mp.fsum(power))
+    return mu
+
+
+def tilde_dirichlet(table, s: int, start: int = 0) -> mpf:
+    """sum_{l>start} h(l) l^{-s} for an exactly even PeriodicTable h and even s >= 2.
+
+    h is f~ over its minimal period (a divisor of M) or a twisted table,
+    P = len(h).  Pairing r with P - r, sum_{n in Z} (x + n)^{-s} =
+    -pi^s D_{s-1}(cot pi x)/(s-1)! (the (s-1)-th derivative of
+    pi cot pi x = sum_n 1/(x + n), DLMF 4.22.3) gives the full sum
+
+        sum_{l>=1} h(l) l^{-s} = P^{-s} [h(0) zeta(s)
+            - pi^s/(s-1)! sum_{0<r<=P/2} w_r h(r) D_{s-1}(cot pi r/P)],
+
+    with w_r = 1, or 1/2 at r = P/2, and zeta(s) from the exact B_s.
+    D_{s-1} is even, sum_j d_j u^{2j}, so the r-sum is sum_j d_j mu_j over
+    the mu_j of _cot_moments.  The tail past start is the full sum less the
+    head l <= start.
+
+    Error: let p be the current precision, l1 the least l > start with
+    h(l) != 0, and hmax = max |h|.  The sum is taken at wp = p + bitlen(l1^s)
+    + bitlen(4 N) bits (rounded up to a multiple of 64), N = 10 s + P +
+    start + 20.  Its roundoff is at most N 2^-wp times the sum of the
+    sizes of its terms, which is at most 2 sum_l |h(l)| l^{-s} <=
+    2 zeta(2) hmax < 4 hmax: the argument r/P, pi and cot shift a term
+    by at most s ulps each (x d/dx sum_n |x + n|^{-s} <= s sum_n |x + n|^{-s}
+    for x <= 1/2, and u D'(u) <= s D(u) since D has coefficients of one
+    sign), the powers of cot^2 by s/2, the r-sum by P/2, the j-sum by s/2,
+    pi^s/(s-1)!, P^{-s} and zeta(s) by 2s + 8, the head by start + 4.  So
+    the working roundoff is below hmax l1^{-s} 2^-p, and with the final
+    rounding to p bits of a tail at most hmax sum_{l>=l1} l^{-s} the
+    result is within
+
+        2^{1-p} hmax (l1^{-s} + l1^{1-s}/(s - 1))
+
+    of the sum for the table's values.  Raises ValueError for odd s.
+    """
+    if s < 2 or s % 2:
+        raise ValueError(f"tilde_dirichlet needs an even s >= 2, got {s}")
     P = len(table)
-    total = mpf(0)
-    for r in range(start + 1, start + P + 1):
-        v = table(r)
-        if v:
-            total += v * mp.zeta(s, mpf(r) / P)
-    return total / mpf(P) ** s
+    l1 = next((ell for ell in range(start + 1, start + P + 1) if table(ell)), None)
+    if l1 is None:
+        return mpf(0)
+    guard = (l1 ** s).bit_length() + (4 * (10 * s + P + start + 20)).bit_length()
+    wp = -(-(mp.prec + guard) // 64) * 64
+    d = _cot_derivative(s - 1)[::2]
+    mu = _cot_moments(table, wp, len(d))
+    with workprec(wp):
+        rsum = mp.fsum(dj * mj for dj, mj in zip(d, mu))
+        full = -mp.pi ** s / math.factorial(s - 1) * rsum
+        if table[0]:
+            full += table[0] * abs(frac_to_mp(bernoulli_number(s))) * (2 * mp.pi) ** s \
+                / (2 * math.factorial(s))
+        full /= mpf(P) ** s
+        head = mp.fsum(table(ell) / mpf(ell ** s) for ell in range(1, start + 1)
+                       if table(ell))
+        tail = full - head
+    return +tail
 
 
 def ell_sum(table, cut, term, moments) -> Estimate:
@@ -128,16 +220,21 @@ def ell_sum(table, cut, term, moments) -> Estimate:
     over one period) and of the Eichler integrals (h a twisted table), h a
     periodic.PeriodicTable of period P: a kernel taken term by term over
     the head l <= L (L >= 1), the first terms of its expansion in l^{-2} as
-    moments (s_k, c_k) over l > L, each a shifted Hurwitz sum
+    moments (s_k, c_k) over l > L, each a Dirichlet sum of h
     (tilde_dirichlet).  cut = (L, bound, exhausted), as _truncation or
     qseries._gauss_cutoff return it: bound is the caller's bound on the
     rest, and exhausted becomes the budget flag.  The head's roundoff is
     counted as sum |h(l) term(l)| 2^{8-prec}.
-    mp.zeta(s, x) is accurate to about 2^-prec max(1, zeta) absolutely, not
-    relatively, so moment k is off by at most scale_k 2^{8-bits}, with
-    scale_k = |c_k| hmax (P^{1-s} + P L^{1-s}/(s-1)); it is summed at the
-    bits = max(53, prec + mag(scale_k) - mag(scale_0)) that bring this to
-    the level of moment 0.  The error is bound plus both roundoffs.
+
+    Moment k is summed past L at bits_k = max(53, prec + mag(scale_k) -
+    mag(scale_0)), scale_k = |c_k| hmax (l1^{-s} + l1^{1-s}/(s-1)) with l1
+    the least l > L where h(l) != 0: scale_k bounds |c_k| sum_{l>L} |h(l)|
+    l^{-s}, and these bits bring each moment's roundoff to the level of
+    moment 0.  tilde_dirichlet's result is then within scale_k 2^{1-bits_k}
+    (its docstring), and the products c_k w_k and their sum at prec bits
+    add at most (K + 1) 2^-prec sum_k scale_k.  Since l1^{-s} <=
+    L^{1-s}/(s-1) for every L >= 1, scale_k <= 2 |c_k| hmax L^{1-s}/(s-1).
+    The error is bound plus both roundoffs.
     """
     L, bound, exhausted = cut
     head = mpc(0)
@@ -149,26 +246,31 @@ def ell_sum(table, cut, term, moments) -> Estimate:
             head += t
             size += abs(t)
     roundoff = size * mpf(2) ** (8 - mp.prec)
-    fmax, P = table.max_abs(), len(table)
     tail = mpc(0)
-    for k, (s, c) in enumerate(moments):
-        scale = abs(c) * fmax * (mpf(P) ** (1 - s) + P * mpf(L) ** (1 - s) / (s - 1))
-        if k == 0:
-            top = mp.mag(scale)
-        bits = max(53, mp.prec + mp.mag(scale) - top)
-        with workprec(bits):
-            w_s = tilde_dirichlet(table, s, L)
-        tail += c * w_s
-        roundoff += scale * mpf(2) ** (8 - bits)
+    if moments:
+        hmax = table.max_abs()
+        l1 = next((ell for ell in range(L + 1, L + len(table) + 1) if table(ell)), L + 1)
+        scales = [abs(c) * hmax * (mpf(l1) ** -s + mpf(l1) ** (1 - s) / (s - 1))
+                  for s, c in moments]
+        top = mp.mag(scales[0])
+        for (s, c), scale in zip(moments, scales):
+            bits = max(53, mp.prec + mp.mag(scale) - top)
+            with workprec(bits):
+                w_s = tilde_dirichlet(table, s, L)
+            tail += c * w_s
+            roundoff += scale * mpf(2) ** (1 - bits)
+        roundoff += (len(moments) + 1) * mp.fsum(scales) * mpf(2) ** -mp.prec
     return Estimate(head + tail, bound + roundoff, exhausted)
 
 
-# _truncation's price of one Hurwitz zeta call, in head kernel calls, and the
-# most moments it takes.  Timed in place (pure-Python mpmath 1.3.0, 2-vCPU
-# VM, 128 and 256 bits), a zeta costs 1.8 to 4.2 kernel calls, about 3, for
-# the lateral and the boundary kernel alike; priced at 3, the pairs chosen at
-# 2 cost at most 15% more than the best pair (t3-2k(3) at tol 1e-8; at most
-# 4% elsewhere).
+# _truncation's price of a moment, per nonzero residue of the period, in head
+# kernel calls, and the most moments it takes.  Timed in place (pure-Python
+# mpmath 1.3.0, 2-vCPU VM; lateral sums at x = 1 and boundary medians at
+# alpha = 1/2 on trefoil-chi, t3-2k(3) and t3-2k(5), at 128 and 256 bits), a
+# moment costs 0.03 to 0.22 kernel calls per nonzero residue, about 0.1.  The
+# price stays at 2 so that every cut (L, K) stays where it was: at 0.25, a
+# Stokes-jump row of each of the five standard reports moves (its residual
+# reads 5e-12 to 3e-11).
 HURWITZ_COST = 2
 TRUNCATION_K_MAX = 40
 
@@ -178,7 +280,7 @@ def _truncation(table, bounds, floor: int, target, ell_cap: int):
 
     bounds[K-1] = (c_K, e_K): the rest after l <= L and K moments is at most
     c_K L^{-e_K}.  Each K takes the least L >= floor meeting the target, at
-    a cost of L nnz/P kernels and K nnz Hurwitz sums (nnz = #{r < P: h(r)
+    a cost of L nnz/P kernels and K nnz moment terms (nnz = #{r < P: h(r)
     != 0}, P = len(table)); the cheapest wins, the fewer moments on a tie.
     Failing that, L = cap with the K of least bound there, cap = max(floor,
     ell_cap): the bounds need L >= floor, so no cap cuts the head below it.
@@ -202,8 +304,8 @@ BLOCK_ELL_CAP = 10_000_000  # most terms tilde_dirichlet_blocks will sum
 def tilde_dirichlet_blocks(table, s: int, target) -> Estimate:
     """Direct period-grouped summation of sum h(l) l^{-s} with an Abel bound.
 
-    Not used by the library, which sums h(l) l^{-s} exactly as Hurwitz zeta
-    values (tilde_dirichlet): the tests compare it with that sum and with a
+    Not used by the library, which sums h(l) l^{-s} in closed form
+    (tilde_dirichlet): the tests compare it with that sum and with a
     plain loop, and the benchmark's tracer names it.
 
     h is a mean-zero PeriodicTable (f~ in the constant identity), so its
@@ -288,7 +390,7 @@ def lateral_sum(series: FormalSeries, x, side: str,
 
     with beta_j = (5/2)_j/j! and R_K(w) = (1-w)^{-5/2} - sum_{j<K} beta_j w^j.
     For l <= L the ray integral is taken whole, in closed form
-    (_ray_laplace); for l > L the K moments are shifted Hurwitz sums
+    (_ray_laplace); for l > L the K moments are Dirichlet sums of f~
     (ell_sum) and the rest is bounded: |1 - tw| >= 1/sqrt2 on the rays, so
     |R_K(w)| <= beta_K 2^{(K+5/2)/2} |w|^K; the ray integral of |p|^K is
     K!/sig^{K+1} (sig = Re e^{+-i theta} x); sum_{l>L} l^{-2K-4} <=

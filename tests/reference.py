@@ -26,6 +26,11 @@ moments of E's expansion at infinity and a kappa bound on the rest, the
 route `resum.median_sum` took before it became one lateral sum and half
 the Stokes jump; it shares no lateral sum and no theta series with it.
 
+`tilde_dirichlet_hurwitz` is sum_{l>start} h(l) l^{-s} as P^{-s} times a
+sum of shifted Hurwitz zeta values, one per nonzero residue, the route
+`resum.tilde_dirichlet` took before it summed cotangents at r/P; it
+shares no cotangent, no Bernoulli number and no subtraction of a head.
+
 `tilde_dirichlet_blocks_reference` is the plain mpf loop over the same head
 as `resum.tilde_dirichlet_blocks`, the kernel's fixed-point sums replaced.
 
@@ -343,6 +348,23 @@ def median_sum_e_series(series, x, ctx: PrecisionContext = DEFAULT_CTX) -> Estim
         value = pref * est.value
         err = abs(pref) * est.error + abs(value) * mpf(2) ** (-ctx.prec)
         return Estimate(value, err, abs(pref) * bound > target)
+
+
+def tilde_dirichlet_hurwitz(table, s: int, start: int = 0):
+    """sum_{l>start} h(l) l^{-s} = P^{-s} sum_{r=start+1}^{start+P} h(r) zeta(s, r/P).
+
+    Any PeriodicTable h, P = len(h), and any s > 1 (DLMF 25.11).  Each zeta
+    value is at least (P/r)^s and taken to about 2^-prec of itself, so the
+    sum is good to about P 2^-prec of sum_{l>start} |h(l)| l^{-s}: nothing
+    cancels but the signs of h.
+    """
+    P = len(table)
+    total = mpf(0)
+    for r in range(start + 1, start + P + 1):
+        v = table(r)
+        if v:
+            total += v * mp.zeta(s, mpf(r) / P)
+    return total / mpf(P) ** s
 
 
 def tilde_dirichlet_blocks_reference(table, s: int, target, guard: int = 64) -> tuple:

@@ -1,4 +1,4 @@
-"""Every import of the library modules is used.
+"""Every import of the library modules is used, and none calls mpmath's zeta.
 
 No linter ships with the test environment, so this walks each module's
 syntax tree with the standard library: a name bound by an import must be
@@ -39,3 +39,44 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == [], path.name
+
+
+def mpmath_zeta_calls(source: str) -> list:
+    """Lines that call mpmath's zeta: mp.zeta(...) or mpmath.zeta(...) under
+    any import alias, or a zeta imported from mpmath.  A method of another
+    object that happens to be named zeta (RootOfUnity.zeta) is not one."""
+    tree = ast.parse(source)
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name for alias in node.names
+                        if alias.name == "mpmath"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "mpmath":
+            for alias in node.names:
+                if alias.name in ("mp", "fp", "iv"):
+                    modules.add(alias.asname or alias.name)
+                elif alias.name == "zeta":
+                    names.add(alias.asname or alias.name)
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (isinstance(func, ast.Attribute) and func.attr == "zeta"
+                and isinstance(func.value, ast.Name) and func.value.id in modules) \
+                or (isinstance(func, ast.Name) and func.id in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_detects_an_mpmath_zeta_call():
+    source = ("from mpmath import mp, zeta as z\nimport mpmath as m\n"
+              "a = mp.zeta(2, 0.5)\nb = z(3)\nc = m.zeta(4)\nd = q.zeta()\n")
+    assert mpmath_zeta_calls(source) == [3, 4, 5]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_mpmath_zeta(path):
+    """The library's Dirichlet sums are closed forms in cotangents and
+    Bernoulli numbers (resum.tilde_dirichlet); mpmath's zeta stays out."""
+    assert mpmath_zeta_calls(path.read_text()) == [], path.name

@@ -209,13 +209,30 @@ class TestTildePeriodAndTable:
 
     @pytest.mark.parametrize("prec", [64, 80, 128, 256])
     def test_table_bits_match_sine_product(self, prec):
+        """f~(l) is the sine product at the representative of l mod P in
+        0..P/2, bit for bit (the upper half of the table is its mirror)."""
         for f in (make_periodic(1, 12, 1, 5), make_periodic(1, 40, 3, 7),
                   config_hikami(3, 1).f, config_t3_2k(3).f):
             td = tilde_transform(f)
+            P = td.period
             with workprec(prec):
                 for ell in range(-2 * f.M, 6 * f.M + 1):
-                    got, ref = td(ell), sine_product(td, ell)
+                    got, ref = td(ell), sine_product(td, min(ell % P, -ell % P))
                     assert got._mpf_ == ref._mpf_, (f.M, ell, prec)
+
+    @pytest.mark.parametrize("prec", [53, 128, 256])
+    def test_table_is_exactly_even(self, prec):
+        """f~(P - r) = f~(r) bit for bit, as resum.tilde_dirichlet requires."""
+        fs = [chi_function(ChiParams(s, t, n, m))
+              for s, t in ST_LIST for n in range(1, s) for m in range(1, t)]
+        fs += [config_hikami(u, ell).f for u in range(1, 7) for ell in range(u)]
+        fs += [config_t3_2k(k).f for k in range(1, 6)]
+        with workprec(prec):
+            for f in fs:
+                table = tilde_transform(f).table()
+                P = len(table)
+                assert all(table[r]._mpf_ == table[P - r]._mpf_ for r in range(1, P)), \
+                    (f.M, f.k1, f.k2)
 
     def test_value_follows_precision(self):
         td = tilde_transform(make_periodic(1, 40, 3, 7))

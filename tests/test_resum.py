@@ -8,7 +8,8 @@ from mpmath import mp, mpf, mpc, workprec
 
 from reference import (E_KAPPA, boundary_median_extrapolated, boundary_median_quadrature,
                        e_limit, lateral_sum_quadrature, median_sum_e_series,
-                       optimal_truncation, tilde_dirichlet_blocks_reference)
+                       optimal_truncation, tilde_dirichlet_blocks_reference,
+                       tilde_dirichlet_hurwitz)
 from thetaresum import resum
 from thetaresum.borel import borel_eval
 from thetaresum.config import (config_chi, config_hikami, config_t3_2k, trefoil_chi,
@@ -16,7 +17,7 @@ from thetaresum.config import (config_chi, config_hikami, config_t3_2k, trefoil_
 from thetaresum.periodic import ChiParams, chi_function, pair_set, tilde_transform
 from thetaresum.precision import MINUS_HALF, Estimate, PrecisionContext
 from thetaresum.qseries import (DomainError, ThetaSpec, eichler_integral, theta_radial_limit,
-                                theta_upper_half)
+                                theta_upper_half, twisted_table)
 from thetaresum.resum import (_ray_laplace, boundary_median, boundary_point,
                               disc_closed_form, discontinuity, ell_sum,
                               laplace_kernel, lateral_sum, median_sum, special_e,
@@ -384,6 +385,90 @@ class TestShiftedDirichlet:
                 abel = 2 * tilde.partial_sum_peak() / mpf(N + 1) ** s
                 assert abs(got - ref) <= abel + (M + s + 4) * size * mpf(2) ** (-prec), (start, s)
 
+    # f~ of three families, and a complex twisted table: chi(2,3) at alpha = 1/3
+    ORACLE_TABLES = {
+        "trefoil-chi": (lambda: trefoil_chi().series(1).tilde.table(), 12),
+        "t3-2k-3": (lambda: config_t3_2k(3).series(1).tilde.table(), 48),
+        "t3-2k-5": (lambda: config_t3_2k(5).series(1).tilde.table(), 192),
+        "twisted-chi-2-3": (lambda: twisted_table(chi_function(ChiParams(2, 3, 1, 1)),
+                                                  Fraction(1, 3), 0, 24), 12),
+    }
+
+    @staticmethod
+    def tail_size(table, s, start):
+        """hmax (l1^{-s} + l1^{1-s}/(s-1)), l1 the least l > start with
+        h(l) != 0: tilde_dirichlet's stated error is 2^{1-p} times this."""
+        l1 = next(ell for ell in range(start + 1, start + len(table) + 1) if table(ell))
+        return table.max_abs() * (mpf(l1) ** -s + mpf(l1) ** (1 - s) / (s - 1))
+
+    @pytest.mark.parametrize("family", list(ORACLE_TABLES))
+    def test_matches_hurwitz_oracle(self, family):
+        """Against the sum of Hurwitz zeta values at 64 more bits (good to
+        about P 2^-192 of the tail's size), within the stated bound.  The
+        head is subtracted from the full sum, so a guard of fewer than
+        s log2 l1 bits (log2 of start, or none) loses the tail's digits at
+        start = 1 and s >= 10."""
+        make, M = self.ORACLE_TABLES[family]
+        prec = 128
+        with workprec(prec):
+            table = make()
+        P = len(table)
+        for s in (2, 4, 10, 24, 42):
+            for start in (0, 1, P, 5 * M + 3):
+                with workprec(prec):
+                    got = tilde_dirichlet(table, s, start)
+                with workprec(prec + 64):
+                    ref = tilde_dirichlet_hurwitz(table, s, start)
+                    bound = self.tail_size(table, s, start) * mpf(2) ** (1 - prec)
+                    assert abs(got - ref) <= bound, (s, start, abs(got - ref) / bound)
+
+    def test_rejects_odd_s_and_uneven_tables(self):
+        table = trefoil_chi().series(1).tilde.table()
+        for s in (1, 3, 5, 41):
+            with pytest.raises(ValueError):
+                tilde_dirichlet(table, s)
+        skewed = type(table)(v + ell for ell, v in enumerate(table))
+        with pytest.raises(ValueError):
+            tilde_dirichlet(skewed, 2)
+
+    @pytest.mark.parametrize("family", ["trefoil-chi", "t3-2k-5", "twisted-chi-2-3"])
+    def test_moment_allowance_bounds_the_gap(self, family):
+        """Eight moments past L > P, shaped as lateral_sum's (x = 1, b =
+        24) and vertical_sum's (c = -3i, lam1 = pi b/(2 M^2)) pass them,
+        falling with k as in the cuts _truncation picks, with a zero head
+        and no caller's bound: ell_sum's error is then the moments'
+        roundoff alone.  It bounds the gap to the Hurwitz oracle at 64 more
+        bits, and it is no larger than scale_k 2^{8-bits_k} per moment,
+        scale_k = |c_k| hmax (P^{1-s} + P L^{1-s}/(s-1)), the allowance the
+        mp.zeta sums were given."""
+        make, M = self.ORACLE_TABLES[family]
+        prec, b = 128, 24
+        with workprec(prec):
+            table = make()
+            P, hmax = len(table), table.max_abs()
+            m2pi2 = mpf(M * M) / mp.pi ** 2
+            lateral, beta = [], mpf(1)
+            for j in range(8):
+                lateral.append((4 + 2 * j, beta * mp.factorial(j) * m2pi2 ** (j + 2.5) / b ** j))
+                beta *= (j + 2.5) / (j + 1)
+            c, lam1 = mpc(0, -3), mp.pi * b / (2 * M * M)
+            vertical, mk = [], c ** -1.5 / lam1
+            for K in range(1, 9):
+                vertical.append((2 * K, mk))
+                mk *= -(K + 0.5) / (c * lam1)
+        for moments in (lateral, vertical):
+            for L in (P + 1, 3 * P):
+                with workprec(prec):
+                    est = ell_sum(table, (L, 0, False), lambda ell: 0, moments)
+                    scales = [abs(ck) * hmax * (mpf(P) ** (1 - sk) + P * mpf(L) ** (1 - sk) / (sk - 1))
+                              for sk, ck in moments]
+                    old = mp.fsum(sc * mpf(2) ** (8 - max(53, prec + mp.mag(sc) - mp.mag(scales[0])))
+                                  for sc in scales)
+                with workprec(prec + 64):
+                    ref = mp.fsum(ck * tilde_dirichlet_hurwitz(table, sk, L) for sk, ck in moments)
+                    assert abs(est.value - ref) <= est.error, (L, moments[0][0])
+                assert est.error <= old, (L, moments[0][0], est.error / old)
+
     @pytest.mark.parametrize("family", ["trefoil-chi", "t3-2k-3"])
     def test_head_is_the_difference(self, family):
         """The full sum less the sum past L is the head l <= L, to roundoff."""
@@ -408,7 +493,7 @@ class TestShiftedDirichlet:
     @pytest.mark.parametrize("family", ["trefoil-chi", "t3-2k-3"])
     def test_falling_moments_run_at_fewer_bits(self, family, monkeypatch):
         """Moments c_k = 2^{-4k} (s_k = 2k + 2) past L = M + 1: moment k
-        is summed at fewer bits, by the fall of c_k L^{1-s_k}, and the error
+        is summed at fewer bits, by the fall of c_k l1^{1-s_k}, and the error
         still bounds the gap to the same sum at 64 more bits.  The head term
         is 0, so the error is the moments' roundoff alone."""
         tilde = tilde_transform(self.FAMILIES[family])
