@@ -41,14 +41,15 @@ LIMIT_CONFIGS = CONFIGS + (config_hikami(1, 0), config_hikami(2, 1), config_chi(
 
 
 def bits(x) -> str:
-    return str(mpf(x)._mpf_)
+    """The mpf tuple of x as it is stored, not rounded to the current precision."""
+    return str(x._mpf_)
 
 
 def line(label: str, value) -> str:
-    """The label, then re, im, error and flag of an Estimate or an mpc."""
+    """The label, then re, im, error and flag of an Estimate, an mpc or an mpf."""
     err = getattr(value, "error", None)
     flag = getattr(value, "budget_exhausted", None)
-    v = mpc(getattr(value, "value", value))
+    v = getattr(value, "value", value)
     return (f"{label} re={bits(v.real)} im={bits(v.imag)} "
             f"err={'-' if err is None else bits(err)} flag={'-' if flag is None else flag}")
 

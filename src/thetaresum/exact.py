@@ -1,14 +1,16 @@
 """Exact rational layer: Bernoulli polynomials, L-values, series coefficients.
 
 L(-m, h) = -(P^m/(m+1)) sum_{r=1}^{P} h(r) B_{m+1}(r/P) of any even periodic
-table h is written once (l_value).  For an even mean-zero period-M function
-f the asymptotic expansion of the normalised theta sum around q = 1 has
+table h is written once (l_value), on one pairing of r with P - r
+(bernoulli_term).  For an even mean-zero period-M function f the
+asymptotic expansion of the normalised theta sum around q = 1 has
 coefficients
 
     C_n = (-1)^n L(-2n-1, f) = (-1)^n c L(-2n-1, pattern of f),
 
-all computed here as exact Fractions; the theta radial limits are L(-1, h)
-and h(0) + L(0, h) of a twisted table.  The constant C_M = -(M/2) sum f(m)
+all computed here as exact Fractions.  The theta radial limits are L(-1, h)
+and h(0) + L(0, h) of a twisted table h; qseries sums them by phase class
+with the same bernoulli_term.  The constant C_M = -(M/2) sum f(m)
 B_2(m/M) is C_0; suite cm checks it against the Dirichlet sum of f~.
 """
 
@@ -89,25 +91,36 @@ def bernoulli_polynomial(k: int, x) -> Fraction:
 # ---------------------------------------------------------------------------
 # L-values and series coefficients.
 
-def bernoulli_sum(h, k: int):
-    """sum_{r=1}^{P} h(r) B_k(r/P) over one period h[0], ..., h[P-1] of an even h.
+def bernoulli_term(v, k: int, r: int, P: int):
+    """v w_r B_k(x_r): what h(r) = v, 0 <= r <= P/2, carries in sum_{m=1}^{P}
+    h(m) B_k(m/P) of an even period-P table h.
 
-    Every table the library passes is even, h(P - r) = h(r): the sign pattern
+    Every table the library sums is even, h(P - r) = h(r): the sign pattern
     of f (its classes +-k1, +-k2), f~, and the twisted h of the radial limits
-    (f times a phase in n^2).  With B_k(1 - x) = (-1)^k B_k(x) the terms r and
-    P - r pair up, and B_k(1/2) = 0 for odd k, so the sum is h(0) B_k(1) plus,
-    for even k only, 2 sum_{0<r<P/2} h(r) B_k(r/P) + h(P/2) B_k(1/2) (P even).
-    The term h(0) B_k(1) is skipped when h(0) = 0.  Exact values (int or
-    Fraction) give an exact sum; mpf or mpc values a sum at the current
-    precision, each B_k(r/P) rounded once by mpmath.
+    (f times a phase in n^2).  With B_k(1 - x) = (-1)^k B_k(x) the terms m and
+    P - m pair up, and B_k(1/2) = 0 for odd k, so the sum is h(0) B_k(1) (m =
+    P) plus, for even k only, 2 sum_{0<r<P/2} h(r) B_k(r/P) + h(P/2) B_k(1/2)
+    (P even).  This pairing is the one rule for the sum, read by
+    bernoulli_sum and by the radial limits (qseries.theta_radial_limit),
+    which sum by phase class.  The multiplicity w_r scales v, so exact
+    values take one Fraction product per term.
+    """
+    if r == 0:
+        return v * bernoulli_polynomial(k, 1)
+    if k % 2:
+        return 0
+    return (v if 2 * r == P else 2 * v) * bernoulli_polynomial(k, Fraction(r, P))
+
+
+def bernoulli_sum(h, k: int):
+    """sum_{m=1}^{P} h(m) B_k(m/P) over one period h[0], ..., h[P-1] of an even
+    h: bernoulli_term over the r <= P/2 (r = 0 alone for odd k) with h(r) !=
+    0.  Exact values (int or Fraction) give an exact sum; mpf or mpc values a
+    sum at the current precision, each B_k(x_r) rounded once by mpmath.
     """
     P = len(h)
-    total = h[0] * bernoulli_polynomial(k, 1) if h[0] else 0
-    if k % 2 == 0:
-        for r in range(1, P // 2 + 1):
-            if h[r]:
-                total += (1 if 2 * r == P else 2) * h[r] * bernoulli_polynomial(k, Fraction(r, P))
-    return total
+    return sum(bernoulli_term(h[r], k, r, P)
+               for r in range(P // 2 + 1 if k % 2 == 0 else 1) if h[r])
 
 
 def l_value(h, m: int):

@@ -3,10 +3,15 @@
 theta^{(nu)}_{a,b,f}(x) = sum_{n>=0} n^nu f(n) e^{2 pi i x (n^2-a)/b},  Im x > 0.
 
 Radial limits at nonzero rationals alpha are computed from the twisted
-coefficient function h(n) = f(n) e^{2 pi i alpha (n^2-a)/b} (periodic, mean
-zero) through its L-values at s = 0 and s = -1.  The independent oracle, a
-Richardson extrapolation along x = alpha + i eps, lives with the tests.
-The Eichler integrals sum the same table term by term in closed form.
+coefficient function h(n) = f(n) e^{2 pi i alpha (n^2-a)/b} (periodic, even,
+mean zero) through its L-values at s = 0 and s = -1.  Its phase takes few
+values over a period (at most N at alpha = j/N), so h is read by phase
+class (_PhaseClasses): one walk over the support r <= P/2 of f, one
+e^{pi i e} per distinct exponent e, real Bernoulli sums within a class.
+The independent oracles, a Richardson extrapolation along x = alpha + i eps
+and the L-value of the whole table built entry by entry, live with the
+tests.  The Eichler integrals sum the same table term by term in closed
+form.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpf, mpc, workprec
 
-from .exact import l_value
+from .exact import bernoulli_term
 from .periodic import (ChiParams, ConfigError, PeriodicFunction, PeriodicTable,
                        TildeFunction, _divisors, chi_function)
 from .precision import (DEFAULT_CTX, GUARD_BITS, MINUS_HALF, MINUS_THREE_HALVES, Estimate,
@@ -108,7 +113,8 @@ def theta_upper_half(spec: ThetaSpec, x, ctx: PrecisionContext = DEFAULT_CTX) ->
 
 def _phase_exponent(alpha: Fraction, n: int, a: int, b: int) -> Fraction:
     """Exact exponent of e^{pi i *}: 2 alpha (n^2 - a)/b reduced mod 2."""
-    return (2 * alpha * (n * n - a) / b) % 2
+    den = alpha.denominator * b
+    return Fraction(2 * alpha.numerator * (n * n - a) % (2 * den), den)
 
 
 def _twist_period(period: int, alpha: Fraction, b: int) -> int:
@@ -126,21 +132,57 @@ def _twist_period(period: int, alpha: Fraction, b: int) -> int:
             return Q
 
 
+class _PhaseClasses:
+    """The twisted table h(n) = f(n) e^{pi i e_n}, e_n = _phase_exponent(alpha,
+    n, a, b), of period P = _twist_period, read by phase class.
+
+    h is even: f is, and P is a period of the twist, so e_{P-r} = e_{-r} =
+    e_r.  One walk over the support 0 <= r <= P/2 of f therefore holds the
+    table.  It groups the residues by their exact exponent e (classes[e] =
+    [(r, f(r)), ...]) and takes one e^{pi i e} per class (phase[e]): at alpha
+    = j/N at most N, where the table has up to P/2 nonzero entries.
+    |h| = |f|, so hmax = max |f|.
+    """
+
+    def __init__(self, f, alpha: Fraction, a: int, b: int):
+        ft = f.table()
+        self.P = _twist_period(len(ft), alpha, b)
+        self.classes = {}
+        for r in range(self.P // 2 + 1):
+            if v := ft(r):
+                self.classes.setdefault(_phase_exponent(alpha, r, a, b), []).append((r, v))
+        self.phase = {e: mp.expjpi(frac_to_mp(e)) for e in self.classes}
+        self.hmax = max((abs(v) for members in self.classes.values() for _, v in members),
+                        default=mpf(0))
+
+    def class_sum(self, term):
+        """sum_e e^{pi i e} sum_{r in e} term(f(r), r) over the support r <=
+        P/2: the class sums are real, and each class takes one complex
+        product."""
+        return mp.fsum(self.phase[e] * mp.fsum(term(v, r) for r, v in members)
+                       for e, members in self.classes.items())
+
+    def require_mean_zero(self, prec: int) -> None:
+        """Raise unless h has mean zero: else theta^{(0)} ~ mean sqrt(b/(8w)) at
+        alpha + iw.  Over a period r and P - r both count, r = 0 and P/2 once."""
+        mean = self.class_sum(lambda v, r: v if 2 * r % self.P == 0 else 2 * v) / self.P
+        if abs(mean) > mpf(2) ** (-prec // 2) * max(self.hmax, mpf(1)):
+            raise NoRadialLimitError(
+                f"twisted coefficients have mean {mean}; radial limit undefined")
+
+    def table(self) -> PeriodicTable:
+        h = [mpc(0)] * self.P
+        for e, members in self.classes.items():
+            for r, v in members:
+                h[r] = h[-r] = v * self.phase[e]  # h[-r] is h(P - r)
+        return PeriodicTable(h)
+
+
 def twisted_table(f, alpha: Fraction, a: int, b: int) -> PeriodicTable:
     """h(0), ..., h(P-1) for h(n) = f(n) e^{2 pi i alpha (n^2-a)/b}, P = _twist_period,
-    with f read from f.table()."""
-    ft = f.table()
-    return PeriodicTable(v * mp.expjpi(frac_to_mp(_phase_exponent(alpha, n, a, b)))
-                         if (v := ft(n)) else mpc(0)
-                         for n in range(_twist_period(len(ft), alpha, b)))
-
-
-def _require_mean_zero(h: PeriodicTable, prec: int) -> None:
-    """Raise unless h has mean zero: else theta^{(0)} ~ mean sqrt(b/(8w)) at alpha + iw."""
-    mean = mp.fsum(h) / len(h)
-    if abs(mean) > mpf(2) ** (-prec // 2) * max(h.max_abs(), mpf(1)):
-        raise NoRadialLimitError(
-            f"twisted coefficients have mean {mean}; radial limit undefined")
+    with f read from f.table() (even): one e^{pi i e} per phase class
+    (_PhaseClasses), the same bits as an e^{pi i e_n} per entry."""
+    return _PhaseClasses(f, alpha, a, b).table()
 
 
 def theta_radial_limit(spec: ThetaSpec, alpha, ctx: PrecisionContext = DEFAULT_CTX) -> Estimate:
@@ -149,20 +191,36 @@ def theta_radial_limit(spec: ThetaSpec, alpha, ctx: PrecisionContext = DEFAULT_C
     nu = 1:  L(-1, h) = -(P/2) sum_{m=1}^{P} h(m) B_2(m/P)
     nu = 0:  h(0) + L(0, h),  L(0, h) = -sum_{m=1}^{P} h(m) B_1(m/P)
 
-    both by exact.l_value, with B_1(1) = +1/2 at the endpoint m = P
-    (validated against zeta(0) and the alternating series, and against the
-    extrapolation oracle).  h is even, so L(0, h) = -h(0)/2.  The mean of h
-    over a period must vanish or no finite limit exists.
+    for the twisted table h (validated against zeta(0) and the alternating
+    series, and against the extrapolation oracle), with B_1(1) = +1/2 at the
+    endpoint m = P.  h is even, so sum_m h(m) B_1(m/P) = h(0)/2 and the nu = 0
+    limit is h(0)/2, that same sum.  Both sums are read by phase class
+    (_PhaseClasses.class_sum) with exact.bernoulli_term's pairing of m with
+    P - m:
+
+        L(-1, h) = -(P/2) sum_e e^{pi i e} sum_{r in e} w_r f(r) B_2(r/P).
+
+    The mean of h over a period must vanish or no finite limit exists.
+
+    The error bar P^2 hmax 2^(-prec-20), hmax = max |f|, covers the
+    rounding.  At wp = prec + 40 bits and u = 2^-wp, each f(r) (a rounded
+    table entry), each B_k(x_r), each product and each class sum is off by
+    a few u relative, the phases and their complex products by a few u; the
+    terms are at most hmax sum_r w_r |B_2(r/P)| <= P hmax/6 in all (sum_r
+    w_r = P, |B_2| <= 1/6), times P/2.  So the rounding is at most about
+    10 u P^2 hmax/12 < P^2 hmax 2^(-prec-40), a 2^-20 share of the bar.
     """
     alpha = as_fraction(alpha)
     if alpha == 0:
         raise DomainError("alpha must be nonzero")
     with ctx.working(40):
-        h = twisted_table(spec.f, alpha, spec.a, spec.b)
-        _require_mean_zero(h, ctx.prec)
-        val = l_value(h, 1) if spec.nu == 1 else h[0] + l_value(h, 0)
-        err = (len(h) ** 2) * h.max_abs() * mpf(2) ** (-ctx.prec - 20)
-        return Estimate(val, err)
+        h = _PhaseClasses(spec.f, alpha, spec.a, spec.b)
+        h.require_mean_zero(ctx.prec)
+        # sum_m h(m) B_{nu+1}(m/P): h(0)/2 for nu = 0, L(-1, h) after -P/2
+        val = h.class_sum(lambda v, r: bernoulli_term(v, spec.nu + 1, r, h.P))
+        if spec.nu == 1:
+            val *= -Fraction(h.P, 2)
+        return Estimate(val, h.P ** 2 * h.hmax * mpf(2) ** (-ctx.prec - 20))
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +342,7 @@ def eichler_integral(s: int, t: int, nm: tuple, z, lower,
                 raise DomainError("the conj-based integral needs Im z < 0")
             x, w0 = z.real, -z.imag
             c = w0
-            table = twisted_table(spec.f, Fraction(0), 0, B)
+            h = _PhaseClasses(spec.f, Fraction(0), 0, B)
         else:
             alpha = as_fraction(lower)
             if z.imag > 0:
@@ -293,16 +351,16 @@ def eichler_integral(s: int, t: int, nm: tuple, z, lower,
             c = 1j * (z - alpha_mp)
             if abs(c) <= mpf(2) ** (-ctx.prec) * max(1, abs(alpha_mp)):
                 c = mpf(0)
-            table = twisted_table(spec.f, alpha, 0, B)
-            c1 = mp.pi * B / (2 * len(table) ** 2)
+            h = _PhaseClasses(spec.f, alpha, 0, B)
+            c1 = mp.pi * B / (2 * h.P ** 2)
             w0 = c1 / ((ctx.prec + 40) * mp.ln2)
             if abs(c) > w0:
                 w0 = mpf(0)
             else:
-                _require_mean_zero(table, ctx.prec)
+                h.require_mean_zero(ctx.prec)
                 q = mp.exp(-c1 / w0)
                 poisson = mp.sqrt(mpf(B) / 2) * q / (c1 * (1 - q))    # times hmax
-        hmax = table.max_abs()
+        table, hmax = h.table(), h.hmax
         if w0:
             # terms falling like e^{-lambda_n w0}: all of them up to N
             root = (w0 + c) ** MINUS_HALF

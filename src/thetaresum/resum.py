@@ -264,14 +264,15 @@ def ell_sum(table, cut, term, moments) -> Estimate:
 
 
 # _truncation's price of a moment, per nonzero residue of the period, in head
-# kernel calls, and the most moments it takes.  Timed in place (pure-Python
-# mpmath 1.3.0, 2-vCPU VM; lateral sums at x = 1 and boundary medians at
-# alpha = 1/2 on trefoil-chi, t3-2k(3) and t3-2k(5), at 128 and 256 bits), a
-# moment costs 0.03 to 0.22 kernel calls per nonzero residue, about 0.1.  The
-# price stays at 2 so that every cut (L, K) stays where it was: at 0.25, a
-# Stokes-jump row of each of the five standard reports moves (its residual
-# reads 5e-12 to 3e-11).
-HURWITZ_COST = 2
+# kernel calls, and the most moments it takes.  A moment is a cotangent-sum
+# tail (tilde_dirichlet); no Hurwitz zeta value is involved.  Timed in place
+# (pure-Python mpmath 1.3.0, 2-vCPU VM; lateral sums at x = 1 and boundary
+# medians at alpha = 1/2 on trefoil-chi, t3-2k(3) and t3-2k(5), at 128 and 256
+# bits), a moment costs 0.03 to 0.22 kernel calls per nonzero residue, about
+# 0.1.  The price stays at 2 so that every cut (L, K) stays where it was: at
+# 0.25, a Stokes-jump row of each of the five standard reports moves (its
+# residual reads 5e-12 to 3e-11).
+MOMENT_COST = 2
 TRUNCATION_K_MAX = 40
 
 
@@ -288,7 +289,7 @@ def _truncation(table, bounds, floor: int, target, ell_cap: int):
     P = len(table)
     nnz = sum(1 for v in table if v)
     cap = max(floor, ell_cap)
-    fits = [(L * nnz / P + HURWITZ_COST * K * nnz, K, L, c / mpf(L) ** e)
+    fits = [(L * nnz / P + MOMENT_COST * K * nnz, K, L, c / mpf(L) ** e)
             for K, (c, e) in enumerate(bounds, 1)
             if (L := max(floor, int(mp.ceil((c / target) ** (mpf(1) / e))))) <= cap]
     if fits:

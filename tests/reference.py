@@ -34,6 +34,14 @@ shares no cotangent, no Bernoulli number and no subtraction of a head.
 `tilde_dirichlet_blocks_reference` is the plain mpf loop over the same head
 as `resum.tilde_dirichlet_blocks`, the kernel's fixed-point sums replaced.
 
+`twisted_table_by_entry` is the twisted table h(n) = f(n) e^{2 pi i alpha
+(n^2 - a)/b} with one mp.expjpi per nonzero entry, and
+`radial_limit_by_table` the radial limit as `exact.l_value` of that whole
+complex table, the route `qseries.theta_radial_limit` took before it summed
+the real Bernoulli terms of each phase class and took one complex product
+per class.  They share the exponents, the period and the pairing of r with
+P - r with it, not the grouping by class or the class phases.
+
 `bernoulli_polynomial_fractions` is B_k(x) as the binomial sum in Fractions,
 the route `exact.bernoulli_polynomial` took before it summed in integers.
 `pattern_bernoulli_sum_scan` is the Bernoulli pattern sum as a scan over all
@@ -75,15 +83,16 @@ from fractions import Fraction
 
 from mpmath import mp, mpc, mpf, workprec
 
-from thetaresum.exact import bernoulli_number
-from thetaresum.periodic import (ChiParams, ConfigError, PairSet, chi_function, pair_set,
-                                 s_matrix_entry)
+from thetaresum.exact import bernoulli_number, l_value
+from thetaresum.periodic import (ChiParams, ConfigError, PairSet, PeriodicTable, chi_function,
+                                 pair_set, s_matrix_entry)
 from thetaresum.precision import (DEFAULT_CTX, FIVE_HALVES, HALF, MINUS_FIVE_HALVES,
                                   MINUS_HALF, MINUS_THREE_HALVES, THREE_HALVES, Estimate,
                                   PrecisionContext, as_fraction, frac_to_mp, richardson_limit,
                                   to_mpf)
 from thetaresum.qseries import (DomainError, ThetaSpec, VerticalTheta, _gauss_tail,
-                                _phase_exponent, theta_radial_limit, theta_upper_half)
+                                _phase_exponent, _twist_period, theta_radial_limit,
+                                theta_upper_half)
 from thetaresum.resum import (RAY_ANGLE, boundary_point, ell_sum, median_sum, special_e,
                               tilde_dirichlet)
 
@@ -421,6 +430,25 @@ def optimal_truncation(series, x):
         acc += term
         best = (acc, abs(term), n)
     raise ValueError("series too short to reach its optimal truncation")
+
+
+def twisted_table_by_entry(f, alpha, a: int, b: int) -> PeriodicTable:
+    """h(n) = f(n) e^{pi i e_n} with one mp.expjpi per nonzero entry n < P, the
+    route `qseries.twisted_table` took before it read the phases by class."""
+    alpha = as_fraction(alpha)
+    ft = f.table()
+    return PeriodicTable(v * mp.expjpi(frac_to_mp(_phase_exponent(alpha, n, a, b)))
+                         if (v := ft(n)) else mpc(0)
+                         for n in range(_twist_period(len(ft), alpha, b)))
+
+
+def radial_limit_by_table(spec: ThetaSpec, alpha, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
+    """The radial limit as `exact.l_value` of the whole complex twisted table
+    (twisted_table_by_entry): L(-1, h), or h(0) + L(0, h) for nu = 0, the
+    route `qseries.theta_radial_limit` took before it summed by phase class."""
+    with ctx.working(40):
+        h = twisted_table_by_entry(spec.f, alpha, spec.a, spec.b)
+        return l_value(h, 1) if spec.nu == 1 else h[0] + l_value(h, 0)
 
 
 def radial_extrapolate(spec: ThetaSpec, alpha, ctx: PrecisionContext = DEFAULT_CTX,

@@ -5,13 +5,14 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf, mpc, workprec
 
-from reference import eichler_integral_quadrature, radial_extrapolate, verify_modular_transform
-from thetaresum.config import config_chi, trefoil_chi, trefoil_strange
+from reference import (eichler_integral_quadrature, radial_extrapolate, radial_limit_by_table,
+                       twisted_table_by_entry, verify_modular_transform)
+from thetaresum.config import config_chi, config_hikami, config_t3_2k, trefoil_chi, trefoil_strange
 from thetaresum.periodic import ChiParams, PeriodicTable, chi_function, make_periodic, pair_set, \
     s_matrix_entry, tilde_transform
 from thetaresum.precision import PrecisionContext, frac_to_mp
 from thetaresum.qseries import (DomainError, NoRadialLimitError, ThetaSpec,
-                                VerticalTheta, eichler_integral,
+                                VerticalTheta, _phase_exponent, eichler_integral,
                                 theta_radial_limit, theta_upper_half, twisted_table)
 
 CTX = PrecisionContext(prec=128, tol=1e-10)
@@ -141,6 +142,78 @@ class TestRadialLimits:
         bogus = SimpleNamespace(a=0, b=1, nu=0, f=ConstantOne())
         with pytest.raises(NoRadialLimitError):
             theta_radial_limit(bogus, Fraction(1, 3), CTX)
+
+
+def _class_cases():
+    """(label, spec, alphas) for the radial limits read by phase class: the
+    strange-identity specs at +-j/N, N <= 16, and the f~ specs that
+    resum.boundary_median reads for t3-2k(k <= 4)."""
+    rationals = sorted({Fraction(sg * j, N) for N in range(1, 17) for j in range(1, N + 1)
+                        for sg in (1, -1)})
+    specs = [(cfg.label(), cfg.theta_spec()) for cfg in
+             [config_hikami(u, ell) for u in (1, 2, 3) for ell in range(u)]
+             + [config_chi(2, 3, 1, 1), config_chi(2, 5, 1, 1), config_chi(3, 4, 1, 1)]]
+    # TREFOIL_SPEC is hikami(1, 0); its nu = 0 series takes the h(0)/2 branch
+    specs.append(("trefoil nu=0", ThetaSpec(a=1, b=24, nu=0, f=TREFOIL_F)))
+    cases = [(label, spec, rationals) for label, spec in specs]
+    for k in range(1, 5):
+        series = config_t3_2k(k).series(2)
+        M, b = series.f.M, series.b
+        cases.append((f"t3-2k({k}) tilde", ThetaSpec(a=0, b=4 * M * M, nu=1, f=series.tilde),
+                      [Fraction(-b) / al for al in (Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2))]))
+    return cases
+
+
+CLASS_CASES = _class_cases()
+
+
+class TestRadialLimitByClass:
+    """theta_radial_limit sums the real Bernoulli terms of each phase class and
+    takes one complex product per class; the table route (reference) builds
+    the whole complex twisted table, one mp.expjpi per entry."""
+
+    @pytest.mark.parametrize("prec", [64, 128, 256])
+    @pytest.mark.parametrize("label,spec,alphas", CLASS_CASES, ids=[c[0] for c in CLASS_CASES])
+    def test_matches_table_route_within_claimed_error(self, label, spec, alphas, prec):
+        ctx = PrecisionContext(prec=prec)
+        # each precision takes every third rational, so that the three cover all
+        start = (64, 128, 256).index(prec)
+        for alpha in alphas[start::3] if len(alphas) > 3 else alphas:
+            got = theta_radial_limit(spec, alpha, ctx)
+            old = radial_limit_by_table(spec, alpha, ctx)
+            truth = theta_radial_limit(spec, alpha, PrecisionContext(prec=400)).value
+            with workprec(440):
+                assert abs(got.value - old) <= got.error, (alpha, prec)
+                assert abs(got.value - truth) <= got.error, (alpha, prec)
+
+    def test_one_expjpi_per_phase_class(self, monkeypatch):
+        """Both calls take mp.expjpi once per distinct exponent of the support,
+        not once per nonzero entry (P at most for the table)."""
+        calls = []
+        expjpi = mp.expjpi
+        monkeypatch.setattr(mp, "expjpi", lambda x: calls.append(x) or expjpi(x))
+        for label, spec, alphas in CLASS_CASES:
+            for alpha in alphas[::5]:
+                h = twisted_table_by_entry(spec.f, alpha, spec.a, spec.b)
+                exponents = {_phase_exponent(alpha, n, spec.a, spec.b)
+                             for n in range(len(h)) if h[n]}
+                calls.clear()
+                theta_radial_limit(spec, alpha, CTX)
+                assert len(calls) == len(exponents), (label, alpha)
+                calls.clear()
+                twisted_table(spec.f, alpha, spec.a, spec.b)
+                assert len(calls) == len(exponents), (label, alpha)
+        # the f~ table of t3-2k(4) at -b/(1/2): 7 classes over 60 nonzero entries
+        assert len(exponents) < sum(1 for v in h if v) // 4
+
+    @pytest.mark.parametrize("prec", [53, 128, 256])
+    def test_twisted_table_bits_match_entrywise_table(self, prec):
+        with workprec(prec):
+            for label, spec, alphas in CLASS_CASES:
+                for alpha in alphas[::4]:
+                    got = twisted_table(spec.f, alpha, spec.a, spec.b)
+                    ref = twisted_table_by_entry(spec.f, alpha, spec.a, spec.b)
+                    assert [v._mpc_ for v in got] == [v._mpc_ for v in ref], (label, alpha)
 
 
 class TestVerticalTheta:
