@@ -12,7 +12,7 @@ from .periodic import (ChiParams, PeriodicFunction, TildeFunction, chi_function,
                        verify_decomposition)
 from .exact import FormalSeries, bernoulli_polynomial, l_value, series_coefficients
 from .qseries import ThetaSpec, eichler_integral, theta_radial_limit, theta_upper_half
-from .borel import borel_coefficients, borel_eval, hadamard_oracle, singularity_set
+from .borel import borel_coefficients, borel_eval, singularity_set
 from .resum import boundary_median, discontinuity, lateral_sum, median_sum
 from .habiro import (RootOfUnity, StrangeConfig, hikami_x, q_binomial, q_pochhammer,
                      verify_strange)
@@ -28,7 +28,7 @@ __all__ = [
     "verify_decomposition",
     "FormalSeries", "bernoulli_polynomial", "l_value", "series_coefficients",
     "ThetaSpec", "eichler_integral", "theta_radial_limit", "theta_upper_half",
-    "borel_coefficients", "borel_eval", "hadamard_oracle", "singularity_set",
+    "borel_coefficients", "borel_eval", "singularity_set",
     "boundary_median", "discontinuity", "lateral_sum", "median_sum",
     "RootOfUnity", "StrangeConfig", "hikami_x", "q_binomial", "q_pochhammer",
     "verify_strange",

@@ -24,13 +24,12 @@ from mpmath import mp, mpc, mpf, workprec
 
 from . import borel as borel_mod
 from . import resum as resum_mod
-from .config import (Config, config_chi, config_general, config_hikami,
-                     config_t3_2k)
+from .config import FAMILIES, Config
 from .habiro import BudgetError
 from .periodic import ConfigError
 from .precision import PrecisionContext, default_prec, to_mpf
 from .qseries import DomainError, theta_upper_half
-from .report import number_json
+from .report import _dps_for, number_json
 from .suites import SUITES, run_suite
 
 USAGE_ERROR = 2
@@ -64,56 +63,29 @@ def _complex(text: str, ctx: PrecisionContext) -> mpc:
 
 
 def build_config(args) -> Config:
-    fam = args.family
+    constructor, required, optional = FAMILIES[args.family]
+    missing = [k for k in required if getattr(args, k) is None]
+    if missing:
+        raise UsageError(f"family {args.family} needs --{', --'.join(missing)}")
+
+    def value(k):
+        return _fraction(args.c) if k == "c" else getattr(args, k)
+
     try:
-        if fam == "general":
-            missing = [k for k in ("c", "M", "k1", "k2", "a", "b")
-                       if getattr(args, k) is None]
-            if missing:
-                raise UsageError(f"family general needs --{', --'.join(missing)}")
-            return config_general(_fraction(args.c), args.M, args.k1, args.k2,
-                                  args.a, args.b)
-        if fam == "chi":
-            missing = [k for k in ("s", "t", "n", "m") if getattr(args, k) is None]
-            if missing:
-                raise UsageError(f"family chi needs --{', --'.join(missing)}")
-            kw = {}
-            if args.c is not None:
-                kw["c"] = _fraction(args.c)
-            if args.a is not None:
-                kw["a"] = args.a
-            if args.b is not None:
-                kw["b"] = args.b
-            return config_chi(args.s, args.t, args.n, args.m, **kw)
-        if fam == "hikami":
-            if args.u is None or args.l is None:
-                raise UsageError("family hikami needs --u and --l")
-            return config_hikami(args.u, args.l)
-        if fam == "t3-2k":
-            if args.k is None:
-                raise UsageError("family t3-2k needs --k")
-            return config_t3_2k(args.k)
+        return constructor(*map(value, required),
+                           **{k: value(k) for k in optional if getattr(args, k) is not None})
     except ConfigError as exc:
         raise UsageError(str(exc))
-    raise UsageError(f"unknown family {fam!r}")
 
 
 def _add_family_flags(p):
-    p.add_argument("--family", required=True,
-                   choices=["general", "chi", "hikami", "t3-2k"])
+    p.add_argument("--family", required=True, choices=list(FAMILIES))
     p.add_argument("--c", type=str, help="scale c as a rational, e.g. -1/2")
-    p.add_argument("--M", type=int)
-    p.add_argument("--k1", type=int)
-    p.add_argument("--k2", type=int)
-    p.add_argument("--a", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--t", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--u", type=int)
-    p.add_argument("--l", type=int)
-    p.add_argument("--k", type=int)
+    flags = dict.fromkeys(k for _, required, optional in FAMILIES.values()
+                          for k in required + optional)
+    for k in flags:
+        if k != "c":
+            p.add_argument(f"--{k}", type=int)
 
 
 def _add_numeric_flags(p):
@@ -166,11 +138,6 @@ def _context(args) -> PrecisionContext:
         raise UsageError(str(exc))
 
 
-def _digits(ctx: PrecisionContext) -> int:
-    """Significant digits printed for ctx.prec bits."""
-    return int(ctx.prec * 0.301) + 2
-
-
 def _write(text: str, out) -> None:
     """text to the file out (newlines untranslated, as csv needs), or to stdout."""
     if out:
@@ -203,27 +170,18 @@ def cmd_export(args) -> int:
     if args.count < 1:
         raise UsageError("--count must be >= 1")
     series = cfg.series(max(args.count + 2, 8))
-    rows = []
-    if args.what == "coefficients":
-        header = ["n", "C_n", "C_n_float"]
-        for n in range(args.count):
-            c = series.C[n]
-            with ctx.working():
-                rows.append([n, str(c), mp.nstr(to_mpf(c), _digits(ctx))])
-    elif args.what == "borel-taylor":
-        header = ["n", "g_n", "g_n_float"]
-        g = borel_mod.borel_coefficients(series, args.count)
-        for n, c in enumerate(g):
-            with ctx.working():
-                rows.append([n, str(c), mp.nstr(to_mpf(c), _digits(ctx))])
-    else:
+    if args.what == "singularities":
         header = ["index", "ell", "position"]
         ss = borel_mod.singularity_set(series)
-        idx = ss.indices(args.count)
-        pos = ss.positions(args.count, ctx)
-        with ctx.working():
-            for i, (ell, x) in enumerate(zip(idx, pos)):
-                rows.append([i, ell, mp.nstr(x, _digits(ctx))])
+        values = zip(ss.indices(args.count), ss.positions(args.count, ctx))
+    else:
+        name = "C" if args.what == "coefficients" else "g"
+        header = ["n", f"{name}_n", f"{name}_n_float"]
+        exact = (series.C[:args.count] if name == "C"
+                 else borel_mod.borel_coefficients(series, args.count))
+        values = ((str(c), to_mpf(c)) for c in exact)
+    with ctx.working():
+        rows = [[i, v, mp.nstr(x, _dps_for(ctx.prec))] for i, (v, x) in enumerate(values)]
 
     if args.format == "csv":
         buf = io.StringIO()
@@ -296,10 +254,7 @@ def main(argv=None) -> int:
         if args.command == "export":
             return cmd_export(args)
         return cmd_eval(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (ConfigError, DomainError, BudgetError) as exc:
+    except (UsageError, ConfigError, DomainError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -1,9 +1,13 @@
 """Named parameter families and their expansion to periodic-function data.
 
-family "general":  c, M, k1, k2, a, b          (the raw four-residue data)
-family "chi":      s, t, n, m [, c=1, a=0]      (b fixed to 4st)
-family "hikami":   u, l  -> chi(2, 2u+1, 1, l+1), c=-1/2, a=(2u-2l-1)^2, b=2(8u+4)
-family "t3-2k":    k     -> chi(3, 2^k, 2, 1),  c=-1/2, a=(2^{k+1}-3)^2, b=3*2^{k+2}
+FAMILIES is the one map from a family name to its constructor and the
+parameters it takes; the CLI builds its --family flags from it, and the
+README's family table is checked against it.  What the families are:
+
+"general":  the raw four-residue data
+"chi":      chi_{2st}^{(n,m)} scaled by c (default 1); a defaults to 0, b to 4st
+"hikami":   chi(2, 2u+1, 1, l+1), c=-1/2, a=(2u-2l-1)^2, b=2(8u+4)
+"t3-2k":    chi(3, 2^k, 2, 1),  c=-1/2, a=(2^{k+1}-3)^2, b=3*2^{k+2}
 
 Each Config carries the StrangeConfig arguments of its Habiro element:
 ("hikami", u, l) for hikami(u, l), ("trefoil",) (Kontsevich-Zagier) for any
@@ -98,6 +102,16 @@ def config_t3_2k(k: int) -> Config:
                       a=(2 ** (k + 1) - 3) ** 2, b=3 * 2 ** (k + 2))
     return Config("t3-2k", base.f, base.a, base.b, {"k": k}, chi_idx=base.chi_idx,
                   habiro=base.habiro)
+
+
+# name: (constructor, required flags, passed in order, optional flags, passed
+# by keyword); the flag names are the CLI's, without the leading --
+FAMILIES = {
+    "general": (config_general, ("c", "M", "k1", "k2", "a", "b"), ()),
+    "chi": (config_chi, ("s", "t", "n", "m"), ("c", "a", "b")),
+    "hikami": (config_hikami, ("u", "l"), ()),
+    "t3-2k": (config_t3_2k, ("k",), ()),
+}
 
 
 def trefoil_strange() -> Config:

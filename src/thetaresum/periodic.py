@@ -29,10 +29,10 @@ class PeriodicTable(tuple):
 
     The one form in which the library reads a periodic function: f
     (PeriodicFunction.table), f~ (TildeFunction.table) and the twisted h of
-    the radial limits (qseries.twisted_table).  Zeros are exact.
+    the radial limits (qseries.twisted_table).  Zeros are exact.  Data
+    derived from the values, such as resum's cotangent moments, is kept in
+    the instance's __dict__.
     """
-
-    __slots__ = ()
 
     def __call__(self, n: int):
         return self[n % len(self)]

@@ -122,21 +122,16 @@ def _cot_derivative(m: int) -> tuple:
     return tuple(-dp[k] - (dp[k - 2] if k >= 2 else 0) for k in range(len(dp)))
 
 
-_COT_MOMENTS: dict = {}
-COT_MOMENTS_CACHED = 32  # (table, precision) pairs whose mu_j are kept
-
-
 def _cot_moments(table, wp: int, count: int) -> list:
     """mu_j = sum_{0<r<=P/2} w_r h(r) cot^{2j}(pi r/P), j < count, at wp bits.
 
-    w_r = 1, or 1/2 at r = P/2.  Kept per (table, wp) and extended on
+    w_r = 1, or 1/2 at r = P/2.  Kept on the table per wp and extended on
     demand, so every moment of one sum reads the same mu_j, and the values
     do not depend on which moments were asked for first.  Raises ValueError
     unless h(P - r) = h(r) bit for bit.
     """
-    key = (id(table), wp)
-    entry = _COT_MOMENTS.get(key)
-    if entry is None or entry[0] is not table:
+    entries = table.__dict__.setdefault("cot_moments", {})
+    if wp not in entries:
         P = len(table)
         if any(table[r] != table[P - r] for r in range(1, P)):
             raise ValueError("tilde_dirichlet needs an exactly even table, h(P - r) = h(r)")
@@ -144,10 +139,8 @@ def _cot_moments(table, wp: int, count: int) -> list:
             rs = [r for r in range(1, P // 2 + 1) if table[r]]
             cot2 = [mp.cot(mp.pi * r / P) ** 2 if 2 * r < P else mpf(0) for r in rs]
             power = [table[r] if 2 * r < P else table[r] / 2 for r in rs]
-        entry = _COT_MOMENTS[key] = (table, cot2, power, [])
-        if len(_COT_MOMENTS) > COT_MOMENTS_CACHED:
-            del _COT_MOMENTS[next(iter(_COT_MOMENTS))]
-    _, cot2, power, mu = entry
+        entries[wp] = (cot2, power, [])
+    cot2, power, mu = entries[wp]
     with workprec(wp):
         while len(mu) < count:
             if mu:

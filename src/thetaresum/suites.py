@@ -23,10 +23,6 @@ from .precision import (FIVE_HALVES, THREE_HALVES, PrecisionContext, as_fraction
 from .qseries import ThetaSpec, eichler_integral, theta_radial_limit
 from .report import Report, timed
 
-SUITES = ("coeffs", "borel", "disc", "cm", "gentor", "strange", "main2",
-          "eichler", "all")
-
-
 def suite_coeffs(cfg: Config, ctx: PrecisionContext, report: Report, **_):
     series = cfg.series(40)
     with timed() as t:
@@ -186,6 +182,7 @@ _SUITE_FN = {
     "main2": suite_main2,
     "eichler": suite_eichler,
 }
+SUITES = (*_SUITE_FN, "all")
 
 
 def run_suite(name: str, cfg: Config, ctx: PrecisionContext, alpha=None) -> Report:

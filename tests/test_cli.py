@@ -4,14 +4,18 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import thetaresum
 from thetaresum.cli import main
+from thetaresum.config import (FAMILIES, config_chi, config_general, config_hikami,
+                               config_t3_2k)
 
 
 def run_cli(args):
@@ -135,6 +139,88 @@ class TestExport:
         rc = run_cli(["export", "--what", "coefficients", "--count", "0",
                       "--family", "hikami", "--u", "1", "--l", "0"])
         assert rc == 2
+
+    def test_float_columns_have_report_digits(self, capsys):
+        """At 196 bits an export prints as many digits as verify and eval do
+        (report.number_json), not one fewer."""
+        from thetaresum.borel import borel_coefficients, singularity_set
+        from thetaresum.precision import PrecisionContext, to_mpf
+        from thetaresum.report import number_json
+        ctx = PrecisionContext(prec=196)
+        series = config_hikami(1, 0).series(8)
+        printed = {}
+        for what, column in (("borel-taylor", "g_n_float"), ("singularities", "position")):
+            rc = run_cli(["export", "--what", what, "--count", "3", "--family", "hikami",
+                          "--u", "1", "--l", "0", "--prec", "196"])
+            assert rc == 0
+            printed[what] = [row[column]
+                             for row in json.loads(capsys.readouterr().out)["rows"]]
+        positions = singularity_set(series).positions(3, ctx)
+        with ctx.working():
+            want = {"borel-taylor": [number_json(to_mpf(g), 196)["re"]
+                                     for g in borel_coefficients(series, 3)],
+                    "singularities": [number_json(x, 196)["re"] for x in positions]}
+        assert printed == want
+        assert all(len(v.replace(".", "")) == 61 for v in want["singularities"])
+
+
+# argv of each family, and the configuration it must build
+FAMILY_CASES = [
+    ("general", ["--c", "-1/2", "--M", "12", "--k1", "1", "--k2", "5", "--a", "1",
+                 "--b", "24"], lambda: config_general(Fraction(-1, 2), 12, 1, 5, 1, 24)),
+    ("chi", ["--s", "2", "--t", "3", "--n", "1", "--m", "1"],
+     lambda: config_chi(2, 3, 1, 1)),
+    ("chi", ["--s", "2", "--t", "3", "--n", "1", "--m", "1", "--c", "-1/2", "--a", "1",
+             "--b", "48"], lambda: config_chi(2, 3, 1, 1, c=Fraction(-1, 2), a=1, b=48)),
+    ("hikami", ["--u", "2", "--l", "1"], lambda: config_hikami(2, 1)),
+    ("t3-2k", ["--k", "2"], lambda: config_t3_2k(2)),
+]
+
+
+def _without(argv, flag):
+    i = argv.index(f"--{flag}")
+    return argv[:i] + argv[i + 2:]
+
+
+class TestFamilies:
+    """Every family of config.FAMILIES is built through the CLI."""
+
+    def test_cases_cover_every_family_and_optional_flag(self):
+        assert {fam for fam, _, _ in FAMILY_CASES} == set(FAMILIES)
+        for fam, (_, _, optional) in FAMILIES.items():
+            given = {w[2:] for f, argv, _ in FAMILY_CASES if f == fam for w in argv[::2]}
+            assert set(optional) <= given, fam
+
+    @pytest.mark.parametrize("fam,argv,build", FAMILY_CASES,
+                             ids=["general", "chi", "chi-optional", "hikami", "t3-2k"])
+    def test_export_builds_the_family(self, fam, argv, build, capsys):
+        rc = run_cli(["export", "--what", "coefficients", "--count", "2",
+                      "--family", fam] + argv)
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["config"] == build().describe()
+
+    @pytest.mark.parametrize("fam,flag", [(fam, flag) for fam, (_, required, _)
+                                          in FAMILIES.items() for flag in required])
+    def test_missing_flag_is_named(self, fam, flag, capsys):
+        argv = next(argv for f, argv, _ in FAMILY_CASES if f == fam)
+        rc = run_cli(["export", "--what", "coefficients", "--count", "2",
+                      "--family", fam] + _without(argv, flag))
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: family {fam} needs --{flag}\n"
+
+    def test_readme_table_matches_registry(self):
+        """The README's family table lists each family's required flags, and
+        its optional flags in brackets, as config.FAMILIES has them."""
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        rows = re.findall(r"^\| `([^`]+)` +\| `([^`]+)` +\|", readme.read_text(), re.M)
+        table = {}
+        for fam, flags in rows:
+            required, _, optional = flags.partition("[")
+            table[fam] = (tuple(f[2:] for f in required.split()),
+                          tuple(f[2:] for f in optional.rstrip("]").split()))
+        assert table == {fam: (required, optional)
+                         for fam, (_, required, optional) in FAMILIES.items()}
 
 
 class TestEval:
