@@ -62,11 +62,20 @@ def _complex(text: str, ctx: PrecisionContext) -> mpc:
         return mpc(mpf(real or 0), mpf(imag + "1" if imag in ("", "+", "-") else imag or 0))
 
 
+# every family flag, in registry order; each family takes some of them
+FAMILY_FLAGS = tuple(dict.fromkeys(k for _, required, optional in FAMILIES.values()
+                                   for k in required + optional))
+
+
 def build_config(args) -> Config:
     constructor, required, optional = FAMILIES[args.family]
     missing = [k for k in required if getattr(args, k) is None]
     if missing:
         raise UsageError(f"family {args.family} needs --{', --'.join(missing)}")
+    foreign = [k for k in FAMILY_FLAGS
+               if k not in required + optional and getattr(args, k) is not None]
+    if foreign:
+        raise UsageError(f"family {args.family} does not take --{', --'.join(foreign)}")
 
     def value(k):
         return _fraction(args.c) if k == "c" else getattr(args, k)
@@ -81,9 +90,7 @@ def build_config(args) -> Config:
 def _add_family_flags(p):
     p.add_argument("--family", required=True, choices=list(FAMILIES))
     p.add_argument("--c", type=str, help="scale c as a rational, e.g. -1/2")
-    flags = dict.fromkeys(k for _, required, optional in FAMILIES.values()
-                          for k in required + optional)
-    for k in flags:
+    for k in FAMILY_FLAGS:
         if k != "c":
             p.add_argument(f"--{k}", type=int)
 

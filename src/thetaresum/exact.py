@@ -22,14 +22,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp, mpf
-
 from .periodic import PeriodicFunction, tilde_transform
-from .precision import DEFAULT_CTX, PrecisionContext, richardson_limit, to_mpf
-
-
-class ConsistencyError(RuntimeError):
-    """An internal cross-check failed; indicates a bug, not bad input."""
 
 
 # ---------------------------------------------------------------------------
@@ -168,62 +161,3 @@ def series_coefficients(spec, count: int) -> FormalSeries:
         raise TypeError("series coefficients require the plain periodic f")
     C = tuple((-1) ** n * f.c * l_value(f.pattern, 2 * n + 1) for n in range(count))
     return FormalSeries(f=f, b=spec.b, C=C, c_m=C[0])
-
-
-# ---------------------------------------------------------------------------
-# Empirical Gevrey-1 growth fit.
-
-@dataclass(frozen=True)
-class GevreyFit:
-    A: mpf
-    B: mpf
-    B_lsq: mpf           # slope fit of log(|a_n|/n!) against n
-    radius: mpf          # extrapolated 1/B = Borel radius of convergence
-    radius_expected: mpf  # b pi^2 l*^2 / M^2 from the f~ support
-
-
-def gevrey_estimate(series: FormalSeries, count: int = None,
-                    ctx: PrecisionContext = DEFAULT_CTX) -> GevreyFit:
-    """Fit |a_n| <= A B^n n! empirically.
-
-    B_lsq is the least-squares slope of log(|a_n|/n!) against n over the
-    tail half of the coefficients; B refines it through Richardson-
-    extrapolated ratios of the Borel coefficients g_n = a_{n+1}/n! (the
-    subexponential n^{3/2} factor cancels in the ratios).  A caps
-    |a_n| / (B^n n!) over the computed range.
-    """
-    n_max = series.count if count is None else min(count, series.count)
-    if n_max < 10:
-        raise ValueError("need at least 10 coefficients for a stable fit")
-    with ctx.working():
-        g = []
-        for n in range(n_max - 1):
-            g.append(to_mpf(series.a(n + 1)) / mp.factorial(n))
-        # ratio g_{n+1}/g_n -> 1/radius with O(1/n) corrections
-        take = min(8, n_max - 3)
-        idx = list(range(n_max - 1 - take, n_max - 2))
-        xs = [mpf(1) / (k + 1) for k in idx]
-        ys = [abs(g[k + 1] / g[k]) for k in idx]
-        B, _ = richardson_limit(xs, ys)
-        if not (B > 0 and mp.isfinite(B)):
-            raise ConsistencyError(
-                f"coefficient ratios do not stabilise (B fit = {B}); "
-                "growth is not Gevrey-1, which indicates a bug upstream")
-        radius = 1 / B
-        # straight least-squares on the tail half: log|g_{n-1}| ~ logA + n logB
-        lo = n_max // 2
-        pts = [(mpf(n + 1), mp.log(abs(g[n]))) for n in range(lo, n_max - 1) if g[n]]
-        nn = len(pts)
-        sx = mp.fsum(p[0] for p in pts)
-        sy = mp.fsum(p[1] for p in pts)
-        sxx = mp.fsum(p[0] ** 2 for p in pts)
-        sxy = mp.fsum(p[0] * p[1] for p in pts)
-        slope = (nn * sxy - sx * sy) / (nn * sxx - sx ** 2)
-        B_lsq = mp.exp(slope)
-        ell0 = series.tilde.first_support
-        expected = (mpf(series.b) * mp.pi ** 2 * ell0 ** 2) / series.f.M ** 2
-        A = mpf(0)
-        for n in range(n_max):
-            A = max(A, abs(to_mpf(series.a(n))) / (B ** n * mp.factorial(n)))
-        return GevreyFit(A=A, B=B, B_lsq=B_lsq, radius=radius,
-                         radius_expected=expected)

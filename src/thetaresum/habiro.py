@@ -9,7 +9,8 @@ for zeta, so q^e sits at index e mod N).  The sums only ever multiply by
 q^e or by 1 - q^m, so the ring is index shifts (_shift) and element-wise
 addition and subtraction.  Vanishing factors like 1 - q^N are exact, and
 the result is rounded to a complex number once, from one table of zeta^r
-per root and precision.  Every function here takes q as a RootOfUnity and
+per root and precision, within 2^-(ctx.prec + GUARD_BITS) of the exact
+value (_to_complex).  Every function here takes q as a RootOfUnity and
 raises TypeError for any other q.
 """
 
@@ -23,8 +24,9 @@ from functools import lru_cache
 from mpmath import mp, mpf, mpc, workprec
 
 from .config import config_hikami
-from .precision import DEFAULT_CTX, PrecisionContext, as_fraction, frac_to_mp
+from .precision import DEFAULT_CTX, Estimate, PrecisionContext, as_fraction, frac_to_mp
 from .qseries import ThetaSpec, theta_radial_limit
+from .report import agrees
 
 
 @dataclass(frozen=True)
@@ -80,12 +82,24 @@ def _sub(a: list, b: list) -> list:
 
 
 def _to_complex(v: list, q: RootOfUnity) -> mpc:
-    """Round once: sum a_r zeta^r in ascending r, at the current precision."""
-    powers = _root_powers(q.j, q.N, mp.prec)
-    acc = mpc(0)
-    for r, a in enumerate(v):
-        if a:
-            acc += a * powers[r]
+    """Round once: sum a_r zeta^r in ascending r, within 2^-p of the exact
+    value, p the current precision.
+
+    The sum is taken at wp >= p + bitlen(2 (N + 7) sum |a_r|) bits, a
+    multiple of 64, so that most values at one root share a table.  Each
+    zeta^r is within 10 2^-wp (its argument, a rational in [0, 2) rounded
+    to wp bits, moves it by at most 2 pi 2^-wp, and each part is within an
+    ulp), each product a_r zeta^r within 13 |a_r| 2^-wp, and each of the N
+    additions adds at most 2 2^-wp sum |a_r|: in all (2 N + 13) sum |a_r|
+    2^-wp < 2^-p.  The value is returned at wp bits, unrounded.
+    """
+    wp = -(-(mp.prec + (2 * (q.N + 7) * sum(map(abs, v))).bit_length()) // 64) * 64
+    powers = _root_powers(q.j, q.N, wp)
+    with workprec(wp):
+        acc = mpc(0)
+        for r, a in enumerate(v):
+            if a:
+                acc += a * powers[r]
     return acc
 
 
@@ -194,27 +208,39 @@ class StrangeConfig:
 
 @dataclass(frozen=True)
 class StrangeReport:
+    """The Habiro value, with its rounding bar, and the theta radial limit
+    as Estimates; they pass by the pass rule (report.agrees) at prec bits."""
+
     family: str
     u: int
     ell: int
     alpha: Fraction
-    habiro_side: mpc
-    theta_side: mpc
-    residual: mpf
-    tolerance: mpf
+    habiro: Estimate
+    theta: Estimate
+    prec: int
+
+    @property
+    def habiro_side(self) -> mpc:
+        return self.habiro.value
+
+    @property
+    def theta_side(self) -> mpc:
+        return self.theta.value
 
     @property
     def passed(self) -> bool:
-        return self.residual <= self.tolerance
+        return agrees(self.habiro, self.theta, self.prec)
 
 
 def verify_strange(config: StrangeConfig, alpha,
                    ctx: PrecisionContext = DEFAULT_CTX) -> StrangeReport:
     """Compare the finite Habiro evaluation at e^{2 pi i alpha} with the
-    radial limit of its partial theta series at alpha, to ctx.tolerance()."""
+    radial limit of its partial theta series at alpha, by the pass rule.
+    The Habiro side is within 2^-(ctx.prec + GUARD_BITS) of the exact
+    element (_to_complex); the theta side carries its own bar."""
     alpha = as_fraction(alpha)
     with ctx.working():
         lhs = config.habiro_value(RootOfUnity.from_fraction(alpha), ctx)
-        rhs = theta_radial_limit(config.theta_spec(), alpha, ctx).value
+        rhs = theta_radial_limit(config.theta_spec(), alpha, ctx)
         return StrangeReport(config.family, config.u, config.ell, alpha,
-                             lhs, rhs, abs(lhs - rhs), ctx.tolerance())
+                             Estimate(lhs, mpf(2) ** -mp.prec), rhs, ctx.prec)

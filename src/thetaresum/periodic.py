@@ -17,7 +17,9 @@ from functools import lru_cache
 
 from mpmath import mp, mpf, workprec
 
-from .precision import DEFAULT_CTX, PrecisionContext, as_fraction, frac_to_mp, to_mpf
+from .precision import (DEFAULT_CTX, Estimate, PrecisionContext, as_fraction, exact, frac_to_mp,
+                        to_mpf)
+from .report import agrees
 
 
 class ConfigError(ValueError):
@@ -308,48 +310,58 @@ def s_matrix_entry(s: int, t: int, nm: tuple, nm2: tuple,
 
 @dataclass(frozen=True)
 class DecompositionReport:
+    """Both sides of the decomposition at every residue, and the vanishing.
+
+    sides holds (k, f~(k), -sqrt(st/8) sum S chi'(k)) for k mod 2st, as
+    Estimates with rounding bars; vanishing is the sum of |both sides| over
+    the k divisible by s or t, exact with a zero bar.  Each passes by the
+    pass rule (report.agrees) at prec bits.
+    """
+
     s: int
     t: int
     nm: tuple
-    max_residual: mpf
-    tolerance: mpf
-    failures: tuple  # (k, lhs, rhs) triples beyond tolerance
-    support_ok: bool
+    sides: tuple
+    vanishing: Estimate
+    prec: int
 
     @property
     def passed(self) -> bool:
-        return not self.failures and self.support_ok
+        return (all(agrees(lhs, rhs, self.prec) for _, lhs, rhs in self.sides)
+                and agrees(self.vanishing, exact(0), self.prec))
 
 
 def verify_decomposition(s: int, t: int, nm: tuple,
                          ctx: PrecisionContext = DEFAULT_CTX) -> DecompositionReport:
     """Check chi~^{(n,m)}(k) = -sqrt(st/8) sum_{(n',m')} S chi^{(n',m')}(k)
-    to 1e-12 over every residue k mod 2st, plus the vanishing on multiples of
-    s or t.
+    over every residue k mod 2st, plus the vanishing on multiples of s or t.
+
+    The sides are taken at wp = ctx.prec + GUARD_BITS bits, and their bars
+    are rounding bars.  A sine product of two rational multiples of pi,
+    each rounded to wp bits, is within 2^(5-wp) of its exact value (each
+    sinpi within (2 pi + 1) 2^-wp, and the product's rounding): that is
+    f~(k)'s bar, and an S entry is within sqrt(8/st) 2^(5-wp).  The right
+    side adds n = |D(s,t)| entries, each of size at most sqrt(8/st), and
+    scales by sqrt(st/8), so it is within n 2^(6-wp), which also covers
+    the roundings of the sum, of the prefactor and of the product.  On a
+    multiple of s or t every sine argument of f~ is an integer and every
+    chi' vanishes, so both sides are exact zeros there.
     """
     ps = pair_set(s, t)
     if tuple(nm) not in ps.pairs:
         raise ConfigError(f"{nm} is not in D({s},{t})")
     n, m = nm
     with ctx.working():
-        tolv = mpf("1e-12")
         tilde = tilde_transform(chi_function(ChiParams(s, t, n, m))).table()
         chis = [chi_function(ChiParams(s, t, a, b)) for (a, b) in ps]
         row = [s_matrix_entry(s, t, nm, other, ctx) for other in ps]
         pref = -mp.sqrt(mpf(s * t) / 8)
-        M = 2 * s * t
-        failures = []
-        worst = mpf(0)
-        support_ok = True
-        for k in range(M):
-            lhs = tilde(k)
-            rhs = pref * mp.fsum(row[i] * chis[i].sign(k) for i in range(len(row)))
-            gap = abs(lhs - rhs)
-            worst = max(worst, gap)
-            if gap > tolv:
-                failures.append((k, lhs, rhs))
-            if k % s == 0 or k % t == 0:
-                if abs(lhs) > tolv or abs(rhs) > tolv:
-                    support_ok = False
-        return DecompositionReport(s, t, tuple(nm), worst, tolv,
-                                   tuple(failures), support_ok)
+        lhs_bar = mpf(2) ** (5 - mp.prec)
+        rhs_bar = len(row) * mpf(2) ** (6 - mp.prec)
+        sides = tuple((k, Estimate(tilde(k), lhs_bar),
+                       Estimate(pref * mp.fsum(row[i] * chis[i].sign(k) for i in range(len(row))),
+                                rhs_bar))
+                      for k in range(2 * s * t))
+        vanishing = mp.fsum(abs(lhs.value) + abs(rhs.value) for k, lhs, rhs in sides
+                            if k % s == 0 or k % t == 0)
+        return DecompositionReport(s, t, tuple(nm), sides, exact(vanishing), ctx.prec)

@@ -131,25 +131,8 @@ def to_mpf(x) -> mpf:
     return frac_to_mp(x) if isinstance(x, Fraction) else mpf(x)
 
 
-def richardson_limit(xs, ys):
-    """Neville extrapolation of samples (x_j, y_j) to x = 0.
-
-    Assumes y(x) = y0 + c1*x + c2*x^2 + ...; xs should decrease geometrically.
-    Returns (limit, error_estimate) where the estimate is the last tableau
-    correction (standard heuristic for sequence transforms).
-    """
-    n = len(xs)
-    if n != len(ys) or n < 2:
-        raise ValueError("need matching xs/ys with at least two samples")
-    tab = list(ys)
-    corner = tab[0]
-    err = abs(tab[0] - tab[1])
-    for k in range(1, n):
-        # ascending j so tab[j+1] still holds the previous-order value P_{j+1,k-1}
-        for j in range(n - k):
-            xa, xb = xs[j], xs[j + k]
-            # Neville at 0: P_{j,k} = (xa P_{j+1,k-1} - xb P_{j,k-1})/(xa - xb)
-            tab[j] = (xa * tab[j + 1] - xb * tab[j]) / (xa - xb)
-        prev, corner = corner, tab[0]
-        err = abs(corner - prev)
-    return corner, err
+def exact(x) -> Estimate:
+    """An exact number (a Fraction, or an mpf known to be exact) with a zero
+    bar.  A Fraction is rounded at the current precision; callers that
+    compare it at ctx.prec hold GUARD_BITS more (ctx.working())."""
+    return Estimate(to_mpf(x), mpf(0))

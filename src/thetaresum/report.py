@@ -1,4 +1,11 @@
-"""Machine-readable check reports.
+"""Machine-readable check reports, and the one rule by which a check passes.
+
+A check compares two sides, each an Estimate (value and claimed error), and
+passes when |lhs - rhs| <= lhs.error + rhs.error + 2^(1-prec)(|lhs| + |rhs|),
+prec the report's precision: the last term is what rounding both sides to
+prec bits may cost.  Exact sides carry zero bars.  The rule is written once,
+here (allowance, agrees); the suites, the strange identities and the
+character decomposition all read it.
 
 Reports serialise to JSON with all numbers as decimal strings (keys "re",
 "im", "err") so no double-rounding happens downstream.  File output is
@@ -14,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 from mpmath import mp, mpf, mpc, workprec
 
-SCHEMA = "thetaresum-report/1"
+SCHEMA = "thetaresum-report/2"
 
 
 def _dps_for(prec_bits: int) -> int:
@@ -28,6 +35,24 @@ def number_json(value, prec_bits: int, err=None) -> dict:
     if err is not None:
         out["err"] = mp.nstr(mpf(err), 3)
     return out
+
+
+def gap(lhs, rhs, prec: int) -> mpf:
+    """|lhs - rhs| of two plain numbers, rounded to prec bits first: residuals
+    below a double's resolution must not round to 0."""
+    with workprec(prec):
+        return abs(mpc(lhs) - mpc(rhs))
+
+
+def allowance(lhs, rhs, prec: int) -> mpf:
+    """The bound the pass rule puts on |lhs - rhs| for two Estimates."""
+    with workprec(prec):
+        return lhs.error + rhs.error + mpf(2) ** (1 - prec) * (abs(lhs.value) + abs(rhs.value))
+
+
+def agrees(lhs, rhs, prec: int) -> bool:
+    """The pass rule: lhs and rhs agree within their bars and the rounding."""
+    return gap(lhs.value, rhs.value, prec) <= allowance(lhs, rhs, prec)
 
 
 @dataclass
@@ -67,15 +92,29 @@ class Report:
     checks: list = field(default_factory=list)
 
     def add(self, name: str, inputs: dict, lhs, rhs, tolerance, wall_time=0.0) -> CheckRecord:
-        # at the report's precision, whatever the caller's: residuals below
-        # a double's resolution must not round to 0
+        """Record plain-number sides against a given tolerance; the suites
+        record through row, which sets the tolerance by the pass rule."""
         with workprec(self.prec_bits):
-            lhs, rhs = mpc(lhs), mpc(rhs)
-            rec = CheckRecord(name=name, inputs=inputs, lhs=lhs, rhs=rhs,
-                              abs_error=abs(lhs - rhs), tolerance=mpf(tolerance),
-                              wall_time=wall_time)
+            rec = CheckRecord(name=name, inputs=inputs, lhs=mpc(lhs), rhs=mpc(rhs),
+                              abs_error=gap(lhs, rhs, self.prec_bits),
+                              tolerance=mpf(tolerance), wall_time=wall_time)
         self.checks.append(rec)
         return rec
+
+    def row(self, name: str, inputs: dict, lhs, rhs, wall_time=0.0) -> CheckRecord:
+        """Record lhs = rhs for two Estimates; the tolerance is their allowance."""
+        return self.add(name, inputs, lhs.value, rhs.value,
+                        allowance(lhs, rhs, self.prec_bits), wall_time)
+
+    def worst_row(self, name: str, inputs: dict, key: str, sides, wall_time=0.0) -> CheckRecord:
+        """Record an identity that holds at every index of sides, (index, lhs,
+        rhs) triples of Estimates, by the index with the largest gap less
+        allowance (the first on a tie), under inputs[key]: every index
+        agrees exactly when that one does."""
+        prec = self.prec_bits
+        index, lhs, rhs = max(sides, key=lambda s: gap(s[1].value, s[2].value, prec)
+                              - allowance(s[1], s[2], prec))
+        return self.row(name, {**inputs, key: index}, lhs, rhs, wall_time)
 
     @property
     def all_passed(self) -> bool:

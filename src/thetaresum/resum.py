@@ -122,8 +122,8 @@ def _cot_derivative(m: int) -> tuple:
     return tuple(-dp[k] - (dp[k - 2] if k >= 2 else 0) for k in range(len(dp)))
 
 
-def _cot_moments(table, wp: int, count: int) -> list:
-    """mu_j = sum_{0<r<=P/2} w_r h(r) cot^{2j}(pi r/P), j < count, at wp bits.
+def _cot_moments(table, wp: int, count: int) -> tuple:
+    """(mu, max |h|): mu_j = sum_{0<r<=P/2} w_r h(r) cot^{2j}(pi r/P), j < count, at wp bits.
 
     w_r = 1, or 1/2 at r = P/2.  Kept on the table per wp and extended on
     demand, so every moment of one sum reads the same mu_j, and the values
@@ -139,17 +139,18 @@ def _cot_moments(table, wp: int, count: int) -> list:
             rs = [r for r in range(1, P // 2 + 1) if table[r]]
             cot2 = [mp.cot(mp.pi * r / P) ** 2 if 2 * r < P else mpf(0) for r in rs]
             power = [table[r] if 2 * r < P else table[r] / 2 for r in rs]
-        entries[wp] = (cot2, power, [])
-    cot2, power, mu = entries[wp]
+            hmax = max(abs(table[r]) for r in [0] + rs)
+        entries[wp] = (cot2, power, [], hmax)
+    cot2, power, mu, hmax = entries[wp]
     with workprec(wp):
         while len(mu) < count:
             if mu:
                 power[:] = [p * c for p, c in zip(power, cot2)]
             mu.append(mp.fsum(power))
-    return mu
+    return mu, hmax
 
 
-def tilde_dirichlet(table, s: int, start: int = 0) -> mpf:
+def tilde_dirichlet(table, s: int, start: int = 0) -> Estimate:
     """sum_{l>start} h(l) l^{-s} for an exactly even PeriodicTable h and even s >= 2.
 
     h is f~ over its minimal period (a divisor of M) or a twisted table,
@@ -181,18 +182,20 @@ def tilde_dirichlet(table, s: int, start: int = 0) -> mpf:
 
         2^{1-p} hmax (l1^{-s} + l1^{1-s}/(s - 1))
 
-    of the sum for the table's values.  Raises ValueError for odd s.
+    of the sum for the table's values, the error returned with it (0 for a
+    table that vanishes past start).  Raises ValueError for odd s.
     """
     if s < 2 or s % 2:
         raise ValueError(f"tilde_dirichlet needs an even s >= 2, got {s}")
     P = len(table)
     l1 = next((ell for ell in range(start + 1, start + P + 1) if table(ell)), None)
     if l1 is None:
-        return mpf(0)
+        return Estimate(mpf(0), mpf(0))
     guard = (l1 ** s).bit_length() + (4 * (10 * s + P + start + 20)).bit_length()
     wp = -(-(mp.prec + guard) // 64) * 64
     d = _cot_derivative(s - 1)[::2]
-    mu = _cot_moments(table, wp, len(d))
+    mu, hmax = _cot_moments(table, wp, len(d))
+    error = mpf(2) ** (1 - mp.prec) * hmax * (mpf(l1) ** -s + mpf(l1) ** (1 - s) / (s - 1))
     with workprec(wp):
         rsum = mp.fsum(dj * mj for dj, mj in zip(d, mu))
         full = -mp.pi ** s / math.factorial(s - 1) * rsum
@@ -203,7 +206,7 @@ def tilde_dirichlet(table, s: int, start: int = 0) -> mpf:
         head = mp.fsum(table(ell) / mpf(ell ** s) for ell in range(1, start + 1)
                        if table(ell))
         tail = full - head
-    return +tail
+    return Estimate(+tail, error)
 
 
 def ell_sum(table, cut, term, moments) -> Estimate:
@@ -249,7 +252,7 @@ def ell_sum(table, cut, term, moments) -> Estimate:
         for (s, c), scale in zip(moments, scales):
             bits = max(53, mp.prec + mp.mag(scale) - top)
             with workprec(bits):
-                w_s = tilde_dirichlet(table, s, L)
+                w_s = tilde_dirichlet(table, s, L).value
             tail += c * w_s
             roundoff += scale * mpf(2) ** (1 - bits)
         roundoff += (len(moments) + 1) * mp.fsum(scales) * mpf(2) ** -mp.prec

@@ -1,8 +1,14 @@
 """Named verification suites shared by the CLI and the test suite.
 
-Each suite runs a family of identity checks for one configuration and
-appends CheckRecord rows to a Report.  Exit semantics: a suite "passes" when
-every residual is at or below its tolerance.
+Each suite checks a family of identities for one configuration and records
+one row per identity through Report.row: a name, its inputs and two sides,
+each an Estimate whose bar the library derived (exact values carry zero
+bars).  Every row passes by the one rule of report.py, |lhs - rhs| <=
+lhs.error + rhs.error + 2^(1-prec)(|lhs| + |rhs|); a suite passes when every
+row does.  An identity that holds at every index of a range is recorded at
+its worst index (Report.worst_row).  The suites run GUARD_BITS above the
+report's precision, and a side that takes their own prefactor arithmetic
+ends in .rounded(ctx.prec), which charges it.
 """
 
 from __future__ import annotations
@@ -14,28 +20,22 @@ from mpmath import mp, mpf, mpc
 from . import borel as borel_mod
 from . import resum as resum_mod
 from .config import Config
-from .exact import gevrey_estimate
 from .habiro import StrangeConfig, verify_strange
 from .periodic import (ChiParams, ConfigError, chi_function, pair_set, s_matrix_entry,
                        verify_decomposition)
-from .precision import (FIVE_HALVES, THREE_HALVES, PrecisionContext, as_fraction, frac_to_mp,
-                        to_mpf)
+from .precision import (FIVE_HALVES, MINUS_HALF, THREE_HALVES, PrecisionContext, as_fraction,
+                        exact, frac_to_mp, to_mpf)
 from .qseries import ThetaSpec, eichler_integral, theta_radial_limit
 from .report import Report, timed
 
+
 def suite_coeffs(cfg: Config, ctx: PrecisionContext, report: Report, **_):
-    series = cfg.series(40)
+    series = cfg.series(9)
     with timed() as t:
-        gfp = borel_mod.gfp_coefficients(series, 8)
-        direct = borel_mod.borel_coefficients(series, 8)
-        worst = max(abs(to_mpf(u) - to_mpf(v)) for u, v in zip(gfp, direct))
-    report.add("coeffs.gfp-defn-agreement", {"config": cfg.label(), "count": 8},
-               worst, mpf(0), mpf(0), t.elapsed)
-    with timed() as t:
-        fit = gevrey_estimate(series, 40, ctx)
-        rel = abs(fit.radius - fit.radius_expected) / fit.radius_expected
-    report.add("coeffs.gevrey-radius", {"config": cfg.label()},
-               rel, mpf(0), mpf("0.02"), t.elapsed)
+        pairs = zip(borel_mod.gfp_coefficients(series, 8), borel_mod.borel_coefficients(series, 8))
+        sides = [(n, exact(u), exact(v)) for n, (u, v) in enumerate(pairs)]
+    report.worst_row("coeffs.gfp-defn-agreement", {"config": cfg.label(), "count": 8}, "n",
+                     sides, t.elapsed)
     return report
 
 
@@ -43,32 +43,28 @@ def suite_borel(cfg: Config, ctx: PrecisionContext, report: Report, **_):
     series = cfg.series(40)
     tilde = series.tilde.table()
     with timed() as t:
-        had = borel_mod.hadamard_oracle(series, 30)
-        direct = borel_mod.borel_coefficients(series, 30)
-        worst = max(abs(to_mpf(u) - to_mpf(v)) for u, v in zip(had, direct))
-    report.add("borel.hadamard-product", {"config": cfg.label(), "count": 30},
-               worst, mpf(0), mpf(0), t.elapsed)
+        pairs = zip(borel_mod.hadamard_oracle(series, 30), borel_mod.borel_coefficients(series, 30))
+        sides = [(n, exact(u), exact(v)) for n, (u, v) in enumerate(pairs)]
+    report.worst_row("borel.hadamard-product", {"config": cfg.label(), "count": 30}, "n",
+                     sides, t.elapsed)
     with timed() as t:
-        worst = mpf(0)
         coeffs = borel_mod.borel_coefficients(series, 20)
         M, b = series.f.M, series.b
         A = mp.pi ** 2 / M ** 2
-        c = to_mpf(series.f.c)
-        pref = 3 * mp.pi * c / (M ** 2 * b)
+        pref = 3 * mp.pi * to_mpf(series.f.c) / (M ** 2 * b)
         binom = mpf(1)
+        sides = []
         for n in range(20):
-            wsum = resum_mod.tilde_dirichlet(tilde, 4 + 2 * n)
-            closed = pref * binom * mpf(b) ** (-n) * A ** (-FIVE_HALVES - n) * wsum
-            exact = to_mpf(coeffs[n])
-            worst = max(worst, abs(closed - exact) / abs(exact))
+            closed = resum_mod.tilde_dirichlet(tilde, 4 + 2 * n) \
+                * (pref * binom * mpf(b) ** (-n) * A ** (-FIVE_HALVES - n))
+            sides.append((n, closed.rounded(ctx.prec), exact(coeffs[n])))
             binom = binom * (FIVE_HALVES + n) / (n + 1)
-    report.add("borel.taylor-vs-closed-form", {"config": cfg.label(), "count": 20},
-               worst, mpf(0), mpf("1e-12"), t.elapsed)
+    report.worst_row("borel.taylor-vs-closed-form", {"config": cfg.label(), "count": 20}, "n",
+                     sides, t.elapsed)
     with timed() as t:
-        g0 = borel_mod.borel_eval(series, mpc(0), ctx).value
-        a1 = to_mpf(borel_mod.borel_coefficients(series, 1)[0])
-    report.add("borel.eval-at-0", {"config": cfg.label()}, g0, a1,
-               max(ctx.tolerance(), mpf("1e-20")), t.elapsed)
+        g0 = borel_mod.borel_eval(series, mpc(0), ctx)
+        a1 = exact(borel_mod.borel_coefficients(series, 1)[0])
+    report.row("borel.eval-at-0", {"config": cfg.label()}, g0, a1, t.elapsed)
     return report
 
 
@@ -77,8 +73,8 @@ def suite_disc(cfg: Config, ctx: PrecisionContext, report: Report, **_):
     for x in (mpf("0.5"), mpf(1), mpc(1, "0.25")):
         with timed() as t:
             d = resum_mod.discontinuity(series, x, ctx)
-        report.add("disc.jump-identity", {"config": cfg.label(), "x": x},
-                   d.numeric.value, d.closed_form.value, ctx.tolerance(), t.elapsed)
+        report.row("disc.jump-identity", {"config": cfg.label(), "x": x},
+                   d.numeric, d.closed_form, t.elapsed)
     return report
 
 
@@ -86,11 +82,9 @@ def suite_cm(cfg: Config, ctx: PrecisionContext, report: Report, **_):
     series = cfg.series(4)
     with timed() as t:
         dirichlet = resum_mod.tilde_dirichlet(series.tilde.table(), 2)
-        c = to_mpf(series.f.c)
-        rhs = 2 * series.f.M * c / mp.pi ** 2 * dirichlet
-        lhs = to_mpf(series.c_m)
-    report.add("cm.constant-identity", {"config": cfg.label()}, lhs, rhs,
-               mpf("1e-10"), t.elapsed)
+        rhs = dirichlet * (2 * series.f.M * to_mpf(series.f.c) / mp.pi ** 2)
+    report.row("cm.constant-identity", {"config": cfg.label()}, exact(series.c_m),
+               rhs.rounded(ctx.prec), t.elapsed)
     return report
 
 
@@ -106,10 +100,9 @@ def suite_gentor(cfg: Config, ctx: PrecisionContext, report: Report, **_):
     for nm in pair_set(s, t_):
         with timed() as t:
             rep = verify_decomposition(s, t_, nm, ctx)
-        report.add("gentor.keyform", {"s": s, "t": t_, "nm": nm},
-                   rep.max_residual, mpf(0), rep.tolerance, t.elapsed)
-        report.add("gentor.support-vanishing", {"s": s, "t": t_, "nm": nm},
-                   mpf(0) if rep.support_ok else mpf(1), mpf(0), mpf(0), t.elapsed)
+        inputs = {"s": s, "t": t_, "nm": nm}
+        report.worst_row("gentor.keyform", inputs, "k", rep.sides, t.elapsed)
+        report.row("gentor.support-vanishing", inputs, rep.vanishing, exact(0), t.elapsed)
     return report
 
 
@@ -122,9 +115,9 @@ def suite_strange(cfg: Config, ctx: PrecisionContext, report: Report,
         raise ConfigError(f"no Habiro element attached to {cfg.label()}")
     with timed() as t:
         rep = verify_strange(StrangeConfig(*cfg.habiro), alpha, ctx)
-    report.add("strange.identity",
+    report.row("strange.identity",
                {"family": rep.family, "u": rep.u, "l": rep.ell, "alpha": alpha},
-               rep.habiro_side, rep.theta_side, rep.tolerance, t.elapsed)
+               rep.habiro, rep.theta, t.elapsed)
     return report
 
 
@@ -141,8 +134,8 @@ def suite_main2(cfg: Config, ctx: PrecisionContext, report: Report,
     with timed() as t:
         bm = resum_mod.boundary_median(series, alpha, ctx)
         rl = theta_radial_limit(ThetaSpec(a=0, b=cfg.b, nu=1, f=cfg.f), alpha, ctx)
-    report.add("main2.boundary-median", {"config": cfg.label(), "alpha": alpha},
-               bm.value, rl.value, max(ctx.tolerance(), mpf("1e-6")), t.elapsed)
+    report.row("main2.boundary-median", {"config": cfg.label(), "alpha": alpha}, bm, rl,
+               t.elapsed)
     return report
 
 
@@ -156,19 +149,18 @@ def suite_eichler(cfg: Config, ctx: PrecisionContext, report: Report,
         with timed() as t:
             lhs = eichler_integral(s, t_, nm, frac_to_mp(al), al, ctx)
             rl = theta_radial_limit(ThetaSpec(a=0, b=4 * s * t_, nu=1, f=chi), al, ctx)
-        report.add("eichler.boundary-value", {"s": s, "t": t_, "nm": nm, "alpha": al},
-                   lhs.value, -rl.value / 2, ctx.tolerance(), t.elapsed)
+        report.row("eichler.boundary-value", {"s": s, "t": t_, "nm": nm, "alpha": al},
+                   lhs, rl * MINUS_HALF, t.elapsed)
     with timed() as t:
         z = mpc(0, -1)
-        lhs = eichler_integral(s, t_, nm, z, "conj", ctx).value
-        acc = mpc(0)
+        pref = (1 / (1j * z)) ** THREE_HALVES
+        lhs = eichler_integral(s, t_, nm, z, "conj", ctx)
         for other in pair_set(s, t_):
-            S = s_matrix_entry(s, t_, nm, other, ctx)
-            acc += S * eichler_integral(s, t_, other, -1 / z, "conj", ctx).value
-        lhs_total = lhs + (1 / (1j * z)) ** THREE_HALVES * acc
-        rhs = eichler_integral(s, t_, nm, z, Fraction(0), ctx).value
-    report.add("eichler.cocycle", {"s": s, "t": t_, "nm": nm, "z": z},
-               lhs_total, rhs, ctx.tolerance(), t.elapsed)
+            lhs = lhs + eichler_integral(s, t_, other, -1 / z, "conj", ctx) \
+                * (pref * s_matrix_entry(s, t_, nm, other, ctx))
+        rhs = eichler_integral(s, t_, nm, z, Fraction(0), ctx)
+    report.row("eichler.cocycle", {"s": s, "t": t_, "nm": nm, "z": z},
+               lhs.rounded(ctx.prec), rhs, t.elapsed)
     return report
 
 

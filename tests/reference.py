@@ -48,6 +48,11 @@ the route `exact.bernoulli_polynomial` took before it summed in integers.
 M residues with it, without the pairing of r with M - r that
 `exact.bernoulli_sum` takes from the evenness of the table and of B_k.
 
+`gevrey_estimate` fits |a_n| <= A B^n n! to the formal series by
+Richardson-extrapolated coefficient ratios (`richardson_limit`) and a
+least-squares slope: a heuristic with no error bar, so it stays out of the
+library, whose closed-form Borel transform places the singularities.
+
 The rest are oracles for single layers: Watson's optimal truncation of the
 formal series, Richardson extrapolation of theta along a radius, the
 explicit trefoil Borel transform, the D2 pair set and the folding bijection
@@ -88,8 +93,7 @@ from thetaresum.periodic import (ChiParams, ConfigError, PairSet, PeriodicTable,
                                  pair_set, s_matrix_entry)
 from thetaresum.precision import (DEFAULT_CTX, FIVE_HALVES, HALF, MINUS_FIVE_HALVES,
                                   MINUS_HALF, MINUS_THREE_HALVES, THREE_HALVES, Estimate,
-                                  PrecisionContext, as_fraction, frac_to_mp, richardson_limit,
-                                  to_mpf)
+                                  PrecisionContext, as_fraction, frac_to_mp, to_mpf)
 from thetaresum.qseries import (DomainError, ThetaSpec, VerticalTheta, _gauss_tail,
                                 _phase_exponent, _twist_period, theta_radial_limit,
                                 theta_upper_half)
@@ -147,7 +151,7 @@ def lateral_sum_quadrature(series, x, side: str, ctx: PrecisionContext) -> Estim
 
         poly = mpc(0)
         for j, beta in enumerate(_BETAS):
-            w_s = tilde_dirichlet(tilde.table(), 4 + 2 * j)
+            w_s = tilde_dirichlet(tilde.table(), 4 + 2 * j).value
             poly += (beta * mpf(b) ** (-j) * mp.factorial(j)
                      / x ** (j + 1) * m2pi2 ** (FIVE_HALVES + j) * w_s)
 
@@ -748,3 +752,90 @@ def even_bernoulli_sum(f, n: int) -> mpf:
     dominate its cost.
     """
     return _even_bernoulli_sum(f, n, mp.prec)
+
+
+# ---------------------------------------------------------------------------
+# Richardson extrapolation, and the empirical Gevrey-1 growth fit.
+
+class ConsistencyError(RuntimeError):
+    """An internal cross-check failed; indicates a bug, not bad input."""
+
+
+def richardson_limit(xs, ys):
+    """Neville extrapolation of samples (x_j, y_j) to x = 0.
+
+    Assumes y(x) = y0 + c1*x + c2*x^2 + ...; xs should decrease geometrically.
+    Returns (limit, error_estimate) where the estimate is the last tableau
+    correction (standard heuristic for sequence transforms).
+    """
+    n = len(xs)
+    if n != len(ys) or n < 2:
+        raise ValueError("need matching xs/ys with at least two samples")
+    tab = list(ys)
+    corner = tab[0]
+    err = abs(tab[0] - tab[1])
+    for k in range(1, n):
+        # ascending j so tab[j+1] still holds the previous-order value P_{j+1,k-1}
+        for j in range(n - k):
+            xa, xb = xs[j], xs[j + k]
+            # Neville at 0: P_{j,k} = (xa P_{j+1,k-1} - xb P_{j,k-1})/(xa - xb)
+            tab[j] = (xa * tab[j + 1] - xb * tab[j]) / (xa - xb)
+        prev, corner = corner, tab[0]
+        err = abs(corner - prev)
+    return corner, err
+
+
+@dataclass(frozen=True)
+class GevreyFit:
+    A: mpf
+    B: mpf
+    B_lsq: mpf           # slope fit of log(|a_n|/n!) against n
+    radius: mpf          # extrapolated 1/B = Borel radius of convergence
+    radius_expected: mpf  # b pi^2 l*^2 / M^2 from the f~ support
+
+
+def gevrey_estimate(series, count: int = None,
+                    ctx: PrecisionContext = DEFAULT_CTX) -> GevreyFit:
+    """Fit |a_n| <= A B^n n! empirically.
+
+    B_lsq is the least-squares slope of log(|a_n|/n!) against n over the
+    tail half of the coefficients; B refines it through Richardson-
+    extrapolated ratios of the Borel coefficients g_n = a_{n+1}/n! (the
+    subexponential n^{3/2} factor cancels in the ratios).  A caps
+    |a_n| / (B^n n!) over the computed range.
+    """
+    n_max = series.count if count is None else min(count, series.count)
+    if n_max < 10:
+        raise ValueError("need at least 10 coefficients for a stable fit")
+    with ctx.working():
+        g = []
+        for n in range(n_max - 1):
+            g.append(to_mpf(series.a(n + 1)) / mp.factorial(n))
+        # ratio g_{n+1}/g_n -> 1/radius with O(1/n) corrections
+        take = min(8, n_max - 3)
+        idx = list(range(n_max - 1 - take, n_max - 2))
+        xs = [mpf(1) / (k + 1) for k in idx]
+        ys = [abs(g[k + 1] / g[k]) for k in idx]
+        B, _ = richardson_limit(xs, ys)
+        if not (B > 0 and mp.isfinite(B)):
+            raise ConsistencyError(
+                f"coefficient ratios do not stabilise (B fit = {B}); "
+                "growth is not Gevrey-1, which indicates a bug upstream")
+        radius = 1 / B
+        # straight least-squares on the tail half: log|g_{n-1}| ~ logA + n logB
+        lo = n_max // 2
+        pts = [(mpf(n + 1), mp.log(abs(g[n]))) for n in range(lo, n_max - 1) if g[n]]
+        nn = len(pts)
+        sx = mp.fsum(p[0] for p in pts)
+        sy = mp.fsum(p[1] for p in pts)
+        sxx = mp.fsum(p[0] ** 2 for p in pts)
+        sxy = mp.fsum(p[0] * p[1] for p in pts)
+        slope = (nn * sxy - sx * sy) / (nn * sxx - sx ** 2)
+        B_lsq = mp.exp(slope)
+        ell0 = series.tilde.first_support
+        expected = (mpf(series.b) * mp.pi ** 2 * ell0 ** 2) / series.f.M ** 2
+        A = mpf(0)
+        for n in range(n_max):
+            A = max(A, abs(to_mpf(series.a(n))) / (B ** n * mp.factorial(n)))
+        return GevreyFit(A=A, B=B, B_lsq=B_lsq, radius=radius,
+                         radius_expected=expected)

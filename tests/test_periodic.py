@@ -327,7 +327,7 @@ class TestDecomposition:
                 continue
             for nm in pair_set(s, t):
                 rep = verify_decomposition(s, t, nm, ctx64)
-                assert rep.passed, (s, t, nm, rep.max_residual)
+                assert rep.passed, (s, t, nm)
 
     def test_rejects_outside_pairs(self):
         with pytest.raises(ConfigError):

@@ -14,8 +14,9 @@ from thetaresum import resum
 from thetaresum.borel import borel_eval
 from thetaresum.config import (config_chi, config_hikami, config_t3_2k, trefoil_chi,
                                trefoil_strange)
+from thetaresum.exact import bernoulli_polynomial
 from thetaresum.periodic import ChiParams, chi_function, pair_set, tilde_transform
-from thetaresum.precision import MINUS_HALF, Estimate, PrecisionContext
+from thetaresum.precision import MINUS_HALF, Estimate, PrecisionContext, frac_to_mp
 from thetaresum.qseries import (DomainError, ThetaSpec, eichler_integral, theta_radial_limit,
                                 theta_upper_half, twisted_table)
 from thetaresum.resum import (_ray_laplace, boundary_median, boundary_point,
@@ -349,7 +350,7 @@ class TestConstantIdentity:
                 lhs = mpf(ser.c_m.numerator) / ser.c_m.denominator
                 assert abs(lhs - rhs) < mpf("1e-10")
                 # and the Hurwitz-zeta route agrees with the block route
-                hz = 2 * ser.f.M * c / mp.pi ** 2 * tilde_dirichlet(ser.tilde.table(), 2)
+                hz = 2 * ser.f.M * c / mp.pi ** 2 * tilde_dirichlet(ser.tilde.table(), 2).value
                 assert abs(lhs - hz) < mpf("1e-20")
 
 
@@ -372,7 +373,7 @@ class TestShiftedDirichlet:
         prec = 128
         for start in (0, 1, M, 5 * M + 3):
             with workprec(prec):
-                got = tilde_dirichlet(tilde.table(), s, start)
+                got = tilde_dirichlet(tilde.table(), s, start).value
             with workprec(prec + 64):
                 n = start + 1
                 N = start + P
@@ -404,7 +405,8 @@ class TestShiftedDirichlet:
     @pytest.mark.parametrize("family", list(ORACLE_TABLES))
     def test_matches_hurwitz_oracle(self, family):
         """Against the sum of Hurwitz zeta values at 64 more bits (good to
-        about P 2^-192 of the tail's size), within the stated bound.  The
+        about P 2^-192 of the tail's size), within the returned error, which
+        is the stated bound (to its own rounding).  The
         head is subtracted from the full sum, so a guard of fewer than
         s log2 l1 bits (log2 of start, or none) loses the tail's digits at
         start = 1 and s >= 10."""
@@ -420,7 +422,44 @@ class TestShiftedDirichlet:
                 with workprec(prec + 64):
                     ref = tilde_dirichlet_hurwitz(table, s, start)
                     bound = self.tail_size(table, s, start) * mpf(2) ** (1 - prec)
-                    assert abs(got - ref) <= bound, (s, start, abs(got - ref) / bound)
+                    gap = abs(got.value - ref)
+                    assert gap <= got.error <= bound * (1 + mpf(2) ** -60), (s, start, gap / bound)
+
+    TRUTH_CONFIGS = {"trefoil-chi": trefoil_chi, "chi-3-4": lambda: config_chi(3, 4, 1, 1),
+                     "t3-2k-3": lambda: config_t3_2k(3), "hikami-3-1": lambda: config_hikami(3, 1)}
+
+    @pytest.mark.parametrize("prec", [64, 128, 256])
+    @pytest.mark.parametrize("family", list(TRUTH_CONFIGS))
+    def test_error_bounds_the_gap_to_exact_truth(self, family, prec):
+        """The returned error against exact truth.  With f~(l) = (cos 2 pi
+        k2 l/M - cos 2 pi k1 l/M)/2 and DLMF 24.8.1, sum_{l>=1} cos(2 pi l x)
+        l^{-s} = (-1)^{s/2+1} (2 pi)^s B_s(x)/(2 s!), the full sum is
+
+            (-1)^{s/2+1} (2 pi)^s/(4 s!) [B_s(k2/M) - B_s(k1/M)],
+
+        from exact Bernoulli polynomials; past start = P it is that less
+        the head l <= P, whose cosines are of exact rational multiples of
+        pi.  The truth carries s log2(P + 1) + 64 more bits than the sum,
+        so the cancellation of the head leaves it exact to far below the
+        error.  The error is stated for the table's values, so the table is
+        read at 64 more bits, where its own rounding is far below it."""
+        f = self.TRUTH_CONFIGS[family]().f
+        with workprec(prec + 64):
+            table = tilde_transform(f).table()
+        P = len(table)
+        x1, x2 = Fraction(f.k1, f.M), Fraction(f.k2, f.M)
+        for s in (2, 4, 10, 24, 42):
+            for start in (0, P):
+                with workprec(prec):
+                    got = tilde_dirichlet(table, s, start)
+                with workprec(prec + 64 + s * (P + 1).bit_length()):
+                    full = (-1) ** (s // 2 + 1) * (2 * mp.pi) ** s / (4 * mp.factorial(s)) \
+                        * frac_to_mp(bernoulli_polynomial(s, x2) - bernoulli_polynomial(s, x1))
+                    head = mp.fsum((mp.cospi(frac_to_mp(2 * ell * x2 % 2))
+                                    - mp.cospi(frac_to_mp(2 * ell * x1 % 2))) / 2 * mpf(ell) ** -s
+                                   for ell in range(1, start + 1))
+                    gap = abs(got.value - (full - head))
+                    assert gap <= got.error, (s, start, gap / got.error)
 
     def test_rejects_odd_s_and_uneven_tables(self):
         table = trefoil_chi().series(1).tilde.table()
@@ -478,7 +517,7 @@ class TestShiftedDirichlet:
             for start in (1, M, 5 * M + 3):
                 with workprec(128):
                     h = tilde.table()
-                    diff = tilde_dirichlet(h, s) - tilde_dirichlet(h, s, start)
+                    diff = tilde_dirichlet(h, s).value - tilde_dirichlet(h, s, start).value
                 with workprec(192):
                     head = mp.fsum(tilde(ell) * mpf(ell) ** (-s) for ell in range(1, start + 1))
                     size = mp.fsum(abs(tilde(ell)) * mpf(ell) ** (-s) for ell in range(1, 3 * M))
@@ -487,7 +526,7 @@ class TestShiftedDirichlet:
                 with workprec(128):
                     est = ell_sum(tilde.table(), (start, 0, False), lambda ell: mpf(ell) ** -s, [(s, 1)])
                 with workprec(192):
-                    full = tilde_dirichlet(tilde.table(), s)
+                    full = tilde_dirichlet(tilde.table(), s).value
                     assert abs(est.value - full) <= est.error, (s, start)
 
     @pytest.mark.parametrize("family", ["trefoil-chi", "t3-2k-3"])
@@ -545,7 +584,7 @@ class TestBlockKernel:
             for f in fs:
                 tilde = tilde_transform(f)
                 est = tilde_dirichlet_blocks(tilde.table(), 2, mpf("1e-11"))
-                gap = abs(est.value - tilde_dirichlet(tilde.table(), 2))
+                gap = abs(est.value - tilde_dirichlet(tilde.table(), 2).value)
                 assert gap <= est.error, (f.M, f.k1, f.k2, gap)
 
 
