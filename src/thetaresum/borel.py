@@ -23,7 +23,7 @@ from .exact import FormalSeries, bernoulli_sum
 from .periodic import TildeFunction
 from .precision import (DEFAULT_CTX, FIVE_HALVES, MINUS_FIVE_HALVES, SEVEN_QUARTERS,
                         Estimate, PrecisionContext, to_mpf)
-from .resum import TRUNCATION_K_MAX, _truncation, ell_sum
+from .resum import TRUNCATION_K_MAX, _truncation, ell_sum, five_halves_binomials
 
 
 class SingularProximityError(ValueError):
@@ -192,9 +192,7 @@ def borel_eval(series: FormalSeries, p, ctx: PrecisionContext = DEFAULT_CTX,
         L0 = max(2 * f.M, int(mp.sqrt(2 * rho)))
         c0 = A ** MINUS_FIVE_HALVES * tilde.max_abs() \
             / (3 * (1 - SEVEN_QUARTERS * rho / (L0 + 1) ** 2))
-        binom = [mpf(1)]
-        for k in range(TRUNCATION_K_MAX):
-            binom.append(binom[-1] * (FIVE_HALVES + k) / (k + 1))
+        binom = five_halves_binomials()
         bounds = [(binom[K] * rho ** K * c0, 2 * K + 3) for K in range(1, TRUNCATION_K_MAX + 1)]
         target = ctx.tolerance() * mpf("0.01") + mpf(2) ** (-ctx.prec - 8)
         cut, K = _truncation(tilde, bounds, L0, target / abs(pref), ctx.ell_cap)

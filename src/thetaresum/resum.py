@@ -24,15 +24,15 @@ These sums, the Borel transform's and the Eichler integrals' share one
 shape, written once as ell_sum: a kernel taken term by term over l <= L,
 its expansion in l^{-2} as moments sum_{l>L} h(l) l^{-s} over l > L, the
 caller's bound on the rest, and the roundoff of both parts in the error.
-A moment (tilde_dirichlet) is the full sum over l >= 1, pi^s times a
-finite sum of cotangents at r/P for even s and an even table h of period
-P, less the head l <= L, taken with the guard bits that subtraction
-cancels; each moment's error is a bound computed from its terms' count
-and sizes.  Its cut (L, bound, budget flag) comes from one chooser
-(_truncation, which also picks K), or from qseries._gauss_cutoff for the
-Gaussian-tailed theta heads, and ell_sum returns its sum already flagged;
-each public sum then combines such estimates by Estimate arithmetic.  All
-fractional powers are principal.
+A moment is the full sum over l >= 1, pi^s times a finite sum of
+cotangents at r/P for even s and an even table h of period P, less the
+head l <= L.  One tilde_dirichlet call sums all of a sum's moments, at
+one precision with the guard bits that subtraction cancels, and returns
+them with one error bar.  The sum's cut (L, bound, budget flag) comes
+from one chooser (_truncation, which also picks K), or from
+qseries._gauss_cutoff for the Gaussian-tailed theta heads, and ell_sum
+returns its sum already flagged; each public sum then combines such
+estimates by Estimate arithmetic.  All fractional powers are principal.
 """
 
 from __future__ import annotations
@@ -150,63 +150,73 @@ def _cot_moments(table, wp: int, count: int) -> tuple:
     return mu, hmax
 
 
-def tilde_dirichlet(table, s: int, start: int = 0) -> Estimate:
-    """sum_{l>start} h(l) l^{-s} for an exactly even PeriodicTable h and even s >= 2.
+def tilde_dirichlet(table, moments, start: int = 0) -> Estimate:
+    """sum_k c_k sum_{l>start} h(l) l^{-s_k} for an exactly even PeriodicTable h.
 
-    h is f~ over its minimal period (a divisor of M) or a twisted table,
-    P = len(h).  Pairing r with P - r, sum_{n in Z} (x + n)^{-s} =
-    -pi^s D_{s-1}(cot pi x)/(s-1)! (the (s-1)-th derivative of
-    pi cot pi x = sum_n 1/(x + n), DLMF 4.22.3) gives the full sum
+    moments is a list of (s_k, c_k), each s_k even and >= 2.  h is f~ over
+    its minimal period (a divisor of M) or a twisted table, P = len(h).
+    Pairing r with P - r, sum_{n in Z} (x + n)^{-s} = -pi^s D_{s-1}(cot pi
+    x)/(s-1)! (the (s-1)-th derivative of pi cot pi x = sum_n 1/(x + n),
+    DLMF 4.22.3) gives the full sum
 
         sum_{l>=1} h(l) l^{-s} = P^{-s} [h(0) zeta(s)
             - pi^s/(s-1)! sum_{0<r<=P/2} w_r h(r) D_{s-1}(cot pi r/P)],
 
     with w_r = 1, or 1/2 at r = P/2, and zeta(s) from the exact B_s.
     D_{s-1} is even, sum_j d_j u^{2j}, so the r-sum is sum_j d_j mu_j over
-    the mu_j of _cot_moments.  The tail past start is the full sum less the
-    head l <= start.
+    the mu_j of _cot_moments.  A moment's tail past start is its full sum
+    less the head l <= start.
 
     Error: let p be the current precision, l1 the least l > start with
-    h(l) != 0, and hmax = max |h|.  The sum is taken at wp = p + bitlen(l1^s)
-    + bitlen(4 N) bits (rounded up to a multiple of 64), N = 10 s + P +
-    start + 20.  Its roundoff is at most N 2^-wp times the sum of the
-    sizes of its terms, which is at most 2 sum_l |h(l)| l^{-s} <=
-    2 zeta(2) hmax < 4 hmax: the argument r/P, pi and cot shift a term
-    by at most s ulps each (x d/dx sum_n |x + n|^{-s} <= s sum_n |x + n|^{-s}
-    for x <= 1/2, and u D'(u) <= s D(u) since D has coefficients of one
-    sign), the powers of cot^2 by s/2, the r-sum by P/2, the j-sum by s/2,
-    pi^s/(s-1)!, P^{-s} and zeta(s) by 2s + 8, the head by start + 4.  So
-    the working roundoff is below hmax l1^{-s} 2^-p, and with the final
-    rounding to p bits of a tail at most hmax sum_{l>=l1} l^{-s} the
-    result is within
+    h(l) != 0, hmax = max |h|, S = max_k s_k and T_k = l1^{-s_k} +
+    l1^{1-s_k}/(s_k - 1).  Every moment is summed at one wp = p +
+    bitlen(l1^S) + bitlen(4 N) bits (rounded up to a multiple of 64), N =
+    10 S + P + start + 20, from one table of mu_j.  The roundoff of a tail
+    is at most N 2^-wp times the sum of the sizes of its terms, which is at
+    most 2 sum_l |h(l)| l^{-s} <= 2 zeta(2) hmax < 4 hmax: the argument r/P,
+    pi and cot shift a term by at most s ulps each (x d/dx sum_n |x +
+    n|^{-s} <= s sum_n |x + n|^{-s} for x <= 1/2, and u D'(u) <= s D(u)
+    since D has coefficients of one sign), the powers of cot^2 by s/2, the
+    r-sum by P/2, the j-sum by s/2, pi^s/(s-1)!, P^{-s} and zeta(s) by 2s +
+    8, the head by start + 4.  So tail k is within hmax l1^{-S} 2^-p <=
+    hmax l1^{-s_k} 2^-p of its sum, and it is at most hmax T_k.  The
+    products by c_k and their sum, at wp, add at most 2^{1-wp} hmax sum_k
+    |c_k| T_k, and the final rounding to p bits 2^-p times that sum; the
+    factors 1 + O(2^-p) of these terms are within the gap between 2 zeta(2)
+    and 4.  So the result is within
 
-        2^{1-p} hmax (l1^{-s} + l1^{1-s}/(s - 1))
+        2^{1-p} (1 + 2^{p-wp}) hmax sum_k |c_k| T_k
 
     of the sum for the table's values, the error returned with it (0 for a
-    table that vanishes past start).  Raises ValueError for odd s.
+    table that vanishes past start).  Raises ValueError for an odd s_k.
     """
-    if s < 2 or s % 2:
-        raise ValueError(f"tilde_dirichlet needs an even s >= 2, got {s}")
+    if any(s < 2 or s % 2 for s, _ in moments):
+        raise ValueError(f"tilde_dirichlet needs even s >= 2, got {[s for s, _ in moments]}")
     P = len(table)
     l1 = next((ell for ell in range(start + 1, start + P + 1) if table(ell)), None)
     if l1 is None:
         return Estimate(mpf(0), mpf(0))
-    guard = (l1 ** s).bit_length() + (4 * (10 * s + P + start + 20)).bit_length()
+    top = max(s for s, _ in moments)
+    guard = (l1 ** top).bit_length() + (4 * (10 * top + P + start + 20)).bit_length()
     wp = -(-(mp.prec + guard) // 64) * 64
-    d = _cot_derivative(s - 1)[::2]
-    mu, hmax = _cot_moments(table, wp, len(d))
-    error = mpf(2) ** (1 - mp.prec) * hmax * (mpf(l1) ** -s + mpf(l1) ** (1 - s) / (s - 1))
+    mu, hmax = _cot_moments(table, wp, top // 2 + 1)
+    size = hmax * mp.fsum(abs(c) * (mpf(l1) ** -s + mpf(l1) ** (1 - s) / (s - 1))
+                          for s, c in moments)
+    error = mpf(2) ** (1 - mp.prec) * (1 + mpf(2) ** (mp.prec - wp)) * size
     with workprec(wp):
-        rsum = mp.fsum(dj * mj for dj, mj in zip(d, mu))
-        full = -mp.pi ** s / math.factorial(s - 1) * rsum
-        if table[0]:
-            full += table[0] * abs(frac_to_mp(bernoulli_number(s))) * (2 * mp.pi) ** s \
-                / (2 * math.factorial(s))
-        full /= mpf(P) ** s
-        head = mp.fsum(table(ell) / mpf(ell ** s) for ell in range(1, start + 1)
-                       if table(ell))
-        tail = full - head
-    return Estimate(+tail, error)
+        terms = []
+        for s, c in moments:
+            rsum = mp.fsum(dj * mj for dj, mj in zip(_cot_derivative(s - 1)[::2], mu))
+            full = -mp.pi ** s / math.factorial(s - 1) * rsum
+            if table[0]:
+                full += table[0] * abs(frac_to_mp(bernoulli_number(s))) * (2 * mp.pi) ** s \
+                    / (2 * math.factorial(s))
+            full /= mpf(P) ** s
+            head = mp.fsum(table(ell) / mpf(ell ** s) for ell in range(1, start + 1)
+                           if table(ell))
+            terms.append(c * (full - head))
+        total = mp.fsum(terms)
+    return Estimate(+total, error)
 
 
 def ell_sum(table, cut, term, moments) -> Estimate:
@@ -216,21 +226,13 @@ def ell_sum(table, cut, term, moments) -> Estimate:
     over one period) and of the Eichler integrals (h a twisted table), h a
     periodic.PeriodicTable of period P: a kernel taken term by term over
     the head l <= L (L >= 1), the first terms of its expansion in l^{-2} as
-    moments (s_k, c_k) over l > L, each a Dirichlet sum of h
-    (tilde_dirichlet).  cut = (L, bound, exhausted), as _truncation or
+    moments (s_k, c_k) over l > L, summed in one tilde_dirichlet call with
+    its error.  cut = (L, bound, exhausted), as _truncation or
     qseries._gauss_cutoff return it: bound is the caller's bound on the
-    rest, and exhausted becomes the budget flag.  The head's roundoff is
-    counted as sum |h(l) term(l)| 2^{8-prec}.
-
-    Moment k is summed past L at bits_k = max(53, prec + mag(scale_k) -
-    mag(scale_0)), scale_k = |c_k| hmax (l1^{-s} + l1^{1-s}/(s-1)) with l1
-    the least l > L where h(l) != 0: scale_k bounds |c_k| sum_{l>L} |h(l)|
-    l^{-s}, and these bits bring each moment's roundoff to the level of
-    moment 0.  tilde_dirichlet's result is then within scale_k 2^{1-bits_k}
-    (its docstring), and the products c_k w_k and their sum at prec bits
-    add at most (K + 1) 2^-prec sum_k scale_k.  Since l1^{-s} <=
-    L^{1-s}/(s-1) for every L >= 1, scale_k <= 2 |c_k| hmax L^{1-s}/(s-1).
-    The error is bound plus both roundoffs.
+    rest, and exhausted becomes the budget flag.  The head's roundoff,
+    with its share of the rounding when the moments are added, is counted
+    as sum |h(l) term(l)| 2^{8-prec}; the moments' share is 2^-prec times
+    their sum.  The error is bound plus these and the moments' error.
     """
     L, bound, exhausted = cut
     head = mpc(0)
@@ -241,32 +243,17 @@ def ell_sum(table, cut, term, moments) -> Estimate:
             t = tv * term(ell)
             head += t
             size += abs(t)
-    roundoff = size * mpf(2) ** (8 - mp.prec)
-    tail = mpc(0)
-    if moments:
-        hmax = table.max_abs()
-        l1 = next((ell for ell in range(L + 1, L + len(table) + 1) if table(ell)), L + 1)
-        scales = [abs(c) * hmax * (mpf(l1) ** -s + mpf(l1) ** (1 - s) / (s - 1))
-                  for s, c in moments]
-        top = mp.mag(scales[0])
-        for (s, c), scale in zip(moments, scales):
-            bits = max(53, mp.prec + mp.mag(scale) - top)
-            with workprec(bits):
-                w_s = tilde_dirichlet(table, s, L).value
-            tail += c * w_s
-            roundoff += scale * mpf(2) ** (1 - bits)
-        roundoff += (len(moments) + 1) * mp.fsum(scales) * mpf(2) ** -mp.prec
-    return Estimate(head + tail, bound + roundoff, exhausted)
+    est = Estimate(head, bound + size * mpf(2) ** (8 - mp.prec), exhausted)
+    return est + tilde_dirichlet(table, moments, L).rounded(mp.prec) if moments else est
 
 
 # _truncation's price of a moment, per nonzero residue of the period, in head
-# kernel calls, and the most moments it takes.  A moment is a cotangent-sum
-# tail (tilde_dirichlet); no Hurwitz zeta value is involved.  Timed in place
-# (pure-Python mpmath 1.3.0, 2-vCPU VM; lateral sums at x = 1 and boundary
-# medians at alpha = 1/2 on trefoil-chi, t3-2k(3) and t3-2k(5), at 128 and 256
-# bits), a moment costs 0.03 to 0.22 kernel calls per nonzero residue, about
-# 0.1.  The price stays at 2 so that every cut (L, K) stays where it was: at
-# 0.25, a Stokes-jump row of each of the five standard reports moves (its
+# kernel calls, and the most moments it takes.  Timed in place (pure-Python
+# mpmath 1.3.0, 2-vCPU VM; lateral sums at x = 1 and boundary medians at alpha
+# = 1/2 on trefoil-chi, t3-2k(3) and t3-2k(5), at 128 and 256 bits), a moment
+# costs 0.03 to 0.22 kernel calls per nonzero residue, about 0.1.  The price
+# stays at 2 for the cuts' sake: every cut (L, K) stays where it was, while at
+# 0.25 a Stokes-jump row of each of the five standard reports moves (its
 # residual reads 5e-12 to 3e-11).
 MOMENT_COST = 2
 TRUNCATION_K_MAX = 40
@@ -338,6 +325,15 @@ def tilde_dirichlet_blocks(table, s: int, target) -> Estimate:
 
 # ---------------------------------------------------------------------------
 # Lateral Borel sums.
+
+def five_halves_binomials() -> list:
+    """beta_j = (5/2)_j/j!, j <= TRUNCATION_K_MAX, at the current precision:
+    the coefficients of (1 - w)^{-5/2} = sum_j beta_j w^j."""
+    beta = [mpf(1)]
+    for j in range(TRUNCATION_K_MAX):
+        beta.append(beta[-1] * (FIVE_HALVES + j) / (j + 1))
+    return beta
+
 
 RAY_ANGLE = Fraction(1, 4)  # theta/pi; lateral_sum's bound needs |1 - tw| >= sin(theta)
 
@@ -412,10 +408,9 @@ def lateral_sum(series: FormalSeries, x, side: str,
         m2pi2 = mpf(M * M) / mp.pi ** 2
 
         # beta_j, and for each K the bound c_K L^{-(2K+3)} on the rest
-        beta = [mpf(1)]
-        for j in range(TRUNCATION_K_MAX):
-            beta.append(beta[-1] * (FIVE_HALVES + j) / (j + 1))
-        bounds = [(tilde.max_abs() * beta[K] * mpf(2) ** ((K + FIVE_HALVES) / 2) * mp.factorial(K)
+        beta = five_halves_binomials()
+        hmax = tilde.max_abs()
+        bounds = [(hmax * beta[K] * mpf(2) ** ((K + FIVE_HALVES) / 2) * mp.factorial(K)
                    * m2pi2 ** (K + FIVE_HALVES) / (sig ** (K + 1) * mpf(b) ** K * (2 * K + 3)),
                    2 * K + 3) for K in range(1, TRUNCATION_K_MAX + 1)]
         target = ctx.tolerance() * mpf("0.1") + mpf(2) ** (-ctx.prec)

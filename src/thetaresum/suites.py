@@ -52,13 +52,12 @@ def suite_borel(cfg: Config, ctx: PrecisionContext, report: Report, **_):
         M, b = series.f.M, series.b
         A = mp.pi ** 2 / M ** 2
         pref = 3 * mp.pi * to_mpf(series.f.c) / (M ** 2 * b)
-        binom = mpf(1)
+        binom = resum_mod.five_halves_binomials()
         sides = []
         for n in range(20):
-            closed = resum_mod.tilde_dirichlet(tilde, 4 + 2 * n) \
-                * (pref * binom * mpf(b) ** (-n) * A ** (-FIVE_HALVES - n))
+            closed = resum_mod.tilde_dirichlet(tilde, [(4 + 2 * n, 1)]) \
+                * (pref * binom[n] * mpf(b) ** (-n) * A ** (-FIVE_HALVES - n))
             sides.append((n, closed.rounded(ctx.prec), exact(coeffs[n])))
-            binom = binom * (FIVE_HALVES + n) / (n + 1)
     report.worst_row("borel.taylor-vs-closed-form", {"config": cfg.label(), "count": 20}, "n",
                      sides, t.elapsed)
     with timed() as t:
@@ -81,7 +80,7 @@ def suite_disc(cfg: Config, ctx: PrecisionContext, report: Report, **_):
 def suite_cm(cfg: Config, ctx: PrecisionContext, report: Report, **_):
     series = cfg.series(4)
     with timed() as t:
-        dirichlet = resum_mod.tilde_dirichlet(series.tilde.table(), 2)
+        dirichlet = resum_mod.tilde_dirichlet(series.tilde.table(), [(2, 1)])
         rhs = dirichlet * (2 * series.f.M * to_mpf(series.f.c) / mp.pi ** 2)
     report.row("cm.constant-identity", {"config": cfg.label()}, exact(series.c_m),
                rhs.rounded(ctx.prec), t.elapsed)

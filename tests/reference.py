@@ -151,7 +151,7 @@ def lateral_sum_quadrature(series, x, side: str, ctx: PrecisionContext) -> Estim
 
         poly = mpc(0)
         for j, beta in enumerate(_BETAS):
-            w_s = tilde_dirichlet(tilde.table(), 4 + 2 * j).value
+            w_s = tilde_dirichlet(tilde.table(), [(4 + 2 * j, 1)]).value
             poly += (beta * mpf(b) ** (-j) * mp.factorial(j)
                      / x ** (j + 1) * m2pi2 ** (FIVE_HALVES + j) * w_s)
 

@@ -76,7 +76,7 @@ def test_criterion_02_borel_taylor_vs_closed_form():
             binom = mpf(1)
             for n in range(20):
                 closed = pref * binom * mpf(b) ** (-n) * A ** (-mpf("2.5") - n) \
-                    * tilde_dirichlet(tilde, 4 + 2 * n).value
+                    * tilde_dirichlet(tilde, [(4 + 2 * n, 1)]).value
                 exact = frac_to_mp(coeffs[n])
                 worst = max(worst, abs(closed - exact) / abs(exact))
                 binom = binom * (mpf("2.5") + n) / (n + 1)

@@ -350,12 +350,13 @@ class TestConstantIdentity:
                 lhs = mpf(ser.c_m.numerator) / ser.c_m.denominator
                 assert abs(lhs - rhs) < mpf("1e-10")
                 # and the Hurwitz-zeta route agrees with the block route
-                hz = 2 * ser.f.M * c / mp.pi ** 2 * tilde_dirichlet(ser.tilde.table(), 2).value
+                hz = 2 * ser.f.M * c / mp.pi ** 2 \
+                    * tilde_dirichlet(ser.tilde.table(), [(2, 1)]).value
                 assert abs(lhs - hz) < mpf("1e-20")
 
 
 class TestShiftedDirichlet:
-    """tilde_dirichlet(f~, s, start) = sum_{l > start} f~(l) l^{-s}."""
+    """tilde_dirichlet(f~, [(s_k, c_k)], start) = sum_k c_k sum_{l > start} f~(l) l^{-s_k}."""
 
     FAMILIES = {"trefoil-chi": trefoil_chi().f, "t3-2k-3": config_t3_2k(3).f}
 
@@ -373,7 +374,7 @@ class TestShiftedDirichlet:
         prec = 128
         for start in (0, 1, M, 5 * M + 3):
             with workprec(prec):
-                got = tilde_dirichlet(tilde.table(), s, start).value
+                got = tilde_dirichlet(tilde.table(), [(s, 1)], start).value
             with workprec(prec + 64):
                 n = start + 1
                 N = start + P
@@ -398,7 +399,8 @@ class TestShiftedDirichlet:
     @staticmethod
     def tail_size(table, s, start):
         """hmax (l1^{-s} + l1^{1-s}/(s-1)), l1 the least l > start with
-        h(l) != 0: tilde_dirichlet's stated error is 2^{1-p} times this."""
+        h(l) != 0: tilde_dirichlet's stated error for the one moment (s, 1)
+        is 2^{1-p} (1 + 2^{p-wp}) times this, with wp >= p + 64 at p = 128."""
         l1 = next(ell for ell in range(start + 1, start + len(table) + 1) if table(ell))
         return table.max_abs() * (mpf(l1) ** -s + mpf(l1) ** (1 - s) / (s - 1))
 
@@ -406,10 +408,9 @@ class TestShiftedDirichlet:
     def test_matches_hurwitz_oracle(self, family):
         """Against the sum of Hurwitz zeta values at 64 more bits (good to
         about P 2^-192 of the tail's size), within the returned error, which
-        is the stated bound (to its own rounding).  The
-        head is subtracted from the full sum, so a guard of fewer than
-        s log2 l1 bits (log2 of start, or none) loses the tail's digits at
-        start = 1 and s >= 10."""
+        is the stated bound (to its own rounding).  The head is subtracted
+        from the full sum, so a guard of fewer than s log2 l1 bits (log2 of
+        start, or none) loses the tail's digits at start = 1 and s >= 10."""
         make, M = self.ORACLE_TABLES[family]
         prec = 128
         with workprec(prec):
@@ -418,7 +419,7 @@ class TestShiftedDirichlet:
         for s in (2, 4, 10, 24, 42):
             for start in (0, 1, P, 5 * M + 3):
                 with workprec(prec):
-                    got = tilde_dirichlet(table, s, start)
+                    got = tilde_dirichlet(table, [(s, 1)], start)
                 with workprec(prec + 64):
                     ref = tilde_dirichlet_hurwitz(table, s, start)
                     bound = self.tail_size(table, s, start) * mpf(2) ** (1 - prec)
@@ -428,73 +429,92 @@ class TestShiftedDirichlet:
     TRUTH_CONFIGS = {"trefoil-chi": trefoil_chi, "chi-3-4": lambda: config_chi(3, 4, 1, 1),
                      "t3-2k-3": lambda: config_t3_2k(3), "hikami-3-1": lambda: config_hikami(3, 1)}
 
+    @staticmethod
+    def moment_lists(M, b=24):
+        """Eight moments shaped as lateral_sum's (x = 1: real c_k growing
+        with k) and eight as vertical_sum's (c = -3i, lam1 = pi b/(2 M^2):
+        complex c_k, each -i times the last with a growing modulus), at the
+        current precision."""
+        m2pi2 = mpf(M * M) / mp.pi ** 2
+        lateral, beta = [], mpf(1)
+        for j in range(8):
+            lateral.append((4 + 2 * j, beta * mp.factorial(j) * m2pi2 ** (j + 2.5) / b ** j))
+            beta *= (j + 2.5) / (j + 1)
+        c, lam1 = mpc(0, -3), mp.pi * b / (2 * M * M)
+        vertical, mk = [], c ** -1.5 / lam1
+        for K in range(1, 9):
+            vertical.append((2 * K, mk))
+            mk *= -(K + 0.5) / (c * lam1)
+        return lateral, vertical
+
     @pytest.mark.parametrize("prec", [64, 128, 256])
     @pytest.mark.parametrize("family", list(TRUTH_CONFIGS))
     def test_error_bounds_the_gap_to_exact_truth(self, family, prec):
-        """The returned error against exact truth.  With f~(l) = (cos 2 pi
-        k2 l/M - cos 2 pi k1 l/M)/2 and DLMF 24.8.1, sum_{l>=1} cos(2 pi l x)
-        l^{-s} = (-1)^{s/2+1} (2 pi)^s B_s(x)/(2 s!), the full sum is
+        """The returned error against exact truth, for single moments and
+        for the moment lists of lateral_sum and vertical_sum.  With f~(l) =
+        (cos 2 pi k2 l/M - cos 2 pi k1 l/M)/2 and DLMF 24.8.1, sum_{l>=1}
+        cos(2 pi l x) l^{-s} = (-1)^{s/2+1} (2 pi)^s B_s(x)/(2 s!), the full
+        sum is
 
             (-1)^{s/2+1} (2 pi)^s/(4 s!) [B_s(k2/M) - B_s(k1/M)],
 
         from exact Bernoulli polynomials; past start = P it is that less
         the head l <= P, whose cosines are of exact rational multiples of
-        pi.  The truth carries s log2(P + 1) + 64 more bits than the sum,
-        so the cancellation of the head leaves it exact to far below the
-        error.  The error is stated for the table's values, so the table is
-        read at 64 more bits, where its own rounding is far below it."""
+        pi.  The truth carries S log2(P + 1) + 64 more bits than the sum, S
+        the largest s, so the cancellation of the head leaves it exact to
+        far below the error.  The error is stated for the table's values and the c_k as
+        given, so the table is read at 64 more bits, where its own rounding
+        is far below it, and the truth's products by c_k are taken at the
+        truth's precision."""
         f = self.TRUTH_CONFIGS[family]().f
         with workprec(prec + 64):
             table = tilde_transform(f).table()
+        with workprec(prec):
+            lateral, vertical = self.moment_lists(f.M)
         P = len(table)
         x1, x2 = Fraction(f.k1, f.M), Fraction(f.k2, f.M)
-        for s in (2, 4, 10, 24, 42):
+        singles = [[(s, 1)] for s in (2, 4, 10, 24, 42)]
+        for moments in singles + [lateral, vertical]:
+            top = max(s for s, _ in moments)
             for start in (0, P):
                 with workprec(prec):
-                    got = tilde_dirichlet(table, s, start)
-                with workprec(prec + 64 + s * (P + 1).bit_length()):
-                    full = (-1) ** (s // 2 + 1) * (2 * mp.pi) ** s / (4 * mp.factorial(s)) \
-                        * frac_to_mp(bernoulli_polynomial(s, x2) - bernoulli_polynomial(s, x1))
-                    head = mp.fsum((mp.cospi(frac_to_mp(2 * ell * x2 % 2))
-                                    - mp.cospi(frac_to_mp(2 * ell * x1 % 2))) / 2 * mpf(ell) ** -s
-                                   for ell in range(1, start + 1))
-                    gap = abs(got.value - (full - head))
-                    assert gap <= got.error, (s, start, gap / got.error)
+                    got = tilde_dirichlet(table, moments, start)
+                with workprec(prec + 64 + top * (P + 1).bit_length()):
+                    truth = mpc(0)
+                    for s, c in moments:
+                        full = (-1) ** (s // 2 + 1) * (2 * mp.pi) ** s / (4 * mp.factorial(s)) \
+                            * frac_to_mp(bernoulli_polynomial(s, x2) - bernoulli_polynomial(s, x1))
+                        head = mp.fsum((mp.cospi(frac_to_mp(2 * ell * x2 % 2))
+                                        - mp.cospi(frac_to_mp(2 * ell * x1 % 2)))
+                                       / 2 * mpf(ell) ** -s for ell in range(1, start + 1))
+                        truth += c * (full - head)
+                    gap = abs(got.value - truth)
+                    assert gap <= got.error, (top, len(moments), start, gap / got.error)
 
     def test_rejects_odd_s_and_uneven_tables(self):
         table = trefoil_chi().series(1).tilde.table()
         for s in (1, 3, 5, 41):
             with pytest.raises(ValueError):
-                tilde_dirichlet(table, s)
+                tilde_dirichlet(table, [(s, 1)])
         skewed = type(table)(v + ell for ell, v in enumerate(table))
         with pytest.raises(ValueError):
-            tilde_dirichlet(skewed, 2)
+            tilde_dirichlet(skewed, [(2, 1)])
 
     @pytest.mark.parametrize("family", ["trefoil-chi", "t3-2k-5", "twisted-chi-2-3"])
     def test_moment_allowance_bounds_the_gap(self, family):
-        """Eight moments past L > P, shaped as lateral_sum's (x = 1, b =
-        24) and vertical_sum's (c = -3i, lam1 = pi b/(2 M^2)) pass them,
-        falling with k as in the cuts _truncation picks, with a zero head
-        and no caller's bound: ell_sum's error is then the moments'
-        roundoff alone.  It bounds the gap to the Hurwitz oracle at 64 more
-        bits, and it is no larger than scale_k 2^{8-bits_k} per moment,
-        scale_k = |c_k| hmax (P^{1-s} + P L^{1-s}/(s-1)), the allowance the
-        mp.zeta sums were given."""
+        """Eight moments past L > P, shaped as lateral_sum's and
+        vertical_sum's (moment_lists, b = 24), falling with k as in the cuts
+        _truncation picks, with a zero head and no caller's bound: ell_sum's
+        error is then the moments' roundoff alone.  It bounds the gap to the
+        Hurwitz oracle at 64 more bits, and it is no larger than scale_k
+        2^{8-bits_k} per moment, scale_k = |c_k| hmax (P^{1-s} + P
+        L^{1-s}/(s-1)), the allowance the mp.zeta sums were given."""
         make, M = self.ORACLE_TABLES[family]
-        prec, b = 128, 24
+        prec = 128
         with workprec(prec):
             table = make()
             P, hmax = len(table), table.max_abs()
-            m2pi2 = mpf(M * M) / mp.pi ** 2
-            lateral, beta = [], mpf(1)
-            for j in range(8):
-                lateral.append((4 + 2 * j, beta * mp.factorial(j) * m2pi2 ** (j + 2.5) / b ** j))
-                beta *= (j + 2.5) / (j + 1)
-            c, lam1 = mpc(0, -3), mp.pi * b / (2 * M * M)
-            vertical, mk = [], c ** -1.5 / lam1
-            for K in range(1, 9):
-                vertical.append((2 * K, mk))
-                mk *= -(K + 0.5) / (c * lam1)
+            lateral, vertical = self.moment_lists(M)
         for moments in (lateral, vertical):
             for L in (P + 1, 3 * P):
                 with workprec(prec):
@@ -517,7 +537,8 @@ class TestShiftedDirichlet:
             for start in (1, M, 5 * M + 3):
                 with workprec(128):
                     h = tilde.table()
-                    diff = tilde_dirichlet(h, s).value - tilde_dirichlet(h, s, start).value
+                    diff = (tilde_dirichlet(h, [(s, 1)]).value
+                            - tilde_dirichlet(h, [(s, 1)], start).value)
                 with workprec(192):
                     head = mp.fsum(tilde(ell) * mpf(ell) ** (-s) for ell in range(1, start + 1))
                     size = mp.fsum(abs(tilde(ell)) * mpf(ell) ** (-s) for ell in range(1, 3 * M))
@@ -526,33 +547,46 @@ class TestShiftedDirichlet:
                 with workprec(128):
                     est = ell_sum(tilde.table(), (start, 0, False), lambda ell: mpf(ell) ** -s, [(s, 1)])
                 with workprec(192):
-                    full = tilde_dirichlet(tilde.table(), s).value
+                    full = tilde_dirichlet(tilde.table(), [(s, 1)]).value
                     assert abs(est.value - full) <= est.error, (s, start)
 
+    def test_one_call_and_one_precision_per_sum(self, monkeypatch):
+        """boundary_median(t3-2k(4), 1/2) at 256 bits: its one ell_sum with
+        moments (vertical_sum, 19 of them) makes one tilde_dirichlet call,
+        which reads one cotangent-moment table, at one working precision
+        (summed a moment at a time, they once needed three, at 384, 448
+        and 512 bits)."""
+        calls, precs = [], set()
+        inner_sum, inner_table = resum.tilde_dirichlet, resum._cot_moments
+
+        def recording_sum(table, moments, start=0):
+            calls.append(len(moments))
+            return inner_sum(table, moments, start)
+
+        def recording_table(table, wp, count):
+            precs.add(wp)
+            return inner_table(table, wp, count)
+
+        monkeypatch.setattr(resum, "tilde_dirichlet", recording_sum)
+        monkeypatch.setattr(resum, "_cot_moments", recording_table)
+        boundary_median(config_t3_2k(4).series(8), Fraction(1, 2), PrecisionContext(prec=256))
+        assert len(calls) == 1 and calls[0] > 1, calls
+        assert len(precs) == 1, precs
+
     @pytest.mark.parametrize("family", ["trefoil-chi", "t3-2k-3"])
-    def test_falling_moments_run_at_fewer_bits(self, family, monkeypatch):
-        """Moments c_k = 2^{-4k} (s_k = 2k + 2) past L = M + 1: moment k
-        is summed at fewer bits, by the fall of c_k l1^{1-s_k}, and the error
-        still bounds the gap to the same sum at 64 more bits.  The head term
-        is 0, so the error is the moments' roundoff alone."""
+    def test_falling_moments_are_within_the_error(self, family):
+        """Moments c_k = 2^{-4k} (s_k = 2k + 2) past L = M + 1: the error
+        bounds the gap to the same sum at 64 more bits.  The head term is 0,
+        so the error is the moments' roundoff alone."""
         tilde = tilde_transform(self.FAMILIES[family])
         L = tilde.M + 1
         moments = [(2 * k + 2, mpf(2) ** (-4 * k)) for k in range(4)]
-        bits = []
-        inner = resum.tilde_dirichlet
-
-        def recording(*args):
-            bits.append(mp.prec)
-            return inner(*args)
 
         def run(prec):
             with workprec(prec):
                 return ell_sum(tilde.table(), (L, 0, False), lambda ell: 0, moments)
 
-        monkeypatch.setattr(resum, "tilde_dirichlet", recording)
         est = run(128)
-        assert bits[0] == 128 and all(b < a for a, b in zip(bits, bits[1:])), bits
-        assert bits[-1] <= 128 - 12, bits
         ref = run(192)
         with workprec(192):
             assert abs(est.value - ref.value) <= est.error
@@ -584,7 +618,7 @@ class TestBlockKernel:
             for f in fs:
                 tilde = tilde_transform(f)
                 est = tilde_dirichlet_blocks(tilde.table(), 2, mpf("1e-11"))
-                gap = abs(est.value - tilde_dirichlet(tilde.table(), 2).value)
+                gap = abs(est.value - tilde_dirichlet(tilde.table(), [(2, 1)]).value)
                 assert gap <= est.error, (f.M, f.k1, f.k2, gap)
 
 
