@@ -5,7 +5,8 @@ p^{n-1}/(n-1)!.  For the periodic-function series G has the closed form
 
     G(p) = (3 pi c / (M^2 b)) sum_{l>=1} l f~(l) / (l^2 pi^2/M^2 - p/b)^{5/2}
 
-with singularities on the ray {b l^2 pi^2 / M^2 : f~(l) != 0}.  The Taylor
+with singularities on the ray {b l^2 pi^2 / M^2 : f~(l) != 0}, listed by
+singularities(series, count) as (l, position) pairs.  The Taylor
 coefficients are also reproduced through the Hadamard factorisation
 G = g1 (*) g2 with g2(p) = (1/b) 6 (1 - 4p/b)^{-5/2}, which serves as the
 exact oracle for the transform machinery.
@@ -14,13 +15,11 @@ exact oracle for the transform machinery.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpf, mpc
 
 from .exact import FormalSeries, bernoulli_sum
-from .periodic import TildeFunction
 from .precision import (DEFAULT_CTX, FIVE_HALVES, MINUS_FIVE_HALVES, SEVEN_QUARTERS,
                         Estimate, PrecisionContext, to_mpf)
 from .resum import TRUNCATION_K_MAX, _truncation, ell_sum, five_halves_binomials
@@ -87,56 +86,23 @@ def hadamard_oracle(series: FormalSeries, count: int):
     return [u * v for u, v in zip(g1, g2)]
 
 
-@dataclass(frozen=True)
-class SingularitySet:
-    """The ray {b l^2 pi^2/M^2 : f~(l) != 0}, enumerated in increasing order.
+def singularities(series: FormalSeries, count: int, ctx: PrecisionContext = DEFAULT_CTX):
+    """The first count points of the ray {b l^2 pi^2/M^2 : f~(l) != 0}, as
+    (l, position) pairs in increasing order.
 
     Membership uses the support of f~, the exact zeros of its table: a term
     with f~(l) = 0 vanishes identically in the closed form, so no
     singularity can sit there.
     """
-
-    series: FormalSeries
-
-    @property
-    def tilde(self) -> TildeFunction:
-        return self.series.tilde
-
-    def indices(self, count: int):
-        table = self.tilde.table()
-        out = []
-        ell = 1
-        while len(out) < count:
-            if not table.is_zero(ell):
-                out.append(ell)
-            ell += 1
-        return out
-
-    def positions(self, count: int, ctx: PrecisionContext = DEFAULT_CTX):
-        with ctx.working():
-            base = mpf(self.series.b) * mp.pi ** 2 / self.series.f.M ** 2
-            return [base * ell * ell for ell in self.indices(count)]
-
-    def first(self, ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
-        return self.positions(1, ctx)[0]
-
-    def nearest_distance(self, p, ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
-        """Distance from p to the singularity set (exact minimisation)."""
-        with ctx.working():
-            p = mpc(p)
-            base = mpf(self.series.b) * mp.pi ** 2 / self.series.f.M ** 2
-            # singular ell nearest to sqrt(Re p / base), clamped to support
-            guess = max(1, int(mp.sqrt(max(p.real, mpf(0)) / base)))
-            best = mpf("inf")
-            table = self.tilde.table()
-            for ell in range(max(1, guess - self.series.f.M), guess + self.series.f.M + 2):
-                if not table.is_zero(ell):
-                    best = min(best, abs(p - base * ell * ell))
-            return best
-
-
-def singularity_set(series: FormalSeries) -> SingularitySet:
-    return SingularitySet(series)
+    table = series.tilde.table()
+    ells, ell = [], 0
+    while len(ells) < count:
+        ell += 1
+        if table(ell):
+            ells.append(ell)
+    with ctx.working():
+        base = mpf(series.b) * mp.pi ** 2 / series.f.M ** 2
+        return [(ell, base * ell * ell) for ell in ells]
 
 
 GUARD_FACTOR = mpf("1e-6")  # p this close to a singularity, relative to the first, is refused
@@ -153,32 +119,35 @@ def borel_eval(series: FormalSeries, p, ctx: PrecisionContext = DEFAULT_CTX,
     come from resum._truncation; the error is its bound on the rest plus
     roundoff.
 
-    side: '+' or '-' selects the limit from Im p > 0 or Im p < 0 when p lies
-    exactly on the cut ray beyond the first singularity.
+    side: 'plus' or 'minus' selects the limit from Im p > 0 or Im p < 0 when
+    p lies exactly on the cut ray beyond the first singularity.
     """
     with ctx.working(20):
         p = mpc(p)
         f = series.f
         tilde = series.tilde.table()
-        sing = singularity_set(series)
-        gap = sing.nearest_distance(p, ctx)
-        first = sing.first(ctx)
+        A = mp.pi ** 2 / f.M ** 2
+        base = series.b * A
+        first = base * series.tilde.first_support ** 2
+        # the singular l nearest to sqrt(Re p/base) lies within M of it
+        guess = max(1, int(mp.sqrt(max(p.real, 0) / base)))
+        gap = min(abs(p - base * ell * ell)
+                  for ell in range(max(1, guess - f.M), guess + f.M + 2) if tilde(ell))
         if gap < GUARD_FACTOR * first:
             raise SingularProximityError(
                 f"p={p} is within guard distance {GUARD_FACTOR * first} of a singularity")
         on_cut = (p.imag == 0 and p.real > first)
-        if on_cut and side not in ("+", "-"):
-            raise BranchCutError("p sits on the cut ray; pass side='+' or side='-'")
+        if on_cut and side not in ("plus", "minus"):
+            raise BranchCutError("p sits on the cut ray; pass side='plus' or side='minus'")
 
         pref = 3 * mp.pi * to_mpf(f.c) / (f.M ** 2 * series.b)
-        A = mp.pi ** 2 / f.M ** 2
 
         def term(ell):
             w = A * ell * ell - p / series.b
             if w.imag == 0 and w.real < 0:
                 # on the cut: apply the requested side (limit from Im p -> +-0
                 # means Im w -> -+0)
-                ang = -mp.pi if side == "+" else mp.pi
+                ang = -mp.pi if side == "plus" else mp.pi
                 return ell / mp.exp(FIVE_HALVES * (mp.log(abs(w)) + 1j * ang))
             return ell / w ** FIVE_HALVES
 

@@ -179,8 +179,7 @@ def cmd_export(args) -> int:
     series = cfg.series(max(args.count + 2, 8))
     if args.what == "singularities":
         header = ["index", "ell", "position"]
-        ss = borel_mod.singularity_set(series)
-        values = zip(ss.indices(args.count), ss.positions(args.count, ctx))
+        values = borel_mod.singularities(series, args.count, ctx)
     else:
         name = "C" if args.what == "coefficients" else "g"
         header = ["n", f"{name}_n", f"{name}_n_float"]
@@ -215,8 +214,7 @@ def cmd_eval(args) -> int:
     elif args.quantity == "borel":
         if args.p is None:
             raise UsageError("eval borel needs --p")
-        est = borel_mod.borel_eval(series, _complex(args.p, ctx), ctx,
-                                   side="+" if args.side == "plus" else "-")
+        est = borel_mod.borel_eval(series, _complex(args.p, ctx), ctx, side=args.side)
     elif args.quantity == "lateral":
         if args.x is None:
             raise UsageError("eval lateral needs --x")

@@ -22,7 +22,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .periodic import PeriodicFunction, tilde_transform
+from .periodic import PeriodicFunction, TildeFunction
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +149,7 @@ class FormalSeries:
 
     @property
     def tilde(self):
-        return tilde_transform(self.f)
+        return TildeFunction(self.f)
 
 
 def series_coefficients(spec, count: int) -> FormalSeries:

@@ -25,7 +25,7 @@ from mpmath import mp, mpf, mpc, workprec
 
 from .config import config_hikami
 from .precision import DEFAULT_CTX, Estimate, PrecisionContext, as_fraction, frac_to_mp
-from .qseries import ThetaSpec, theta_radial_limit
+from .qseries import theta_radial_limit
 from .report import agrees
 
 
@@ -199,12 +199,6 @@ class StrangeConfig:
         if self.family != "hikami" and (self.family, self.u, self.ell) != ("trefoil", 1, 0):
             raise ValueError(f"unknown strange family in {self!r}")
 
-    def theta_spec(self) -> ThetaSpec:
-        return config_hikami(self.u, self.ell).theta_spec()
-
-    def habiro_value(self, q: RootOfUnity, ctx: PrecisionContext) -> mpc:
-        return hikami_x(self.u, self.ell, q, ctx)
-
 
 @dataclass(frozen=True)
 class StrangeReport:
@@ -240,7 +234,7 @@ def verify_strange(config: StrangeConfig, alpha,
     element (_to_complex); the theta side carries its own bar."""
     alpha = as_fraction(alpha)
     with ctx.working():
-        lhs = config.habiro_value(RootOfUnity.from_fraction(alpha), ctx)
-        rhs = theta_radial_limit(config.theta_spec(), alpha, ctx)
+        lhs = hikami_x(config.u, config.ell, RootOfUnity.from_fraction(alpha), ctx)
+        rhs = theta_radial_limit(config_hikami(config.u, config.ell).theta_spec(), alpha, ctx)
         return StrangeReport(config.family, config.u, config.ell, alpha,
                              Estimate(lhs, mpf(2) ** -mp.prec), rhs, ctx.prec)

@@ -4,8 +4,9 @@ The family handled here assigns +c on the residues {k1, M-k1} mod M, -c on
 {k2, M-k2}, and 0 elsewhere.  It covers the sign characters chi_{2st}^{(n,m)}
 attached to coprime (s,t) and everything the resummation pipeline consumes.
 Also houses PeriodicTable (how the library reads any periodic function), the
-sine-product transform f~, the index sets D(s,t), the finite S-matrix, and
-the check that f~ of a character decomposes over the characters of D(s,t).
+sine-product transform f~ (TildeFunction(f)), the index set D(s,t) (pair_set,
+a tuple of pairs), the finite S-matrix, and the check that f~ of a character
+decomposes over the characters of D(s,t).
 """
 
 from __future__ import annotations
@@ -38,9 +39,6 @@ class PeriodicTable(tuple):
 
     def __call__(self, n: int):
         return self[n % len(self)]
-
-    def is_zero(self, n: int) -> bool:
-        return not self[n % len(self)]
 
     def max_abs(self) -> mpf:
         return max(abs(v) for v in self)
@@ -259,27 +257,9 @@ def _divisors(n: int):
     return sorted(set(out))
 
 
-def tilde_transform(f: PeriodicFunction) -> TildeFunction:
-    return TildeFunction(f)
-
-
-@dataclass(frozen=True)
-class PairSet:
-    """The index set D(s,t) of size (s-1)(t-1)/2."""
-
-    s: int
-    t: int
-    pairs: tuple
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def __len__(self):
-        return len(self.pairs)
-
-
-def pair_set(s: int, t: int) -> PairSet:
-    """D(s,t) per the parity cases; odd-odd (s,t) returns the D1 convention."""
+def pair_set(s: int, t: int) -> tuple:
+    """The index set D(s,t), (s-1)(t-1)/2 pairs (n, m), per the parity
+    cases; odd-odd (s,t) returns the D1 convention."""
     if math.gcd(s, t) != 1:
         raise ConfigError(f"s={s}, t={t} must be coprime")
     if s < 2 or t < 2:
@@ -288,11 +268,10 @@ def pair_set(s: int, t: int) -> PairSet:
         pairs = [(n, m) for n in range(1, (s - 1) // 2 + 1) for m in range(1, t)]
     else:
         pairs = [(n, m) for n in range(1, s) for m in range(1, (t - 1) // 2 + 1)]
-    ps = PairSet(s, t, tuple(pairs))
     expected = (s - 1) * (t - 1) // 2
-    if len(ps.pairs) != expected or len(set(ps.pairs)) != expected:
+    if len(pairs) != expected or len(set(pairs)) != expected:
         raise AssertionError("pair set cardinality violates (s-1)(t-1)/2")
-    return ps
+    return tuple(pairs)
 
 
 def s_matrix_entry(s: int, t: int, nm: tuple, nm2: tuple,
@@ -348,11 +327,11 @@ def verify_decomposition(s: int, t: int, nm: tuple,
     chi' vanishes, so both sides are exact zeros there.
     """
     ps = pair_set(s, t)
-    if tuple(nm) not in ps.pairs:
+    if tuple(nm) not in ps:
         raise ConfigError(f"{nm} is not in D({s},{t})")
     n, m = nm
     with ctx.working():
-        tilde = tilde_transform(chi_function(ChiParams(s, t, n, m))).table()
+        tilde = TildeFunction(chi_function(ChiParams(s, t, n, m))).table()
         chis = [chi_function(ChiParams(s, t, a, b)) for (a, b) in ps]
         row = [s_matrix_entry(s, t, nm, other, ctx) for other in ps]
         pref = -mp.sqrt(mpf(s * t) / 8)

@@ -289,10 +289,6 @@ class VerticalTheta:
 # ---------------------------------------------------------------------------
 # Non-holomorphic Eichler integral and the period function.
 
-def _chi_spec0(s: int, t: int, nm: tuple) -> ThetaSpec:
-    return ThetaSpec(a=0, b=4 * s * t, nu=0, f=chi_function(ChiParams(s, t, *nm)))
-
-
 def eichler_integral(s: int, t: int, nm: tuple, z, lower,
                      ctx: PrecisionContext = DEFAULT_CTX) -> Estimate:
     """sqrt(st i/(8 pi^2)) int theta^{(0)}_{0,4st,chi}(tau) (tau - z)^{-3/2} dtau.
@@ -327,8 +323,8 @@ def eichler_integral(s: int, t: int, nm: tuple, z, lower,
     |value| 2^-prec.
     """
     from . import resum  # resum imports this module
-    spec = _chi_spec0(s, t, nm)
-    B = spec.b
+    B = 4 * s * t
+    chi = chi_function(ChiParams(s, t, *nm))
     with ctx.working(20):
         z = mpc(z)
         pref = mp.sqrt(mpf(s * t) / 8) / mp.pi
@@ -342,7 +338,7 @@ def eichler_integral(s: int, t: int, nm: tuple, z, lower,
                 raise DomainError("the conj-based integral needs Im z < 0")
             x, w0 = z.real, -z.imag
             c = w0
-            h = _PhaseClasses(spec.f, Fraction(0), 0, B)
+            h = _PhaseClasses(chi, Fraction(0), 0, B)
         else:
             alpha = as_fraction(lower)
             if z.imag > 0:
@@ -351,7 +347,7 @@ def eichler_integral(s: int, t: int, nm: tuple, z, lower,
             c = 1j * (z - alpha_mp)
             if abs(c) <= mpf(2) ** (-ctx.prec) * max(1, abs(alpha_mp)):
                 c = mpf(0)
-            h = _PhaseClasses(spec.f, alpha, 0, B)
+            h = _PhaseClasses(chi, alpha, 0, B)
             c1 = mp.pi * B / (2 * h.P ** 2)
             w0 = c1 / ((ctx.prec + 40) * mp.ln2)
             if abs(c) > w0:

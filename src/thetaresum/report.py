@@ -108,12 +108,17 @@ class Report:
 
     def worst_row(self, name: str, inputs: dict, key: str, sides, wall_time=0.0) -> CheckRecord:
         """Record an identity that holds at every index of sides, (index, lhs,
-        rhs) triples of Estimates, by the index with the largest gap less
-        allowance (the first on a tie), under inputs[key]: every index
-        agrees exactly when that one does."""
+        rhs) triples of Estimates, by the index closest to failing, under
+        inputs[key]: the largest gap/allowance (0/0 ranks as 0, a positive
+        gap over a zero allowance as infinite; the first on a tie).  Every
+        index agrees exactly when that one does."""
         prec = self.prec_bits
-        index, lhs, rhs = max(sides, key=lambda s: gap(s[1].value, s[2].value, prec)
-                              - allowance(s[1], s[2], prec))
+
+        def rank(side):
+            g, a = gap(side[1].value, side[2].value, prec), allowance(side[1], side[2], prec)
+            return g / a if a else (mpf("inf") if g else mpf(0))
+
+        index, lhs, rhs = max(sides, key=rank)
         return self.row(name, {**inputs, key: index}, lhs, rhs, wall_time)
 
     @property

@@ -434,10 +434,6 @@ class DiscontinuityResult:
     closed_form: Estimate
     x: mpc
 
-    @property
-    def difference(self) -> mpf:
-        return abs(self.numeric.value - self.closed_form.value)
-
 
 def disc_closed_form(series: FormalSeries, x, ctx: PrecisionContext = DEFAULT_CTX) -> Estimate:
     """2i (2 b pi x)^{3/2} (sqrt2 c/M^2) sum_l l f~(l) e^{-l^2 pi^2 b x / M^2}.

@@ -89,8 +89,8 @@ from fractions import Fraction
 from mpmath import mp, mpc, mpf, workprec
 
 from thetaresum.exact import bernoulli_number, l_value
-from thetaresum.periodic import (ChiParams, ConfigError, PairSet, PeriodicTable, chi_function,
-                                 pair_set, s_matrix_entry)
+from thetaresum.periodic import (ChiParams, ConfigError, PeriodicTable, chi_function, pair_set,
+                                 s_matrix_entry)
 from thetaresum.precision import (DEFAULT_CTX, FIVE_HALVES, HALF, MINUS_FIVE_HALVES,
                                   MINUS_HALF, MINUS_THREE_HALVES, THREE_HALVES, Estimate,
                                   PrecisionContext, as_fraction, frac_to_mp, to_mpf)
@@ -552,12 +552,12 @@ def trefoil_explicit_borel(p, ctx: PrecisionContext = DEFAULT_CTX,
         return Estimate(value, abs(pref) * rem + abs(value) * mpf(2) ** (-ctx.prec))
 
 
-def pair_set_alternative(s: int, t: int) -> PairSet:
+def pair_set_alternative(s: int, t: int) -> tuple:
     """For odd-odd (s,t): the D2 variant, target of the folding bijection."""
     if s % 2 == 0 or t % 2 == 0:
         raise ConfigError("alternative set only defined for odd-odd (s,t)")
     pairs = [(n, m) for n in range(1, s) for m in range(1, (t - 1) // 2 + 1)]
-    return PairSet(s, t, tuple(pairs))
+    return tuple(pairs)
 
 
 def support_set(s: int, t: int) -> list:
@@ -619,7 +619,7 @@ def verify_modular_transform(s: int, t: int, nm: tuple, z,
     truncated upper-half-plane sums at the context precision.
     """
     ps = pair_set(s, t)
-    if tuple(nm) not in ps.pairs:
+    if tuple(nm) not in ps:
         raise ConfigError(f"{nm} not in D({s},{t})")
 
     def spec(pair):

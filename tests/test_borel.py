@@ -7,10 +7,9 @@ import pytest
 from mpmath import mp, mpf, mpc, workprec
 
 from reference import trefoil_explicit_borel
-from thetaresum.borel import (BranchCutError, SingularProximityError,
+from thetaresum.borel import (GUARD_FACTOR, BranchCutError, SingularProximityError,
                               borel_coefficients, borel_eval, gfp_coefficients,
-                              hadamard_g2_coefficients, hadamard_oracle,
-                              singularity_set)
+                              hadamard_g2_coefficients, hadamard_oracle, singularities)
 from thetaresum.config import config_chi, trefoil_chi, trefoil_strange
 from thetaresum.precision import PrecisionContext
 
@@ -57,23 +56,24 @@ class TestCoefficients:
 
 class TestSingularities:
     def test_trefoil_positions(self):
-        ss = singularity_set(SER)
-        assert ss.indices(4) == [1, 5, 7, 11]
+        """chi(2,3): l = 1, 5, 7, 11 at b pi^2 l^2/M^2 (b = 6, M = 6)."""
+        sing = singularities(SER, 4, CTX)
+        assert [ell for ell, _ in sing] == [1, 5, 7, 11]
         with CTX.working():
-            pos = ss.positions(3, CTX)
-            for ell, p in zip([1, 5, 7], pos):
+            for ell, p in sing:
                 assert abs(p - ell ** 2 * mp.pi ** 2 / 6) < mpf("1e-30")
 
     def test_excluded_multiples(self):
-        ss = singularity_set(SER)
-        td = ss.tilde
+        ells = [ell for ell, _ in singularities(SER, 8, CTX)]
         for ell in (2, 3, 4, 6, 9, 12):
-            assert td.table().is_zero(ell)
+            assert SER.tilde(ell) == 0
+            assert ell not in ells
 
     def test_chi34_first(self):
         ser = config_chi(3, 4, 1, 1).series(4)
         with CTX.working():
-            first = singularity_set(ser).first(CTX)
+            (ell, first), = singularities(ser, 1, CTX)
+            assert ell == ser.tilde.first_support
             assert abs(first - mp.pi ** 2 / 12) < mpf("1e-30")
 
 
@@ -92,17 +92,19 @@ class TestEval:
 
     def test_proximity_guard(self):
         with CTX.working():
-            first = singularity_set(SER).first(CTX)
+            (_, first), = singularities(SER, 1, CTX)
             with pytest.raises(SingularProximityError):
                 borel_eval(SER, first, CTX)
 
     def test_cut_requires_side(self):
         with CTX.working():
             p = mp.pi ** 2 / 6 * mpf(2)  # between first and second singularity
-            with pytest.raises(BranchCutError):
+            with pytest.raises(BranchCutError, match="side='plus' or side='minus'"):
                 borel_eval(SER, p, CTX)
-            up = borel_eval(SER, p, CTX, side="+")
-            dn = borel_eval(SER, p, CTX, side="-")
+            with pytest.raises(BranchCutError):
+                borel_eval(SER, p, CTX, side="+")
+            up = borel_eval(SER, p, CTX, side="plus")
+            dn = borel_eval(SER, p, CTX, side="minus")
             # the two lateral branches are conjugate and genuinely differ
             assert abs(up.value - mp.conj(dn.value)) < mpf("1e-25")
             assert abs(up.value - dn.value) > mpf("0.1")
@@ -119,8 +121,8 @@ class TestEval:
         # branch jump: G(p+i0) - G(p-i0) = 2i pref f~(1) |A - p/b|^{-5/2}
         with CTX.working():
             p = mp.pi ** 2 / 6 * mpf(2)
-            up = borel_eval(SER, p, CTX, side="+").value
-            dn = borel_eval(SER, p, CTX, side="-").value
+            up = borel_eval(SER, p, CTX, side="plus").value
+            dn = borel_eval(SER, p, CTX, side="minus").value
             f = SER.f
             pref = 3 * mp.pi * mpf(-0.5) / (f.M ** 2 * SER.b)
             w = mp.pi ** 2 / f.M ** 2 - p / SER.b
@@ -133,21 +135,34 @@ class TestEval:
         # with p + i eps as eps -> 0
         with CTX.working():
             p = mp.pi ** 2 / 6 * mpf(2)
-            up = borel_eval(SER, p, CTX, side="+").value
+            up = borel_eval(SER, p, CTX, side="plus").value
             seq = [borel_eval(SER, mpc(p, eps), CTX).value
                    for eps in (mpf("1e-6"), mpf("1e-8"))]
             assert abs(seq[1] - up) < abs(seq[0] - up)
             assert abs(seq[1] - up) < mpf("1e-6")
 
 
-class TestNearestDistance:
-    def test_distance_respects_support_gaps(self):
-        ss = singularity_set(SER)
+class TestNearestSingularity:
+    """borel_eval refuses p within GUARD_FACTOR times the first singularity
+    of the nearest one, found by its scan of the support of f~."""
+
+    def test_guard_of_the_third_singularity(self):
+        (_, first), _, (ell, third) = singularities(SER, 3, CTX)
+        assert ell == 7
         with CTX.working():
-            base = mp.pi ** 2 / 6
-            # p at the l=2 position: nearest true singularity is l=1
-            p = 4 * base
-            assert abs(ss.nearest_distance(p, CTX) - 3 * base) < mpf("1e-20")
+            guard = GUARD_FACTOR * first
+            for p in (third + guard / 2, mpc(third, -guard / 2), third - guard / 2):
+                with pytest.raises(SingularProximityError):
+                    borel_eval(SER, p, CTX, side="plus")
+            for p in (third + 2 * guard, mpc(third, 2 * guard), third - 2 * guard):
+                assert borel_eval(SER, p, CTX, side="plus").error < mpf("1e-12")
+
+    def test_zeros_of_tilde_are_not_singular(self):
+        """The l = 2, 3, 4, 6 positions (f~(l) = 0) are regular points."""
+        with CTX.working():
+            for ell in (2, 3, 4, 6):
+                p = ell ** 2 * mp.pi ** 2 / 6
+                assert borel_eval(SER, p, CTX, side="plus").error < mpf("1e-12")
 
 
 class TestTaylorDiscAgreement:
@@ -179,7 +194,7 @@ class TestFarTail:
         hi = PrecisionContext(prec=600, tol=1e-60)
         with workprec(620):
             if p.startswith("first"):
-                pp = singularity_set(ser).first(hi) * mpc(30, 1)
+                pp = singularities(ser, 1, hi)[0][1] * mpc(30, 1)
             else:
                 pp = mpc(complex(p))
         got = borel_eval(ser, pp, ctx)

@@ -144,7 +144,7 @@ class TestExport:
     def test_float_columns_have_report_digits(self, capsys):
         """At 196 bits an export prints as many digits as verify and eval do
         (report.number_json), not one fewer."""
-        from thetaresum.borel import borel_coefficients, singularity_set
+        from thetaresum.borel import borel_coefficients, singularities
         from thetaresum.precision import PrecisionContext, to_mpf
         from thetaresum.report import number_json
         ctx = PrecisionContext(prec=196)
@@ -156,7 +156,7 @@ class TestExport:
             assert rc == 0
             printed[what] = [row[column]
                              for row in json.loads(capsys.readouterr().out)["rows"]]
-        positions = singularity_set(series).positions(3, ctx)
+        positions = [x for _, x in singularities(series, 3, ctx)]
         with ctx.working():
             want = {"borel-taylor": [number_json(to_mpf(g), 196)["re"]
                                      for g in borel_coefficients(series, 3)],

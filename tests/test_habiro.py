@@ -231,19 +231,19 @@ class TestStrange:
         """The exact ring at every primitive N-th root e^{2 pi i j/N}, N <= 12,
         j in (-N, N) coprime to N: 90 roots for each of the trefoil,
         hikami(2,1) and hikami(3,0), against the theta radial limit at j/N."""
+        from thetaresum.config import config_hikami
         from thetaresum.qseries import theta_radial_limit
         checks = 0
-        for cfg in (StrangeConfig("trefoil"), StrangeConfig("hikami", 2, 1),
-                    StrangeConfig("hikami", 3, 0)):
-            spec = cfg.theta_spec()
+        for u, ell in ((1, 0), (2, 1), (3, 0)):
+            spec = config_hikami(u, ell).theta_spec()
             for N in range(2, 13):
                 for j in range(1 - N, N):
                     if math.gcd(j, N) != 1:
                         continue
-                    lhs = cfg.habiro_value(RootOfUnity(j, N), CTX)
+                    lhs = hikami_x(u, ell, RootOfUnity(j, N), CTX)
                     rhs = theta_radial_limit(spec, Fraction(j, N), CTX).value
                     with CTX.working():
-                        assert abs(lhs - rhs) < mpf("1e-30"), (cfg, j, N)
+                        assert abs(lhs - rhs) < mpf("1e-30"), (u, ell, j, N)
                     checks += 1
         assert checks == 270
 
@@ -259,6 +259,14 @@ class TestStrange:
         with CTX.working():
             assert abs(a.habiro_side - b.habiro_side) < mpf(2) ** -100
             assert abs(a.theta_side - b.theta_side) < mpf(2) ** -100
+
+    def test_trefoil_label_gives_the_hikami_1_0_estimates_bit_for_bit(self):
+        """The family is a label: ("trefoil",) and ("hikami", 1, 0) read the
+        same element and theta data, so both sides agree to the bit."""
+        for n in range(1, 8):
+            a = verify_strange(StrangeConfig("trefoil"), Fraction(1, n), CTX)
+            b = verify_strange(StrangeConfig("hikami", 1, 0), Fraction(1, n), CTX)
+            assert (a.habiro, a.theta) == (b.habiro, b.theta), n
 
 
 class TestConfigEquivalences:
@@ -298,10 +306,10 @@ class TestConfigEquivalences:
             chi = chi_function(ChiParams(2, 2 * u + 1, 1, ell + 1))
             return ThetaSpec(a=(2 * u - 2 * ell - 1) ** 2, b=2 * (8 * u + 4), nu=1,
                              f=chi.scale(Fraction(-1, 2)))
-        assert StrangeConfig("trefoil").theta_spec() == spec(1, 0)
+        from thetaresum.config import config_hikami
         for u in (1, 2, 3):
             for ell in range(u):
-                assert StrangeConfig("hikami", u, ell).theta_spec() == spec(u, ell)
+                assert config_hikami(u, ell).theta_spec() == spec(u, ell)
 
     def test_hikami_indices_lie_in_pair_set(self):
         from thetaresum.config import config_hikami
@@ -310,4 +318,4 @@ class TestConfigEquivalences:
             for ell in range(u):
                 cfg = config_hikami(u, ell)
                 s, t, n, m = cfg.chi_idx
-                assert (n, m) in pair_set(s, t).pairs
+                assert (n, m) in pair_set(s, t)

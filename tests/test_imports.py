@@ -80,3 +80,57 @@ def test_no_mpmath_zeta(path):
     """The library's Dirichlet sums are closed forms in cotangents and
     Bernoulli numbers (resum.tilde_dirichlet); mpmath's zeta stays out."""
     assert mpmath_zeta_calls(path.read_text()) == [], path.name
+
+
+def library_names(sources) -> set:
+    """Names of the classes and functions defined at the top level of the
+    given module sources."""
+    return {node.name for source in sources for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
+def pass_through_wrappers(source: str, names: set) -> list:
+    """(line, name) for every function whose whole body, past a docstring,
+    is return G(its own parameters, in order), G another of names: a
+    second name for G that its callers can use directly."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        body = node.body
+        if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+            body = body[1:]
+        if len(body) != 1 or not isinstance(body[0], ast.Return):
+            continue
+        call = body[0].value
+        if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                and call.func.id in names and call.func.id != node.name):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        passed = [a.id if isinstance(a, ast.Name) else None for a in call.args]
+        passed += [k.arg if isinstance(k.value, ast.Name) and k.value.id == k.arg else None
+                   for k in call.keywords]
+        if passed == params:
+            out.append((node.lineno, node.name))
+    return out
+
+
+def test_detects_a_pass_through_wrapper():
+    source = ('class Box:\n    pass\n\n\n'
+              'def box(x):\n    """A second name."""\n    return Box(x)\n\n\n'
+              'def unit(ctx=None):\n    return one(1, ctx)\n\n\n'
+              'def one(n, ctx=None):\n    return Box(n, ctx=ctx)\n\n\n'
+              'def plain(x):\n    return len(x)\n')
+    names = library_names([source])
+    assert pass_through_wrappers(source, names) == [(5, "box"), (14, "one")]
+
+
+def test_no_pass_through_wrappers():
+    """Each library object has one name: no function only forwards its own
+    arguments to another library class or function."""
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    names = library_names(sources.values())
+    found = [(name, *hit) for name, source in sources.items()
+             for hit in pass_through_wrappers(source, names)]
+    assert found == []

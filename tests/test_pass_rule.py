@@ -16,7 +16,7 @@ from mpmath import mpf, workprec
 from thetaresum import habiro, suites
 from thetaresum.config import config_chi
 from thetaresum.habiro import StrangeConfig, verify_strange
-from thetaresum.precision import Estimate, PrecisionContext
+from thetaresum.precision import Estimate, PrecisionContext, exact
 from thetaresum.report import Report
 
 SUITES_PY = pathlib.Path(__file__).resolve().parents[1] / "src" / "thetaresum" / "suites.py"
@@ -80,7 +80,7 @@ def test_row_tolerance_is_the_allowance():
     assert inside.passed and not outside.passed
 
 
-def test_worst_row_takes_the_largest_gap_less_allowance():
+def test_worst_row_takes_the_largest_gap_over_allowance():
     """Index 0 has the larger gap, but within its bar; index 1 is decisive."""
     rep = Report(config={}, prec_bits=64, tolerance="1e-8")
     with workprec(64):
@@ -89,6 +89,28 @@ def test_worst_row_takes_the_largest_gap_less_allowance():
     rec = rep.worst_row("w", {"config": "x"}, "n", sides)
     assert rec.inputs == {"config": "x", "n": 1}
     assert not rec.passed
+
+
+def test_worst_row_shows_the_index_closest_to_failing_when_all_pass():
+    """An exact 0 = 0 (gap and allowance both 0) ranks below a gap that
+    uses a tenth of its allowance; largest gap less allowance took index 0."""
+    rep = Report(config={}, prec_bits=128, tolerance="1e-8")
+    with workprec(128):
+        sides = [(0, exact(0), exact(0)),
+                 (1, Estimate(mpf(1), mpf("1e-10")), exact(1 + mpf("1e-11")))]
+    rec = rep.worst_row("w", {}, "n", sides)
+    assert rec.inputs == {"n": 1}
+    assert rec.passed
+
+
+def test_worst_row_ranks_a_gap_over_no_allowance_first_and_ties_by_index():
+    rep = Report(config={}, prec_bits=64, tolerance="1e-8")
+    with workprec(64):
+        zero, off = (exact(0), exact(0)), (exact(0), exact(mpf("1e-30")))
+        wide = (Estimate(mpf(1), mpf(1)), exact(mpf(2)))
+    assert rep.worst_row("w", {}, "n", [(0, *wide), (1, *off), (2, *wide)]).inputs == {"n": 1}
+    assert rep.worst_row("w", {}, "n", [(0, *zero), (1, *zero)]).inputs == {"n": 0}
+    assert rep.worst_row("w", {}, "n", [(0, *wide), (1, *zero), (2, *wide)]).inputs == {"n": 0}
 
 
 def _off_and_sure(fn):

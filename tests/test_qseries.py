@@ -8,8 +8,8 @@ from mpmath import mp, mpf, mpc, workprec
 from reference import (eichler_integral_quadrature, radial_extrapolate, radial_limit_by_table,
                        twisted_table_by_entry, verify_modular_transform)
 from thetaresum.config import config_chi, config_hikami, config_t3_2k, trefoil_chi, trefoil_strange
-from thetaresum.periodic import ChiParams, PeriodicTable, chi_function, make_periodic, pair_set, \
-    s_matrix_entry, tilde_transform
+from thetaresum.periodic import ChiParams, PeriodicTable, TildeFunction, chi_function, \
+    make_periodic, pair_set, s_matrix_entry
 from thetaresum.precision import PrecisionContext, frac_to_mp
 from thetaresum.qseries import (DomainError, NoRadialLimitError, ThetaSpec,
                                 VerticalTheta, _phase_exponent, eichler_integral,
@@ -32,7 +32,7 @@ class TestUpperHalf:
 
     def test_nu0_tilde_decays_at_infinity(self):
         # decay scale is e^{-2 pi Im(x)/B} with B = 4 M^2 = 576
-        td = tilde_transform(TREFOIL_F)
+        td = TildeFunction(TREFOIL_F)
         spec = ThetaSpec(a=0, b=4 * 144, nu=0, f=td)
         with CTX.working():
             v = theta_upper_half(spec, mpc(0, 3000), CTX).value
@@ -218,7 +218,7 @@ class TestRadialLimitByClass:
 
 class TestVerticalTheta:
     def test_regime_agreement(self):
-        td = tilde_transform(TREFOIL_F)
+        td = TildeFunction(TREFOIL_F)
         vt = VerticalTheta(td, 4 * 144, Fraction(0))
         with CTX.working():
             # lambda = 2 pi w / B crosses pi/P near w = B/(2P)
@@ -229,7 +229,7 @@ class TestVerticalTheta:
                 assert abs(vt.value(w) - direct) < mpf("1e-25")
 
     def test_small_w_all_orders_decay(self):
-        td = tilde_transform(TREFOIL_F)
+        td = TildeFunction(TREFOIL_F)
         vt = VerticalTheta(td, 4 * 144, Fraction(0))
         with CTX.working():
             v1 = vt.value(mpf("0.01"))
@@ -265,7 +265,7 @@ class TestGentorLift:
             for (s, t) in [(2, 3), (3, 4)]:
                 for nu in (0, 1):
                     chi_nm = chi_function(ChiParams(s, t, 1, 1))
-                    tld = tilde_transform(chi_nm)
+                    tld = TildeFunction(chi_nm)
                     M = 2 * s * t
                     lhs = theta_upper_half(ThetaSpec(a=0, b=4 * M * M, nu=nu, f=tld),
                                            4 * s * t * z, CTX).value
