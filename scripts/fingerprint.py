@@ -8,6 +8,12 @@ ring) print "-" for both.  Run it at two commits and diff the outputs to
 list every value a change moved:
 
     PYTHONPATH=src python scripts/fingerprint.py > after.txt
+    PYTHONPATH=src python scripts/fingerprint.py --compare before.txt after.txt
+
+--compare reads two saved outputs and prints how many lines moved, per
+function; every value whose gap exceeds the sum of its two errors (an exact
+value has error 0), and then the exit status is 1; every changed budget
+flag; and every error that grew, with its ratio.
 
 The grid, at 64 and 128 bits:
 - the resummation layer on trefoil-chi, hikami(2,0) and t3-2k(3), at tol
@@ -22,7 +28,10 @@ The grid, at 64 and 128 bits:
   3/n, n <= 12, and of f~ at the points boundary_median reads.
 """
 
+import argparse
+import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -127,7 +136,71 @@ def radial_limits(prec: int):
                        theta_radial_limit(spec, Fraction(-b) / alpha, ctx))
 
 
+LINE = re.compile(r"(?P<label>.*) re=(?P<re>\(.*?\)) im=(?P<im>\(.*?\)) "
+                  r"err=(?P<err>\(.*?\)|-) flag=(?P<flag>\S+)$")
+
+
+def exact(tup: str) -> Fraction:
+    """The exact value of a printed mpf tuple (sign, mantissa, exponent, bit count)."""
+    sign, man, exp, _ = (int(v) for v in tup.strip("()").split(","))
+    return (-1) ** sign * man * Fraction(2) ** exp
+
+
+def parse(lines) -> dict:
+    """{label: (re, im, err, flag)}, err None for an exact value."""
+    out = {}
+    for text in lines:
+        m = LINE.match(text.rstrip("\n"))
+        if m:
+            err = None if m["err"] == "-" else exact(m["err"])
+            out[m["label"]] = (exact(m["re"]), exact(m["im"]), err, m["flag"])
+    return out
+
+
+def function(label: str) -> str:
+    """The called function: the last name in the label that opens a bracket."""
+    return re.findall(r"([A-Za-z_]\w*)\(", label)[-1]
+
+
+def compare(before, after) -> tuple:
+    """(report lines, count of values outside their bars) for two outputs."""
+    old, new = parse(before), parse(after)
+    moved, outside, flags, grew, worst = Counter(), [], [], [], 0.0
+    for label in (label for label in old if label in new and old[label] != new[label]):
+        (re0, im0, err0, flag0), (re1, im1, err1, flag1) = old[label], new[label]
+        moved[function(label)] += 1
+        gap2 = (re1 - re0) ** 2 + (im1 - im0) ** 2
+        bars = (err0 or 0) + (err1 or 0)
+        ratio = float(gap2 / bars ** 2) ** 0.5 if bars else (float("inf") if gap2 else 0.0)
+        worst = max(worst, ratio)
+        if gap2 > bars ** 2:
+            outside.append(f"  {label}: gap/(err0 + err1) = {ratio:.3g}")
+        if flag0 != flag1:
+            flags.append(f"  {label}: {flag0} -> {flag1}")
+        if err0 is not None and err1 is not None and err1 > err0:
+            growth = "inf" if not err0 else f"{float(err1 / err0):.3g}"
+            grew.append(f"  {label}: {float(err0):.3g} -> {float(err1):.3g} (x{growth})")
+    only = sorted(old.keys() ^ new.keys())
+    report = [f"{sum(moved.values())} of {len(old.keys() & new.keys())} lines moved"]
+    report += [f"  {name}: {count}" for name, count in sorted(moved.items())]
+    report += [f"{len(only)} lines in one output only"] + [f"  {label}" for label in only]
+    report += [f"{len(outside)} values outside their bars "
+               f"(largest gap/(err0 + err1) {worst:.3g})"] + outside
+    report += [f"{len(flags)} budget flags changed"] + flags
+    report += [f"{len(grew)} errors grew"] + grew
+    return report, len(outside)
+
+
 def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
+                    help="compare two saved outputs instead of printing one")
+    args = ap.parse_args()
+    if args.compare:
+        with open(args.compare[0]) as before, open(args.compare[1]) as after:
+            report, outside = compare(before, after)
+        print("\n".join(report))
+        return 1 if outside else 0
     for prec in PRECS:
         for part in (resummation, eichler, habiro, radial_limits):
             for text in part(prec):

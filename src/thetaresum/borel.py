@@ -151,14 +151,15 @@ def borel_eval(series: FormalSeries, p, ctx: PrecisionContext = DEFAULT_CTX,
                 return ell / mp.exp(FIVE_HALVES * (mp.log(abs(w)) + 1j * ang))
             return ell / w ** FIVE_HALVES
 
-        # The head l <= L, L >= L0 (the least L >= 2M with b A (L + 1)^2 > 2|p|),
-        # passes the cut region and keeps r = rho/(L + 1)^2 <= r0 < 1/2, rho =
-        # |p|/(b A).  Term k of the tail's binomial expansion is at most binom_k
-        # r^k A^{-5/2} max|f~|/(3 L^3), binom_k = (5/2)_k/k!, and binom_{k+1} <=
-        # 7/4 binom_k for k >= 1, so past K terms the rest is at most c_K
-        # L^{-2K-3}, c_K = binom_K rho^K A^{-5/2} max|f~|/(3 (1 - 7 r0/4)).
+        # The head l <= L, L >= L0 = max(1, floor(sqrt(2 rho))), rho = |p|/(b A).
+        # Then (L0 + 1)^2 > 2 rho, so r = rho/(L + 1)^2 <= r0 < 1/2, and every l
+        # with l^2 < rho, the l whose term sits past its branch point when p is
+        # on the cut, is in the head.  Term k of the tail's binomial expansion is
+        # at most binom_k r^k A^{-5/2} max|f~|/(3 L^3), binom_k = (5/2)_k/k!, and
+        # binom_{k+1} <= 7/4 binom_k for k >= 1, so past K terms the rest is at
+        # most c_K L^{-2K-3}, c_K = binom_K rho^K A^{-5/2} max|f~|/(3 (1 - 7 r0/4)).
         rho = abs(p) / (series.b * A)
-        L0 = max(2 * f.M, int(mp.sqrt(2 * rho)))
+        L0 = max(1, int(mp.sqrt(2 * rho)))
         c0 = A ** MINUS_FIVE_HALVES * tilde.max_abs() \
             / (3 * (1 - SEVEN_QUARTERS * rho / (L0 + 1) ** 2))
         binom = five_halves_binomials()

@@ -248,14 +248,12 @@ def ell_sum(table, cut, term, moments) -> Estimate:
 
 
 # _truncation's price of a moment, per nonzero residue of the period, in head
-# kernel calls, and the most moments it takes.  Timed in place (pure-Python
-# mpmath 1.3.0, 2-vCPU VM; lateral sums at x = 1 and boundary medians at alpha
-# = 1/2 on trefoil-chi, t3-2k(3) and t3-2k(5), at 128 and 256 bits), a moment
-# costs 0.03 to 0.22 kernel calls per nonzero residue, about 0.1.  The price
-# stays at 2 for the cuts' sake: every cut (L, K) stays where it was, while at
-# 0.25 a Stokes-jump row of each of the five standard reports moves (its
-# residual reads 5e-12 to 3e-11).
-MOMENT_COST = 2
+# kernel calls, and the most moments it takes.  The price is the measured
+# cost: timed in place (pure-Python mpmath 1.3.0, 2-vCPU VM; lateral sums at
+# x = 1 and boundary medians at alpha = 1/2 on trefoil-chi, t3-2k(3) and
+# t3-2k(5), at 128 and 256 bits), a moment costs 0.03 to 0.22 kernel calls per
+# nonzero residue, about 0.1, so the cuts take short heads and many moments.
+MOMENT_COST = 0.1
 TRUNCATION_K_MAX = 40
 
 
@@ -264,20 +262,29 @@ def _truncation(table, bounds, floor: int, target, ell_cap: int):
 
     bounds[K-1] = (c_K, e_K): the rest after l <= L and K moments is at most
     c_K L^{-e_K}.  Each K takes the least L >= floor meeting the target, at
-    a cost of L nnz/P kernels and K nnz moment terms (nnz = #{r < P: h(r)
-    != 0}, P = len(table)); the cheapest wins, the fewer moments on a tie.
+    a cost of L nnz/P kernels and K nnz moment terms at MOMENT_COST kernels
+    each (nnz = #{r < P: h(r) != 0}, P = len(table)); the cheapest wins,
+    the fewer moments on a tie.
     Failing that, L = cap with the K of least bound there, cap = max(floor,
     ell_cap): the bounds need L >= floor, so no cap cuts the head below it.
+    The scan over K stops once K nnz moment terms alone cost as much as the
+    cheapest cut so far: L >= 1, so no larger K can win, not even on a tie.
     """
     P = len(table)
     nnz = sum(1 for v in table if v)
     cap = max(floor, ell_cap)
-    fits = [(L * nnz / P + MOMENT_COST * K * nnz, K, L, c / mpf(L) ** e)
-            for K, (c, e) in enumerate(bounds, 1)
-            if (L := max(floor, int(mp.ceil((c / target) ** (mpf(1) / e))))) <= cap]
-    if fits:
-        _, K, L, bound = min(fits)
-        return (L, bound, False), K
+    best = None
+    for K, (c, e) in enumerate(bounds, 1):
+        if best and MOMENT_COST * K * nnz >= best[0]:
+            break
+        L = max(floor, int(mp.ceil((c / target) ** (mpf(1) / e))))
+        cost = L * nnz / P + MOMENT_COST * K * nnz
+        if L <= cap and (best is None or cost < best[0]):
+            best = (cost, K, L)
+    if best:
+        _, K, L = best
+        c, e = bounds[K - 1]
+        return (L, c / mpf(L) ** e, False), K
     bound, K = min((c / mpf(cap) ** e, K) for K, (c, e) in enumerate(bounds, 1))
     return (cap, bound, True), K
 

@@ -7,10 +7,11 @@ import pytest
 from mpmath import mp, mpf, mpc, workprec
 
 from reference import trefoil_explicit_borel
+from thetaresum import borel
 from thetaresum.borel import (GUARD_FACTOR, BranchCutError, SingularProximityError,
                               borel_coefficients, borel_eval, gfp_coefficients,
                               hadamard_g2_coefficients, hadamard_oracle, singularities)
-from thetaresum.config import config_chi, trefoil_chi, trefoil_strange
+from thetaresum.config import config_chi, config_t3_2k, trefoil_chi, trefoil_strange
 from thetaresum.precision import PrecisionContext
 
 CTX = PrecisionContext(prec=128, tol=1e-12)
@@ -140,6 +141,46 @@ class TestEval:
                    for eps in (mpf("1e-6"), mpf("1e-8"))]
             assert abs(seq[1] - up) < abs(seq[0] - up)
             assert abs(seq[1] - up) < mpf("1e-6")
+
+
+class TestHeadCut:
+    """borel_eval's head needs only (L + 1)^2 > 2 |p|/(b A), so the cut is
+    the chooser's, within ell_cap."""
+
+    def test_ell_cap_bounds_the_head(self, monkeypatch):
+        """t3-2k(3) at p = 0.1 with ell_cap = 16: L <= 16 (a floor of 2M
+        once made it 96), unflagged."""
+        cuts = []
+        inner = borel.ell_sum
+
+        def recording(table, cut, term, moments):
+            cuts.append(cut)
+            return inner(table, cut, term, moments)
+
+        monkeypatch.setattr(borel, "ell_sum", recording)
+        got = borel_eval(config_t3_2k(3).series(8), mpf("0.1"),
+                         PrecisionContext(prec=128, ell_cap=16))
+        (L, _, exhausted), = cuts
+        assert L <= 16 and not exhausted and not got.budget_exhausted
+
+    @pytest.mark.parametrize("cap", [None, 16])
+    def test_matches_explicit_trefoil_form_within_the_errors(self, cap):
+        """The trefoil's chi_12 transform against the explicit form, off the
+        cut and on it between the first two singularities.  The explicit
+        form's principal power is the limit from Im p < 0 (side "minus");
+        by Schwarz reflection the "plus" limit is its conjugate."""
+        ctx = (PrecisionContext(prec=128) if cap is None
+               else PrecisionContext(prec=128, ell_cap=cap))
+        ser = trefoil_strange().series(8)
+        with ctx.working():
+            cut = 2 * mp.pi ** 2 / 6
+            for p, side in ((mpc(0), None), (mpc("0.05", "0.01"), None),
+                            (cut, "plus"), (cut, "minus")):
+                got = borel_eval(ser, p, ctx, side=side)
+                ref = trefoil_explicit_borel(p, ctx)
+                want = mp.conj(ref.value) if side == "plus" else ref.value
+                assert not got.budget_exhausted
+                assert abs(got.value - want) <= got.error + ref.error, (p, side)
 
 
 class TestNearestSingularity:

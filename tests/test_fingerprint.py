@@ -34,3 +34,23 @@ def test_a_128_bit_value_keeps_128_bits():
             assert re.search(r"re=(\(.*?\)) im=(\(.*?\))", text).groups() == (
                 str(re_part), str(im_part)), text
         assert f"err={est.error._mpf_}" in FINGERPRINT.line("v", est)
+
+
+def test_compare_flags_only_the_value_outside_its_bars():
+    """Two synthetic lines move: one by 1 against bars of 2 + 3, one by 8
+    against bars of 1 + 1, whose budget flag also changes and whose error
+    grows by 3/2."""
+    before = ["a f(1) re=(0, 10, 0, 4) im=(0, 0, 0, 0) err=(0, 1, 1, 1) flag=False",
+              "b g(2) re=(0, 3, 0, 2) im=(0, 0, 0, 0) err=(0, 1, 0, 1) flag=False",
+              "c g(3) re=(0, 1, 0, 1) im=(0, 0, 0, 0) err=- flag=-"]
+    after = ["a f(1) re=(0, 11, 0, 4) im=(0, 0, 0, 0) err=(0, 3, 0, 2) flag=False",
+             "b g(2) re=(0, 3, 0, 2) im=(0, 1, 3, 1) err=(0, 1, 0, 1) flag=True",
+             "c g(3) re=(0, 1, 0, 1) im=(0, 0, 0, 0) err=- flag=-"]
+    report, outside = FINGERPRINT.compare(before, after)
+    text = "\n".join(report)
+    assert outside == 1, text
+    assert report[:3] == ["2 of 3 lines moved", "  f: 1", "  g: 1"], text
+    assert "1 values outside their bars (largest gap/(err0 + err1) 4)" in report, text
+    assert "  b g(2): gap/(err0 + err1) = 4" in report, text
+    assert report[report.index("1 budget flags changed") + 1] == "  b g(2): False -> True", text
+    assert report[report.index("1 errors grew") + 1] == "  a f(1): 2 -> 3 (x1.5)", text

@@ -554,7 +554,7 @@ class TestShiftedDirichlet:
 
     def test_one_call_and_one_precision_per_sum(self, monkeypatch):
         """boundary_median(t3-2k(4), 1/2) at 256 bits: its one ell_sum with
-        moments (vertical_sum, 19 of them) makes one tilde_dirichlet call,
+        moments (vertical_sum, 35 of them) makes one tilde_dirichlet call,
         which reads one cotangent-moment table, at one working precision
         (summed a moment at a time, they once needed three, at 384, 448
         and 512 bits)."""
@@ -695,6 +695,29 @@ class TestBoundaryMedian:
         with CTX.working():
             x0 = boundary_point(Fraction(1, 2))
             assert abs(x0 - mpc(0, 1) / mp.pi) < mpf(2) ** -80
+
+
+class TestBoundaryMedianCut:
+    def test_short_head_at_128_bits(self, monkeypatch):
+        """boundary_median(t3-2k(4), 1/2) at 128 bits: the cut prices a
+        moment at its measured cost, so the head takes at most 80 kernel
+        calls (328 when a moment was priced at 2 kernel calls), unflagged and
+        within its error of the same sum at 192 bits."""
+        calls = []
+        kernel = resum.laplace_kernel
+
+        def counting(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(resum, "laplace_kernel", counting)
+        ser = config_t3_2k(4).series(8)
+        bm = boundary_median(ser, Fraction(1, 2), PrecisionContext(prec=128))
+        assert len(calls) <= 80, len(calls)
+        assert not bm.budget_exhausted
+        ref = boundary_median(ser, Fraction(1, 2), PrecisionContext(prec=192))
+        with workprec(212):
+            assert abs(bm.value - ref.value) <= bm.error + ref.error
 
 
 # main2 error-bar sweep: every point must hold |bm - L(-1, h)| <= bm.error +
