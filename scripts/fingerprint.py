@@ -15,7 +15,8 @@ function; every value whose gap exceeds the sum of its two errors (an exact
 value has error 0), and then the exit status is 1; every changed budget
 flag; and every error that grew, with its ratio.
 
-The grid, at 64 and 128 bits:
+The grid, at 64 and 128 bits (the Eichler part also at 256 bits, where
+its base-point head drops the most bits):
 - the resummation layer on trefoil-chi, hikami(2,0) and t3-2k(3), at tol
   1e-8 and 1e-15 and at the default ell_cap and ell_cap = 16: median_sum,
   both lateral sums, disc_closed_form, borel_eval, boundary_median,
@@ -205,6 +206,8 @@ def main() -> int:
         for part in (resummation, eichler, habiro, radial_limits):
             for text in part(prec):
                 print(text)
+    for text in eichler(256):
+        print(text)
     return 0
 
 

@@ -289,6 +289,14 @@ class VerticalTheta:
 # ---------------------------------------------------------------------------
 # Non-holomorphic Eichler integral and the period function.
 
+# The guard g of eichler_integral's head precision (at least 3, see its
+# docstring) and the floor of that precision.  Timed on the 256-bit chi(2,3)
+# heads (pure-Python mpmath 1.3.0, 2-vCPU VM): each guard bit costs about
+# 0.2% (g = 0 to 32: 69 to 74 ms at alpha = 1/2), and floors of 16 to 96
+# bits time within 10% of each other.
+EICHLER_HEAD_GUARD = 8
+EICHLER_HEAD_FLOOR = 64
+
 def eichler_integral(s: int, t: int, nm: tuple, z, lower,
                      ctx: PrecisionContext = DEFAULT_CTX) -> Estimate:
     """sqrt(st i/(8 pi^2)) int theta^{(0)}_{0,4st,chi}(tau) (tau - z)^{-3/2} dtau.
@@ -321,6 +329,25 @@ def eichler_integral(s: int, t: int, nm: tuple, z, lower,
     lambda_{N+1}^{-1} sum_{n>N} e^{-lambda_1 w0 n^2}.  The error adds the
     tail and Poisson bounds, the head and moment roundoff (ell_sum) and
     |value| 2^-prec.
+
+    The n-terms of the first and last fall like e^{-lambda_n w0}, and each
+    runs at the bits its size needs.  With wp the working precision, n1
+    the least n with h(n) != 0 and g = EICHLER_HEAD_GUARD, term n runs at
+
+        p_n = wp + ceil(log2 N) + g - floor((lambda_n - lambda_{n1}) w0 log2 e)
+
+    bits, and never below EICHLER_HEAD_FLOOR (its e^{-lambda_n w0} at
+    log2(lambda_N w0) more, so the exponent's roundoff stays under 2^-p_n).
+    For lambda >= lambda' and w >= w0, e^{-lambda w} = e^{-(lambda -
+    lambda')w} e^{-lambda' w} <= e^{-(lambda - lambda') w0} e^{-lambda' w},
+    so J(lambda; w0, c) <= e^{-(lambda - lambda') w0} J(lambda'; w0, c) for
+    real c >= 0.  For complex c (|c| <= w0, Re c >= 0) w + c lies within
+    pi/4 of the real axis, so Re (w + c)^{-3/2} >= cos(3 pi/8) |w + c|^{-3/2}
+    and the same holds with a factor 1/cos(3 pi/8) < 2.7.  |h| is 1 on the
+    support of a chi table, and the float that gives the floor is off by
+    at most one bit, so with g >= 3 the 2^{8-p_n} relative roundoff of
+    term n is at most 2^{8-wp} |h(n1) t_{n1}|/N, and the N terms stay
+    within the sum |h(n) t_n| 2^{8-wp} that ell_sum already charges.
     """
     from . import resum  # resum imports this module
     B = 4 * s * t
@@ -358,22 +385,31 @@ def eichler_integral(s: int, t: int, nm: tuple, z, lower,
                 poisson = mp.sqrt(mpf(B) / 2) * q / (c1 * (1 - q))    # times hmax
         table, hmax = h.table(), h.hmax
         if w0:
-            # terms falling like e^{-lambda_n w0}: all of them up to N
-            root = (w0 + c) ** MINUS_HALF
-
-            def term(n):
-                lam = lam1 * n * n
-                v = -mp.exp(-lam * w0) * root * resum.laplace_kernel(
-                    -lam * (w0 + c), 0, MINUS_HALF)
-                if not x:
-                    return v
-                with workprec(mp.prec + 2 * n.bit_length()):  # x n^2 exactly
-                    phase = mp.expjpi(2 * x * n * n / B)
-                return phase * v
-
+            # terms falling like e^{-lambda_n w0}: all of them up to N, term n
+            # at the bits its size needs
             scale = hmax * (w0 + mp.re(c)) ** MINUS_THREE_HALVES / lam1
             cut = _gauss_cutoff(lambda n: scale / (n + 1) ** 2 * _gauss_tail(0, lam1 * w0, n),
                                 target, ctx.ell_cap)
+            N, wp = cut[0], mp.prec
+            n1 = next((n for n in range(1, N + 1) if table(n)), N)
+            top = wp + (N - 1).bit_length() + EICHLER_HEAD_GUARD
+            rate, arg, root = lam1 * w0, lam1 * (w0 + c), (w0 + c) ** MINUS_HALF
+            drop = float(rate / mp.ln2)                 # bits per unit of n^2
+            decay_bits = int(rate * N * N).bit_length()  # lambda_n w0 < 2^decay_bits
+
+            def term(n):
+                p = max(EICHLER_HEAD_FLOOR, top - int(drop * (n * n - n1 * n1)))
+                with workprec(p + decay_bits):
+                    v = -mp.exp(-rate * (n * n))
+                with workprec(p):
+                    v *= root * resum.laplace_kernel(-arg * (n * n), 0, MINUS_HALF)
+                if x:
+                    with workprec(wp + 2 * n.bit_length()):  # x n^2 exactly
+                        turn = 2 * x * n * n / B
+                    with workprec(p):
+                        v *= mp.expjpi(turn)
+                return v
+
             est = resum.ell_sum(table, cut, term, []) + Estimate(mpf(0), hmax * poisson)
         else:
             # terms falling like n^{-2}: a head and Watson moments

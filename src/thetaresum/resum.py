@@ -54,6 +54,64 @@ from .qseries import DomainError, ThetaSpec, theta_radial_limit, theta_upper_hal
 # ---------------------------------------------------------------------------
 # The Laplace kernel shared by the lateral, median and boundary sums.
 
+# laplace_kernel's crossover at s = -1/2 and real positive w: the erfc route
+# below it, the continued fraction (_minus_half_cf) from it on.  Timed per
+# call (pure-Python mpmath 1.3.0, 2-vCPU VM) at the bits an Eichler head
+# term gets, prec + 20 - 1.44 w at prec = 168 and 296: the fraction takes
+# 0.14-0.39 ms at w = 10, 0.06-0.19 ms at 20 and 0.03-0.10 ms at 40, the
+# erfc route 0.09-0.13, 0.12-0.15 and 0.14-0.18 ms.  The 256-bit chi(2,3)
+# Eichler integrals take the same time at X0 = 15, 20 and 25.
+KERNEL_CF_X0 = 20
+
+
+def _minus_half_cf(x) -> mpf:
+    """F(x) = e^x x^{1/2} Gamma(-1/2, x) = int_0^inf e^{-xt} (1 + t)^{-3/2} dt,
+    x >= 1, within 2^{2-prec} relative, by Legendre's continued fraction
+    (DLMF 8.9.2 at a = -1/2, its levels with denominator 1 scaled by 2):
+
+        F(x) = 1/(x + 3/(2 + 2/(x + 5/(2 + 4/(x + 7/(2 + ...)))))),
+
+    partial numerators a_1 = 1, a_k = k + 1 (k even), k - 1 (k odd > 1),
+    denominators b_k = x (k odd), 2 (k even).  The approximants f_k =
+    A_k/B_k come from A_k = b_k A_{k-1} + a_k A_{k-2}, likewise B_k, in
+    fixed point with Python ints, W = prec + 20 fractional bits.
+
+    All a_k and b_k are positive, so A_k, B_k > 0 grow with k and F lies
+    between f_{k-1} and f_k: the computed bracket bounds the truncation.
+    x enters as x' = floor(x 2^W) 2^-W; 0 <= -x F'(x) <= F(x) (integrate
+    by parts in t), so that moves F by at most 2^-W relative.  For x >= 1,
+    A_{k-1} <= A_k, and A_j <= B_j as f_j <= f_1 = 1/x, so A_{k-1} is the
+    least of the four integers; once it passes 2^{W+40} all four are
+    shifted right together to W + 8 bits, so every floor (of x' A, x' B
+    or a shift) cuts an integer of at least 2^{W+7} by under 2^{-W-7}
+    relative.  A sum of positive terms keeps the larger relative error of
+    its parts, so after k steps A_k and B_k are within k 2^{-W-6} of a
+    common multiple of the exact ones.  The loop stops at an even k once
+    the computed bracket |f_k - f_{k-1}| is at most 2^-W f_k; F is then
+    within (2 + k/8) 2^-W F of f_k, and within 2^-prec F for k < 2^16,
+    and the quotient's rounding to prec bits adds 2^{1-prec}.
+    """
+    W = mp.prec + 20
+    man, exp = x.man, x.exp
+    X = man << (exp + W) if exp + W >= 0 else man >> -(exp + W)
+    one = 1 << (W + 8)
+    A0, A1, B0, B1 = one, 0, 0, one    # A_{k-2}, A_{k-1}, B_{k-2}, B_{k-1}
+    k = 0
+    while True:
+        k += 2
+        a = k - 2 or 1                  # step k - 1: b = x
+        A0, A1 = A1, (X * A1 >> W) + a * A0
+        B0, B1 = B1, (X * B1 >> W) + a * B0
+        a = k + 1                       # step k: b = 2
+        A0, A1 = A1, 2 * A1 + a * A0
+        B0, B1 = B1, 2 * B1 + a * B0
+        shift = A0.bit_length() - W - 8
+        if shift > 32:
+            A0, A1, B0, B1 = A0 >> shift, A1 >> shift, B0 >> shift, B1 >> shift
+        if k % 8 == 0 and abs(A1 * B0 - A0 * B1) << W <= A1 * B0:
+            return mpf(A1) / B1
+
+
 def laplace_kernel(z, eps, s=MINUS_THREE_HALVES):
     """K^{(s)}_eps(z) = -e^{-z} w^{-s} [Gamma(s, w) - 2 eps Gamma(s)], w = -z.
 
@@ -68,22 +126,28 @@ def laplace_kernel(z, eps, s=MINUS_THREE_HALVES):
 
     is entire in z: w^{3/2} cancels the w^{-3/2} of the lower gamma, so the
     branch of w drops out.  boundary_median takes s = -1/2, eps = 0 on the
-    imaginary axis, where w is off the cut; the Eichler integrals take it at
-    real positive w, where Gamma(-1/2, w) = 2 w^{-1/2} e^{-w} - 2 sqrt(pi)
-    erfc(sqrt(w)) is four times cheaper than mp.gammainc and cancels about
-    log2(2w) bits, taken as guard bits.
+    imaginary axis, where w is off the cut, by mp.gammainc.  The Eichler
+    integrals take it at real positive w, where K^{(-1/2)}_0(-w) = -e^w
+    w^{1/2} Gamma(-1/2, w) has two routes: for w >= KERNEL_CF_X0 it is
+    -_minus_half_cf(w), a continued fraction in fixed point; below,
+    Gamma(-1/2, w) = 2 w^{-1/2} e^{-w} - 2 sqrt(pi) erfc(sqrt(w)), which
+    cancels about log2(2w) bits, taken as guard bits.  mp.erfc sums
+    1 - erf by a Taylor series with about 1.44 w more bits, which is what
+    makes it the dearer route past the crossover.
     """
     w = -z
-    if s == MINUS_HALF and not mp.im(w) and mp.re(w) > 0:
+    if s == MINUS_HALF and not eps and not mp.im(w) and mp.re(w) > 0:
         w = mp.re(w)
+        if w >= KERNEL_CF_X0:
+            return -_minus_half_cf(w)
         with workprec(mp.prec + max(0, mp.mag(2 * w)) + 10):
             r = mp.sqrt(w)
             g = 2 * mp.exp(-w) / r - 2 * mp.sqrt(mp.pi) * mp.erfc(r)
     else:
         g = mp.gammainc(s, w)
-    if eps:
-        g -= (8 * eps * mp.sqrt(mp.pi) / 3 if s == MINUS_THREE_HALVES
-              else -4 * eps * mp.sqrt(mp.pi))
+        if eps:
+            g -= (8 * eps * mp.sqrt(mp.pi) / 3 if s == MINUS_THREE_HALVES
+                  else -4 * eps * mp.sqrt(mp.pi))
     return -mp.exp(-z) * w ** -s * g
 
 

@@ -508,7 +508,10 @@ def trefoil_explicit_borel(p, ctx: PrecisionContext = DEFAULT_CTX,
     """The explicit trefoil transform (3 pi/(2 sqrt 2)) sum n (12|n) (n^2 pi^2/6 - p)^{-5/2}.
 
     Independent of the general machinery: the conductor-12 character table is
-    inlined and the sum is truncated with its own zeta-accelerated tail.
+    inlined and the sum is truncated with its own zeta-accelerated tail.  It
+    takes no side: on the cut past the first singularity, p > pi^2/6, its
+    principal powers give the limit from Im p < 0, borel_eval's
+    side="minus" value.
     """
     chi12 = (0, 1, 0, 0, 0, -1, 0, -1, 0, 0, 0, 1)
     with ctx.working(20):

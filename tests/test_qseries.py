@@ -7,6 +7,7 @@ from mpmath import mp, mpf, mpc, workprec
 
 from reference import (eichler_integral_quadrature, radial_extrapolate, radial_limit_by_table,
                        twisted_table_by_entry, verify_modular_transform)
+from thetaresum import qseries
 from thetaresum.config import config_chi, config_hikami, config_t3_2k, trefoil_chi, trefoil_strange
 from thetaresum.periodic import ChiParams, PeriodicTable, TildeFunction, chi_function, \
     make_periodic, pair_set, s_matrix_entry
@@ -322,17 +323,21 @@ class TestEichler:
             assert abs((r_0 - r_a) - bridge) < mpf("1e-10")
 
 
+BASE_POINTS = [((2, 3), a, a) for a in ("1", "1/2", "-1/2", "1/3", "2/5")] + [
+    (st, a, f"chi{st[0]}{st[1]}-{a}") for st in ((2, 5), (3, 4)) for a in ("1", "1/2", "-1/3", "3/7")]
+
+
 class TestEichlerErrorBars:
     """|value - truth| <= claimed error for the closed-form Eichler integrals."""
 
-    @pytest.mark.parametrize("prec", [64, 96, 128, 192])
-    @pytest.mark.parametrize("st, alpha", [
-        *(pytest.param((2, 3), a, id=a) for a in ("1", "1/2", "-1/2", "1/3", "2/5")),
-        *(pytest.param(st, a, id=f"chi{st[0]}{st[1]}-{a}")
-          for st in ((2, 5), (3, 4)) for a in ("1", "1/2", "-1/3", "3/7"))])
+    @pytest.mark.parametrize("st, alpha, prec", [
+        *(pytest.param(st, a, prec, id=f"{name}-{prec}")
+          for st, a, name in BASE_POINTS for prec in (64, 96, 128, 192)),
+        *(pytest.param((2, 3), a, 256, id=f"{a}-256") for a in ("1", "1/2", "1/3"))])
     def test_boundary_value_within_error_bars(self, st, alpha, prec):
         """E(alpha; alpha) = -theta/2, theta the radial limit L(-1, h), on
-        chi(2,3), chi(2,5) and chi(3,4)."""
+        chi(2,3), chi(2,5) and chi(3,4); at 256 bits the head drops the most
+        bits."""
         alpha = Fraction(alpha)
         ctx = PrecisionContext(prec=prec)
         spec = ThetaSpec(a=0, b=4 * st[0] * st[1], nu=1, f=chi_function(ChiParams(*st, 1, 1)))
@@ -342,6 +347,30 @@ class TestEichlerErrorBars:
             gap = abs(got.value + theta.value / 2)
             allowed = got.error + theta.error / 2 + mpf(2) ** (-prec) * abs(theta.value)
             assert gap <= allowed, (gap, allowed)
+
+    def test_bar_sees_a_head_drop_too_large(self, monkeypatch):
+        """With the head's guard g cut by 64 bits, the 256-bit chi(2,3) value at
+        alpha = 1/2 leaves its bar against theta at 320 bits, so the test
+        above can see a per-term precision dropped too far.  eichler_integral
+        works 40 bits above ctx.prec, so a cut of 40 bits stays inside the
+        bar; it leaves it from about 55 bits on."""
+        ctx = PrecisionContext(prec=256)
+        truth = PrecisionContext(prec=320)
+        alpha = Fraction(1, 2)
+        spec = ThetaSpec(a=0, b=24, nu=1, f=CHI)
+        theta = theta_radial_limit(spec, alpha, truth)
+
+        def gap_and_error():
+            with ctx.working():
+                got = eichler_integral(2, 3, (1, 1), frac_to_mp(alpha), alpha, ctx)
+            with truth.working():
+                return abs(got.value + theta.value / 2), got.error + theta.error / 2
+
+        gap, error = gap_and_error()
+        assert gap <= error, (gap, error)
+        monkeypatch.setattr(qseries, "EICHLER_HEAD_GUARD", qseries.EICHLER_HEAD_GUARD - 64)
+        gap, error = gap_and_error()
+        assert gap > error, (gap, error)
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-20])
     @pytest.mark.parametrize("s, t, z", [(2, 3, "-1j"), (3, 4, "0.2-1.3j"),

@@ -664,17 +664,24 @@ class TestBoundaryMedian:
         with pytest.raises(DomainError):
             boundary_median(SER, Fraction(0), CTX)
 
+    ORACLE_POINTS = [(config_chi(2, 3, 1, 1), a) for a in ("1", "1/2", "-1/2", "1/3")] + [
+        (config_chi(2, 5, 1, 1), "3/5"), (config_t3_2k(3), "1/2")]
+
+    @pytest.fixture(scope="class")
+    def quadrature(self):
+        """The vertical-theta quadrature at each point, once, at 128 bits: it
+        serves every library precision up to 128 bits."""
+        ctx = PrecisionContext(prec=128)
+        return [boundary_median_quadrature(cfg.series(8), Fraction(alpha), ctx)
+                for cfg, alpha in self.ORACLE_POINTS]
+
     @pytest.mark.parametrize("prec", [96, 128])
-    def test_agrees_with_quadrature_oracle(self, prec):
+    def test_agrees_with_quadrature_oracle(self, prec, quadrature):
         """Closed form against the vertical-theta quadrature, within the sum
         of both claimed errors."""
         ctx = PrecisionContext(prec=prec)
-        points = [(config_chi(2, 3, 1, 1), a) for a in ("1", "1/2", "-1/2", "1/3")]
-        points += [(config_chi(2, 5, 1, 1), "3/5"), (config_t3_2k(3), "1/2")]
-        for cfg, alpha in points:
-            ser = cfg.series(8)
-            bm = boundary_median(ser, Fraction(alpha), ctx)
-            quad = boundary_median_quadrature(ser, Fraction(alpha), ctx)
+        for (cfg, alpha), quad in zip(self.ORACLE_POINTS, quadrature):
+            bm = boundary_median(cfg.series(8), Fraction(alpha), ctx)
             with workprec(prec + 64):
                 gap = abs(bm.value - quad.value)
                 assert gap <= bm.error + quad.error, (cfg.label(), alpha, gap)
@@ -765,16 +772,27 @@ class TestBoundaryKernel:
                 cf = mp.exp(-1j * lam * a) * mp.sqrt(lam / 1j) * mp.gammainc(-0.5, -1j * lam * a)
                 assert abs(got - cf) <= mpf("1e-55") * abs(ref), (a, lam)
 
-    @pytest.mark.parametrize("prec", [53, 128, 276])
-    def test_erfc_route_at_real_positive_arguments(self, prec):
-        """K^{(-1/2)}_0(-x) by erfc against -e^x x^{1/2} mp.gammainc(-1/2, x) at
-        64 more bits, within 2^{4-prec} relative, where cancellation is worst
-        (large x) and where there is none (small x)."""
-        for x in ("1e-3", "0.5", "3", "40", "300", "5000"):
+    @pytest.mark.parametrize("prec", [53, 128, 256, 276])
+    def test_erfc_route_at_real_positive_arguments(self, prec, monkeypatch):
+        """K^{(-1/2)}_0(-x) against -e^x x^{1/2} mp.gammainc(-1/2, x) at 64 more
+        bits, within 2^{4-prec} relative: by erfc where its cancellation is
+        worst (just below the crossover X0) and where there is none (small
+        x), and by the continued fraction from X0 on, over the band the
+        Eichler heads read (up to 180) and far beyond it."""
+        fraction = []
+        cf = resum._minus_half_cf
+        monkeypatch.setattr(resum, "_minus_half_cf", lambda x: fraction.append(x) or cf(x))
+        x0 = mpf(resum.KERNEL_CF_X0)
+        below, above = x0 * (1 - mpf(2) ** -40), x0 * (1 + mpf(2) ** -40)
+        grid = ["1e-3", "0.5", "3", "12.5", below, x0, above, "20.5", "25", "40", "60.25",
+                "100", "180", "300", "5000"]
+        for x in grid:
+            calls = len(fraction)
             with workprec(prec):
                 got = resum.laplace_kernel(-mpf(x), 0, MINUS_HALF)
             with workprec(prec + 64):
                 x = mpf(x)
+                assert (len(fraction) > calls) == (x >= x0), x
                 ref = -mp.exp(x) * mp.sqrt(x) * mp.gammainc(mpf(-1) / 2, x)
                 assert abs(got - ref) <= mpf(2) ** (4 - prec) * abs(ref), (x, got, ref)
 
